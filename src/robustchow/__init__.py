@@ -6,8 +6,8 @@ intersection-of-halfspaces learners built on top of the filtered estimates.
 from .adversary import (STRATEGIES, AdversaryStrategy, LabeledSampleSet,
                         corrupt, plant_instance)
 from .chowfilter import (ChowEstimate, FilterParams, chow_distance,
-                         empirical_chow, filter_iteration, prune, prune_mask,
-                         recommended_sample_count, robust_chow)
+                         empirical_chow, prune_mask, recommended_sample_count,
+                         robust_chow)
 from .distributions import (ReasonableDistribution, compute_delta,
                             compute_tmax, from_config, gaussian_descriptor,
                             gaussian_moment_matrix, hypercube_descriptor,
@@ -34,8 +34,7 @@ from .ltf_learner import (LTF, LTFConfig, RejectionParams, constant_ltf,
                           refine_extreme, refine_moderate, rejection_sample,
                           weak_learn_ltf)
 from .polybasis import (MonomialBasis, Polynomial, enumerate_basis,
-                        eval_monomials, eval_monomials_batch, eval_poly,
-                        l2_norm)
+                        eval_monomials_batch, l2_norm)
 from .ptf_learner import (PBF, PTF, chow_reconstruct, default_xi, learn_ptf,
                           make_sampling_oracle, project_p1)
 

@@ -35,7 +35,11 @@ class LabeledSampleSet:
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if self.points.ndim != 2 or self.labels.shape != (self.points.shape[0],):
             raise ValueError("points must be (m, n) with matching (m,) labels")
-        if np.abs(self.labels).max(initial=0.0) > 1.0 + 1e-9:
+        bad = ~np.isfinite(self.points).all(axis=1)
+        if bad.any():
+            raise ValueError(f"points must be finite: {int(bad.sum())} row(s) hold NaN or "
+                             f"infinity, first at sample index {int(np.argmax(bad))}")
+        if not np.all(np.abs(self.labels) <= 1.0 + 1e-9):
             raise ValueError("labels must lie in [-1, 1]")
         if self.corrupted_mask is not None:
             self.corrupted_mask = np.asarray(self.corrupted_mask, dtype=bool)

@@ -18,7 +18,8 @@ import numpy as np
 
 from .adversary import LabeledSampleSet
 from .distributions import EPS_FLOOR, ReasonableDistribution
-from .errors import AllPointsPruned, BasisMismatch, NoThresholdFound
+from .errors import (AllPointsPruned, BasisMismatch, DimensionMismatch,
+                     NoThresholdFound)
 from .polybasis import MonomialBasis, enumerate_basis, eval_monomials_batch
 
 DENSE_EIG_MAX = 2000
@@ -48,17 +49,6 @@ class FilterParams:
             raise ValueError("c_break must be positive")
         if self.max_iterations < 1:
             raise ValueError("iteration cap must be >= 1")
-
-
-@dataclass
-class FilterIterationResult:
-    outcome: str                       # "converged" or "filtered"
-    lambda_star: float                 # top eigenvalue of M - I
-    direction: np.ndarray              # its unit eigenvector (whitened coords)
-    threshold: Optional[float] = None  # cut level on |p*(x)|, filtered only
-    removed: int = 0
-    keep_mask: Optional[np.ndarray] = None
-    survivors: Optional[LabeledSampleSet] = None
 
 
 @dataclass
@@ -144,17 +134,16 @@ def _top_eigenpair(m_mat: np.ndarray, tol: float = 1e-8, method: str = "auto"):
     return lam, v
 
 
-def prune_mask(s: LabeledSampleSet, dist: ReasonableDistribution) -> np.ndarray:
+def prune_mask(phi: np.ndarray, z: np.ndarray, dist: ReasonableDistribution) -> np.ndarray:
     """Boolean keep mask for the prune rule m(x)^T Sigma^+ m(x) < T_max^2 / 2.
 
+    phi holds the rows m(x) and z = phi @ Sigma^{-1/2} their whitened form.
     Points with mass in Sigma's null directions are marked for removal too.
     All-True for distributions that disable pruning (the hypercube).
     """
     if not dist.prune_enabled:
-        return np.ones(len(s), dtype=bool)
-    isqrt, null_vectors = dist.whitener()
-    phi = eval_monomials_batch(dist.basis, s.points)
-    z = phi @ isqrt
+        return np.ones(phi.shape[0], dtype=bool)
+    _, null_vectors = dist.whitener()
     quad = np.einsum("ij,ij->i", z, z)
     keep = quad < dist.t_max ** 2 / 2.0
     if null_vectors.shape[1] > 0:
@@ -165,14 +154,6 @@ def prune_mask(s: LabeledSampleSet, dist: ReasonableDistribution) -> np.ndarray:
         raise AllPointsPruned("every sample exceeded the prune radius; "
                               "distribution parameters likely mismatch the data")
     return keep
-
-
-def prune(s: LabeledSampleSet, dist: ReasonableDistribution) -> LabeledSampleSet:
-    """Drop points failing the prune rule; see prune_mask."""
-    keep = prune_mask(s, dist)
-    if keep.all():
-        return s
-    return s.subset(keep)
 
 
 def _threshold_cut(scores: np.ndarray, dist: ReasonableDistribution, eps: float):
@@ -212,39 +193,33 @@ def _filter_pass(z: np.ndarray, dist: ReasonableDistribution, params: FilterPara
     return lambda_star, v_star, t_cut, keep
 
 
-def filter_iteration(s: LabeledSampleSet, dist: ReasonableDistribution,
-                     params: FilterParams) -> FilterIterationResult:
-    """Run one break-or-filter step on an already pruned sample set."""
-    if len(s) == 0:
-        raise ValueError("empty sample set")
-    isqrt, _ = dist.whitener()
-    z = eval_monomials_batch(dist.basis, s.points) @ isqrt
-    lambda_star, v_star, t_cut, keep = _filter_pass(z, dist, params)
-    if t_cut is None:
-        return FilterIterationResult("converged", lambda_star, v_star)
-    removed = int(len(s) - keep.sum())
-    return FilterIterationResult("filtered", lambda_star, v_star, threshold=t_cut,
-                                 removed=removed, keep_mask=keep,
-                                 survivors=s.subset(keep))
-
-
 def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
-                params: FilterParams) -> ChowEstimate:
-    """Prune, filter to fixpoint, and average y * m(x) over the survivors."""
+                params: FilterParams, *, features: Optional[np.ndarray] = None) -> ChowEstimate:
+    """Prune, filter to fixpoint, and average y * m(x) over the survivors.
+
+    The rows m(x) are computed once and whitened once; pruning, every filter
+    pass and the final mean all read that one pair. A caller that already
+    holds the feature matrix passes it as `features`, shape (m, ell).
+    """
     floor = params.min_samples
     if floor is None:
         floor = max(50, 2 * dist.ell)
     if len(corrupted) < floor:
         raise ValueError(f"need at least {floor} samples, got {len(corrupted)}")
+    if not np.isfinite(corrupted.points).all():
+        raise ValueError("sample points must be finite")
     m_in = len(corrupted)
-    kept_at_prune = prune_mask(corrupted, dist)
-    pruned_set = corrupted.subset(kept_at_prune) if not kept_at_prune.all() else corrupted
-    n_pruned = m_in - len(pruned_set)
-
+    if features is None:
+        phi = eval_monomials_batch(dist.basis, corrupted.points)
+    elif features.shape != (m_in, dist.ell):
+        raise DimensionMismatch(
+            f"features have shape {features.shape}, expected ({m_in}, {dist.ell})")
+    else:
+        phi = features
     isqrt, _ = dist.whitener()
-    phi = eval_monomials_batch(dist.basis, pruned_set.points)
     z_all = phi @ isqrt
-    alive = np.ones(len(pruned_set), dtype=bool)
+    alive = prune_mask(phi, z_all, dist)
+    n_pruned = m_in - int(alive.sum())
 
     iterations = 0
     degraded = False
@@ -269,20 +244,18 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
             raise AllPointsPruned("filter removed every sample")
 
     n_used = int(alive.sum())
-    chi = (pruned_set.labels[alive] @ phi[alive]) / n_used
+    chi = (corrupted.labels[alive] @ phi[alive]) / n_used
     provenance = {
         "samples_in": m_in,
         "pruned": n_pruned,
-        "filtered": int(len(pruned_set) - n_used),
+        "filtered": m_in - n_pruned - n_used,
         "used": n_used,
         "iterations": iterations,
         "final_lambda": None if math.isnan(last_lambda) else float(last_lambda),
         "degraded": degraded,
         "cap_reached": cap_reached,
     }
-    full_mask = kept_at_prune.copy()
-    full_mask[kept_at_prune] = alive
-    return ChowEstimate(chi, dist.basis, dist.sigma, provenance, keep_mask=full_mask)
+    return ChowEstimate(chi, dist.basis, dist.sigma, provenance, keep_mask=alive)
 
 
 def empirical_chow(s: LabeledSampleSet, dist: ReasonableDistribution) -> ChowEstimate:

@@ -57,7 +57,7 @@ class NoThresholdFound(RobustChowError):
     """Filter loop found no valid tail threshold despite a large eigenvalue.
 
     robust_chow catches this and terminates with a degraded-quality flag;
-    it only escapes when filter_iteration is called directly.
+    it only escapes from the threshold rule itself.
     """
 
 

@@ -19,6 +19,10 @@ from .errors import DimensionMismatch, NegativeQuadraticForm, SizeCapExceeded
 
 # Dense ell x ell matrices dominate memory, so refuse absurd bases outright.
 DEFAULT_SIZE_CAP = 200_000
+# Featurization tiles: at most TILE_ROWS rows and TILE_ENTRIES buffer
+# entries (1 MiB), so a tile's (ell, rows) buffer stays in cache.
+TILE_ROWS = 2048
+TILE_ENTRIES = 1 << 17
 
 
 def _exponents_of_degree(n, degree, max_exp):
@@ -41,10 +45,34 @@ class MonomialBasis:
     exponents: np.ndarray  # (ell, n) int array, row i = multi-index a^i
     multilinear: bool = False
     _index: dict = field(default_factory=dict, repr=False, compare=False)
+    # Featurization plan, one (lo, hi, parents, factors) entry per degree
+    # block exponents[lo:hi]: monomial i is monomial parents[i - lo] times
+    # power-table row factors[i - lo]. The parent drops the last variable
+    # with a nonzero exponent, so m_i = (...(x_j1^p1 * x_j2^p2) ...) * x_jk^pk
+    # is built in the same left-to-right order as a per-variable product.
+    plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         lookup = {tuple(int(e) for e in row): i for i, row in enumerate(self.exponents)}
         object.__setattr__(self, "_index", lookup)
+        object.__setattr__(self, "plan", self._featurize_plan())
+
+    def _featurize_plan(self) -> tuple:
+        degrees = self.exponents.sum(axis=1)
+        if degrees[0] != 0 or np.any(np.diff(degrees) < 0):
+            raise ValueError("exponents must be graded with the constant monomial first")
+        parents = np.zeros(self.ell, dtype=np.intp)
+        factors = np.zeros(self.ell, dtype=np.intp)
+        for i in range(1, self.ell):
+            row = [int(e) for e in self.exponents[i]]
+            j = max(k for k, e in enumerate(row) if e)
+            factors[i] = (row[j] - 1) * self.n + j
+            row[j] = 0
+            parents[i] = self._index[tuple(row)]
+        # degree blocks after the constant: [edges[k], edges[k + 1])
+        edges = np.r_[np.flatnonzero(np.diff(degrees)) + 1, self.ell]
+        return tuple((int(lo), int(hi), parents[lo:hi], factors[lo:hi])
+                     for lo, hi in zip(edges[:-1], edges[1:]))
 
     @property
     def ell(self) -> int:
@@ -92,37 +120,34 @@ def enumerate_basis(n: int, d: int, multilinear: bool = False,
     return MonomialBasis(n=n, d=d, exponents=exps, multilinear=multilinear)
 
 
-def eval_monomials(basis: MonomialBasis, x) -> np.ndarray:
-    """Evaluate all basis monomials at a single point x; entry 0 is 1."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (basis.n,):
-        raise DimensionMismatch(f"point has shape {x.shape}, basis expects ({basis.n},)")
-    return eval_monomials_batch(basis, x[None, :])[0]
-
-
 def eval_monomials_batch(basis: MonomialBasis, points) -> np.ndarray:
     """Evaluate the basis on an (m, n) array of points, returning (m, ell).
 
-    Per-coordinate power tables keep this at one multiply per nonzero exponent.
+    Rows are processed in tiles. Each tile gets a table of coordinate powers
+    and then one multiply per monomial: its parent's values times one power
+    (see MonomialBasis.plan), filled a degree block at a time into an
+    (ell, tile) buffer that is copied into the C-ordered output.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != basis.n:
         raise DimensionMismatch(f"points have shape {pts.shape}, basis expects (m, {basis.n})")
-    m = pts.shape[0]
-    max_exp = int(basis.exponents.max()) if basis.ell > 1 else 0
-    # powers[j][p] = x_j ** p for p = 1..max_exp
-    powers = []
-    for j in range(basis.n):
-        col = [None, pts[:, j]]
-        for p in range(2, max_exp + 1):
-            col.append(col[-1] * pts[:, j])
-        powers.append(col)
-    out = np.ones((m, basis.ell), dtype=np.float64)
-    for i, row in enumerate(basis.exponents):
-        for j in range(basis.n):
-            p = int(row[j])
-            if p:
-                out[:, i] *= powers[j][p]
+    m, n = pts.shape
+    out = np.empty((m, basis.ell), dtype=np.float64)
+    tile = max(1, min(TILE_ROWS, TILE_ENTRIES // basis.ell))
+    max_exp = int(basis.exponents.max())
+    buf = np.empty((basis.ell, min(m, tile)), dtype=np.float64)
+    # powers[(p - 1) * n + j] = x_j ** p, built by repeated multiplication
+    powers = np.empty((max_exp * n, buf.shape[1]), dtype=np.float64)
+    buf[0] = 1.0
+    for r0 in range(0, m, tile):
+        rows = min(tile, m - r0)
+        pw, vals = powers[:, :rows], buf[:, :rows]
+        pw[:n] = pts[r0:r0 + rows].T
+        for p in range(1, max_exp):
+            np.multiply(pw[(p - 1) * n:p * n], pw[:n], out=pw[p * n:(p + 1) * n])
+        for lo, hi, parents, factors in basis.plan:
+            np.multiply(vals[parents], pw[factors], out=vals[lo:hi])
+        out[r0:r0 + rows] = vals.T
     return out
 
 
@@ -167,11 +192,6 @@ class Polynomial:
             raise DimensionMismatch(
                 f"JSON has {coeffs.shape[0]} coefficients, basis needs {basis.ell}")
         return cls(basis, coeffs)
-
-
-def eval_poly(p: Polynomial, x) -> float:
-    """p evaluated at a single point."""
-    return float(np.dot(p.coeffs, eval_monomials(p.basis, x)))
 
 
 def l2_norm(p: Polynomial, moments: np.ndarray) -> float:

@@ -47,7 +47,7 @@ class PBF:
         return np.round(self.q.coeffs / (self.grid_xi / 2.0)).astype(np.int64)
 
     def margin(self, points: np.ndarray) -> np.ndarray:
-        return eval_monomials_batch(self.q.basis, points) @ self.q.coeffs
+        return self.q(points)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         return np.clip(self.margin(points), -1.0, 1.0)
@@ -64,7 +64,7 @@ class PTF:
             raise ValueError("defining polynomial is identically zero")
 
     def margin(self, points: np.ndarray) -> np.ndarray:
-        return eval_monomials_batch(self.poly.basis, points) @ self.poly.coeffs
+        return self.poly(points)
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         return np.where(self.margin(points) >= 0.0, 1.0, -1.0)
@@ -158,31 +158,36 @@ def chow_reconstruct(target: ChowEstimate, dist: ReasonableDistribution, xi: flo
 
 def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
                          strategy: AdversaryStrategy, m_per_call: int,
-                         seed, reuse_pool: bool = False) -> ChowOracle:
+                         seed) -> ChowOracle:
     """Chow oracle backed by fresh corrupted points, self-labeled.
 
     The adversary moves up to an eps-fraction of the points, then the
     learner labels every point by the queried hypothesis, so only point
-    placement (not labels) can be corrupted here. reuse_pool relabels one
-    fixed pool instead of drawing per call, to economize samples.
+    placement (not labels) can be corrupted here. Each draw is featurized
+    once: the oracle plays the sampling environment, so it knows which rows
+    the adversary replaced and re-featurizes only those before relabeling
+    and filtering.
     """
     base = np.random.SeedSequence(seed) if not isinstance(seed, np.random.SeedSequence) else seed
-    pool_seed, stream_seed = base.spawn(2)
-    pool = dist.sample(m_per_call, pool_seed) if reuse_pool else None
-    state = {"calls": 0}
+    # draws come from the second child seed; the first is left unused so a
+    # given seed keeps giving the same stream
+    _, stream_seed = base.spawn(2)
     stream = np.random.default_rng(stream_seed)
 
     def oracle(pbf: PBF) -> ChowEstimate:
-        state["calls"] += 1
         draw_seed = stream.integers(0, 2 ** 63)
         adv_seed = stream.integers(0, 2 ** 63)
-        pts = pool if reuse_pool else dist.sample(m_per_call, draw_seed)
-        clean = LabeledSampleSet(pts, np.asarray(pbf.evaluate(pts)))
+        pts = dist.sample(m_per_call, draw_seed)
+        phi = eval_monomials_batch(dist.basis, pts)
+        clean = LabeledSampleSet(pts, np.clip(phi @ pbf.q.coeffs, -1.0, 1.0))
         moved = corrupt(clean, pbf, eps, strategy, dist, adv_seed)
+        touched = moved.corrupted_mask
+        if touched.any():
+            phi[touched] = eval_monomials_batch(dist.basis, moved.points[touched])
         # the learner labels whatever points it is handed
-        relabeled = LabeledSampleSet(moved.points, np.asarray(pbf.evaluate(moved.points)),
-                                     moved.corrupted_mask)
-        return robust_chow(relabeled, dist, FilterParams(eps=eps))
+        relabeled = LabeledSampleSet(moved.points, np.clip(phi @ pbf.q.coeffs, -1.0, 1.0),
+                                     touched)
+        return robust_chow(relabeled, dist, FilterParams(eps=eps), features=phi)
 
     return oracle
 

@@ -39,6 +39,19 @@ def test_sampleset_csv_roundtrip_with_mask(tmp_path):
     assert np.array_equal(back.corrupted_mask, out.corrupted_mask)
 
 
+def test_sampleset_rejects_nonfinite_points_and_nan_labels():
+    _, _, s = make_clean(m=50)
+    for bad in (np.nan, np.inf, -np.inf):
+        pts = s.points.copy()
+        pts[9, 1] = bad
+        with pytest.raises(ValueError, match="finite.*sample index 9"):
+            LabeledSampleSet(pts, s.labels)
+    labels = s.labels.copy()
+    labels[3] = np.nan
+    with pytest.raises(ValueError, match="labels"):
+        LabeledSampleSet(s.points, labels)
+
+
 def test_budget_exact_every_strategy():
     dist, f, s = make_clean(m=1000)
     for tag in STRATEGIES:

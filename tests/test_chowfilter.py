@@ -4,15 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from robustchow import chowfilter
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import (ChowEstimate, FilterParams,
                                    _threshold_cut, _top_eigenpair,
-                                   chow_distance, empirical_chow,
-                                   filter_iteration, prune,
+                                   chow_distance, empirical_chow, prune_mask,
                                    recommended_sample_count, robust_chow)
 from robustchow.distributions import gaussian_descriptor, hypercube_descriptor
 from robustchow.errors import (AllPointsPruned, BasisMismatch,
-                               NoThresholdFound)
+                               DimensionMismatch, NoThresholdFound)
 from robustchow.ltf_learner import LTF
 from robustchow.polybasis import eval_monomials_batch
 
@@ -26,6 +26,12 @@ def ltf_instance(n=10, m=20_000, theta=0.0, eps=0.1, seed=0):
     f = LTF(v, theta)
     pts = dist.sample(m, seed)
     return dist, f, LabeledSampleSet(pts, f.evaluate(pts).astype(np.float64))
+
+
+def prune_keep(s, dist):
+    """The prune rule's keep mask on a sample set, featurized and whitened."""
+    phi = eval_monomials_batch(dist.basis, s.points)
+    return prune_mask(phi, phi @ dist.whitener()[0], dist)
 
 
 # --- FilterParams / ChowEstimate ------------------------------------------
@@ -94,28 +100,35 @@ def test_power_iteration_sign_convention():
 
 def test_prune_keeps_typical_removes_extreme():
     dist, f, s = ltf_instance(n=5, m=2000, seed=3)
-    kept = prune(s, dist)
-    assert len(kept) == len(s)  # gaussian bulk survives
+    assert prune_keep(s, dist).all()  # gaussian bulk survives
 
     far = s.points.copy()
     far[0] = 1e6  # monomial norm blows past T_max^2/2
     s_far = LabeledSampleSet(far, s.labels.copy())
-    kept2 = prune(s_far, dist)
-    assert len(kept2) == len(s) - 1
+    keep = prune_keep(s_far, dist)
+    assert not keep[0] and keep[1:].all()
+    # robust_chow starts its filter from the same mask and reports the
+    # pruned row in its provenance and keep mask
+    est = robust_chow(s_far, dist, FilterParams(eps=0.05))
+    assert est.provenance["pruned"] == 1
+    assert not est.keep_mask[0]
 
 
 def test_prune_disabled_on_hypercube():
     dist = hypercube_descriptor(4, 1, 0.1)
     pts = dist.sample(500, 0)
     s = LabeledSampleSet(pts, np.ones(500))
-    assert len(prune(s, dist)) == 500
+    assert prune_keep(s, dist).sum() == 500
+    assert robust_chow(s, dist, FilterParams(eps=0.1)).provenance["pruned"] == 0
 
 
 def test_prune_all_points_error():
     dist, f, s = ltf_instance(n=4, m=50)
     s_far = LabeledSampleSet(s.points + 1e6, s.labels)
     with pytest.raises(AllPointsPruned):
-        prune(s_far, dist)
+        prune_keep(s_far, dist)
+    with pytest.raises(AllPointsPruned):
+        robust_chow(s_far, dist, FilterParams(eps=0.1))
 
 
 # --- threshold rule --------------------------------------------------------
@@ -218,18 +231,69 @@ def test_robust_chow_deterministic():
 
 def test_filter_iteration_converges_on_clean():
     dist, f, s = ltf_instance(n=6, m=10_000, eps=0.05, seed=14)
-    res = filter_iteration(s, dist, FilterParams(eps=0.05))
-    assert res.outcome == "converged"
-    assert res.lambda_star <= 10.0 * (dist.gamma + dist.delta + 0.05)
+    est = robust_chow(s, dist, FilterParams(eps=0.05))
+    prov = est.provenance
+    # the first spectral step already sits below the break level
+    assert prov["iterations"] == 1 and prov["filtered"] == 0
+    assert prov["final_lambda"] <= 10.0 * (dist.gamma + dist.delta + 0.05)
+    assert est.keep_mask.all()
 
 
 def test_filter_iteration_cuts_attack_cluster():
     dist, f, s = ltf_instance(n=6, m=10_000, eps=0.1, seed=15)
     bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack", rho=0.9), dist, 16)
-    res = filter_iteration(bad, dist, FilterParams(eps=0.1))
-    assert res.outcome == "filtered"
-    assert res.removed >= 1
-    assert res.threshold is not None
+    est = robust_chow(bad, dist, FilterParams(eps=0.1))
+    prov = est.provenance
+    assert prov["iterations"] >= 2  # at least one cut before convergence
+    assert prov["pruned"] == 0  # rho < 1 places the cluster inside the prune radius
+    assert prov["filtered"] >= 1
+    cut = ~est.keep_mask
+    assert cut.sum() == prov["filtered"]
+    assert bad.corrupted_mask[cut].mean() > 0.5
+
+
+def test_robust_chow_features_match_featurizing():
+    dist, f, s = ltf_instance(n=6, m=8000, seed=2)
+    bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack"), dist, 3)
+    phi = eval_monomials_batch(dist.basis, bad.points)
+    a = robust_chow(bad, dist, FilterParams(eps=0.1))
+    b = robust_chow(bad, dist, FilterParams(eps=0.1), features=phi)
+    assert np.array_equal(a.chi, b.chi)
+    assert np.array_equal(a.keep_mask, b.keep_mask)
+    with pytest.raises(DimensionMismatch):
+        robust_chow(bad, dist, FilterParams(eps=0.1), features=phi[:-1])
+
+
+def test_robust_chow_featurizes_once(monkeypatch):
+    dist, f, s = ltf_instance(n=6, m=8000, seed=5)
+    bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack"), dist, 6)
+    rows = []
+    real = chowfilter.eval_monomials_batch
+
+    def counted(basis, points):
+        out = real(basis, points)
+        rows.append(out.shape[0])
+        return out
+
+    monkeypatch.setattr(chowfilter, "eval_monomials_batch", counted)
+    est = robust_chow(bad, dist, FilterParams(eps=0.1))
+    assert est.provenance["iterations"] >= 2  # pruning and several passes, one featurization
+    assert rows == [8000]
+
+
+def test_robust_chow_never_prunes_nan_rows():
+    dist, f, s = ltf_instance(n=5, m=5000, seed=4)
+    s.points[7, 2] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        LabeledSampleSet(s.points, s.labels)
+    # a set mutated after construction is refused too, not counted as pruned
+    with pytest.raises(ValueError, match="finite"):
+        robust_chow(s, dist, FilterParams(eps=0.05))
+    hyper = hypercube_descriptor(4, 1, 0.05)
+    cube = LabeledSampleSet(hyper.sample(500, 0), np.ones(500))
+    cube.points[3, 0] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        robust_chow(cube, hyper, FilterParams(eps=0.05))
 
 
 # --- chow distance ----------------------------------------------------------

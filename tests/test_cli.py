@@ -84,6 +84,22 @@ def test_chow_too_few_samples_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("family", ["gaussian", "hypercube"])
+def test_chow_nan_in_samples_exits_2(tmp_path, capsys, family):
+    cfg = tmp_path / "dist.json"
+    samples = tmp_path / "nan.csv"
+    cfg.write_text(json.dumps({"family": family, "n": 3, "d": 1}))
+    write_samples(samples, m=2000)
+    lines = samples.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[1] = "nan"
+    lines[5] = ",".join(cells)
+    samples.write_text("\n".join(lines) + "\n")
+    assert main(["chow", "--config", str(cfg), "--samples", str(samples)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "finite" in err and "NaN" in err and "sample index 4" in err
+
+
 def test_chow_gross_outliers_exit_3(tmp_path, capsys):
     # every point far outside the prune radius: the filter declines
     cfg = tmp_path / "dist.json"

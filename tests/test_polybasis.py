@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from robustchow.errors import DimensionMismatch, SizeCapExceeded
-from robustchow.polybasis import (MonomialBasis, Polynomial, enumerate_basis,
-                                  eval_monomials, eval_monomials_batch,
-                                  eval_poly, l2_norm)
+from robustchow.polybasis import (TILE_ENTRIES, TILE_ROWS, MonomialBasis,
+                                  Polynomial, enumerate_basis,
+                                  eval_monomials_batch, l2_norm)
 
 
 def test_enumerate_n2_d1_exact_order():
@@ -51,23 +51,71 @@ def test_multilinear_enumeration():
     assert b.ell == 1 + 3 + 3  # constant, singletons, pairs
 
 
+def per_column_reference(basis, pts):
+    """The original kernel: for each monomial, multiply a column of ones by
+    one power-table entry per variable, left to right."""
+    max_exp = int(basis.exponents.max())
+    powers = []
+    for j in range(basis.n):
+        col = [None, pts[:, j]]
+        for p in range(2, max_exp + 1):
+            col.append(col[-1] * pts[:, j])
+        powers.append(col)
+    out = np.ones((pts.shape[0], basis.ell), dtype=np.float64)
+    for i, row in enumerate(basis.exponents):
+        for j in range(basis.n):
+            p = int(row[j])
+            if p:
+                out[:, i] *= powers[j][p]
+    return out
+
+
+@pytest.mark.parametrize("multilinear", [False, True])
+def test_eval_batch_bit_identical_to_per_column_loop(multilinear):
+    rng = np.random.default_rng(11)
+    for n in range(1, 13):
+        for d in range(1, 5):
+            b = enumerate_basis(n, d, multilinear=multilinear)
+            tile = min(TILE_ROWS, TILE_ENTRIES // b.ell)
+            for m in sorted({0, 1, 2047, 2048, 2049, 5000, tile - 1, tile, tile + 1}):
+                # mixed scales, exact zeros of both signs, and an infinity
+                pts = rng.standard_normal((m, n)) * rng.choice([1e-3, 1.0, 1e3], size=(m, 1))
+                if m >= 3:
+                    pts[0] = 0.0
+                    pts[1] = -0.0
+                    pts[2, 0] = np.inf
+                got = eval_monomials_batch(b, pts)
+                ref = per_column_reference(b, pts)
+                assert got.shape == (m, b.ell) and got.flags.c_contiguous
+                assert np.array_equal(got, ref, equal_nan=True), (n, d, m)
+                assert np.array_equal(np.signbit(got), np.signbit(ref)), (n, d, m)
+
+
+def test_basis_must_be_graded():
+    exps = enumerate_basis(2, 2).exponents
+    with pytest.raises(ValueError, match="graded"):
+        MonomialBasis(n=2, d=2, exponents=exps[::-1].copy())
+
+
 def test_eval_monomials_example():
     b = enumerate_basis(2, 2)
-    vals = eval_monomials(b, np.array([2.0, 3.0]))
-    assert vals.tolist() == [1.0, 2.0, 3.0, 4.0, 6.0, 9.0]
+    vals = eval_monomials_batch(b, np.array([[2.0, 3.0]]))
+    assert vals.tolist() == [[1.0, 2.0, 3.0, 4.0, 6.0, 9.0]]
 
 
 def test_eval_monomials_zero_and_negative():
     b = enumerate_basis(2, 2)
-    assert eval_monomials(b, np.zeros(2)).tolist() == [1, 0, 0, 0, 0, 0]
+    assert eval_monomials_batch(b, np.zeros((1, 2))).tolist() == [[1, 0, 0, 0, 0, 0]]
     b1 = enumerate_basis(1, 2)
-    assert eval_monomials(b1, np.array([-1.0])).tolist() == [1.0, -1.0, 1.0]
+    assert eval_monomials_batch(b1, np.array([[-1.0]])).tolist() == [[1.0, -1.0, 1.0]]
 
 
 def test_eval_monomials_dimension_mismatch():
     b = enumerate_basis(2, 1)
     with pytest.raises(DimensionMismatch):
-        eval_monomials(b, np.zeros(3))
+        eval_monomials_batch(b, np.zeros((1, 3)))
+    with pytest.raises(DimensionMismatch):
+        eval_monomials_batch(b, np.zeros(2))
 
 
 def test_eval_batch_matches_single():
@@ -76,19 +124,19 @@ def test_eval_batch_matches_single():
     pts = rng.standard_normal((20, 3))
     batch = eval_monomials_batch(b, pts)
     for i in range(20):
-        assert np.allclose(batch[i], eval_monomials(b, pts[i]))
+        assert np.array_equal(batch[i], eval_monomials_batch(b, pts[i:i + 1])[0])
 
 
 def test_eval_poly_examples():
     b = enumerate_basis(2, 2)
     c = np.zeros(b.ell)
     c[b.index_of((1, 0))] = 1.0
-    assert eval_poly(Polynomial(b, c), np.array([5.0, -2.0])) == 5.0
-    assert eval_poly(Polynomial(b, np.zeros(b.ell)), np.array([3.0, 3.0])) == 0.0
+    assert Polynomial(b, c)(np.array([[5.0, -2.0]])).tolist() == [5.0]
+    assert Polynomial(b, np.zeros(b.ell))(np.array([[3.0, 3.0]])).tolist() == [0.0]
     c2 = np.zeros(b.ell)
     c2[0] = 1.0
     c2[b.index_of((1, 1))] = 1.0
-    assert eval_poly(Polynomial(b, c2), np.array([2.0, 3.0])) == 7.0
+    assert Polynomial(b, c2)(np.array([[2.0, 3.0], [1.0, -1.0]])).tolist() == [7.0, 0.0]
 
 
 def test_l2_norm_identity_moments():

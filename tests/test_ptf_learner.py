@@ -9,6 +9,7 @@ from robustchow.distributions import gaussian_descriptor
 from robustchow.errors import ConfigError
 from robustchow.harness import score
 from robustchow.ltf_learner import LTF
+from robustchow import adversary, chowfilter, polybasis, ptf_learner
 from robustchow.polybasis import Polynomial, enumerate_basis
 from robustchow.ptf_learner import (PBF, PTF, chow_reconstruct, default_xi,
                                     learn_ptf, make_sampling_oracle,
@@ -167,6 +168,32 @@ def test_sampling_oracle_fresh_batches():
     a = oracle(pbf)
     c = oracle(pbf)
     assert not np.array_equal(a.chi, c.chi)  # new draw every call
+
+
+def test_sampling_oracle_featurizes_each_draw_once(monkeypatch):
+    dist = gaussian_descriptor(4, 2, 0.05)
+    m = 20_000
+    budget = int(0.05 * m)
+    rows = []
+    real = polybasis.eval_monomials_batch
+
+    def counted(basis, points):
+        out = real(basis, points)
+        rows.append(out.shape[0])
+        return out
+
+    for module in (polybasis, adversary, chowfilter, ptf_learner):
+        monkeypatch.setattr(module, "eval_monomials_batch", counted)
+    coeffs = np.zeros(dist.ell)
+    coeffs[1] = 0.5
+    oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), m, seed=3)
+    est = oracle(PBF(Polynomial(dist.basis, coeffs), 0.5))
+    # the draw once, the moved rows once, and otherwise only the single rows
+    # of the adversary's bisection; the filter reuses the oracle's features
+    assert rows.count(m) == 1 and rows.count(budget) == 1
+    assert len(rows) > 2 and all(r == 1 for r in rows if r not in (m, budget))
+    assert sum(rows) == m + budget + (len(rows) - 2)
+    assert est.provenance["samples_in"] == m
 
 
 # --- default_xi --------------------------------------------------------------------
