@@ -24,7 +24,7 @@ from scipy.stats import norm as _norm
 from .adversary import STRATEGIES, AdversaryStrategy, LabeledSampleSet, corrupt
 from .chowfilter import ChowEstimate, FilterParams, chow_distance, robust_chow
 from .distributions import ReasonableDistribution, gaussian_descriptor, hypercube_descriptor
-from .errors import ConfigError
+from .errors import ConfigError, RobustChowError
 from .intersection_learner import Intersection, learn_intersection
 from .ltf_learner import LTF, LTFConfig, learn_ltf
 from .ptf_learner import PTF, learn_ptf
@@ -300,7 +300,7 @@ def run_experiment(config: ExperimentConfig, out: Optional[str] = None):
         strategy, eps, trial, cell_index = cell
         try:
             return _run_cell(config, strategy, eps, trial, cell_index)
-        except Exception as exc:  # record the failure, keep the sweep alive
+        except (RobustChowError, ValueError) as exc:  # record it, keep the sweep alive
             ss = np.random.SeedSequence(config.seed, spawn_key=(cell_index,))
             return ResultRow(config.learner, strategy, eps, trial,
                              int(ss.generate_state(1)[0]), 1.0, None, 0, 0, 0,

@@ -7,6 +7,7 @@ an additive O(eps) of the best candidate in the list.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -53,8 +54,7 @@ def select(candidates: CandidateSet, holdout: LabeledSampleSet):
 def select_intersection_cover(unit_matrix: np.ndarray,
                               thresholds: np.ndarray,
                               k: int,
-                              holdout: LabeledSampleSet,
-                              block: int = 512):
+                              holdout: LabeledSampleSet):
     """ERM over the full G^k grid of k-fold intersections without
     materializing hypothesis objects or the combo list.
 
@@ -65,9 +65,15 @@ def select_intersection_cover(unit_matrix: np.ndarray,
     G^k + 1. Returns (winner flat index, empirical error); ties go to the
     lowest index.
 
-    Mismatch counting reduces to linear algebra on the fires matrix F:
-      mismatches(r) = #{y=+1} + prod_j F[digit_j] . (1 - 2*inside),
-    which is a matvec for k=1 and one Gram product F W F^T for k=2.
+    Members that share a direction differ only in their threshold, so
+    whether a candidate fires on x depends only on x's bin among the sorted
+    thresholds of each of its directions. With w = +1 on outside points and
+    -1 on inside ones,
+      mismatches(r) = #{y=+1} + sum of w over the points r fires on,
+    which is a k-dimensional prefix sum of the joint bin histogram of w.
+    One histogram per tuple of the first k-1 directions covers every last
+    direction at once: O(D^k m + G^k) work for D distinct directions, with
+    exact integer counts.
     """
     if len(holdout) == 0:
         raise EmptyHoldout("holdout batch is empty")
@@ -75,43 +81,64 @@ def select_intersection_cover(unit_matrix: np.ndarray,
         raise ValueError(f"k must be 1, 2, or 3, got {k}")
     m = len(holdout)
     g_count = unit_matrix.shape[0]
-    inside = (holdout.labels > 0).astype(np.float32)
-    y_weight = 1.0 - 2.0 * inside              # +1 on outside points, -1 inside
-    base = float(inside.sum())                  # cost of predicting all-outside
+    directions, dir_of = np.unique(unit_matrix, axis=0, return_inverse=True)
+    dir_of = dir_of.reshape(-1)
+    d_count = directions.shape[0]
+    groups = [np.flatnonzero(dir_of == d) for d in range(d_count)]
+    edges = [np.unique(thresholds[g]) for g in groups]
+    width = 1 + max(len(e) for e in edges)     # bins 0..len(edges), padded
 
-    proj = unit_matrix @ holdout.points.T
-    fires = (proj <= thresholds[:, None]).astype(np.float32)
+    # x falls in bin searchsorted(edges, v . x, "left"), and the member with
+    # threshold edges[r] fires on x iff that bin is <= r: the <= survives
+    rank = np.empty(g_count, dtype=np.intp)
+    for g, e in zip(groups, edges):
+        rank[g] = np.searchsorted(e, thresholds[g])
+    # w is +1 / -1, so its histogram is the difference of two unweighted
+    # bincounts, one over the outside points and one over the inside ones
+    inside = holdout.labels > 0
+    n_in = int(np.count_nonzero(inside))
+    last_key = (np.arange(d_count) * width)[:, None]
+    parts = []
+    for points in (holdout.points[~inside], holdout.points[inside]):
+        proj = directions @ points.T
+        bins = np.stack([np.searchsorted(e, p, side="left")
+                         for e, p in zip(edges, proj)])
+        parts.append((bins, bins + last_key))
+    block = d_count * width                     # keys of one lead-bin tuple
+    size = width ** (k - 1) * block
+    last_col = dir_of * width + rank            # member -> its key
 
-    # every partial sum below is an integer count < 2^24, so float32 gemm
-    # results are exact and argmin/tie-break comparisons are exact too
-    best_idx, best_count = 0, np.inf
-    if k == 1:
-        counts = base + fires @ y_weight
-        j = int(np.argmin(counts))
-        best_idx, best_count = j, float(counts[j])
-    elif k == 2:
-        weighted = fires * y_weight[None, :]
-        for start in range(0, g_count, block):
-            rows = base + fires[start:start + block] @ weighted.T
-            loc = int(np.argmin(rows))
-            cand = float(rows.ravel()[loc])
-            if cand < best_count:
-                best_idx, best_count = start * g_count + loc, cand
-    else:
-        weighted = fires * y_weight[None, :]
-        for i in range(g_count):
-            pair = fires[i][None, :] * fires    # (G, m) two-member AND rows
-            rows = base + pair @ weighted.T     # (G, G): third member via gemm
-            flat_local = int(np.argmin(rows))
-            cand = float(rows.ravel()[flat_local])
-            if cand < best_count:
-                best_idx = i * g_count * g_count + flat_local
-                best_count = cand
+    def prefix_counts(lead_dirs):
+        """Prefix sums of the w histogram over lead bins x (last dir, bin)."""
+        hist = []
+        for part_bins, part_keys in parts:
+            lead = np.zeros(part_bins.shape[1], dtype=np.intp)
+            for d in lead_dirs:
+                lead = lead * width + part_bins[d]
+            hist.append(np.bincount((part_keys + lead * block).ravel(),
+                                    minlength=size))
+        cum = (hist[0] - hist[1]).reshape((width,) * (k - 1) + (d_count, width))
+        for axis in range(cum.ndim):
+            if axis != k - 1:                   # not the direction axis
+                np.cumsum(cum, axis=axis, out=cum)
+        return cum.reshape(-1)
+
+    best_idx, best_count = 0, m + 1
+    for lead_dirs in itertools.product(range(d_count), repeat=k - 1):
+        pos = np.zeros((), dtype=np.intp)       # lead members -> lead bin tuple
+        prefix = np.zeros((), dtype=np.intp)    # lead members -> flat index / G
+        for d in lead_dirs:
+            pos = pos[..., None] * width + rank[groups[d]]
+            prefix = prefix[..., None] * g_count + groups[d]
+        counts = prefix_counts(lead_dirs)[pos[..., None] * block + last_col]
+        loc = int(np.argmin(counts))            # lowest flat index in the block
+        cand = n_in + int(counts.reshape(-1)[loc])
+        idx = int(prefix.reshape(-1)[loc // g_count]) * g_count + loc % g_count
+        if (cand, idx) < (best_count, best_idx):
+            best_idx, best_count = idx, cand
     n_combos = g_count ** k
-    count_plus = float((inside == 0.0).sum())   # predict +1 everywhere
-    count_minus = float((inside == 1.0).sum())  # predict -1 everywhere
-    if count_plus < best_count:
-        best_idx, best_count = n_combos, count_plus
-    if count_minus < best_count:
-        best_idx, best_count = n_combos + 1, count_minus
+    if m - n_in < best_count:                   # predict +1 everywhere
+        best_idx, best_count = n_combos, m - n_in
+    if n_in < best_count:                       # predict -1 everywhere
+        best_idx, best_count = n_combos + 1, n_in
     return best_idx, best_count / m

@@ -39,6 +39,7 @@ class Intersection:
     halfspaces: Sequence[LTF]
     cap: int = K_CAP
     subspace: Optional[np.ndarray] = None   # (n, dim) basis used to build it
+    provenance: Optional[dict] = None       # how learn_intersection chose it
 
     def __post_init__(self):
         self.halfspaces = list(self.halfspaces)
@@ -216,6 +217,10 @@ class Cover:
     def grid_size(self) -> int:
         return self.unit_matrix.shape[0]
 
+    @property
+    def directions(self) -> int:
+        return np.unique(self.unit_matrix, axis=0).shape[0]
+
     def __len__(self) -> int:
         return self.grid_size ** self.k + 2
 
@@ -289,7 +294,9 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
                        m_tournament: int = 20_000, seed=0,
                        combo_cap: int = COMBO_CAP) -> Intersection:
     """Subspace from robust degree-2 Chow parameters, then cover tournament
-    on projected holdout points, lifted back to ambient coordinates."""
+    on projected holdout points, lifted back to ambient coordinates. The
+    result's provenance records the subspace dimension, the cover that was
+    searched (after any delta escalations) and the tournament's winner."""
     n = corrupted.n
     dist = gaussian_descriptor(n, 2, eps)
     est = robust_chow(corrupted, dist, FilterParams(eps=eps))
@@ -301,6 +308,7 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
     if sub.dim == 0:
         const = Intersection([constant_ltf(n, 1.0 if mean >= 0 else -1.0)])
         const.subspace = np.zeros((n, 0))
+        const.provenance = {"subspace_dim": 0}
         return const
 
     if source is not None:
@@ -313,6 +321,7 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
 
     delta = delta_override if delta_override is not None else default_cover_delta(k, eps)
     cover = None
+    escalations = 0
     while cover is None:
         try:
             cover = make_cover(k, sub.dim, delta, combo_cap=combo_cap)
@@ -320,8 +329,9 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
             if delta >= DELTA_CEIL:
                 raise
             delta = min(DELTA_CEIL, delta * 1.25)
-    winner_idx, _ = select_intersection_cover(cover.unit_matrix, cover.thresholds,
-                                              k, projected)
+            escalations += 1
+    winner_idx, holdout_error = select_intersection_cover(
+        cover.unit_matrix, cover.thresholds, k, projected)
     g = cover[winner_idx]
 
     lifted = []
@@ -331,4 +341,15 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
         lifted.append(LTF(v_amb / nrm, member.theta))
     out = Intersection(lifted)
     out.subspace = sub.basis
+    directions = cover.directions
+    out.provenance = {
+        "subspace_dim": sub.dim,
+        "delta": delta,
+        "delta_escalations": escalations,
+        "grid_size": cover.grid_size,
+        "directions": directions,
+        "thresholds_per_direction": cover.grid_size // directions,
+        "winner_index": winner_idx,
+        "holdout_error": holdout_error,
+    }
     return out

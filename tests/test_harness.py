@@ -203,6 +203,20 @@ def test_run_experiment_captures_cell_failure(tmp_path):
     assert (tmp_path / "fail.csv").exists()
 
 
+def test_run_experiment_propagates_programming_errors(tmp_path, monkeypatch):
+    # only deliberate library failures become error rows; a bug must surface
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the learner")
+
+    monkeypatch.setattr("robustchow.harness.learn_intersection", broken)
+    cfg = base_config(learner="intersection", k=1, n=4, eps_grid=[0.0],
+                      strategies=["none"], trials=1, m_train=5_000,
+                      plant={"thetas": [0.5]}, out=str(tmp_path / "bug.csv"))
+    with pytest.raises(TypeError, match="bug in the learner"):
+        run_experiment(cfg)
+    assert not (tmp_path / "bug.csv").exists()
+
+
 def test_run_experiment_ptf_smoke(tmp_path):
     cfg = base_config(learner="ptf", d=1, n=3, eps_grid=[0.0],
                       strategies=["none"], trials=1, m_train=20_000,

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustchow.adversary import LabeledSampleSet
 from robustchow.errors import EmptyHoldout
 from robustchow.hypothesis_select import (CandidateSet, disagreement, select,
                                           select_intersection_cover)
-from robustchow.intersection_learner import Intersection
-from robustchow.ltf_learner import LTF, constant_ltf
+from robustchow.intersection_learner import make_cover
+from robustchow.ltf_learner import LTF
 
 
 def holdout_from(points, labels):
@@ -57,27 +59,63 @@ def _cover_members(unit_matrix, thresholds):
             for g in range(unit_matrix.shape[0])]
 
 
+def _reference_cover_select(unit_matrix, thresholds, k, holdout, block=512):
+    """The former float32 gemm tournament, kept as a reference: a matvec for
+    k=1, blocked Gram products F W F^T for k=2, and a G-fold loop of gemms
+    for k=3. Every partial sum is an integer count < 2^24, so it is exact."""
+    m = len(holdout)
+    g_count = unit_matrix.shape[0]
+    inside = (holdout.labels > 0).astype(np.float32)
+    y_weight = 1.0 - 2.0 * inside
+    base = float(inside.sum())
+    proj = unit_matrix @ holdout.points.T
+    fires = (proj <= thresholds[:, None]).astype(np.float32)
+    best_idx, best_count = 0, np.inf
+    if k == 1:
+        counts = base + fires @ y_weight
+        j = int(np.argmin(counts))
+        best_idx, best_count = j, float(counts[j])
+    elif k == 2:
+        weighted = fires * y_weight[None, :]
+        for start in range(0, g_count, block):
+            rows = base + fires[start:start + block] @ weighted.T
+            loc = int(np.argmin(rows))
+            cand = float(rows.ravel()[loc])
+            if cand < best_count:
+                best_idx, best_count = start * g_count + loc, cand
+    else:
+        weighted = fires * y_weight[None, :]
+        for i in range(g_count):
+            rows = base + (fires[i][None, :] * fires) @ weighted.T
+            loc = int(np.argmin(rows))
+            cand = float(rows.ravel()[loc])
+            if cand < best_count:
+                best_idx, best_count = i * g_count * g_count + loc, cand
+    n_combos = g_count ** k
+    count_plus = float((inside == 0.0).sum())
+    count_minus = float((inside == 1.0).sum())
+    if count_plus < best_count:
+        best_idx, best_count = n_combos, count_plus
+    if count_minus < best_count:
+        best_idx, best_count = n_combos + 1, count_minus
+    return best_idx, best_count / m
+
+
 def _brute_force(unit_matrix, thresholds, k, holdout):
-    members = _cover_members(unit_matrix, thresholds)
-    g = len(members)
-    best_idx, best_err = None, np.inf
-    for flat in range(g ** k):
-        digits = []
-        r = flat
-        for _ in range(k):
-            digits.append(r % g)
-            r //= g
-        digits.reverse()
-        hyp = Intersection([members[j] for j in digits])
-        err = disagreement(hyp, holdout)
-        if err < best_err - 1e-12:
-            best_idx, best_err = flat, err
-    for extra, sign in ((g ** k, 1), (g ** k + 1, -1)):
-        hyp = constant_ltf(unit_matrix.shape[1], sign)
-        err = disagreement(hyp, holdout)
-        if err < best_err - 1e-12:
-            best_idx, best_err = extra, err
-    return best_idx, best_err
+    """Every candidate evaluated at once: the k-fold AND of the members'
+    LTF predictions, broadcast to shape (G,)*k + (m,), then the two
+    constants; ties go to the lowest flat index."""
+    fires = np.stack([h.evaluate(holdout.points) > 0
+                      for h in _cover_members(unit_matrix, thresholds)])
+    g = fires.shape[0]
+    pred = np.ones((g,) * k + (len(holdout),), dtype=bool)
+    for axis in range(k):
+        pred = pred & fires.reshape((1,) * axis + (g,) + (1,) * (k - 1 - axis) + (-1,))
+    inside = holdout.labels > 0
+    counts = np.concatenate([(pred != inside).sum(axis=-1).ravel(),
+                             [np.count_nonzero(~inside), np.count_nonzero(inside)]])
+    flat = int(np.argmin(counts))
+    return flat, int(counts[flat]) / len(holdout)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -91,10 +129,73 @@ def test_cover_tournament_matches_brute_force(k):
     pts = rng.standard_normal((400, n))
     labels = np.where((pts @ unit[2] <= thr[2]) & (pts @ unit[5] <= thr[5]), 1.0, -1.0)
     holdout = holdout_from(pts, labels)
-    flat, err = select_intersection_cover(unit, thr, k, holdout, block=3)
-    bf_flat, bf_err = _brute_force(unit, thr, k, holdout)
-    assert err == pytest.approx(bf_err, abs=1e-12)
-    assert flat == bf_flat
+    flat, err = select_intersection_cover(unit, thr, k, holdout)
+    assert (flat, err) == _brute_force(unit, thr, k, holdout)
+    assert (flat, err) == _reference_cover_select(unit, thr, k, holdout)
+
+
+LATTICE = np.arange(-4, 5) * 0.5   # coordinates and thresholds; exact sums
+
+
+@st.composite
+def grid_cover_cases(draw):
+    """A grid-shaped member list over signed coordinate axes (so every
+    projection is exact): 1-6 directions, repeats allowed, each with 1-5
+    lattice thresholds, duplicates allowed, in shuffled member order. The
+    holdout sits on the same lattice, so many points lie exactly on a
+    threshold; labels are mixed, all +1 or all -1."""
+    dim = draw(st.integers(1, 3))
+    k = draw(st.integers(1, 3))
+    axes = np.concatenate([np.eye(dim), -np.eye(dim)])
+    dir_ids = draw(st.lists(st.integers(0, 2 * dim - 1), min_size=1, max_size=6))
+    rows, thr = [], []
+    for d in dir_ids:
+        ts = draw(st.lists(st.sampled_from(LATTICE), min_size=1, max_size=5))
+        rows += [axes[d]] * len(ts)
+        thr += ts
+    perm = draw(st.permutations(range(len(thr))))
+    unit = np.array(rows)[perm]
+    thresholds = np.array(thr, dtype=np.float64)[perm]
+    m = draw(st.integers(1, 40))
+    coords = draw(st.lists(st.sampled_from(LATTICE), min_size=m * dim,
+                           max_size=m * dim))
+    kind = draw(st.sampled_from(["mixed", "all+1", "all-1"]))
+    if kind == "mixed":
+        labels = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=m, max_size=m))
+    else:
+        labels = [1.0 if kind == "all+1" else -1.0] * m
+    return unit, thresholds, k, holdout_from(np.reshape(coords, (m, dim)), labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_cover_cases())
+def test_cover_tournament_property_grid_members(case):
+    unit, thr, k, holdout = case
+    got = select_intersection_cover(unit, thr, k, holdout)
+    assert got == _reference_cover_select(unit, thr, k, holdout)
+    assert got == _brute_force(unit, thr, k, holdout)
+
+
+def test_cover_tournament_point_on_threshold_fires():
+    unit = np.array([[1.0], [1.0]])
+    thr = np.array([-1.0, 0.0])
+    holdout = holdout_from([[0.0], [0.5], [-2.0]], [1.0, -1.0, 1.0])
+    # member 1 (x <= 0) fires on x = 0 and is perfect
+    assert select_intersection_cover(unit, thr, 1, holdout) == (1, 0.0)
+
+
+@pytest.mark.parametrize("k,dim,delta", [(1, 1, 0.5), (1, 2, 0.5), (2, 2, 0.95),
+                                         (2, 3, 2.0), (3, 2, 5.0)])
+def test_cover_tournament_matches_reference_on_seeded_covers(k, dim, delta):
+    cover = make_cover(k, dim, delta, combo_cap=10 ** 9)
+    rng = np.random.default_rng(1000 * k + dim)
+    pts = rng.standard_normal((2000, dim))
+    labels = np.where((pts[:, 0] <= 0.5) & (pts[:, -1] >= -0.3), 1.0, -1.0)
+    labels[rng.random(2000) < 0.1] *= -1.0
+    holdout = holdout_from(pts, labels)
+    got = select_intersection_cover(cover.unit_matrix, cover.thresholds, k, holdout)
+    assert got == _reference_cover_select(cover.unit_matrix, cover.thresholds, k, holdout)
+    assert got[0] < cover.grid_size ** k     # a grid candidate beats both constants
 
 
 def test_cover_tournament_constant_wins_on_constant_labels():

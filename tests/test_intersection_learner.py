@@ -424,12 +424,36 @@ def test_learn_intersection_delta_raising():
     assert out.k <= 2
 
 
+def test_learn_intersection_provenance_records_escalation():
+    n = 4
+    dist = gaussian_descriptor(n, 2, 0.0)
+    pts = dist.sample(20_000, 500)
+    f = Intersection([LTF(unit(n, 0), 0.3)])
+    # the default delta gives a 1798-member grid; the cap forces coarsening
+    out = learn_intersection(LabeledSampleSet(pts, f.evaluate(pts)), 1, 0.0,
+                             m_tournament=5_000, seed=5, combo_cap=1_000)
+    prov = out.provenance
+    assert set(prov) == {"subspace_dim", "delta", "delta_escalations", "grid_size",
+                         "directions", "thresholds_per_direction", "winner_index",
+                         "holdout_error"}
+    assert prov["delta_escalations"] >= 1
+    assert prov["delta"] == pytest.approx(default_cover_delta(1, 0.0)
+                                          * 1.25 ** prov["delta_escalations"])
+    assert prov["subspace_dim"] == out.subspace.shape[1]
+    assert prov["grid_size"] <= 1_000
+    assert prov["directions"] * prov["thresholds_per_direction"] == prov["grid_size"]
+    assert 0 <= prov["winner_index"] < prov["grid_size"]
+    assert 0.0 <= prov["holdout_error"] <= 0.1
+    assert "provenance" not in out.to_json()
+
+
 def test_learn_intersection_constant_target():
     n = 4
     dist = gaussian_descriptor(n, 2, 0.0)
     pts = dist.sample(20_000, 400)
     out = learn_intersection(LabeledSampleSet(pts, np.ones(20_000)), 1, 0.0, seed=4)
     assert out.subspace.shape == (n, 0)
+    assert out.provenance == {"subspace_dim": 0}
     fresh = dist.sample(5_000, 401)
     assert np.array_equal(out.evaluate(fresh), np.ones(5_000))
 
