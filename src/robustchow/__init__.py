@@ -16,10 +16,10 @@ from .distributions import (ReasonableDistribution, compute_delta,
 from .errors import (AcceptanceTooLow, AllPointsPruned, BasisMismatch,
                      BudgetExceeded, ConfigError, CoverTooLarge,
                      DimensionMismatch, EmptyHoldout, IntegralDiverges,
-                     InvalidHypothesis, NegativeQuadraticForm,
-                     NonMultilinearBasis, NoThresholdFound, NotPSD,
-                     OracleFailure, RobustChowError, SizeCapExceeded,
-                     UnknownFamily, UnknownStrategy, ZeroChowVector)
+                     InvalidHypothesis, NonMultilinearBasis,
+                     NoThresholdFound, NotPSD, OracleFailure,
+                     RobustChowError, SizeCapExceeded, UnknownFamily,
+                     UnknownStrategy, ZeroChowVector)
 from .harness import (ExperimentConfig, ResultRow, analytic_ltf_chow,
                       make_corrupted_source, run_experiment, score)
 from .hypothesis_select import (CandidateSet, disagreement, select,
@@ -34,8 +34,8 @@ from .ltf_learner import (LTF, LTFConfig, RejectionParams, constant_ltf,
                           refine_extreme, refine_moderate, rejection_sample,
                           weak_learn_ltf)
 from .polybasis import (MonomialBasis, Polynomial, enumerate_basis,
-                        eval_monomials_batch, l2_norm)
+                        eval_monomials_batch)
 from .ptf_learner import (PBF, PTF, chow_reconstruct, default_xi, learn_ptf,
-                          make_sampling_oracle, project_p1)
+                          make_sampling_oracle)
 
 __version__ = "0.1.0"

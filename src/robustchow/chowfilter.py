@@ -25,6 +25,8 @@ from .polybasis import MonomialBasis, enumerate_basis, eval_monomials_batch
 DENSE_EIG_MAX = 2000
 POWER_ITER_CAP = 10_000
 SAMPLE_COUNT_CAP = 10 ** 6
+# Rows whitened and pruned at a time; bounds the whitened working set.
+BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -139,7 +141,9 @@ def prune_mask(phi: np.ndarray, z: np.ndarray, dist: ReasonableDistribution) -> 
 
     phi holds the rows m(x) and z = phi @ Sigma^{-1/2} their whitened form.
     Points with mass in Sigma's null directions are marked for removal too.
-    All-True for distributions that disable pruning (the hypercube).
+    All-True for distributions that disable pruning (the hypercube). The
+    mask may be all False: robust_chow applies the rule a row block at a
+    time, and a block may hold nothing but outliers.
     """
     if not dist.prune_enabled:
         return np.ones(phi.shape[0], dtype=bool)
@@ -150,9 +154,6 @@ def prune_mask(phi: np.ndarray, z: np.ndarray, dist: ReasonableDistribution) -> 
         null_part = np.abs(phi @ null_vectors).max(axis=1)
         scale = np.linalg.norm(phi, axis=1) + 1e-300
         keep &= null_part <= 1e-8 * scale
-    if not keep.any():
-        raise AllPointsPruned("every sample exceeded the prune radius; "
-                              "distribution parameters likely mismatch the data")
     return keep
 
 
@@ -178,28 +179,17 @@ def _threshold_cut(scores: np.ndarray, dist: ReasonableDistribution, eps: float)
     return t_cut, scores < t_cut
 
 
-def _filter_pass(z: np.ndarray, dist: ReasonableDistribution, params: FilterParams,
-                 eig_method: str = "auto"):
-    """One spectral step on pre-whitened rows z = Sigma^{-1/2} m(x)."""
-    m_cur = z.shape[0]
-    m_mat = (z.T @ z) / m_cur
-    lam_max, v_star = _top_eigenpair(m_mat, tol=params.eigen_tol, method=eig_method)
-    lambda_star = lam_max - 1.0
-    break_level = params.c_break * (dist.gamma + dist.delta + params.eps)
-    if lambda_star <= break_level:
-        return lambda_star, v_star, None, None
-    scores = np.abs(z @ v_star)
-    t_cut, keep = _threshold_cut(scores, dist, params.eps)
-    return lambda_star, v_star, t_cut, keep
-
-
 def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
                 params: FilterParams, *, features: Optional[np.ndarray] = None) -> ChowEstimate:
     """Prune, filter to fixpoint, and average y * m(x) over the survivors.
 
-    The rows m(x) are computed once and whitened once; pruning, every filter
-    pass and the final mean all read that one pair. A caller that already
-    holds the feature matrix passes it as `features`, shape (m, ell).
+    The rows m(x) are computed once. One pass over them in row blocks
+    whitens and prunes them and sums the survivors' Gram matrix and
+    label-weighted rows; no whitened copy of the sample is kept. Each filter
+    pass then takes the top eigenvector, scores the rows with one
+    matrix-vector product and subtracts the cut rows from both sums. A
+    caller that already holds the feature matrix passes it as `features`,
+    shape (m, ell).
     """
     floor = params.min_samples
     if floor is None:
@@ -217,9 +207,27 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
     else:
         phi = features
     isqrt, _ = dist.whitener()
-    z_all = phi @ isqrt
-    alive = prune_mask(phi, z_all, dist)
-    n_pruned = m_in - int(alive.sum())
+    # Survivor sums of z^T z (z = m(x) Sigma^{-1/2}) and y m(x). Pruned rows
+    # never enter them (their monomials may have overflowed); cut rows
+    # leave by subtraction.
+    alive = np.empty(m_in, dtype=bool)
+    gram = np.zeros((dist.ell, dist.ell))
+    label_sum = np.zeros(dist.ell)
+    for lo in range(0, m_in, BLOCK_ROWS):
+        rows = slice(lo, lo + BLOCK_ROWS)
+        phi_b, y_b = phi[rows], corrupted.labels[rows]
+        z_b = phi_b @ isqrt
+        keep = alive[rows] = prune_mask(phi_b, z_b, dist)
+        if not keep.all():
+            phi_b, y_b, z_b = phi_b[keep], y_b[keep], z_b[keep]
+        gram += z_b.T @ z_b
+        label_sum += y_b @ phi_b
+    m_cur = int(alive.sum())
+    if m_cur == 0:
+        raise AllPointsPruned("every sample exceeded the prune radius; "
+                              "distribution parameters likely mismatch the data")
+    n_pruned = m_in - m_cur
+    break_level = params.c_break * (dist.gamma + dist.delta + params.eps)
 
     iterations = 0
     degraded = False
@@ -230,26 +238,38 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
             cap_reached = True
             break
         iterations += 1
+        lam_max, v_star = _top_eigenpair(gram / m_cur, tol=params.eigen_tol)
+        lambda_star = lam_max - 1.0
+        if lambda_star <= break_level:
+            last_lambda = lambda_star
+            break
+        # einsum scores every row by the same loop, so identical points tie
+        # exactly; BLAS gemv may round its last rows differently and split
+        # a cluster of identical outliers at the cut.
+        idx = np.nonzero(alive)[0]
+        scores = np.abs(np.einsum("ij,j->i", phi, isqrt @ v_star))[idx]
         try:
-            lambda_star, _, t_cut, keep = _filter_pass(z_all[alive], dist, params)
+            _, keep = _threshold_cut(scores, dist, params.eps)
         except NoThresholdFound:
             degraded = True
             break
         last_lambda = lambda_star
-        if t_cut is None:
-            break
-        idx = np.nonzero(alive)[0]
-        alive[idx[~keep]] = False
-        if not alive.any():
+        gone = idx[~keep]
+        alive[gone] = False
+        m_cur -= gone.size
+        if m_cur == 0:
             raise AllPointsPruned("filter removed every sample")
+        phi_gone = phi[gone]
+        z_gone = phi_gone @ isqrt
+        gram -= z_gone.T @ z_gone
+        label_sum -= corrupted.labels[gone] @ phi_gone
 
-    n_used = int(alive.sum())
-    chi = (corrupted.labels[alive] @ phi[alive]) / n_used
+    chi = label_sum / m_cur
     provenance = {
         "samples_in": m_in,
         "pruned": n_pruned,
-        "filtered": m_in - n_pruned - n_used,
-        "used": n_used,
+        "filtered": m_in - n_pruned - m_cur,
+        "used": m_cur,
         "iterations": iterations,
         "final_lambda": None if math.isnan(last_lambda) else float(last_lambda),
         "degraded": degraded,

@@ -17,10 +17,6 @@ class DimensionMismatch(RobustChowError):
     """Vector/matrix dimensions disagree with the basis."""
 
 
-class NegativeQuadraticForm(RobustChowError):
-    """c^T M c came out negative beyond tolerance: M is not PSD."""
-
-
 class UnknownFamily(RobustChowError):
     """Tail-bound family tag not recognized."""
 

@@ -296,7 +296,11 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
     """Subspace from robust degree-2 Chow parameters, then cover tournament
     on projected holdout points, lifted back to ambient coordinates. The
     result's provenance records the subspace dimension, the cover that was
-    searched (after any delta escalations) and the tournament's winner."""
+    searched (after any delta escalations) and the tournament's winner.
+
+    At k=3 the default combo_cap admits only dim-1 covers: a subspace of
+    dim >= 2 raises CoverTooLarge even at the coarsest delta, so a genuine
+    3-fold intersection (dim >= 3) needs a larger cap."""
     n = corrupted.n
     dist = gaussian_descriptor(n, 2, eps)
     est = robust_chow(corrupted, dist, FilterParams(eps=eps))

@@ -155,18 +155,12 @@ class LTFConfig:
     extreme_accept_target: int = 4_000
     extreme_batch_cap: int = 200_000
     holdout_size: int = 20_000
-    threshold_inversion: str = "phi"    # "phi" or "erf"
 
 
-def estimate_threshold(s: LabeledSampleSet, inversion: str = "phi") -> float:
+def estimate_threshold(s: LabeledSampleSet) -> float:
     """Invert E[sign(v.X + theta)] = 2 Phi(theta) - 1 on the empirical mean."""
     mean = float(np.clip(np.mean(s.labels), -1.0 + 1e-9, 1.0 - 1e-9))
-    theta = float(_norm.ppf((mean + 1.0) / 2.0))
-    if inversion == "erf":
-        return theta / math.sqrt(2.0)
-    if inversion != "phi":
-        raise ValueError(f"unknown inversion convention {inversion!r}")
-    return theta
+    return float(_norm.ppf((mean + 1.0) / 2.0))
 
 
 def gaussian_pdf(theta: float) -> float:
@@ -358,7 +352,7 @@ def learn_ltf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, eps: fl
     n = corrupted.n
     src = _as_source(source if source is not None else corrupted)
     mean = float(np.mean(corrupted.labels))
-    theta0 = estimate_threshold(corrupted, config.threshold_inversion)
+    theta0 = estimate_threshold(corrupted)
 
     if 1.0 - abs(mean) <= config.const_margin * eps:
         return constant_ltf(n, 1.0 if mean >= 0 else -1.0)

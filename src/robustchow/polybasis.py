@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import comb
 
-from .errors import DimensionMismatch, NegativeQuadraticForm, SizeCapExceeded
+from .errors import DimensionMismatch, SizeCapExceeded
 
 # Dense ell x ell matrices dominate memory, so refuse absurd bases outright.
 DEFAULT_SIZE_CAP = 200_000
@@ -192,15 +192,3 @@ class Polynomial:
             raise DimensionMismatch(
                 f"JSON has {coeffs.shape[0]} coefficients, basis needs {basis.ell}")
         return cls(basis, coeffs)
-
-
-def l2_norm(p: Polynomial, moments: np.ndarray) -> float:
-    """sqrt(c^T M c): the L2(D) norm of p when M is D's monomial moment matrix."""
-    M = np.asarray(moments, dtype=np.float64)
-    if M.shape != (p.basis.ell, p.basis.ell):
-        raise DimensionMismatch(f"moment matrix shape {M.shape} vs basis size {p.basis.ell}")
-    q = float(p.coeffs @ M @ p.coeffs)
-    scale = max(1.0, float(np.abs(M).max()) * float(p.coeffs @ p.coeffs))
-    if q < -1e-9 * scale:
-        raise NegativeQuadraticForm(f"c^T M c = {q} < 0: moment matrix not PSD")
-    return float(np.sqrt(max(q, 0.0)))

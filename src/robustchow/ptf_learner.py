@@ -82,11 +82,6 @@ class PTF:
         return cls(Polynomial(basis, np.asarray(data["coeffs"], dtype=np.float64)))
 
 
-def project_p1(t):
-    """Clamp to [-1, 1], elementwise on arrays."""
-    return np.clip(t, -1.0, 1.0)
-
-
 ChowOracle = Callable[[PBF], ChowEstimate]
 
 

@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from robustchow import chowfilter
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
-from robustchow.chowfilter import (ChowEstimate, FilterParams,
+from robustchow.chowfilter import (BLOCK_ROWS, ChowEstimate, FilterParams,
                                    _threshold_cut, _top_eigenpair,
                                    chow_distance, empirical_chow, prune_mask,
                                    recommended_sample_count, robust_chow)
@@ -32,6 +34,38 @@ def prune_keep(s, dist):
     """The prune rule's keep mask on a sample set, featurized and whitened."""
     phi = eval_monomials_batch(dist.basis, s.points)
     return prune_mask(phi, phi @ dist.whitener()[0], dist)
+
+
+def two_cluster_attack(n=6, m=10_000, seed=0):
+    """Two chow_attack clusters in different directions: two cuts."""
+    dist, f, s = ltf_instance(n=n, m=m, eps=0.1, seed=seed)
+    bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack", rho=0.9), dist, seed + 100)
+    return dist, corrupt(bad, f, 0.1, AdversaryStrategy("chow_attack", rho=0.6), dist, seed + 200)
+
+
+def dense_filter(s, dist, params):
+    """The filter without row blocks or downdates: whiten the whole sample,
+    rebuild the survivors' Gram matrix every pass, average a survivor copy."""
+    phi = eval_monomials_batch(dist.basis, s.points)
+    z = phi @ dist.whitener()[0]
+    alive = prune_mask(phi, z, dist)
+    break_level = params.c_break * (dist.gamma + dist.delta + params.eps)
+    while True:
+        z_alive = z[alive]
+        lam, v = _top_eigenpair(z_alive.T @ z_alive / len(z_alive))
+        if lam - 1.0 <= break_level:
+            break
+        _, keep = _threshold_cut(np.abs(np.einsum("ij,j->i", z_alive, v)), dist, params.eps)
+        alive[np.nonzero(alive)[0][~keep]] = False
+    return alive, s.labels[alive] @ phi[alive] / alive.sum()
+
+
+def assert_matches_dense(s, dist, params):
+    est = robust_chow(s, dist, params)
+    alive, chi = dense_filter(s, dist, params)
+    assert np.array_equal(est.keep_mask, alive)
+    assert np.allclose(est.chi, chi, rtol=0, atol=1e-12)
+    return est
 
 
 # --- FilterParams / ChowEstimate ------------------------------------------
@@ -125,10 +159,101 @@ def test_prune_disabled_on_hypercube():
 def test_prune_all_points_error():
     dist, f, s = ltf_instance(n=4, m=50)
     s_far = LabeledSampleSet(s.points + 1e6, s.labels)
-    with pytest.raises(AllPointsPruned):
-        prune_keep(s_far, dist)
+    # the rule itself only marks rows; an all-outlier block is legal
+    assert not prune_keep(s_far, dist).any()
     with pytest.raises(AllPointsPruned):
         robust_chow(s_far, dist, FilterParams(eps=0.1))
+
+
+# --- row blocks and Gram downdates -------------------------------------------
+
+def test_downdated_gram_matches_rebuilt(monkeypatch):
+    dist, bad = two_cluster_attack()
+    seen = []
+    real = chowfilter._top_eigenpair
+
+    def spy(m_mat, **kw):
+        seen.append(m_mat.copy())
+        return real(m_mat, **kw)
+
+    monkeypatch.setattr(chowfilter, "_top_eigenpair", spy)
+    est = robust_chow(bad, dist, FilterParams(eps=0.1))
+    assert est.provenance["iterations"] == len(seen) >= 3  # two cuts, then converged
+    z = eval_monomials_batch(dist.basis, bad.points[est.keep_mask]) @ dist.whitener()[0]
+    rebuilt = z.T @ z
+    downdated = seen[-1] * est.provenance["used"]
+    assert np.abs(downdated - rebuilt).max() <= 1e-12 * np.abs(rebuilt).max()
+
+
+def test_blocks_match_dense_filter_with_partial_last_block():
+    dist, bad = two_cluster_attack(m=2 * BLOCK_ROWS + 123, seed=1)
+    est = assert_matches_dense(bad, dist, FilterParams(eps=0.1))
+    assert est.provenance["iterations"] >= 3
+
+
+def test_blocks_match_dense_filter_below_one_block():
+    dist, bad = two_cluster_attack(m=BLOCK_ROWS // 2, seed=2)
+    est = assert_matches_dense(bad, dist, FilterParams(eps=0.1))
+    assert est.provenance["filtered"] > 0
+
+
+def test_whole_blocks_of_far_outliers_are_pruned():
+    dist, f, s = ltf_instance(n=4, m=4 * BLOCK_ROWS, seed=6)
+    run = slice(BLOCK_ROWS - 100, 3 * BLOCK_ROWS + 100)  # blocks 1 and 2 whole
+    far = s.points.copy()
+    far[run] = 1e6
+    est = assert_matches_dense(LabeledSampleSet(far, s.labels), dist, FilterParams(eps=0.1))
+    assert est.provenance["pruned"] == 2 * BLOCK_ROWS + 200
+    assert not est.keep_mask[run].any()
+
+
+def test_overflowed_rows_are_pruned_without_poisoning_chi():
+    dist = gaussian_descriptor(3, 3, 0.05)
+    pts = dist.sample(2000, 0)
+    pts[5, 0] = 1e110  # x^3 overflows to inf in the monomial row
+    s = LabeledSampleSet(pts, np.where(pts[:, 0] >= 0, 1.0, -1.0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = robust_chow(s, dist, FilterParams(eps=0.05))
+    assert est.provenance["pruned"] == 1 and not est.keep_mask[5]
+    assert np.isfinite(est.chi).all()
+
+
+def test_identical_points_share_one_decision():
+    # The cluster's last member is the sample's last row, where a BLAS gemv
+    # may round differently from the other rows and split the cluster.
+    for seed in range(10):
+        dist, f, s = ltf_instance(n=20, m=4003, eps=0.1, seed=seed)
+        bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack"), dist, seed + 50)
+        pts, labels = bad.points.copy(), bad.labels.copy()
+        first = np.nonzero(bad.corrupted_mask)[0][0]
+        pts[-1], labels[-1] = pts[first], labels[first]
+        est = robust_chow(LabeledSampleSet(pts, labels), dist, FilterParams(eps=0.1))
+        assert not est.keep_mask[np.all(pts == pts[first], axis=1)].any()
+
+
+def test_hypercube_blocks_match_dense_filter():
+    dist = hypercube_descriptor(6, 2, 0.1)
+    pts = dist.sample(BLOCK_ROWS + 500, 3)
+    f = LTF(np.r_[1.0, np.zeros(5)], 0.0)
+    s = LabeledSampleSet(pts, f.evaluate(pts).astype(np.float64))
+    bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack"), dist, 4)
+    est = assert_matches_dense(bad, dist, FilterParams(eps=0.1))
+    assert est.provenance["pruned"] == 0
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2 ** 16), n=st.integers(2, 5),
+       m=st.integers(200, 3 * BLOCK_ROWS // 2), perm_seed=st.integers(0, 2 ** 16))
+def test_row_permutation_permutes_keep_mask(seed, n, m, perm_seed):
+    dist, bad = two_cluster_attack(n=n, m=m, seed=seed)
+    perm = np.random.default_rng(perm_seed).permutation(m)
+    shuffled = LabeledSampleSet(bad.points[perm], bad.labels[perm])
+    params = FilterParams(eps=0.1, min_samples=50)
+    a = robust_chow(bad, dist, params)
+    b = robust_chow(shuffled, dist, params)
+    assert np.array_equal(b.keep_mask, a.keep_mask[perm])
+    assert a.provenance["iterations"] == b.provenance["iterations"]
+    assert np.allclose(a.chi, b.chi, rtol=0, atol=1e-12)
 
 
 # --- threshold rule --------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 from robustchow.errors import DimensionMismatch, SizeCapExceeded
 from robustchow.polybasis import (TILE_ENTRIES, TILE_ROWS, MonomialBasis,
                                   Polynomial, enumerate_basis,
-                                  eval_monomials_batch, l2_norm)
+                                  eval_monomials_batch)
 
 
 def test_enumerate_n2_d1_exact_order():
@@ -139,18 +139,21 @@ def test_eval_poly_examples():
     assert Polynomial(b, c2)(np.array([[2.0, 3.0], [1.0, -1.0]])).tolist() == [7.0, 0.0]
 
 
-def test_l2_norm_identity_moments():
-    b = enumerate_basis(2, 1)
-    p = Polynomial(b, np.array([0.0, 3.0, 4.0]))
-    assert l2_norm(p, np.eye(3)) == pytest.approx(5.0)
+def test_gaussian_norm_degree1_identity_moments():
+    # degree-1 Gaussian moments are the identity, so the L2 norm is Euclidean
+    from robustchow.distributions import gaussian_moment_matrix
+    sigma = gaussian_moment_matrix(enumerate_basis(2, 1))
+    c = np.array([0.0, 3.0, 4.0])
+    assert np.array_equal(sigma, np.eye(3))
+    assert math.sqrt(c @ sigma @ c) == pytest.approx(5.0)
 
 
-def test_l2_norm_gaussian_linear():
+def test_gaussian_norm_linear():
     # E[(a + b x1)^2] = a^2 + b^2 under N(0, I)
     from robustchow.distributions import gaussian_moment_matrix
     b = enumerate_basis(2, 1)
-    p = Polynomial(b, np.array([1.0, 2.0, 0.0]))
-    assert l2_norm(p, gaussian_moment_matrix(b)) == pytest.approx(math.sqrt(5.0))
+    c = np.array([1.0, 2.0, 0.0])
+    assert math.sqrt(c @ gaussian_moment_matrix(b) @ c) == pytest.approx(math.sqrt(5.0))
 
 
 def test_index_of_roundtrip():

@@ -12,8 +12,7 @@ from robustchow.ltf_learner import LTF
 from robustchow import adversary, chowfilter, polybasis, ptf_learner
 from robustchow.polybasis import Polynomial, enumerate_basis
 from robustchow.ptf_learner import (PBF, PTF, chow_reconstruct, default_xi,
-                                    learn_ptf, make_sampling_oracle,
-                                    project_p1)
+                                    learn_ptf, make_sampling_oracle)
 
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
@@ -34,10 +33,11 @@ def noiseless_oracle(dist, m=200_000, seed=999):
 
 # --- projection and types -----------------------------------------------------
 
-def test_project_p1_examples():
-    assert project_p1(0.5) == 0.5
-    assert project_p1(-3.0) == -1.0
-    assert project_p1(1.0) == 1.0
+def test_pbf_evaluate_clamp_examples():
+    # the identity polynomial, so evaluate is the clamp itself
+    pbf = PBF(Polynomial(enumerate_basis(1, 1), np.array([0.0, 1.0])), 0.5)
+    vals = pbf.evaluate(np.array([[0.5], [-3.0], [1.0]]))
+    assert vals.tolist() == [0.5, -1.0, 1.0]
 
 
 def test_pbf_grid_enforced():
