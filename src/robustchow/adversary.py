@@ -8,7 +8,6 @@ must never be read by a learner.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -62,34 +61,26 @@ class LabeledSampleSet:
         return LabeledSampleSet(self.points[idx], self.labels[idx], mask)
 
     def to_csv(self, path):
-        """Header x1..xn,y[,corrupted]; floats at full round-trip precision."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = [f"x{j+1}" for j in range(self.n)] + ["y"]
-            if self.corrupted_mask is not None:
-                header.append("corrupted")
-            writer.writerow(header)
-            for i in range(len(self)):
-                row = [f"{v:.17g}" for v in self.points[i]] + [f"{self.labels[i]:.17g}"]
-                if self.corrupted_mask is not None:
-                    row.append(str(int(self.corrupted_mask[i])))
-                writer.writerow(row)
+        """Header x1..xn,y[,corrupted]; floats at full round-trip precision,
+        CRLF line ends."""
+        header = [f"x{j+1}" for j in range(self.n)] + ["y"]
+        columns = [self.points, self.labels[:, None]]
+        fmt = ["%.17g"] * (self.n + 1)
+        if self.corrupted_mask is not None:
+            header.append("corrupted")
+            columns.append(self.corrupted_mask[:, None])
+            fmt.append("%d")
+        np.savetxt(path, np.hstack(columns), fmt=fmt, delimiter=",",
+                   newline="\r\n", header=",".join(header), comments="")
 
     @classmethod
     def from_csv(cls, path) -> "LabeledSampleSet":
         with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            has_mask = header[-1] == "corrupted"
-            n = len(header) - 1 - int(has_mask)
-            pts, labels, mask = [], [], []
-            for row in reader:
-                pts.append([float(v) for v in row[:n]])
-                labels.append(float(row[n]))
-                if has_mask:
-                    mask.append(bool(int(row[n + 1])))
-        return cls(np.asarray(pts), np.asarray(labels),
-                   np.asarray(mask) if has_mask else None)
+            header = fh.readline().strip().split(",")
+        has_mask = header[-1] == "corrupted"
+        n = len(header) - 1 - int(has_mask)
+        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        return cls(data[:, :n], data[:, n], data[:, n + 1] != 0 if has_mask else None)
 
 
 @dataclass

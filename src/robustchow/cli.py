@@ -6,6 +6,12 @@
     robust-chow learn-intersection --k 2 --eps 0.02 --m 200000 ...
     robust-chow experiment         --config sweep.json [--out results.csv] [--seed 7]
 
+learn-ltf, learn-ptf and learn-intersection run cell 0 of a one-cell
+`experiment` (trials=1, eps_grid=[--eps], strategies=[--strategy]) and print
+the hypothesis JSON plus its `disagreement_estimate`. The cell draws its
+streams from SeedSequence(--seed, spawn_key=(0,)), like cell 0 of a sweep, and
+learn-ltf runs with the harness's LTFConfig(batch_cap=--m, holdout_size=20000).
+
 Exit codes: 0 success, 2 config error, 3 learner failure.
 """
 
@@ -15,17 +21,11 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
-from .adversary import AdversaryStrategy, LabeledSampleSet, corrupt
+from .adversary import LabeledSampleSet
 from .chowfilter import FilterParams, robust_chow
-from .distributions import from_config, gaussian_descriptor
+from .distributions import from_config
 from .errors import ConfigError, RobustChowError
-from .harness import (ExperimentConfig, make_corrupted_source, run_experiment,
-                      score)
-from .intersection_learner import Intersection, learn_intersection
-from .ltf_learner import LTF, learn_ltf
-from .ptf_learner import learn_ptf
+from .harness import ExperimentConfig, run_cell, run_experiment
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -61,77 +61,22 @@ def _cmd_chow(args) -> int:
     return EXIT_OK
 
 
-def _synthetic_ltf(args):
-    ss = np.random.SeedSequence(args.seed)
-    s_plant, s_draw, s_adv = ss.spawn(3)
-    dist = gaussian_descriptor(args.n, 1, args.eps)
-    rng = np.random.default_rng(s_plant)
-    v = rng.standard_normal(args.n)
-    v /= np.linalg.norm(v)
-    plant = LTF(v, args.theta_plant)
-    pts = dist.sample(args.m, s_draw)
-    clean = LabeledSampleSet(pts, plant.evaluate(pts).astype(np.float64))
-    strategy = AdversaryStrategy(args.strategy)
-    corrupted = corrupt(clean, plant, args.eps, strategy, dist, s_adv)
-    return dist, plant, strategy, corrupted
-
-
-def _cmd_learn_ltf(args) -> int:
-    dist, plant, strategy, corrupted = _synthetic_ltf(args)
-    source = make_corrupted_source(plant, dist, args.eps, strategy)
-    hyp = learn_ltf(corrupted, dist, args.eps, source=source, seed=args.seed)
-    err = score(hyp, plant, dist, 100_000, np.random.SeedSequence(args.seed, spawn_key=(99,)))
-    payload = hyp.to_json()
-    payload["disagreement_estimate"] = err
-    _write_json(payload, args.out)
-    return EXIT_OK
-
-
-def _cmd_learn_ptf(args) -> int:
-    from .polybasis import Polynomial
-    from .ptf_learner import PTF
-    ss = np.random.SeedSequence(args.seed)
-    s_draw, s_adv = ss.spawn(2)
-    dist = gaussian_descriptor(args.n, args.d, args.eps)
-    if args.plant_coeffs is not None:
-        coeffs = np.asarray(json.loads(args.plant_coeffs), dtype=np.float64)
+def _cmd_learn(args) -> int:
+    """Cell 0 of a one-cell `experiment` built from the learn-* flags."""
+    if args.learner == "ltf":
+        plant = {"theta": args.theta_plant}
+    elif args.learner == "intersection":
+        plant = {"thetas": [args.theta_plant] * args.k}
     else:
-        coeffs = np.zeros(dist.basis.ell)
-        coeffs[0] = -1.0
-        exp = [0] * args.n
-        exp[0] = 2
-        coeffs[dist.basis.index_of(tuple(exp))] = 1.0
-    plant = PTF(Polynomial(dist.basis, coeffs))
-    pts = dist.sample(args.m, s_draw)
-    clean = LabeledSampleSet(pts, plant.evaluate(pts).astype(np.float64))
-    strategy = AdversaryStrategy(args.strategy)
-    corrupted = corrupt(clean, plant, args.eps, strategy, dist, s_adv)
-    hyp = learn_ptf(corrupted, dist, args.d, args.eps, xi=args.xi,
-                    oracle_strategy=strategy, seed=args.seed)
-    err = score(hyp, plant, dist, 100_000, np.random.SeedSequence(args.seed, spawn_key=(99,)))
+        plant = {} if args.plant_coeffs is None else {"coeffs": json.loads(args.plant_coeffs)}
+    extra = {f: getattr(args, f) for f in ("d", "k", "xi", "delta_override") if hasattr(args, f)}
+    cfg = ExperimentConfig(learner=args.learner, n=args.n, eps_grid=[args.eps],
+                           strategies=[args.strategy], m_train=args.m, trials=1,
+                           seed=args.seed, plant=plant, **extra)
+    cfg.validate()
+    row, hyp = run_cell(cfg, args.strategy, args.eps, 0, 0)
     payload = hyp.to_json()
-    payload["disagreement_estimate"] = err
-    _write_json(payload, args.out)
-    return EXIT_OK
-
-
-def _cmd_learn_intersection(args) -> int:
-    ss = np.random.SeedSequence(args.seed)
-    s_plant, s_draw, s_adv = ss.spawn(3)
-    dist = gaussian_descriptor(args.n, 2, args.eps)
-    rng = np.random.default_rng(s_plant)
-    q, _ = np.linalg.qr(rng.standard_normal((args.n, args.k)))
-    plant = Intersection([LTF(q[:, i], args.theta_plant) for i in range(args.k)])
-    pts = dist.sample(args.m, s_draw)
-    clean = LabeledSampleSet(pts, plant.evaluate(pts).astype(np.float64))
-    strategy = AdversaryStrategy(args.strategy)
-    corrupted = corrupt(clean, plant, args.eps, strategy, dist, s_adv)
-    source = make_corrupted_source(plant, dist, args.eps, strategy)
-    hyp = learn_intersection(corrupted, args.k, args.eps, source=source,
-                             delta_override=args.delta_override, seed=args.seed)
-    err = score(hyp, plant, dist, 100_000, np.random.SeedSequence(args.seed, spawn_key=(99,)))
-    payload = hyp.to_json()
-    payload["disagreement_estimate"] = err
+    payload["disagreement_estimate"] = row.disagreement
     _write_json(payload, args.out)
     return EXIT_OK
 
@@ -156,42 +101,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_chow)
 
-    common = dict(n=20, m=100_000, eps=0.05, seed=0, strategy="chow_attack")
+    def learn_parser(learner, help_text, n, m, eps):
+        p = sub.add_parser(f"learn-{learner}", help=help_text)
+        p.add_argument("--n", type=int, default=n)
+        p.add_argument("--m", type=int, default=m)
+        p.add_argument("--eps", type=float, default=eps)
+        p.add_argument("--strategy", default="chow_attack")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=None)
+        p.set_defaults(func=_cmd_learn, learner=learner)
+        return p
 
-    p = sub.add_parser("learn-ltf", help="learn a halfspace from a corrupted synthetic plant")
-    p.add_argument("--n", type=int, default=common["n"])
-    p.add_argument("--m", type=int, default=common["m"])
-    p.add_argument("--eps", type=float, default=common["eps"])
-    p.add_argument("--strategy", default=common["strategy"])
+    p = learn_parser("ltf", "learn a halfspace from a corrupted synthetic plant",
+                     20, 100_000, 0.05)
     p.add_argument("--theta-plant", type=float, default=0.5, dest="theta_plant")
-    p.add_argument("--seed", type=int, default=common["seed"])
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_learn_ltf)
 
-    p = sub.add_parser("learn-ptf", help="learn a polynomial threshold function")
-    p.add_argument("--n", type=int, default=8)
+    p = learn_parser("ptf", "learn a polynomial threshold function", 8, 100_000, 0.05)
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--m", type=int, default=common["m"])
-    p.add_argument("--eps", type=float, default=common["eps"])
     p.add_argument("--xi", type=float, default=None)
-    p.add_argument("--strategy", default=common["strategy"])
     p.add_argument("--plant-coeffs", default=None, dest="plant_coeffs",
                    help="JSON list of basis coefficients for the planted sign polynomial")
-    p.add_argument("--seed", type=int, default=common["seed"])
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_learn_ptf)
 
-    p = sub.add_parser("learn-intersection", help="learn an intersection of halfspaces")
-    p.add_argument("--n", type=int, default=8)
+    p = learn_parser("intersection", "learn an intersection of halfspaces", 8, 200_000, 0.02)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--m", type=int, default=200_000)
-    p.add_argument("--eps", type=float, default=0.02)
     p.add_argument("--delta-override", type=float, default=None, dest="delta_override")
-    p.add_argument("--strategy", default="chow_attack")
     p.add_argument("--theta-plant", type=float, default=0.5, dest="theta_plant")
-    p.add_argument("--seed", type=int, default=common["seed"])
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_learn_intersection)
 
     p = sub.add_parser("experiment", help="run a (strategy, eps, trial) sweep to CSV")
     p.add_argument("--config", required=True)

@@ -27,6 +27,7 @@ from .distributions import ReasonableDistribution, gaussian_descriptor, hypercub
 from .errors import ConfigError, RobustChowError
 from .intersection_learner import Intersection, learn_intersection
 from .ltf_learner import LTF, LTFConfig, learn_ltf
+from .polybasis import Polynomial, enumerate_basis
 from .ptf_learner import PTF, learn_ptf
 
 LEARNERS = ("chow", "ltf", "ptf", "intersection")
@@ -78,10 +79,43 @@ class ExperimentConfig:
             problems.append("trials: must be >= 1")
         if self.dist not in ("gaussian", "hypercube"):
             problems.append(f"dist: must be gaussian or hypercube, got {self.dist!r}")
-        if self.learner == "intersection" and not (1 <= self.k <= 3):
-            problems.append(f"k: intersection learner needs 1 <= k <= 3, got {self.k}")
+        if self.d < 1:
+            problems.append(f"d: must be >= 1, got {self.d}")
+        if self.learner == "intersection" and not (1 <= self.k <= min(3, self.n)):
+            problems.append(f"k: intersection learner needs 1 <= k <= min(3, n), "
+                            f"got k={self.k}, n={self.n}")
+        if not problems:
+            problems = self._plant_problems()
         if problems:
             raise ConfigError("; ".join(problems))
+
+    def _plant_problems(self) -> list:
+        """Shape and value checks on the plant entries this learner reads."""
+        shapes = {}
+        if self.learner == "intersection":
+            shapes = {"thetas": (self.k,), "vs": (self.k, self.n)}
+        elif self.learner != "ptf":
+            shapes = {"theta": (), "v": (self.n,)}
+        elif "coeffs" in self.plant:
+            basis = enumerate_basis(self.n, self.d, multilinear=self.dist == "hypercube")
+            shapes = {"coeffs": (basis.ell,)}
+        elif self.d < 2 or self.dist == "hypercube":
+            return ["plant: the default ptf plant sign(x1^2 - 1) needs d >= 2 on the "
+                    "Gaussian; give plant.coeffs"]
+        problems = []
+        for key in [key for key in shapes if key in self.plant]:
+            try:
+                arr = np.asarray(self.plant[key], dtype=np.float64)
+            except (TypeError, ValueError):
+                arr = None
+            if arr is None or arr.shape != shapes[key]:
+                got = "non-numbers" if arr is None else f"shape {arr.shape}"
+                problems.append(f"plant.{key}: need numbers of shape {shapes[key]}, got {got}")
+            elif not np.all(np.isfinite(arr)):
+                problems.append(f"plant.{key}: entries must be finite")
+            elif key in ("v", "vs") and np.any(np.linalg.norm(arr, axis=-1) == 0.0):
+                problems.append(f"plant.{key}: direction vectors must be nonzero")
+        return problems
 
     @classmethod
     def from_json(cls, data) -> "ExperimentConfig":
@@ -177,7 +211,6 @@ def _plant_for_cell(config: ExperimentConfig, dist: ReasonableDistribution, rng)
             v = _random_unit(rng, config.n)
         return LTF(v, theta)
     if config.learner == "ptf":
-        from .polybasis import Polynomial
         if "coeffs" in plant_cfg:
             coeffs = np.asarray(plant_cfg["coeffs"], dtype=np.float64)
         else:
@@ -188,19 +221,15 @@ def _plant_for_cell(config: ExperimentConfig, dist: ReasonableDistribution, rng)
             exp[0] = 2
             coeffs[dist.basis.index_of(tuple(exp))] = 1.0
         return PTF(Polynomial(dist.basis, coeffs))
-    if config.learner == "intersection":
-        thetas = plant_cfg.get("thetas", [0.5] * config.k)
-        if len(thetas) != config.k:
-            raise ConfigError(f"plant.thetas: need {config.k} entries")
-        if "vs" in plant_cfg:
-            vs = [np.asarray(v, dtype=np.float64) for v in plant_cfg["vs"]]
-            vs = [v / np.linalg.norm(v) for v in vs]
-        else:
-            raw = rng.standard_normal((config.n, config.k))
-            q, _ = np.linalg.qr(raw)
-            vs = [q[:, i] for i in range(config.k)]
-        return Intersection([LTF(v, float(t)) for v, t in zip(vs, thetas)])
-    raise ConfigError(f"no plant rule for learner {config.learner!r}")
+    thetas = plant_cfg.get("thetas", [0.5] * config.k)
+    if "vs" in plant_cfg:
+        vs = [np.asarray(v, dtype=np.float64) for v in plant_cfg["vs"]]
+        vs = [v / np.linalg.norm(v) for v in vs]
+    else:
+        raw = rng.standard_normal((config.n, config.k))
+        q, _ = np.linalg.qr(raw)
+        vs = [q[:, i] for i in range(config.k)]
+    return Intersection([LTF(v, float(t)) for v, t in zip(vs, thetas)])
 
 
 def _build_dist(config: ExperimentConfig, eps: float) -> ReasonableDistribution:
@@ -210,8 +239,11 @@ def _build_dist(config: ExperimentConfig, eps: float) -> ReasonableDistribution:
     return gaussian_descriptor(config.n, d, eps)
 
 
-def _run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,
-              trial: int, cell_index: int) -> ResultRow:
+def run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,
+             trial: int, cell_index: int):
+    """Plant, draw, corrupt, learn and score one grid cell of a validated
+    config. Returns (ResultRow, output), the output being the ChowEstimate
+    for the chow learner and the learned hypothesis otherwise."""
     ss = np.random.SeedSequence(config.seed, spawn_key=(cell_index,))
     cell_seed = int(ss.generate_state(1)[0])
     s_plant, s_corrupt, s_learn, s_score, s_extra = ss.spawn(5)
@@ -241,6 +273,7 @@ def _run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,
             flags.append("degraded")
         if est.provenance.get("cap_reached"):
             flags.append("cap_reached")
+        output = est
     else:
         source = make_corrupted_source(plant, dist, eps, strategy)
         if config.learner == "ltf":
@@ -259,6 +292,7 @@ def _run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,
                                      m_tournament=config.m_holdout,
                                      seed=int(s_learn.generate_state(1)[0]))
         disagreement = score(hyp, plant, dist, config.m_score, s_score)
+        output = hyp
 
     elapsed_ms = int(round((time.monotonic() - started) * 1000.0))
     if config.deterministic_output:
@@ -267,9 +301,10 @@ def _run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,
         wall = elapsed_ms
         if elapsed_ms > config.timeout_s * 1000.0:
             flags.append("timeout")
-    return ResultRow(config.learner, strategy_tag, eps, trial, cell_seed,
-                     disagreement, chow_error, iterations, removed, wall,
-                     ";".join(flags))
+    row = ResultRow(config.learner, strategy_tag, eps, trial, cell_seed,
+                    disagreement, chow_error, iterations, removed, wall,
+                    ";".join(flags))
+    return row, output
 
 
 def _pool_size(n_cells: int) -> int:
@@ -299,7 +334,7 @@ def run_experiment(config: ExperimentConfig, out: Optional[str] = None):
     def work(cell):
         strategy, eps, trial, cell_index = cell
         try:
-            return _run_cell(config, strategy, eps, trial, cell_index)
+            return run_cell(config, strategy, eps, trial, cell_index)[0]
         except (RobustChowError, ValueError) as exc:  # record it, keep the sweep alive
             ss = np.random.SeedSequence(config.seed, spawn_key=(cell_index,))
             return ResultRow(config.learner, strategy, eps, trial,

@@ -177,14 +177,6 @@ def recover_ab(c_perp: float, sigma: float):
     return a, kappa * a
 
 
-def rejection_sample(points: np.ndarray, rp: RejectionParams, seed) -> np.ndarray:
-    """Accepted subsequence of points under rp's acceptance function."""
-    points = np.asarray(points, dtype=np.float64)
-    rng = np.random.default_rng(seed)
-    keep = rng.random(points.shape[0]) < rp.acceptance(points)
-    return points[keep]
-
-
 def _rejection_mask(points: np.ndarray, rp: RejectionParams, rng) -> np.ndarray:
     return rng.random(points.shape[0]) < rp.acceptance(points)
 

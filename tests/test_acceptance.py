@@ -40,13 +40,12 @@ from robustchow import (
     make_corrupted_source,
     make_sampling_oracle,
     plant_instance,
-    rejection_sample,
     robust_chow,
     run_experiment,
     score,
     weak_learn_ltf,
 )
-from robustchow.ltf_learner import LTF
+from robustchow.ltf_learner import LTF, _rejection_mask
 from robustchow.polybasis import Polynomial, enumerate_basis, eval_monomials_batch
 from robustchow.ptf_learner import PTF
 
@@ -265,7 +264,8 @@ def test_criterion_08_rejection_sampler():
         rp = RejectionParams(v, theta, sigma)
         pts = np.random.default_rng(
             np.random.SeedSequence(818, spawn_key=(trial,))).standard_normal((n_draw, 2))
-        accepted = rejection_sample(pts, rp, np.random.SeedSequence(828, spawn_key=(trial,)))
+        rej_rng = np.random.default_rng(np.random.SeedSequence(828, spawn_key=(trial,)))
+        accepted = pts[_rejection_mask(pts, rp, rej_rng)]
         k = len(accepted)
 
         rate_true = rp.expected_rate()

@@ -39,6 +39,45 @@ def test_sampleset_csv_roundtrip_with_mask(tmp_path):
     assert np.array_equal(back.corrupted_mask, out.corrupted_mask)
 
 
+def _reference_csv_text(s: LabeledSampleSet) -> bytes:
+    """The row-loop formatter to_csv replaced: csv.writer rows, CRLF ends."""
+    header = [f"x{j+1}" for j in range(s.n)] + ["y"]
+    if s.corrupted_mask is not None:
+        header.append("corrupted")
+    lines = [",".join(header)]
+    for i in range(len(s)):
+        row = [f"{v:.17g}" for v in s.points[i]] + [f"{s.labels[i]:.17g}"]
+        if s.corrupted_mask is not None:
+            row.append(str(int(s.corrupted_mask[i])))
+        lines.append(",".join(row))
+    return "".join(line + "\r\n" for line in lines).encode()
+
+
+@pytest.mark.parametrize("with_mask", [False, True])
+def test_sampleset_csv_extreme_values_byte_exact(tmp_path, with_mask):
+    extremes = [-0.0, 5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 0.1]
+    pts = np.array([extremes[i:] + extremes[:i] for i in range(len(extremes))])
+    labels = np.array([-0.0, 1.0, -1.0, 5e-324, 0.3])
+    mask = np.array([True, False, False, True, False]) if with_mask else None
+    s = LabeledSampleSet(pts, labels, mask)
+    path = tmp_path / "x.csv"
+    s.to_csv(path)
+    assert path.read_bytes() == _reference_csv_text(s)
+    back = LabeledSampleSet.from_csv(path)
+    # bit-level equality keeps the sign of -0.0 and the subnormal
+    assert back.points.tobytes() == pts.tobytes()
+    assert back.labels.tobytes() == labels.tobytes()
+    if with_mask:
+        assert np.array_equal(back.corrupted_mask, mask)
+    else:
+        assert back.corrupted_mask is None
+
+    one = LabeledSampleSet(pts[:1], labels[:1], None if mask is None else mask[:1])
+    one.to_csv(path)
+    assert path.read_bytes() == _reference_csv_text(one)
+    assert LabeledSampleSet.from_csv(path).points.tobytes() == pts[:1].tobytes()
+
+
 def test_sampleset_rejects_nonfinite_points_and_nan_labels():
     _, _, s = make_clean(m=50)
     for bad in (np.nan, np.inf, -np.inf):

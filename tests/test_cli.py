@@ -7,6 +7,7 @@ import pytest
 from robustchow.adversary import LabeledSampleSet
 from robustchow.cli import main
 from robustchow.distributions import gaussian_descriptor
+from robustchow.harness import ExperimentConfig, run_experiment
 from robustchow.ltf_learner import LTF
 
 
@@ -152,6 +153,52 @@ def test_learn_ltf_stdout(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert "disagreement_estimate" in payload
+
+
+@pytest.mark.parametrize("argv,config,keys", [
+    (["learn-ltf", "--n", "4", "--m", "20000", "--eps", "0.05", "--strategy",
+      "random_flip", "--theta-plant", "0.3", "--seed", "3"],
+     dict(learner="ltf", n=4, eps_grid=[0.05], strategies=["random_flip"],
+          m_train=20_000, plant={"theta": 0.3}),
+     {"v", "theta"}),
+    (["learn-ptf", "--n", "3", "--d", "1", "--m", "5000", "--eps", "0.02",
+      "--strategy", "random_flip", "--plant-coeffs", "[0.0, 1.0, 0.0, 0.0]",
+      "--seed", "3"],
+     dict(learner="ptf", n=3, d=1, eps_grid=[0.02], strategies=["random_flip"],
+          m_train=5000, plant={"coeffs": [0.0, 1.0, 0.0, 0.0]}),
+     {"n", "d", "multilinear", "coeffs"}),
+    (["learn-intersection", "--n", "4", "--k", "1", "--m", "20000", "--eps",
+      "0.02", "--strategy", "chow_attack", "--seed", "3"],
+     dict(learner="intersection", n=4, k=1, eps_grid=[0.02],
+          strategies=["chow_attack"], m_train=20_000, plant={"thetas": [0.5]}),
+     {"halfspaces", "subspace"}),
+])
+def test_learn_matches_one_cell_experiment(tmp_path, capsys, argv, config, keys):
+    # learn-* is cell 0 of the one-cell experiment with the same fields
+    assert main(argv) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert set(payload) == keys | {"disagreement_estimate"}
+    rows = run_experiment(ExperimentConfig(trials=1, seed=3, **config),
+                          out=str(tmp_path / "cell.csv"))
+    assert payload["disagreement_estimate"] == rows[0].disagreement
+    header, line = (tmp_path / "cell.csv").read_text().splitlines()
+    column = header.split(",").index("disagreement")
+    assert float(line.split(",")[column]) == payload["disagreement_estimate"]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["learn-ltf", "--strategy", "bogus"], "strategies"),
+    (["learn-ptf", "--n", "3", "--d", "1", "--plant-coeffs", "[0.0, 1.0]"], "plant.coeffs"),
+    (["learn-ptf", "--n", "3", "--d", "1"], "plant:"),
+    (["learn-intersection", "--n", "5", "--k", "6"], "k:"),
+    (["learn-intersection", "--n", "2", "--k", "3"], "k:"),
+    (["learn-ltf", "--m", "10"], "m_train"),
+])
+def test_learn_malformed_input_exits_2(capsys, argv, message):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
+    assert "Traceback" not in err
 
 
 # --- experiment subcommand --------------------------------------------------------

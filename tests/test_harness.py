@@ -10,7 +10,7 @@ from scipy.stats import norm
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet
 from robustchow.chowfilter import empirical_chow
 from robustchow.distributions import gaussian_descriptor
-from robustchow.errors import ConfigError
+from robustchow.errors import ConfigError, OracleFailure
 from robustchow.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -37,11 +37,11 @@ def base_config(**over):
 
 def test_config_validation_collects_all_problems():
     cfg = base_config(learner="nope", eps_grid=[0.5], strategies=["bogus"],
-                      m_train=10)
+                      m_train=10, d=0)
     with pytest.raises(ConfigError) as exc:
         cfg.validate()
     msg = str(exc.value)
-    for expected in ("learner:", "eps_grid:", "strategies:", "m_train:"):
+    for expected in ("learner:", "eps_grid:", "strategies:", "m_train:", "d:"):
         assert expected in msg
 
 
@@ -69,6 +69,46 @@ def test_config_intersection_k_validation():
     cfg = base_config(learner="intersection", k=5)
     with pytest.raises(ConfigError, match="k:"):
         cfg.validate()
+
+
+def test_config_intersection_k_above_n_rejected(tmp_path):
+    cfg = base_config(learner="intersection", n=2, k=3, out=str(tmp_path / "k.csv"))
+    with pytest.raises(ConfigError, match="k:"):
+        run_experiment(cfg)
+    assert not (tmp_path / "k.csv").exists()
+
+
+@pytest.mark.parametrize("over,field", [
+    (dict(learner="ptf", d=2, plant={"coeffs": [1.0, 2.0]}), "plant.coeffs"),
+    # the hypercube basis is multilinear: 7 monomials for n=3, d=2, not 10
+    (dict(learner="ptf", d=2, dist="hypercube", plant={"coeffs": [0.0] * 10}),
+     "plant.coeffs"),
+    (dict(learner="ptf", d=2, plant={"coeffs": "x1"}), "plant.coeffs"),
+    (dict(learner="ptf", d=1), "plant:"),
+    (dict(learner="ltf", plant={"v": [1.0, 0.0]}), "plant.v"),
+    (dict(learner="chow", plant={"v": [0.0, 0.0, 0.0]}), "plant.v"),
+    (dict(learner="ltf", plant={"theta": float("nan")}), "plant.theta"),
+    (dict(learner="intersection", k=2, plant={"vs": [[1.0, 0.0, 0.0]]}), "plant.vs"),
+    (dict(learner="intersection", k=2, plant={"vs": [[1.0, 0.0], [0.0, 1.0]]}),
+     "plant.vs"),
+    (dict(learner="intersection", k=2,
+          plant={"vs": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}), "plant.vs"),
+    (dict(learner="intersection", k=2, plant={"thetas": [0.5]}), "plant.thetas"),
+])
+def test_config_rejects_malformed_plant(tmp_path, over, field):
+    cfg = base_config(strategies=["none"], out=str(tmp_path / "p.csv"), **over)
+    with pytest.raises(ConfigError, match=field):
+        run_experiment(cfg)
+    assert not (tmp_path / "p.csv").exists()
+
+
+def test_config_accepts_well_formed_plants():
+    base_config(learner="ptf", d=2, dist="hypercube", plant={"coeffs": [0.0] * 7}).validate()
+    base_config(learner="ptf", d=2, plant={"coeffs": [0.0] * 10}).validate()
+    base_config(learner="ltf", plant={"v": [0.0, 2.0, 0.0], "theta": -0.3}).validate()
+    base_config(learner="intersection", k=2,
+                plant={"vs": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
+                       "thetas": [0.1, 0.2]}).validate()
 
 
 # --- rows and CSV -----------------------------------------------------------------
@@ -191,14 +231,17 @@ def test_run_experiment_chow_rows_have_errors(tmp_path):
     assert row.disagreement == 0.0  # chow cells report distance, not disagreement
 
 
-def test_run_experiment_captures_cell_failure(tmp_path):
+def test_run_experiment_captures_cell_failure(tmp_path, monkeypatch):
+    def declines(*args, **kwargs):
+        raise OracleFailure("the oracle declined")
+
+    monkeypatch.setattr("robustchow.harness.learn_ptf", declines)
     cfg = base_config(learner="ptf", d=2, n=3, eps_grid=[0.0],
                       strategies=["none"], trials=1, m_train=2_000,
-                      plant={"coeffs": [1.0, 2.0]},  # wrong length for the basis
                       out=str(tmp_path / "fail.csv"))
     rows = run_experiment(cfg)
     assert len(rows) == 1
-    assert rows[0].flags.startswith("error:")
+    assert rows[0].flags == "error:OracleFailure"
     assert rows[0].disagreement == 1.0
     assert (tmp_path / "fail.csv").exists()
 

@@ -9,10 +9,10 @@ from robustchow.chowfilter import ChowEstimate
 from robustchow.distributions import gaussian_descriptor
 from robustchow.harness import make_corrupted_source, score
 from robustchow.ltf_learner import (LTF, LTFConfig, RejectionParams,
-                                    _whiten_accepted, constant_ltf,
-                                    estimate_threshold, learn_ltf, recover_ab,
-                                    refine_extreme, refine_moderate,
-                                    rejection_sample, weak_learn_ltf)
+                                    _rejection_mask, _whiten_accepted,
+                                    constant_ltf, estimate_threshold, learn_ltf,
+                                    recover_ab, refine_extreme, refine_moderate,
+                                    weak_learn_ltf)
 
 
 def plant(n=8, theta=0.4, seed=0):
@@ -103,7 +103,7 @@ def test_rejection_empirical_rate_and_moments(theta, sigma):
     rp = RejectionParams(v, theta, sigma)
     m = 200_000
     pts = np.random.default_rng(5).standard_normal((m, n))
-    acc = rejection_sample(pts, rp, 17)
+    acc = pts[_rejection_mask(pts, rp, np.random.default_rng(17))]
     rate = len(acc) / m
     expect = rp.expected_rate()
     se = math.sqrt(expect * (1 - expect) / m)
@@ -127,7 +127,7 @@ def test_whiten_accepted_restores_identity_covariance():
     v = np.array([1.0, 0.0, 0.0])
     rp = RejectionParams(v, 0.5, 0.5)
     pts = np.random.default_rng(3).standard_normal((400_000, n))
-    acc = rejection_sample(pts, rp, 4)
+    acc = pts[_rejection_mask(pts, rp, np.random.default_rng(4))]
     white = _whiten_accepted(acc, rp)
     cov = np.cov(white.T)
     assert np.allclose(cov, np.eye(n), atol=0.05)
