@@ -6,8 +6,7 @@ intersection-of-halfspaces learners built on top of the filtered estimates.
 from .adversary import (STRATEGIES, AdversaryStrategy, LabeledSampleSet,
                         corrupt, plant_instance)
 from .chowfilter import (ChowEstimate, FilterParams, chow_distance,
-                         empirical_chow, prune_mask, recommended_sample_count,
-                         robust_chow)
+                         empirical_chow, prune_mask, robust_chow)
 from .distributions import (ReasonableDistribution, compute_delta,
                             compute_tmax, from_config, gaussian_descriptor,
                             gaussian_moment_matrix, hypercube_descriptor,
@@ -22,8 +21,7 @@ from .errors import (AcceptanceTooLow, AllPointsPruned, BasisMismatch,
                      UnknownStrategy, ZeroChowVector)
 from .harness import (ExperimentConfig, ResultRow, analytic_ltf_chow,
                       make_corrupted_source, run_experiment, score)
-from .hypothesis_select import (CandidateSet, disagreement, select,
-                                select_intersection_cover)
+from .hypothesis_select import disagreement, select, select_intersection_cover
 from .intersection_learner import (Cover, Degree2ChowMatrix, Intersection,
                                    Subspace, build_degree2,
                                    default_cover_delta, direction_correlation,

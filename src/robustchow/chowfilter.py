@@ -17,40 +17,34 @@ from typing import Optional
 import numpy as np
 
 from .adversary import LabeledSampleSet
-from .distributions import EPS_FLOOR, ReasonableDistribution
+from .distributions import ReasonableDistribution, inverse_sqrt
 from .errors import (AllPointsPruned, BasisMismatch, DimensionMismatch,
                      NoThresholdFound)
 from .polybasis import MonomialBasis, enumerate_basis, eval_monomials_batch
 
 DENSE_EIG_MAX = 2000
 POWER_ITER_CAP = 10_000
-SAMPLE_COUNT_CAP = 10 ** 6
+# Power iteration stops once the eigen-residual falls below this fraction of
+# the eigenvalue.
+EIGEN_TOL = 1e-8
+# The break level is C_BREAK * (gamma + delta + eps); calibrated so clean
+# Gaussian runs at m = 1e5 converge in a couple of iterations.
+C_BREAK = 10.0
+# Filter passes before robust_chow stops and flags cap_reached.
+MAX_ITERATIONS = 200
 # Rows whitened and pruned at a time; bounds the whitened working set.
 BLOCK_ROWS = 4096
 
 
 @dataclass
 class FilterParams:
-    """Knobs for the filtering loop.
-
-    c_break multiplies (gamma + delta + eps) to form the break level; the
-    default is calibrated so clean Gaussian runs at m = 1e5 converge in a
-    couple of iterations.
-    """
+    """The corruption rate eps the filter runs at."""
 
     eps: float
-    c_break: float = 10.0
-    eigen_tol: float = 1e-8
-    max_iterations: int = 200
-    min_samples: Optional[int] = None
 
     def __post_init__(self):
         if not (0.0 <= self.eps < 1.0 / 3.0):
             raise ValueError(f"eps must lie in [0, 1/3), got {self.eps}")
-        if self.c_break <= 0:
-            raise ValueError("c_break must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("iteration cap must be >= 1")
 
 
 @dataclass
@@ -100,19 +94,17 @@ class ChowEstimate:
             json.dump(self.to_json(), fh, indent=2)
 
 
-def _top_eigenpair(m_mat: np.ndarray, tol: float = 1e-8, method: str = "auto"):
+def _top_eigenpair(m_mat: np.ndarray):
     """Largest eigenvalue and eigenvector of a PSD symmetric matrix.
 
     Dense eigendecomposition up to DENSE_EIG_MAX, deterministic power
     iteration beyond. Eigenvector sign is fixed so both paths agree.
     """
     ell = m_mat.shape[0]
-    if method == "auto":
-        method = "dense" if ell <= DENSE_EIG_MAX else "power"
-    if method == "dense":
+    if ell <= DENSE_EIG_MAX:
         vals, vecs = np.linalg.eigh(m_mat)
         lam, v = float(vals[-1]), vecs[:, -1]
-    elif method == "power":
+    else:
         rng = np.random.default_rng(0x5EED)
         v = rng.standard_normal(ell)
         v /= np.linalg.norm(v)
@@ -126,10 +118,8 @@ def _top_eigenpair(m_mat: np.ndarray, tol: float = 1e-8, method: str = "auto"):
             lam = float(v @ (m_mat @ v))
             # residual-based stop: loose eigenvalue stagnation converges
             # before the eigenvector does when the spectral gap is small
-            if float(np.linalg.norm(m_mat @ v - lam * v)) <= tol * max(1.0, abs(lam)):
+            if float(np.linalg.norm(m_mat @ v - lam * v)) <= EIGEN_TOL * max(1.0, abs(lam)):
                 break
-    else:
-        raise ValueError(f"unknown eigen method {method!r}")
     i = int(np.argmax(np.abs(v)))
     if v[i] < 0:
         v = -v
@@ -191,9 +181,7 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
     caller that already holds the feature matrix passes it as `features`,
     shape (m, ell).
     """
-    floor = params.min_samples
-    if floor is None:
-        floor = max(50, 2 * dist.ell)
+    floor = max(50, 2 * dist.ell)
     if len(corrupted) < floor:
         raise ValueError(f"need at least {floor} samples, got {len(corrupted)}")
     if not np.isfinite(corrupted.points).all():
@@ -227,18 +215,18 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
         raise AllPointsPruned("every sample exceeded the prune radius; "
                               "distribution parameters likely mismatch the data")
     n_pruned = m_in - m_cur
-    break_level = params.c_break * (dist.gamma + dist.delta + params.eps)
+    break_level = C_BREAK * (dist.gamma + dist.delta + params.eps)
 
     iterations = 0
     degraded = False
     cap_reached = False
     last_lambda = math.nan
     while True:
-        if iterations >= params.max_iterations:
+        if iterations >= MAX_ITERATIONS:
             cap_reached = True
             break
         iterations += 1
-        lam_max, v_star = _top_eigenpair(gram / m_cur, tol=params.eigen_tol)
+        lam_max, v_star = _top_eigenpair(gram / m_cur)
         lambda_star = lam_max - 1.0
         if lambda_star <= break_level:
             last_lambda = lambda_star
@@ -301,15 +289,5 @@ def chow_distance(a: ChowEstimate, b: ChowEstimate) -> float:
         raise BasisMismatch("Chow estimate lacks a reference moment matrix")
     if not np.allclose(a.sigma_ref, b.sigma_ref, rtol=1e-9, atol=1e-12):
         raise BasisMismatch("Chow estimates whitened against different moments")
-    vals, vecs = np.linalg.eigh(a.sigma_ref)
-    floor = vals.max() * 1e-10
-    inv_root = np.where(vals > floor, 1.0 / np.sqrt(np.maximum(vals, floor)), 0.0)
-    isqrt = (vecs * inv_root) @ vecs.T
+    isqrt, _ = inverse_sqrt(a.sigma_ref)
     return float(np.linalg.norm(isqrt @ (a.chi - b.chi)))
-
-
-def recommended_sample_count(dist: ReasonableDistribution, eps: float) -> int:
-    """Desk-scale default for the sample budget, capped at SAMPLE_COUNT_CAP."""
-    eps_eff = max(eps, EPS_FLOOR)
-    raw = 20.0 * dist.basis.ell * dist.t_max ** 4 / eps_eff ** 2
-    return int(min(SAMPLE_COUNT_CAP, max(10 ** 4, math.ceil(raw))))

@@ -30,15 +30,14 @@ EPS_FLOOR = 1e-4
 # Eigenvalues below this fraction of the largest are treated as null directions.
 NULL_EIGENVALUE_REL = 1e-10
 
-_FAMILIES = ("gaussian-chaos", "hypercube-chaos", "log-concave-chaos", "custom")
+_FAMILIES = ("gaussian-chaos", "hypercube-chaos", "log-concave-chaos")
 
 
 @dataclass(frozen=True)
 class TailBound:
     """Q_d(T): a non-increasing bound on Pr[|p(X)| >= T] over normalized degree-d p.
 
-    Parametric families all share the form min{1, exp(offset - c * T^power)};
-    custom tails supply their own callable.
+    Every family has the form min{1, exp(offset - c * T^power)}.
     """
 
     family: str
@@ -46,21 +45,16 @@ class TailBound:
     c: float = 0.0
     offset: float = 0.0
     power: float = 1.0
-    custom_q: Optional[Callable] = None
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
-        if self.custom_q is not None:
-            vals = np.clip(self.custom_q(t), 0.0, 1.0)
-        else:
-            with np.errstate(over="ignore"):
-                vals = np.minimum(1.0, np.exp(self.offset - self.c * np.power(t, self.power)))
+        with np.errstate(over="ignore"):
+            vals = np.minimum(1.0, np.exp(self.offset - self.c * np.power(t, self.power)))
         return vals if vals.shape else float(vals)
 
 
-def make_tail_bound(family: str, d: int, c: Optional[float] = None,
-                    offset: Optional[float] = None) -> TailBound:
-    """Tail bound for a named family at degree d; constants overridable.
+def make_tail_bound(family: str, d: int, c: Optional[float] = None) -> TailBound:
+    """Tail bound for a named family at degree d; the rate c is overridable.
 
     gaussian/hypercube chaos: Q_d(T) = min{1, exp(2 - (d/(2e)) T^(2/d))},
     except exact Q_1(T) = min{1, exp(-T^2/2)} for the degree-1 Gaussian.
@@ -69,41 +63,27 @@ def make_tail_bound(family: str, d: int, c: Optional[float] = None,
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
     if family == "gaussian-chaos" and d == 1:
-        return TailBound(family, d, c=0.5 if c is None else c,
-                         offset=0.0 if offset is None else offset, power=2.0)
+        return TailBound(family, d, c=0.5 if c is None else c, power=2.0)
     if family in ("gaussian-chaos", "hypercube-chaos"):
         return TailBound(family, d, c=(d / (2 * math.e)) if c is None else c,
-                         offset=2.0 if offset is None else offset, power=2.0 / d)
+                         offset=2.0, power=2.0 / d)
     if family == "log-concave-chaos":
         return TailBound(family, d, c=(1 / (2 * math.e)) if c is None else c,
-                         offset=2.0 if offset is None else offset, power=1.0 / d)
-    raise UnknownFamily(f"unknown tail family {family!r}; expected one of {_FAMILIES[:3]}")
+                         offset=2.0, power=1.0 / d)
+    raise UnknownFamily(f"unknown tail family {family!r}; expected one of {_FAMILIES}")
 
 
-def _crossing(tail: TailBound, level: float, hi_cap: float = 1e12) -> float:
-    """Smallest T (within bisection tolerance) with Q(T) <= level."""
-    if tail.custom_q is None:
-        u = tail.offset + math.log(1.0 / level)
-        return (u / tail.c) ** (1.0 / tail.power)
-    lo, hi = 0.0, 1.0
-    while tail(hi) > level:
-        hi *= 2.0
-        if hi > hi_cap:
-            raise IntegralDiverges(f"custom tail never drops below {level} by T={hi_cap}")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if tail(mid) <= level:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+def _crossing(tail: TailBound, level: float) -> float:
+    """Smallest T with Q(T) <= level."""
+    u = tail.offset + math.log(1.0 / level)
+    return (u / tail.c) ** (1.0 / tail.power)
 
 
 def compute_delta(tail: TailBound, eps: float) -> float:
     """delta = integral of T * min(eps, Q_d(T)) dT over [0, infinity).
 
-    Parametric tails use the closed form (incomplete gamma) and cross-check it
-    against adaptive quadrature; custom tails use quadrature alone.
+    The closed form (incomplete gamma) is cross-checked against adaptive
+    quadrature.
     """
     if not (0.0 < eps <= 0.5):
         raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
@@ -117,9 +97,6 @@ def compute_delta(tail: TailBound, eps: float) -> float:
     quad_tail, abserr = integrate.quad(integrand, t0, t_hi, limit=200, epsrel=1e-6)
     if not math.isfinite(quad_tail) or abserr > max(1e-6 * abs(quad_tail), 1e-9):
         raise IntegralDiverges(f"tail quadrature did not converge (err={abserr})")
-
-    if tail.custom_q is not None:
-        return head + quad_tail
 
     p, c, off = tail.power, tail.c, tail.offset
     u0 = off + math.log(1.0 / eps)
@@ -189,6 +166,22 @@ def hypercube_moment_matrix(basis: MonomialBasis) -> np.ndarray:
     return np.eye(basis.ell)
 
 
+def inverse_sqrt(sigma: np.ndarray):
+    """(Sigma^{-1/2} as ell x ell, null-direction basis ell x r).
+
+    Pseudo-inverse policy: eigenvalues below NULL_EIGENVALUE_REL of the
+    largest are null directions excluded from the inverse square root.
+    """
+    w, v = np.linalg.eigh(sigma)
+    lam_max = float(w.max(initial=0.0))
+    if lam_max <= 0:
+        raise NotPSD("moment matrix has no positive eigenvalues")
+    null = w < NULL_EIGENVALUE_REL * lam_max
+    live = ~null
+    isqrt = (v[:, live] / np.sqrt(w[live])) @ v[:, live].T
+    return isqrt, v[:, null]
+
+
 @dataclass
 class ReasonableDistribution:
     """A distribution the filter can run against.
@@ -220,20 +213,9 @@ class ReasonableDistribution:
         return sample(self, count, seed)
 
     def whitener(self):
-        """(Sigma^{-1/2} as ell x ell, null-direction basis ell x r), cached.
-
-        Pseudo-inverse policy: eigenvalues below NULL_EIGENVALUE_REL of the
-        largest are null directions excluded from the inverse square root.
-        """
+        """inverse_sqrt(sigma), cached."""
         if self._whitener is None:
-            w, v = np.linalg.eigh(self.sigma)
-            lam_max = float(w.max(initial=0.0))
-            if lam_max <= 0:
-                raise NotPSD("moment matrix has no positive eigenvalues")
-            null = w < NULL_EIGENVALUE_REL * lam_max
-            live = ~null
-            isqrt = (v[:, live] / np.sqrt(w[live])) @ v[:, live].T
-            self._whitener = (isqrt, v[:, null])
+            self._whitener = inverse_sqrt(self.sigma)
         return self._whitener
 
 

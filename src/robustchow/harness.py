@@ -27,7 +27,7 @@ from .distributions import ReasonableDistribution, gaussian_descriptor, hypercub
 from .errors import ConfigError, RobustChowError
 from .intersection_learner import Intersection, learn_intersection
 from .ltf_learner import LTF, LTFConfig, learn_ltf
-from .polybasis import Polynomial, enumerate_basis
+from .polybasis import DEFAULT_SIZE_CAP, Polynomial, basis_size
 from .ptf_learner import PTF, learn_ptf
 
 LEARNERS = ("chow", "ltf", "ptf", "intersection")
@@ -85,9 +85,19 @@ class ExperimentConfig:
             problems.append(f"k: intersection learner needs 1 <= k <= min(3, n), "
                             f"got k={self.k}, n={self.n}")
         if not problems:
-            problems = self._plant_problems()
+            ell = basis_size(self.n, self.degree, multilinear=self.dist == "hypercube")
+            if ell > DEFAULT_SIZE_CAP:
+                problems.append(f"n, d: the degree-{self.degree} basis on n={self.n} has "
+                                f"{ell} monomials, above the cap {DEFAULT_SIZE_CAP}")
+            else:
+                problems = self._plant_problems()
         if problems:
             raise ConfigError("; ".join(problems))
+
+    @property
+    def degree(self) -> int:
+        """Degree of the monomial basis the learner works in."""
+        return 2 if self.learner == "intersection" else self.d
 
     def _plant_problems(self) -> list:
         """Shape and value checks on the plant entries this learner reads."""
@@ -97,8 +107,8 @@ class ExperimentConfig:
         elif self.learner != "ptf":
             shapes = {"theta": (), "v": (self.n,)}
         elif "coeffs" in self.plant:
-            basis = enumerate_basis(self.n, self.d, multilinear=self.dist == "hypercube")
-            shapes = {"coeffs": (basis.ell,)}
+            ell = basis_size(self.n, self.d, multilinear=self.dist == "hypercube")
+            shapes = {"coeffs": (ell,)}
         elif self.d < 2 or self.dist == "hypercube":
             return ["plant: the default ptf plant sign(x1^2 - 1) needs d >= 2 on the "
                     "Gaussian; give plant.coeffs"]
@@ -233,10 +243,9 @@ def _plant_for_cell(config: ExperimentConfig, dist: ReasonableDistribution, rng)
 
 
 def _build_dist(config: ExperimentConfig, eps: float) -> ReasonableDistribution:
-    d = 2 if config.learner == "intersection" else config.d
     if config.dist == "hypercube":
-        return hypercube_descriptor(config.n, d, eps)
-    return gaussian_descriptor(config.n, d, eps)
+        return hypercube_descriptor(config.n, config.degree, eps)
+    return gaussian_descriptor(config.n, config.degree, eps)
 
 
 def run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,

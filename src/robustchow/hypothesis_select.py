@@ -8,7 +8,6 @@ an additive O(eps) of the best candidate in the list.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -17,38 +16,25 @@ from .adversary import LabeledSampleSet
 from .errors import EmptyHoldout
 
 
-@dataclass
-class CandidateSet:
-    hypotheses: Sequence            # each exposes evaluate(points) -> ±1
-    metadata: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if len(self.hypotheses) == 0:
-            raise ValueError("candidate set is empty")
-        if not self.metadata:
-            self.metadata = [None] * len(self.hypotheses)
-
-    def __len__(self):
-        return len(self.hypotheses)
-
-
 def disagreement(hypothesis, s: LabeledSampleSet) -> float:
     pred = np.asarray(hypothesis.evaluate(s.points), dtype=np.float64)
     return float(np.mean(pred != s.labels))
 
 
-def select(candidates: CandidateSet, holdout: LabeledSampleSet):
-    """Winner (lowest empirical disagreement, ties to lowest index) and its
-    empirical error."""
+def select(candidates: Sequence, holdout: LabeledSampleSet):
+    """Winner among hypotheses exposing evaluate(points) -> ±1 (lowest
+    empirical disagreement, ties to lowest index) and its empirical error."""
+    if len(candidates) == 0:
+        raise ValueError("candidate set is empty")
     if len(holdout) == 0:
         raise EmptyHoldout("holdout batch is empty")
     best_idx = 0
-    best_err = disagreement(candidates.hypotheses[0], holdout)
+    best_err = disagreement(candidates[0], holdout)
     for i in range(1, len(candidates)):
-        err = disagreement(candidates.hypotheses[i], holdout)
+        err = disagreement(candidates[i], holdout)
         if err < best_err:
             best_idx, best_err = i, err
-    return candidates.hypotheses[best_idx], best_err
+    return candidates[best_idx], best_err
 
 
 def select_intersection_cover(unit_matrix: np.ndarray,

@@ -37,14 +37,13 @@ class Intersection:
     """f(x) = +1 iff every member halfspace accepts x."""
 
     halfspaces: Sequence[LTF]
-    cap: int = K_CAP
     subspace: Optional[np.ndarray] = None   # (n, dim) basis used to build it
     provenance: Optional[dict] = None       # how learn_intersection chose it
 
     def __post_init__(self):
         self.halfspaces = list(self.halfspaces)
-        if not (1 <= len(self.halfspaces) <= self.cap):
-            raise ValueError(f"need between 1 and {self.cap} halfspaces, "
+        if not (1 <= len(self.halfspaces) <= K_CAP):
+            raise ValueError(f"need between 1 and {K_CAP} halfspaces, "
                              f"got {len(self.halfspaces)}")
 
     @property
@@ -121,9 +120,6 @@ class Subspace:
     def project(self, points: np.ndarray) -> np.ndarray:
         """Coordinates of the projections, an (m, dim) array."""
         return np.asarray(points, dtype=np.float64) @ self.basis
-
-    def projector(self) -> np.ndarray:
-        return self.basis @ self.basis.T
 
 
 def build_degree2(chow: ChowEstimate) -> Degree2ChowMatrix:
@@ -242,8 +238,7 @@ class Cover:
         return Intersection([self._member(g) for g in reversed(digits)])
 
 
-def make_cover(k: int, dim: int, delta: float,
-               combo_cap: int = COMBO_CAP) -> Cover:
+def make_cover(k: int, dim: int, delta: float) -> Cover:
     """Grid cover fine enough that any k-fold intersection on R^dim is
     within disagreement delta of some member: directions on a net of
     angular resolution delta/(4k), thresholds on a delta/(4k) grid over
@@ -258,9 +253,9 @@ def make_cover(k: int, dim: int, delta: float,
     grid_t = np.linspace(-theta_max, theta_max, steps)
     net = _sphere_net(dim, resolution)
     g_count = net.shape[0] * grid_t.shape[0]
-    if g_count ** k > combo_cap:
+    if g_count ** k > COMBO_CAP:
         raise CoverTooLarge(f"{g_count}^{k} cover candidates exceed the cap "
-                            f"{combo_cap}; raise delta")
+                            f"{COMBO_CAP}; raise delta")
     unit_matrix = np.repeat(net, grid_t.shape[0], axis=0)
     thresholds = np.tile(grid_t, net.shape[0])
     return Cover(k, dim, delta, unit_matrix, thresholds)
@@ -291,16 +286,15 @@ def direction_correlation(samples: LabeledSampleSet, v: np.ndarray) -> float:
 
 def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
                        source=None, delta_override: Optional[float] = None,
-                       m_tournament: int = 20_000, seed=0,
-                       combo_cap: int = COMBO_CAP) -> Intersection:
+                       m_tournament: int = 20_000, seed=0) -> Intersection:
     """Subspace from robust degree-2 Chow parameters, then cover tournament
     on projected holdout points, lifted back to ambient coordinates. The
     result's provenance records the subspace dimension, the cover that was
     searched (after any delta escalations) and the tournament's winner.
 
-    At k=3 the default combo_cap admits only dim-1 covers: a subspace of
-    dim >= 2 raises CoverTooLarge even at the coarsest delta, so a genuine
-    3-fold intersection (dim >= 3) needs a larger cap."""
+    At k=3 COMBO_CAP admits only dim-1 covers: a subspace of dim >= 2
+    raises CoverTooLarge even at the coarsest delta, so a genuine 3-fold
+    intersection (dim >= 3) needs a larger cap."""
     n = corrupted.n
     dist = gaussian_descriptor(n, 2, eps)
     est = robust_chow(corrupted, dist, FilterParams(eps=eps))
@@ -328,7 +322,7 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
     escalations = 0
     while cover is None:
         try:
-            cover = make_cover(k, sub.dim, delta, combo_cap=combo_cap)
+            cover = make_cover(k, sub.dim, delta)
         except CoverTooLarge:
             if delta >= DELTA_CEIL:
                 raise

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 import numpy as np
 from scipy.stats import norm as _norm
@@ -23,11 +23,21 @@ from .adversary import LabeledSampleSet
 from .chowfilter import FilterParams, robust_chow
 from .distributions import EPS_FLOOR, ReasonableDistribution, gaussian_descriptor
 from .errors import AcceptanceTooLow, ZeroChowVector
-from .hypothesis_select import CandidateSet, select
+from .hypothesis_select import select
 
 CONSTANT_THETA = 1e6        # |theta| at or above this encodes a constant sign
 EPS_PRIME_CAP = 0.3         # effective corruption rate fed to the filter
 MIN_ACCEPTED = 50           # fewer accepted points than this aborts a step
+# Branch-plumbing constants. The guarantees fix them only up to O(1), so they
+# are calibrated here.
+CONST_MARGIN = 0.25         # constant branch: 1 - |E f| <= margin * eps
+REGIME_KAPPA = 1.0          # extreme branch: theta e^{theta^2/2} >= kappa sqrt(L)/eps
+LOOP_C = 1.0                # delta recursion: delta' = c eps sqrt(log(delta/eps))
+WEAK_C = 6.0                # initial bound: delta0 = c eps sqrt(log(1/eps))
+DELTA0_CAP = 0.4
+B_CAP = 0.25                # largest misalignment b an extreme trial guesses
+TRIAL_BUDGET_C = 50.0       # extreme trials: c log^2(1/eps)
+MAX_MODERATE_ITERS = 25
 
 SampleSource = Callable[[int, int], LabeledSampleSet]
 
@@ -139,17 +149,8 @@ class LocalizationState:
 
 @dataclass
 class LTFConfig:
-    """Constants of the branch plumbing; the guarantees only fix them up to
-    O(1), so they are calibrated here and overridable."""
+    """Sample budgets of the localization steps and the holdout."""
 
-    const_margin: float = 0.25       # constant branch: 1 - |E f| <= margin * eps
-    regime_kappa: float = 1.0        # extreme branch: theta e^{theta^2/2} >= kappa sqrt(L)/eps
-    loop_c: float = 1.0              # delta recursion: delta' = c eps sqrt(log(delta/eps))
-    weak_c: float = 6.0              # initial bound: delta0 = c eps sqrt(log(1/eps))
-    delta0_cap: float = 0.4
-    b_cap: float = 0.25
-    trial_budget: Optional[int] = None  # default 50 log^2(1/eps)
-    max_moderate_iters: int = 25
     accept_target: int = 50_000
     batch_cap: int = 400_000
     extreme_accept_target: int = 4_000
@@ -187,20 +188,6 @@ def _whiten_accepted(points: np.ndarray, rp: RejectionParams) -> np.ndarray:
     shifted = points + rp.theta * rp.v
     along = shifted @ rp.v
     return shifted + np.outer((1.0 / rp.sigma - 1.0) * along, rp.v)
-
-
-def _fixed_source(data: LabeledSampleSet) -> SampleSource:
-    def draw(m: int, seed) -> LabeledSampleSet:
-        rng = np.random.default_rng(seed)
-        idx = rng.choice(len(data), size=m, replace=m > len(data))
-        return data.subset(idx)
-    return draw
-
-
-def _as_source(data_or_source) -> SampleSource:
-    if callable(data_or_source):
-        return data_or_source
-    return _fixed_source(data_or_source)
 
 
 def _chow_subbatch(batch: LabeledSampleSet, keep: np.ndarray, rp: RejectionParams,
@@ -290,7 +277,7 @@ def refine_extreme(source, theta: float, eps: float, delta: float,
     rng = np.random.default_rng(guess_seed)
 
     step = 1.0 / log_term
-    b = step * int(rng.integers(0, int(config.b_cap / step) + 1))
+    b = step * int(rng.integers(0, int(B_CAP / step) + 1))
     a = math.sqrt(1.0 - b ** 2)
     sigma = min(0.9, 1.0 / theta)
     if sigma <= 0.0:
@@ -335,22 +322,25 @@ def _flip_labels(s: LabeledSampleSet) -> LabeledSampleSet:
 
 
 def learn_ltf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, eps: float,
-              source: Optional[SampleSource] = None, seed=0,
+              source: SampleSource, seed=0,
               config: Optional[LTFConfig] = None) -> LTF:
     """Full pipeline: threshold estimate, branch routing, candidate
-    generation, holdout selection. Targets O(eps) disagreement."""
+    generation, holdout selection. Targets O(eps) disagreement.
+
+    source(m, seed) draws m fresh corrupted samples; the localization
+    batches and the holdout come from it, never from `corrupted`.
+    """
     config = config or LTFConfig()
     eps_eff = max(eps, EPS_FLOOR)
     n = corrupted.n
-    src = _as_source(source if source is not None else corrupted)
     mean = float(np.mean(corrupted.labels))
     theta0 = estimate_threshold(corrupted)
 
-    if 1.0 - abs(mean) <= config.const_margin * eps:
+    if 1.0 - abs(mean) <= CONST_MARGIN * eps:
         return constant_ltf(n, 1.0 if mean >= 0 else -1.0)
 
     if theta0 < 0.0:
-        flipped_src: SampleSource = lambda m, s: _flip_labels(src(m, s))
+        flipped_src: SampleSource = lambda m, s: _flip_labels(source(m, s))
         mirror = learn_ltf(_flip_labels(corrupted), dist, eps,
                            source=flipped_src, seed=seed, config=config)
         return LTF(-mirror.v, -mirror.theta)
@@ -362,20 +352,19 @@ def learn_ltf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, eps: fl
 
     log_term = math.log(1.0 / eps_eff)
     extreme = (theta0 * math.exp(theta0 ** 2 / 2.0)
-               >= config.regime_kappa * math.sqrt(log_term) / eps_eff)
+               >= REGIME_KAPPA * math.sqrt(log_term) / eps_eff)
 
     if not weak.is_constant:
         if not extreme:
             v_cur = weak.v
-            delta = min(config.delta0_cap,
-                        config.weak_c * eps_eff * math.sqrt(max(1.0, log_term)))
-            for it in range(config.max_moderate_iters):
-                delta_next = config.loop_c * eps_eff * math.sqrt(
+            delta = min(DELTA0_CAP, WEAK_C * eps_eff * math.sqrt(max(1.0, log_term)))
+            for it in range(MAX_MODERATE_ITERS):
+                delta_next = LOOP_C * eps_eff * math.sqrt(
                     max(1.0, math.log(delta / eps_eff)))
                 if delta_next >= delta / 2.0:
                     break
                 try:
-                    u_new, _ = refine_moderate(src, v_cur, theta0, delta, eps,
+                    u_new, _ = refine_moderate(source, v_cur, theta0, delta, eps,
                                                seed=branch_seed + it, config=config)
                 except (AcceptanceTooLow, ZeroChowVector):
                     break
@@ -383,14 +372,12 @@ def learn_ltf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, eps: fl
                 candidates.append(LTF(v_cur, theta0))
                 delta = delta_next
         else:
-            budget = config.trial_budget
-            if budget is None:
-                budget = int(math.ceil(50.0 * log_term ** 2))
+            budget = int(math.ceil(TRIAL_BUDGET_C * log_term ** 2))
             u0 = 2.0 * gaussian_pdf(theta0) * weak.v
-            delta = min(1.0, config.weak_c * eps_eff * math.sqrt(max(1.0, log_term)))
+            delta = min(1.0, WEAK_C * eps_eff * math.sqrt(max(1.0, log_term)))
             for t in range(budget):
                 try:
-                    u_cand, _ = refine_extreme(src, theta0, eps, delta, u0,
+                    u_cand, _ = refine_extreme(source, theta0, eps, delta, u0,
                                                seed=branch_seed + t, config=config)
                 except (AcceptanceTooLow, ZeroChowVector):
                     continue
@@ -398,6 +385,6 @@ def learn_ltf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, eps: fl
                 if nrm > 1e-12:
                     candidates.append(LTF(u_cand / nrm, theta0))
 
-    holdout = src(config.holdout_size, seeds[1])
-    winner, _ = select(CandidateSet(candidates), holdout)
+    holdout = source(config.holdout_size, seeds[1])
+    winner, _ = select(candidates, holdout)
     return winner

@@ -96,8 +96,15 @@ class MonomialBasis:
         )
 
 
-def enumerate_basis(n: int, d: int, multilinear: bool = False,
-                    size_cap: int = DEFAULT_SIZE_CAP) -> MonomialBasis:
+def basis_size(n: int, d: int, multilinear: bool) -> int:
+    """Number of monomials of degree <= d on R^n (0/1 exponents only when
+    multilinear)."""
+    if multilinear:
+        return int(sum(comb(n, i, exact=True) for i in range(min(d, n) + 1)))
+    return int(comb(n + d, d, exact=True))
+
+
+def enumerate_basis(n: int, d: int, multilinear: bool = False) -> MonomialBasis:
     """Build the degree-<=d monomial basis on R^n.
 
     multilinear=True keeps only 0/1 exponents (the hypercube basis, where
@@ -105,12 +112,9 @@ def enumerate_basis(n: int, d: int, multilinear: bool = False,
     """
     if n < 1 or d < 1:
         raise ValueError(f"need n >= 1 and d >= 1, got n={n}, d={d}")
-    if multilinear:
-        ell = int(sum(comb(n, i, exact=True) for i in range(min(d, n) + 1)))
-    else:
-        ell = int(comb(n + d, d, exact=True))
-    if ell > size_cap:
-        raise SizeCapExceeded(f"basis size {ell} exceeds cap {size_cap}")
+    ell = basis_size(n, d, multilinear)
+    if ell > DEFAULT_SIZE_CAP:
+        raise SizeCapExceeded(f"basis size {ell} exceeds cap {DEFAULT_SIZE_CAP}")
     max_exp = 1 if multilinear else d
     rows = []
     for degree in range(d + 1):
@@ -168,14 +172,6 @@ class Polynomial:
 
     def __call__(self, points) -> np.ndarray:
         return eval_monomials_batch(self.basis, points) @ self.coeffs
-
-    def scaled(self, alpha: float) -> "Polynomial":
-        return Polynomial(self.basis, self.coeffs * alpha)
-
-    def plus(self, other: "Polynomial") -> "Polynomial":
-        if not self.basis.same_layout(other.basis):
-            raise DimensionMismatch("cannot add polynomials over different bases")
-        return Polynomial(self.basis, self.coeffs + other.coeffs)
 
     def to_json(self) -> str:
         return json.dumps({"n": self.basis.n, "d": self.basis.d,

@@ -42,10 +42,6 @@ class PBF:
         if off.max(initial=0.0) > 1e-6:
             raise ValueError("coefficients are not on the xi/2 grid")
 
-    @property
-    def integer_weights(self) -> np.ndarray:
-        return np.round(self.q.coeffs / (self.grid_xi / 2.0)).astype(np.int64)
-
     def margin(self, points: np.ndarray) -> np.ndarray:
         return self.q(points)
 
@@ -86,15 +82,15 @@ ChowOracle = Callable[[PBF], ChowEstimate]
 
 
 def chow_reconstruct(target: ChowEstimate, dist: ReasonableDistribution, xi: float,
-                     chow_oracle: ChowOracle, c_stop: float = C_STOP_DEFAULT) -> PBF:
+                     chow_oracle: ChowOracle) -> PBF:
     """Residual descent toward the target Chow vector.
 
     Each step queries the oracle for the Chow vector of the current clamped
-    polynomial, whitens the residual, and when it is still above c_stop * xi
-    adds half the residual polynomial (grid-rounded). When rounding swallows
-    the whole half-step the loop moves one grid cell along the largest
-    residual coordinate instead; it breaks out once even that single-cell
-    move stops paying for itself. The iterate cap 4/xi^2 + 16 comes from the
+    polynomial, whitens the residual, and when it is still above
+    C_STOP_DEFAULT * xi adds half the residual polynomial (grid-rounded).
+    When rounding swallows the whole half-step the loop moves one grid cell
+    along the largest residual coordinate instead; it breaks out once even
+    that single-cell move stops paying for itself. The iterate cap 4/xi^2 + 16 comes from the
     quadratic potential dropping by a fixed amount per non-stalled step.
     """
     if not (0.0 < xi < 1.0):
@@ -118,7 +114,7 @@ def chow_reconstruct(target: ChowEstimate, dist: ReasonableDistribution, xi: flo
         chi_t = chow_oracle(pbf).chi
         rho = isqrt @ (chi_target - chi_t)
         residual_norm = float(np.linalg.norm(rho))
-        if residual_norm <= c_stop * xi:
+        if residual_norm <= C_STOP_DEFAULT * xi:
             break
         if iterations >= cap:
             cap_reached = True
@@ -207,10 +203,8 @@ def default_xi(dist: ReasonableDistribution, eps: float, m: int,
 
 def learn_ptf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, d: int,
               eps: float, xi: Optional[float] = None,
-              chow_oracle: Optional[ChowOracle] = None,
               oracle_strategy: Optional[AdversaryStrategy] = None,
-              m_oracle: Optional[int] = None, seed=0,
-              c_stop: float = C_STOP_DEFAULT) -> PTF:
+              m_oracle: Optional[int] = None, seed=0) -> PTF:
     """Robust Chow estimate of the target, then Chow reconstruction, then
     the sign of the reconstructed polynomial."""
     if dist.basis.d != d:
@@ -221,11 +215,10 @@ def learn_ptf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, d: int,
     if xi is None:
         xi = default_xi(dist, eps, len(corrupted),
                         achieved_excess=target.provenance.get("final_lambda"))
-    if chow_oracle is None:
-        strategy = oracle_strategy or AdversaryStrategy("none")
-        m_call = m_oracle or min(len(corrupted), 100_000)
-        chow_oracle = make_sampling_oracle(dist, eps, strategy, m_call, seed)
-    pbf = chow_reconstruct(target, dist, xi, chow_oracle, c_stop=c_stop)
+    strategy = oracle_strategy or AdversaryStrategy("none")
+    m_call = m_oracle or min(len(corrupted), 100_000)
+    oracle = make_sampling_oracle(dist, eps, strategy, m_call, seed)
+    pbf = chow_reconstruct(target, dist, xi, oracle)
     coeffs = pbf.q.coeffs
     if not np.any(coeffs != 0.0):
         # reconstruction stopped at the zero polynomial: emit the constant

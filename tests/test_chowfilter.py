@@ -11,7 +11,7 @@ from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import (BLOCK_ROWS, ChowEstimate, FilterParams,
                                    _threshold_cut, _top_eigenpair,
                                    chow_distance, empirical_chow, prune_mask,
-                                   recommended_sample_count, robust_chow)
+                                   robust_chow)
 from robustchow.distributions import gaussian_descriptor, hypercube_descriptor
 from robustchow.errors import (AllPointsPruned, BasisMismatch,
                                DimensionMismatch, NoThresholdFound)
@@ -49,7 +49,7 @@ def dense_filter(s, dist, params):
     phi = eval_monomials_batch(dist.basis, s.points)
     z = phi @ dist.whitener()[0]
     alive = prune_mask(phi, z, dist)
-    break_level = params.c_break * (dist.gamma + dist.delta + params.eps)
+    break_level = chowfilter.C_BREAK * (dist.gamma + dist.delta + params.eps)
     while True:
         z_alive = z[alive]
         lam, v = _top_eigenpair(z_alive.T @ z_alive / len(z_alive))
@@ -102,30 +102,37 @@ def test_chow_estimate_json_roundtrip(tmp_path):
 
 # --- eigen paths -----------------------------------------------------------
 
+def power_eigenpair(monkeypatch, m):
+    """_top_eigenpair on its power-iteration path."""
+    with monkeypatch.context() as patch:
+        patch.setattr(chowfilter, "DENSE_EIG_MAX", 0)
+        return _top_eigenpair(m)
+
+
 def test_top_eigenpair_dense_small():
     m = np.diag([1.0, 5.0, 2.0])
-    lam, v = _top_eigenpair(m, method="dense")
+    lam, v = _top_eigenpair(m)
     assert lam == pytest.approx(5.0)
     assert np.allclose(np.abs(v), [0, 1, 0], atol=1e-12)
 
 
-def test_dense_and_power_paths_agree():
+def test_dense_and_power_paths_agree(monkeypatch):
     rng = np.random.default_rng(5)
     for trial in range(5):
         a = rng.standard_normal((40, 40))
         m = a @ a.T  # PSD with distinct top eigenvalue almost surely
-        lam_d, v_d = _top_eigenpair(m, method="dense")
-        lam_p, v_p = _top_eigenpair(m, method="power")
+        lam_d, v_d = _top_eigenpair(m)
+        lam_p, v_p = power_eigenpair(monkeypatch, m)
         assert lam_p == pytest.approx(lam_d, rel=1e-6)
         assert abs(abs(float(v_d @ v_p)) - 1.0) < 1e-6
 
 
-def test_power_iteration_sign_convention():
+def test_power_iteration_sign_convention(monkeypatch):
     rng = np.random.default_rng(8)
     a = rng.standard_normal((30, 30))
     m = a @ a.T
-    _, v_d = _top_eigenpair(m, method="dense")
-    _, v_p = _top_eigenpair(m, method="power")
+    _, v_d = _top_eigenpair(m)
+    _, v_p = power_eigenpair(monkeypatch, m)
     # both fix the largest-magnitude component positive, so vectors match exactly
     assert np.allclose(v_d, v_p, atol=1e-6)
 
@@ -248,7 +255,7 @@ def test_row_permutation_permutes_keep_mask(seed, n, m, perm_seed):
     dist, bad = two_cluster_attack(n=n, m=m, seed=seed)
     perm = np.random.default_rng(perm_seed).permutation(m)
     shuffled = LabeledSampleSet(bad.points[perm], bad.labels[perm])
-    params = FilterParams(eps=0.1, min_samples=50)
+    params = FilterParams(eps=0.1)
     a = robust_chow(bad, dist, params)
     b = robust_chow(shuffled, dist, params)
     assert np.array_equal(b.keep_mask, a.keep_mask[perm])
@@ -377,6 +384,31 @@ def test_filter_iteration_cuts_attack_cluster():
     assert bad.corrupted_mask[cut].mean() > 0.5
 
 
+def test_filter_degrades_when_no_cut_qualifies(monkeypatch):
+    # On the hypercube at n=6, d=1 no score can pass the tail-excess test
+    # (see the README's filter section); a break level low enough to demand
+    # a cut ends the loop degraded with nothing filtered.
+    monkeypatch.setattr(chowfilter, "C_BREAK", 0.01)
+    dist = hypercube_descriptor(6, 1, 0.1)
+    f = LTF(np.eye(6)[0], 0.0)
+    pts = dist.sample(20_000, 0)
+    s = LabeledSampleSet(pts, f.evaluate(pts))
+    bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack"), dist, 1)
+    prov = robust_chow(bad, dist, FilterParams(eps=0.1)).provenance
+    assert prov["degraded"] and not prov["cap_reached"]
+    assert prov["filtered"] == 0
+
+
+def test_filter_stops_at_iteration_cap(monkeypatch):
+    dist, bad = two_cluster_attack()
+    uncapped = robust_chow(bad, dist, FilterParams(eps=0.1)).provenance
+    monkeypatch.setattr(chowfilter, "MAX_ITERATIONS", 1)
+    prov = robust_chow(bad, dist, FilterParams(eps=0.1)).provenance
+    assert prov["cap_reached"] and not prov["degraded"]
+    assert prov["iterations"] == 1
+    assert 0 < prov["filtered"] < uncapped["filtered"]
+
+
 def test_robust_chow_features_match_featurizing():
     dist, f, s = ltf_instance(n=6, m=8000, seed=2)
     bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack"), dist, 3)
@@ -448,10 +480,3 @@ def test_chow_distance_basis_mismatch():
     with pytest.raises(BasisMismatch):
         chow_distance(a, b)
 
-
-def test_recommended_sample_count_caps():
-    dist = gaussian_descriptor(10, 1, 0.1)
-    m = recommended_sample_count(dist, 0.1)
-    assert 10_000 <= m <= 1_000_000
-    d2 = gaussian_descriptor(8, 2, 0.01)
-    assert recommended_sample_count(d2, 0.01) == 1_000_000  # theory scale hits the cap

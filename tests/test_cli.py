@@ -193,6 +193,11 @@ def test_learn_matches_one_cell_experiment(tmp_path, capsys, argv, config, keys)
     (["learn-intersection", "--n", "5", "--k", "6"], "k:"),
     (["learn-intersection", "--n", "2", "--k", "3"], "k:"),
     (["learn-ltf", "--m", "10"], "m_train"),
+    # bases above the size cap are refused before any learner runs
+    (["learn-ptf", "--n", "60", "--d", "5", "--plant-coeffs", "[0.0, 1.0]"],
+     "8259888 monomials"),
+    (["learn-ptf", "--n", "60", "--d", "5"], "8259888 monomials"),
+    (["learn-intersection", "--n", "700"], "degree-2 basis"),
 ])
 def test_learn_malformed_input_exits_2(capsys, argv, message):
     assert main(argv) == 2

@@ -72,13 +72,6 @@ def test_delta_increasing_in_eps():
     assert vals == sorted(vals)
 
 
-def test_delta_custom_tail_callable():
-    q = make_tail_bound("gaussian-chaos", 1)
-    from robustchow.distributions import TailBound
-    custom = TailBound("custom", 1, custom_q=lambda t: np.exp(-np.square(t) / 2))
-    assert compute_delta(custom, 0.02) == pytest.approx(compute_delta(q, 0.02), rel=1e-4)
-
-
 # --- T_max ---------------------------------------------------------------
 
 def test_tmax_linear_paper_value():

@@ -5,7 +5,8 @@ from hypothesis import strategies as st
 
 from robustchow.adversary import LabeledSampleSet
 from robustchow.errors import EmptyHoldout
-from robustchow.hypothesis_select import (CandidateSet, disagreement, select,
+from robustchow import intersection_learner
+from robustchow.hypothesis_select import (disagreement, select,
                                           select_intersection_cover)
 from robustchow.intersection_learner import make_cover
 from robustchow.ltf_learner import LTF
@@ -30,7 +31,7 @@ def test_select_picks_minimum():
     truth = LTF(np.array([1.0]), 0.3)
     labels = truth.evaluate(pts).astype(np.float64)
     s = holdout_from(pts, labels)
-    cands = CandidateSet([LTF(np.array([1.0]), t) for t in (-1.0, 0.0, 0.31, 1.0)])
+    cands = [LTF(np.array([1.0]), t) for t in (-1.0, 0.0, 0.31, 1.0)]
     win, err = select(cands, s)
     assert win.theta == 0.31
     assert err <= 0.01
@@ -40,17 +41,19 @@ def test_select_tie_goes_to_lowest_index():
     pts = np.array([[1.0], [-1.0]])
     s = holdout_from(pts, [1, -1])
     same = LTF(np.array([1.0]), 0.0)
-    cands = CandidateSet([same, LTF(np.array([1.0]), 1e-9)])
+    cands = [same, LTF(np.array([1.0]), 1e-9)]
     win, err = select(cands, s)
     assert win is same
     assert err == 0.0
 
 
 def test_select_empty_holdout():
-    cands = CandidateSet([LTF(np.array([1.0]), 0.0)])
+    cands = [LTF(np.array([1.0]), 0.0)]
     empty = LabeledSampleSet(np.zeros((0, 1)), np.zeros(0))
     with pytest.raises(EmptyHoldout):
         select(cands, empty)
+    with pytest.raises(ValueError, match="candidate set is empty"):
+        select([], holdout_from([[1.0]], [1.0]))
 
 
 def _cover_members(unit_matrix, thresholds):
@@ -186,8 +189,9 @@ def test_cover_tournament_point_on_threshold_fires():
 
 @pytest.mark.parametrize("k,dim,delta", [(1, 1, 0.5), (1, 2, 0.5), (2, 2, 0.95),
                                          (2, 3, 2.0), (3, 2, 5.0)])
-def test_cover_tournament_matches_reference_on_seeded_covers(k, dim, delta):
-    cover = make_cover(k, dim, delta, combo_cap=10 ** 9)
+def test_cover_tournament_matches_reference_on_seeded_covers(k, dim, delta, monkeypatch):
+    monkeypatch.setattr(intersection_learner, "COMBO_CAP", 10 ** 9)
+    cover = make_cover(k, dim, delta)
     rng = np.random.default_rng(1000 * k + dim)
     pts = rng.standard_normal((2000, dim))
     labels = np.where((pts[:, 0] <= 0.5) & (pts[:, -1] >= -0.3), 1.0, -1.0)

@@ -6,6 +6,7 @@ import pytest
 from scipy.linalg import subspace_angles
 from scipy.stats import norm
 
+from robustchow import intersection_learner
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import ChowEstimate, empirical_chow
 from robustchow.distributions import gaussian_descriptor
@@ -229,7 +230,7 @@ def test_subspace_validation_and_projection():
     sub = Subspace(basis)
     pts = np.random.default_rng(1).standard_normal((100, 4))
     assert sub.project(pts).shape == (100, 2)
-    proj = sub.projector()
+    proj = sub.basis @ sub.basis.T
     assert np.allclose(proj @ proj, proj, atol=1e-12)
     assert Subspace(np.zeros((4, 0))).dim == 0
 
@@ -302,11 +303,12 @@ def test_make_cover_flat_indexing():
         cover[-1]
 
 
-def test_make_cover_witness_completeness_k2():
+def test_make_cover_witness_completeness_k2(monkeypatch):
     # snap each planted member to the nearest direction and threshold in the
     # grid; the snapped intersection must stay within delta
     delta = 0.3
-    cover = make_cover(2, 2, delta, combo_cap=10 ** 9)
+    monkeypatch.setattr(intersection_learner, "COMBO_CAP", 10 ** 9)
+    cover = make_cover(2, 2, delta)
     net = np.unique(cover.unit_matrix, axis=0)
     grid_t = np.unique(cover.thresholds)
     rng = np.random.default_rng(23)
@@ -410,28 +412,29 @@ def test_learn_intersection_k2_planted_orthogonal():
     assert dis <= 0.1
 
 
-def test_learn_intersection_delta_raising():
+def test_learn_intersection_delta_raising(monkeypatch):
     # a tight combo cap forces the cover-resolution loop to coarsen delta
     # instead of failing
+    monkeypatch.setattr(intersection_learner, "COMBO_CAP", 5_000_000)
     n = 6
     dist = gaussian_descriptor(n, 2, 0.0)
     pts = dist.sample(40_000, 300)
     f = Intersection([LTF(unit(n, 0), 0.5), LTF(unit(n, 1), 0.5)])
     out = learn_intersection(LabeledSampleSet(pts, f.evaluate(pts)), 2, 0.0,
-                             delta_override=0.3, m_tournament=5_000, seed=3,
-                             combo_cap=5_000_000)
+                             delta_override=0.3, m_tournament=5_000, seed=3)
     assert isinstance(out, Intersection)
     assert out.k <= 2
 
 
-def test_learn_intersection_provenance_records_escalation():
+def test_learn_intersection_provenance_records_escalation(monkeypatch):
     n = 4
     dist = gaussian_descriptor(n, 2, 0.0)
     pts = dist.sample(20_000, 500)
     f = Intersection([LTF(unit(n, 0), 0.3)])
     # the default delta gives a 1798-member grid; the cap forces coarsening
+    monkeypatch.setattr(intersection_learner, "COMBO_CAP", 1_000)
     out = learn_intersection(LabeledSampleSet(pts, f.evaluate(pts)), 1, 0.0,
-                             m_tournament=5_000, seed=5, combo_cap=1_000)
+                             m_tournament=5_000, seed=5)
     prov = out.provenance
     assert set(prov) == {"subspace_dim", "delta", "delta_escalations", "grid_size",
                          "directions", "thresholds_per_direction", "winner_index",

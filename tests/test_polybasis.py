@@ -42,7 +42,7 @@ def test_graded_lex_ordering_property():
 
 def test_size_cap():
     with pytest.raises(SizeCapExceeded):
-        enumerate_basis(60, 5, size_cap=10_000)
+        enumerate_basis(60, 5)
 
 
 def test_multilinear_enumeration():
