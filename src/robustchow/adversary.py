@@ -106,35 +106,34 @@ class AdversaryStrategy:
             self.attack_direction = u / np.linalg.norm(u)
 
 
-def _whitened_quadform(dist: ReasonableDistribution, points: np.ndarray) -> np.ndarray:
-    isqrt, _ = dist.whitener()
-    z = eval_monomials_batch(dist.basis, points) @ isqrt
-    return np.einsum("ij,ij->i", z, z)
-
-
 def _attack_point(dist: ReasonableDistribution, direction: np.ndarray,
                   rho: float) -> np.ndarray:
     """Point x0 = c * u with whitened norm rho * T_max / sqrt(2).
 
-    On the hypercube the whitened norm is sqrt(ell) at every vertex, so the
-    attack just takes the vertex nearest the direction.
+    A degree-j monomial of c * u is c^j times its value at u. With z_j the
+    degree-j block of m(u) (zero elsewhere) times Sigma^{-1/2}, the squared
+    whitened norm of m(c * u) is the polynomial sum_{j,k} c^(j+k) z_j . z_k,
+    and c is its smallest positive root at the target. On the hypercube the
+    whitened norm is sqrt(ell) at every vertex, so the attack just takes the
+    vertex nearest the direction.
     """
     if not dist.prune_enabled:
-        signs = np.where(direction >= 0, 1.0, -1.0)
-        return signs
-    target_sq = (rho * dist.t_max / math.sqrt(2.0)) ** 2
-    lo, hi = 0.0, 1.0
-    while _whitened_quadform(dist, np.array([hi * direction]))[0] < target_sq:
-        lo, hi = hi, 2.0 * hi
-        if hi > 1e12:
-            raise InvalidHypothesis("attack placement diverged; bad moment matrix?")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _whitened_quadform(dist, np.array([mid * direction]))[0] < target_sq:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi) * direction
+        return np.where(direction >= 0, 1.0, -1.0)
+    isqrt, _ = dist.whitener()
+    phi = eval_monomials_batch(dist.basis, direction[None, :])[0]
+    degree = dist.basis.exponents.sum(axis=1)
+    z = np.stack([np.where(degree == j, phi, 0.0) for j in range(dist.d + 1)]) @ isqrt
+    gram = z @ z.T
+    quad = np.zeros(2 * dist.d + 1)
+    for j in range(dist.d + 1):
+        quad[j:j + dist.d + 1] += gram[j]
+    quad[0] -= (rho * dist.t_max / math.sqrt(2.0)) ** 2
+    roots = np.polynomial.polynomial.polyroots(quad)
+    positive = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]
+    if positive.size == 0:
+        raise InvalidHypothesis("no attack point reaches the target whitened norm; "
+                                "bad moment matrix or rho too small?")
+    return float(positive.min()) * direction
 
 
 def corrupt(clean: LabeledSampleSet, f, eps: float, strategy: AdversaryStrategy,

@@ -17,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .adversary import LabeledSampleSet
-from .distributions import ReasonableDistribution, inverse_sqrt
+from .distributions import ReasonableDistribution
 from .errors import (AllPointsPruned, BasisMismatch, DimensionMismatch,
                      NoThresholdFound)
 from .polybasis import MonomialBasis, enumerate_basis, eval_monomials_batch
@@ -53,7 +53,7 @@ class ChowEstimate:
 
     chi: np.ndarray
     basis: MonomialBasis
-    sigma_ref: Optional[np.ndarray]
+    dist: Optional[ReasonableDistribution]  # the law chi was measured against
     provenance: dict = field(default_factory=dict)
     # boolean row mask over the input sample (True = kept); populated by
     # robust_chow for selectivity diagnostics, omitted from JSON
@@ -65,11 +65,11 @@ class ChowEstimate:
             raise ValueError("chi length does not match basis size")
         if not np.all(np.isfinite(self.chi)):
             raise ValueError("chi has non-finite entries")
-        if self.sigma_ref is not None:
+        if self.dist is not None:
             # |chi_i| = |E[f m_i]| <= sqrt(E[m_i^2]) since |f| <= 1; allow 2x
             # slack because empirical survivor moments sit above Sigma by up
             # to the filter's break level.
-            bound = 2.0 * np.sqrt(np.diag(self.sigma_ref)) + 1e-6
+            bound = 2.0 * np.sqrt(np.diag(self.dist.sigma)) + 1e-6
             if np.any(np.abs(self.chi) > bound):
                 raise ValueError("chi violates the Cauchy-Schwarz bound")
 
@@ -83,10 +83,10 @@ class ChowEstimate:
         }
 
     @classmethod
-    def from_json(cls, data: dict, sigma: Optional[np.ndarray] = None) -> "ChowEstimate":
+    def from_json(cls, data: dict, dist: Optional[ReasonableDistribution] = None):
         basis = enumerate_basis(int(data["n"]), int(data["d"]),
                                 multilinear=bool(data.get("multilinear", False)))
-        return cls(np.asarray(data["chi"], dtype=np.float64), basis, sigma,
+        return cls(np.asarray(data["chi"], dtype=np.float64), basis, dist,
                    dict(data.get("provenance", {})))
 
     def dump(self, path):
@@ -263,7 +263,7 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
         "degraded": degraded,
         "cap_reached": cap_reached,
     }
-    return ChowEstimate(chi, dist.basis, dist.sigma, provenance, keep_mask=alive)
+    return ChowEstimate(chi, dist.basis, dist, provenance, keep_mask=alive)
 
 
 def empirical_chow(s: LabeledSampleSet, dist: ReasonableDistribution) -> ChowEstimate:
@@ -271,12 +271,12 @@ def empirical_chow(s: LabeledSampleSet, dist: ReasonableDistribution) -> ChowEst
     phi = eval_monomials_batch(dist.basis, s.points)
     chi = (s.labels @ phi) / len(s)
     # Corrupted inputs can push the raw mean past the clean Cauchy-Schwarz
-    # box, so skip sigma_ref validation here.
+    # box, so skip the dist validation here.
     est = ChowEstimate(chi, dist.basis, None,
                        {"samples_in": len(s), "used": len(s), "iterations": 0,
                         "pruned": 0, "filtered": 0, "degraded": False,
                         "cap_reached": False})
-    est.sigma_ref = dist.sigma
+    est.dist = dist
     return est
 
 
@@ -285,9 +285,10 @@ def chow_distance(a: ChowEstimate, b: ChowEstimate) -> float:
      l2 distance between the Chow vectors."""
     if not a.basis.same_layout(b.basis):
         raise BasisMismatch("Chow estimates use different bases")
-    if a.sigma_ref is None or b.sigma_ref is None:
-        raise BasisMismatch("Chow estimate lacks a reference moment matrix")
-    if not np.allclose(a.sigma_ref, b.sigma_ref, rtol=1e-9, atol=1e-12):
+    if a.dist is None or b.dist is None:
+        raise BasisMismatch("Chow estimate lacks a reference distribution")
+    if a.dist is not b.dist and not np.allclose(a.dist.sigma, b.dist.sigma,
+                                                rtol=1e-9, atol=1e-12):
         raise BasisMismatch("Chow estimates whitened against different moments")
-    isqrt, _ = inverse_sqrt(a.sigma_ref)
+    isqrt, _ = a.dist.whitener()
     return float(np.linalg.norm(isqrt @ (a.chi - b.chi)))

@@ -19,6 +19,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc
 
 from .errors import (
+    ConfigError,
     IntegralDiverges,
     NonMultilinearBasis,
     NotPSD,
@@ -62,6 +63,8 @@ def make_tail_bound(family: str, d: int, c: Optional[float] = None) -> TailBound
     """
     if d < 1:
         raise ValueError(f"degree must be >= 1, got {d}")
+    if c is not None and not (math.isfinite(c) and c > 0.0):
+        raise ConfigError(f"tail_constants.c: must be finite and > 0, got {c}")
     if family == "gaussian-chaos" and d == 1:
         return TailBound(family, d, c=0.5 if c is None else c, power=2.0)
     if family in ("gaussian-chaos", "hypercube-chaos"):
@@ -76,7 +79,11 @@ def make_tail_bound(family: str, d: int, c: Optional[float] = None) -> TailBound
 def _crossing(tail: TailBound, level: float) -> float:
     """Smallest T with Q(T) <= level."""
     u = tail.offset + math.log(1.0 / level)
-    return (u / tail.c) ** (1.0 / tail.power)
+    try:
+        return (u / tail.c) ** (1.0 / tail.power)
+    except OverflowError:
+        raise IntegralDiverges(f"tail rate c={tail.c} is too slow: Q stays above "
+                               f"{level} beyond the float range") from None
 
 
 def compute_delta(tail: TailBound, eps: float) -> float:
@@ -108,32 +115,15 @@ def compute_delta(tail: TailBound, eps: float) -> float:
 
 
 def compute_tmax(tail: TailBound, eps: float, ell: int) -> float:
-    """Smallest T >= sqrt(ell) with Q_d(T / (2 sqrt(ell))) <= eps / (10 ell).
-
-    Bisection to relative 1e-6. Hypercube tails short-circuit to exactly
-    sqrt(ell), where pruning is disabled entirely.
-    """
+    """Smallest T >= sqrt(ell) with Q_d(T / (2 sqrt(ell))) <= eps / (10 ell),
+    in closed form from the tail's crossing point."""
     if not (0.0 < eps <= 0.5):
         raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
     root_ell = math.sqrt(ell)
-    if tail.family == "hypercube-chaos":
-        return root_ell
-    target = eps / (10.0 * ell)
-    scale = 2.0 * root_ell
-    if tail(root_ell / scale) <= target:
-        return root_ell
-    lo, hi = root_ell, 2.0 * root_ell
-    while tail(hi / scale) > target:
-        lo, hi = hi, hi * 2.0
-        if hi > 1e15:
-            raise IntegralDiverges("tail does not decay; T_max search failed")
-    while (hi - lo) > 1e-7 * hi:
-        mid = 0.5 * (lo + hi)
-        if tail(mid / scale) <= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    t_max = 2.0 * root_ell * _crossing(tail, eps / (10.0 * ell))
+    if not t_max <= 1e15:
+        raise IntegralDiverges(f"tail does not decay: T_max = {t_max}")
+    return max(root_ell, t_max)
 
 
 def _double_factorial_table(max_power: int) -> np.ndarray:
@@ -164,22 +154,6 @@ def hypercube_moment_matrix(basis: MonomialBasis) -> np.ndarray:
     if basis.exponents.max(initial=0) > 1:
         raise NonMultilinearBasis("hypercube moments need all exponents <= 1")
     return np.eye(basis.ell)
-
-
-def inverse_sqrt(sigma: np.ndarray):
-    """(Sigma^{-1/2} as ell x ell, null-direction basis ell x r).
-
-    Pseudo-inverse policy: eigenvalues below NULL_EIGENVALUE_REL of the
-    largest are null directions excluded from the inverse square root.
-    """
-    w, v = np.linalg.eigh(sigma)
-    lam_max = float(w.max(initial=0.0))
-    if lam_max <= 0:
-        raise NotPSD("moment matrix has no positive eigenvalues")
-    null = w < NULL_EIGENVALUE_REL * lam_max
-    live = ~null
-    isqrt = (v[:, live] / np.sqrt(w[live])) @ v[:, live].T
-    return isqrt, v[:, null]
 
 
 @dataclass
@@ -213,9 +187,20 @@ class ReasonableDistribution:
         return sample(self, count, seed)
 
     def whitener(self):
-        """inverse_sqrt(sigma), cached."""
+        """(Sigma^{-1/2} as ell x ell, null-direction basis ell x r), cached.
+
+        Pseudo-inverse policy: eigenvalues below NULL_EIGENVALUE_REL of the
+        largest are null directions excluded from the inverse square root.
+        """
         if self._whitener is None:
-            self._whitener = inverse_sqrt(self.sigma)
+            w, v = np.linalg.eigh(self.sigma)
+            lam_max = float(w.max(initial=0.0))
+            if lam_max <= 0:
+                raise NotPSD("moment matrix has no positive eigenvalues")
+            null = w < NULL_EIGENVALUE_REL * lam_max
+            live = ~null
+            isqrt = (v[:, live] / np.sqrt(w[live])) @ v[:, live].T
+            self._whitener = (isqrt, v[:, null])
         return self._whitener
 
 
@@ -326,8 +311,8 @@ def from_config(cfg: dict, eps: float) -> ReasonableDistribution:
     if family == "log-concave":
         path = cfg.get("moments_file")
         if not path:
-            raise UnknownFamily("log-concave config requires moments_file")
+            raise ConfigError("moments_file: a log-concave config requires one")
         moments = np.loadtxt(path, delimiter=",", ndmin=2)
         return log_concave_descriptor(n, d, moments, float(cfg.get("gamma", 0.0)),
                                       eps, tail_c=tail_c)
-    raise UnknownFamily(f"unknown distribution family {family!r}")
+    raise ConfigError(f"family: must be gaussian, hypercube or log-concave, got {family!r}")

@@ -22,7 +22,7 @@ class UnknownFamily(RobustChowError):
 
 
 class IntegralDiverges(RobustChowError):
-    """Tail integral failed to converge (bad custom tail)."""
+    """Tail bound decays too slowly: its delta integral or T_max crossing fails."""
 
 
 class NotPSD(RobustChowError):

@@ -23,7 +23,7 @@ from .chowfilter import ChowEstimate, FilterParams, robust_chow
 from .distributions import EPS_FLOOR, gaussian_descriptor
 from .errors import BasisMismatch, CoverTooLarge
 from .hypothesis_select import select_intersection_cover
-from .ltf_learner import LTF, constant_ltf
+from .ltf_learner import LTF, SampleSource, constant_ltf
 
 K_CAP = 3
 COMBO_CAP = 300_000_000   # flat cover candidates the tournament will scan
@@ -285,12 +285,13 @@ def direction_correlation(samples: LabeledSampleSet, v: np.ndarray) -> float:
 
 
 def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
-                       source=None, delta_override: Optional[float] = None,
+                       source: SampleSource, delta_override: Optional[float] = None,
                        m_tournament: int = 20_000, seed=0) -> Intersection:
     """Subspace from robust degree-2 Chow parameters, then cover tournament
-    on projected holdout points, lifted back to ambient coordinates. The
-    result's provenance records the subspace dimension, the cover that was
-    searched (after any delta escalations) and the tournament's winner.
+    on a fresh holdout drawn by source(m, seed) and projected, lifted back to
+    ambient coordinates. The result's provenance records the subspace
+    dimension, the cover that was searched (after any delta escalations) and
+    the tournament's winner.
 
     At k=3 COMBO_CAP admits only dim-1 covers: a subspace of dim >= 2
     raises CoverTooLarge even at the coarsest delta, so a genuine 3-fold
@@ -309,12 +310,7 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
         const.provenance = {"subspace_dim": 0}
         return const
 
-    if source is not None:
-        holdout = source(m_tournament, np.random.SeedSequence(seed).spawn(1)[0])
-    else:
-        rng = np.random.default_rng(seed)
-        take = min(m_tournament, len(corrupted))
-        holdout = corrupted.subset(rng.choice(len(corrupted), take, replace=False))
+    holdout = source(m_tournament, np.random.SeedSequence(seed).spawn(1)[0])
     projected = LabeledSampleSet(sub.project(holdout.points), holdout.labels)
 
     delta = delta_override if delta_override is not None else default_cover_delta(k, eps)

@@ -1,10 +1,15 @@
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from robustchow import adversary
 from robustchow.adversary import (STRATEGIES, AdversaryStrategy,
-                                  LabeledSampleSet, corrupt, plant_instance)
+                                  LabeledSampleSet, _attack_point, corrupt,
+                                  plant_instance)
 from robustchow.distributions import gaussian_descriptor, hypercube_descriptor
 from robustchow.errors import InvalidHypothesis, UnknownStrategy
 from robustchow.ltf_learner import LTF
@@ -165,6 +170,66 @@ def test_chow_attack_shifts_empirical_chow():
     clean_est = empirical_chow(s, dist)
     bad_est = empirical_chow(out, dist)
     assert chow_distance(bad_est, clean_est) > 0.4
+
+
+def whitened_sq(dist, x):
+    z = eval_monomials_batch(dist.basis, x[None, :]) @ dist.whitener()[0]
+    return float(z[0] @ z[0])
+
+
+def bisect_attack_point(dist, u, rho):
+    """Reference: doubling plus an 80-step bisection on the squared whitened
+    norm of m(c * u), as _attack_point ran before its closed form."""
+    target_sq = (rho * dist.t_max / math.sqrt(2.0)) ** 2
+    lo, hi = 0.0, 1.0
+    while whitened_sq(dist, hi * u) < target_sq:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if whitened_sq(dist, mid * u) < target_sq:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi) * u
+
+
+@lru_cache(maxsize=None)
+def attack_descriptor(n, d):
+    return gaussian_descriptor(n, d, 0.05)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(2, 8), d=st.integers(1, 3), rho=st.floats(0.1, 0.95),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_attack_point_closed_form_matches_bisection(n, d, rho, seed):
+    dist = attack_descriptor(n, d)
+    u = np.random.default_rng(seed).standard_normal(n)
+    u /= np.linalg.norm(u)
+    target = rho * dist.t_max / math.sqrt(2.0)
+    if whitened_sq(dist, np.zeros(n)) >= target ** 2:
+        # the origin already lies past the target radius: no c > 0 reaches it
+        with pytest.raises(InvalidHypothesis):
+            _attack_point(dist, u, rho)
+        return
+    x = _attack_point(dist, u, rho)
+    assert math.sqrt(whitened_sq(dist, x)) == pytest.approx(target, rel=1e-12)
+    assert np.allclose(x, bisect_attack_point(dist, u, rho), rtol=1e-12, atol=0.0)
+
+
+def test_chow_attack_featurizes_one_row(monkeypatch):
+    dist = gaussian_descriptor(5, 3, 0.1)
+    f = LTF(np.full(5, 1.0 / math.sqrt(5.0)), 0.2)
+    pts = dist.sample(2000, 3)
+    s = LabeledSampleSet(pts, f.evaluate(pts).astype(np.float64))
+    rows = []
+
+    def counting(basis, points):
+        rows.append(points.shape[0])
+        return eval_monomials_batch(basis, points)
+
+    monkeypatch.setattr(adversary, "eval_monomials_batch", counting)
+    corrupt(s, f, 0.1, AdversaryStrategy("chow_attack"), dist, 4)
+    assert rows == [1]
 
 
 def test_remove_informative_drops_largest_margins():

@@ -12,7 +12,8 @@ from robustchow.chowfilter import (BLOCK_ROWS, ChowEstimate, FilterParams,
                                    _threshold_cut, _top_eigenpair,
                                    chow_distance, empirical_chow, prune_mask,
                                    robust_chow)
-from robustchow.distributions import gaussian_descriptor, hypercube_descriptor
+from robustchow.distributions import (gaussian_descriptor, hypercube_descriptor,
+                                      log_concave_descriptor)
 from robustchow.errors import (AllPointsPruned, BasisMismatch,
                                DimensionMismatch, NoThresholdFound)
 from robustchow.ltf_learner import LTF
@@ -84,17 +85,18 @@ def test_chow_estimate_rejects_nonfinite():
     chi = np.zeros(dist.ell)
     chi[0] = float("nan")
     with pytest.raises(ValueError):
-        ChowEstimate(chi, dist.basis, dist.sigma, {})
+        ChowEstimate(chi, dist.basis, dist, {})
 
 
 def test_chow_estimate_json_roundtrip(tmp_path):
     dist = gaussian_descriptor(3, 1, 0.1)
     chi = np.array([0.1, ROOT_2_OVER_PI, 0.0, 0.0])
-    est = ChowEstimate(chi, dist.basis, dist.sigma, {"iterations": 2})
+    est = ChowEstimate(chi, dist.basis, dist, {"iterations": 2})
     data = est.to_json()
     assert data["n"] == 3 and data["d"] == 1
-    back = ChowEstimate.from_json(data, sigma=dist.sigma)
+    back = ChowEstimate.from_json(data, dist=dist)
     assert np.allclose(back.chi, chi)
+    assert back.dist is dist
     path = tmp_path / "est.json"
     est.dump(path)
     assert json.loads(path.read_text())["provenance"]["iterations"] == 2
@@ -467,16 +469,39 @@ def test_chow_distance_identity_sigma_is_euclidean():
     dist = hypercube_descriptor(3, 1, 0.1)
     chi_a = np.array([0.0, 0.3, 0.0, 0.0])
     chi_b = np.array([0.0, 0.0, 0.4, 0.0])
-    a = ChowEstimate(chi_a, dist.basis, dist.sigma, {})
-    b = ChowEstimate(chi_b, dist.basis, dist.sigma, {})
+    a = ChowEstimate(chi_a, dist.basis, dist, {})
+    b = ChowEstimate(chi_b, dist.basis, dist, {})
     assert chow_distance(a, b) == pytest.approx(0.5)  # sigma = identity
+
+
+def test_chow_distance_reuses_the_descriptor_whitener(monkeypatch):
+    dist, f, s = ltf_instance(n=4, m=2000)
+    ests = [empirical_chow(s.subset(np.arange(k, 2000)), dist) for k in (0, 500, 1000)]
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(a):
+        calls.append(a.shape)
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    dists = [chow_distance(ests[i], ests[j]) for i, j in ((0, 1), (1, 2), (0, 2))]
+    assert calls == [(dist.ell, dist.ell)]
+    assert min(dists) > 0.0
+    # a second descriptor with equal moments measures the same distance
+    other = empirical_chow(s.subset(np.arange(1000, 2000)), gaussian_descriptor(4, 1, 0.1))
+    assert chow_distance(ests[0], other) == pytest.approx(dists[2], rel=1e-12)
 
 
 def test_chow_distance_basis_mismatch():
     d1 = gaussian_descriptor(3, 1, 0.1)
     d2 = gaussian_descriptor(4, 1, 0.1)
-    a = ChowEstimate(np.zeros(d1.ell), d1.basis, d1.sigma, {})
-    b = ChowEstimate(np.zeros(d2.ell), d2.basis, d2.sigma, {})
+    a = ChowEstimate(np.zeros(d1.ell), d1.basis, d1, {})
+    b = ChowEstimate(np.zeros(d2.ell), d2.basis, d2, {})
     with pytest.raises(BasisMismatch):
         chow_distance(a, b)
-
+    # same basis, different moments
+    d3 = log_concave_descriptor(3, 1, 2.0 * d1.sigma, 0.0, 0.1)
+    c = ChowEstimate(np.zeros(d3.ell), d3.basis, d3, {})
+    with pytest.raises(BasisMismatch, match="moments"):
+        chow_distance(a, c)

@@ -6,7 +6,7 @@ import pytest
 
 from robustchow.adversary import LabeledSampleSet
 from robustchow.cli import main
-from robustchow.distributions import gaussian_descriptor
+from robustchow.distributions import gaussian_descriptor, gaussian_moment_matrix
 from robustchow.harness import ExperimentConfig, run_experiment
 from robustchow.ltf_learner import LTF
 
@@ -99,6 +99,48 @@ def test_chow_nan_in_samples_exits_2(tmp_path, capsys, family):
     assert main(["chow", "--config", str(cfg), "--samples", str(samples)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and "finite" in err and "NaN" in err and "sample index 4" in err
+
+
+def moments_csv(path, n, d):
+    """The exact Gaussian moment matrix, written as a log-concave moments file."""
+    np.savetxt(path, gaussian_moment_matrix(gaussian_descriptor(n, d, 0.0).basis),
+               delimiter=",")
+    return str(path)
+
+
+def test_chow_log_concave_config(tmp_path):
+    cfg = tmp_path / "dist.json"
+    samples = tmp_path / "data.csv"
+    out = tmp_path / "chow.json"
+    cfg.write_text(json.dumps({"family": "log-concave", "n": 3, "d": 1, "gamma": 0.0,
+                               "moments_file": moments_csv(tmp_path / "m.csv", 3, 1)}))
+    write_samples(samples)
+    assert main(["chow", "--config", str(cfg), "--samples", str(samples),
+                 "--eps", "0.05", "--out", str(out)]) == 0
+    chi = json.loads(out.read_text())["chi"]
+    assert chi[1] == pytest.approx(math.sqrt(2.0 / math.pi), abs=0.03)
+
+
+@pytest.mark.parametrize("dist,code", [
+    ({"family": "gaussian", "tail_constants": {"c": 0}}, 2),
+    ({"family": "gaussian", "tail_constants": {"c": -1}}, 2),
+    ({"family": "gaussian", "tail_constants": {"c": float("nan")}}, 2),
+    ({"family": "weibull"}, 2),
+    ({"family": "log-concave"}, 2),
+    # a legal but absurdly slow tail: the T_max crossing leaves the float range
+    ({"family": "log-concave", "tail_constants": {"c": 1e-300}, "moments": True}, 3),
+], ids=["c-zero", "c-negative", "c-nan", "unknown-family", "no-moments-file", "c-tiny"])
+def test_chow_distribution_config_errors(tmp_path, capsys, dist, code):
+    cfg = tmp_path / "dist.json"
+    samples = tmp_path / "data.csv"
+    entry = {"n": 3, "d": 2, **dist}
+    if entry.pop("moments", False):
+        entry["moments_file"] = moments_csv(tmp_path / "m.csv", 3, 2)
+    cfg.write_text(json.dumps(entry))
+    write_samples(samples)
+    assert main(["chow", "--config", str(cfg), "--samples", str(samples)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("config error:" if code == 2 else "learner failure: IntegralDiverges")
 
 
 def test_chow_gross_outliers_exit_3(tmp_path, capsys):

@@ -11,7 +11,7 @@ from robustchow.distributions import (EPS_FLOOR, compute_delta, compute_tmax,
                                       hypercube_descriptor,
                                       hypercube_moment_matrix,
                                       log_concave_descriptor, make_tail_bound)
-from robustchow.errors import NonMultilinearBasis, UnknownFamily
+from robustchow.errors import ConfigError, NonMultilinearBasis, UnknownFamily
 from robustchow.polybasis import enumerate_basis
 
 
@@ -85,8 +85,46 @@ def test_tmax_linear_paper_value():
 
 
 def test_tmax_hypercube_is_sqrt_ell():
-    q = make_tail_bound("hypercube-chaos", 1)
-    assert compute_tmax(q, 0.1, 16) == pytest.approx(4.0)
+    # pruning is off on the cube, so the descriptor pins T_max to sqrt(ell)
+    for n, d in ((15, 1), (4, 2), (6, 3)):
+        dist = hypercube_descriptor(n, d, 0.1)
+        assert dist.t_max == math.sqrt(dist.ell)
+
+
+def bisect_tmax(tail, eps, ell):
+    """Reference: doubling plus bisection to relative 1e-7 on the T_max
+    tail condition, as compute_tmax ran before its closed form."""
+    root_ell = math.sqrt(ell)
+    target = eps / (10.0 * ell)
+    scale = 2.0 * root_ell
+    if tail(root_ell / scale) <= target:
+        return root_ell
+    lo, hi = root_ell, 2.0 * root_ell
+    while tail(hi / scale) > target:
+        lo, hi = hi, hi * 2.0
+    while (hi - lo) > 1e-7 * hi:
+        mid = 0.5 * (lo + hi)
+        if tail(mid / scale) <= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("family", ["gaussian-chaos", "hypercube-chaos",
+                                    "log-concave-chaos"])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_tmax_closed_form_matches_bisection(family, d):
+    q = make_tail_bound(family, d)
+    for eps in (1e-4, 0.01, 0.05, 0.1, 0.5):
+        for ell in (2, 21, 455, 2024):
+            val = compute_tmax(q, eps, ell)
+            assert val == pytest.approx(bisect_tmax(q, eps, ell), rel=1e-7)
+            assert val >= math.sqrt(ell)
+            if val > math.sqrt(ell):
+                # the tail condition holds with equality at the crossing
+                target = eps / (10.0 * ell)
+                assert q(val / (2.0 * math.sqrt(ell))) == pytest.approx(target, rel=1e-12)
 
 
 def test_tmax_decreasing_in_eps():
@@ -207,5 +245,7 @@ def test_from_config_roundtrip_and_errors():
     assert d.n == 4
     h = from_config({"family": "hypercube", "n": 3, "d": 1}, 0.05)
     assert h.basis.multilinear
-    with pytest.raises(UnknownFamily):
+    with pytest.raises(ConfigError, match="family"):
         from_config({"family": "pareto", "n": 2, "d": 1}, 0.05)
+    with pytest.raises(ConfigError, match="moments_file"):
+        from_config({"family": "log-concave", "n": 2, "d": 1}, 0.05)

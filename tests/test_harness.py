@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import norm
 
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet
-from robustchow.chowfilter import empirical_chow
+from robustchow.chowfilter import ChowEstimate, chow_distance, empirical_chow
 from robustchow.distributions import gaussian_descriptor
 from robustchow.errors import ConfigError, OracleFailure
 from robustchow.harness import (
@@ -18,6 +18,7 @@ from robustchow.harness import (
     _pool_size,
     analytic_ltf_chow,
     make_corrupted_source,
+    run_cell,
     run_experiment,
     score,
     write_csv,
@@ -164,6 +165,31 @@ def test_analytic_ltf_chow_matches_empirical():
     plant = LTF(v, theta)
     emp = empirical_chow(LabeledSampleSet(pts, plant.evaluate(pts)), dist)
     assert np.abs(emp.chi - truth.chi).max() <= 0.01
+
+
+@pytest.mark.parametrize("n,d,theta", [(3, 2, 0.5), (3, 3, -0.7)])
+def test_analytic_ltf_chow_higher_degree_matches_empirical(n, d, theta):
+    dist = gaussian_descriptor(n, d, 0.0)
+    rng = np.random.default_rng(d)
+    v = rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    plant = LTF(v, theta)
+    # 1e6 points in four batches; whitened sampling noise is about sqrt(ell / 1e6)
+    chis = []
+    for seed in range(4):
+        pts = dist.sample(250_000, 100 + seed)
+        chis.append(empirical_chow(LabeledSampleSet(pts, plant.evaluate(pts)), dist).chi)
+    emp = ChowEstimate(np.mean(chis, axis=0), dist.basis, dist)
+    assert chow_distance(analytic_ltf_chow(v, theta, dist), emp) <= 0.01
+
+
+def test_run_cell_chow_error_at_degree_2():
+    cfg = base_config(n=4, d=2, m_train=200_000, plant={"theta": 0.5})
+    row, _ = run_cell(cfg, "none", 0.0, 0, 0)
+    assert row.chow_error < 0.02
+    # the Gaussian formula does not hold on the cube, so no error is reported
+    row, _ = run_cell(base_config(dist="hypercube"), "none", 0.0, 0, 0)
+    assert row.chow_error is None
 
 
 def test_make_corrupted_source_determinism_and_budget():

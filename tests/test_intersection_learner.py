@@ -11,6 +11,7 @@ from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import ChowEstimate, empirical_chow
 from robustchow.distributions import gaussian_descriptor
 from robustchow.errors import BasisMismatch, CoverTooLarge
+from robustchow.harness import make_corrupted_source
 from robustchow.intersection_learner import (
     COMBO_CAP,
     Cover,
@@ -33,6 +34,11 @@ def unit(n, i):
     v = np.zeros(n)
     v[i] = 1.0
     return v
+
+
+def clean_source(f, dist):
+    """Fresh uncorrupted batches labeled by f, for the tournament holdout."""
+    return make_corrupted_source(f, dist, 0.0, AdversaryStrategy("none"))
 
 
 def planted_pair_d2(n, theta):
@@ -387,7 +393,7 @@ def test_learn_intersection_k1_reduces_to_ltf():
     pts = dist.sample(60_000, 100)
     f = Intersection([LTF(unit(n, 0), 0.0)])
     out = learn_intersection(LabeledSampleSet(pts, f.evaluate(pts)), 1, 0.0,
-                             m_tournament=10_000, seed=1)
+                             source=clean_source(f, dist), m_tournament=10_000, seed=1)
     fresh = dist.sample(100_000, 101)
     dis = float(np.mean(out.evaluate(fresh) != f.evaluate(fresh)))
     assert dis <= 0.05
@@ -402,7 +408,8 @@ def test_learn_intersection_k2_planted_orthogonal():
     clean = LabeledSampleSet(pts, f.evaluate(pts))
     corr = corrupt(clean, f, eps, AdversaryStrategy("chow_attack"), dist, 201)
 
-    out = learn_intersection(corr, 2, eps, m_tournament=10_000, seed=2)
+    source = make_corrupted_source(f, dist, eps, AdversaryStrategy("chow_attack"))
+    out = learn_intersection(corr, 2, eps, source=source, m_tournament=10_000, seed=2)
     truth_span = np.column_stack([unit(n, 0), unit(n, 1)])
     angles = subspace_angles(out.subspace, truth_span)
     assert math.degrees(angles.max()) <= 15.0
@@ -421,7 +428,8 @@ def test_learn_intersection_delta_raising(monkeypatch):
     pts = dist.sample(40_000, 300)
     f = Intersection([LTF(unit(n, 0), 0.5), LTF(unit(n, 1), 0.5)])
     out = learn_intersection(LabeledSampleSet(pts, f.evaluate(pts)), 2, 0.0,
-                             delta_override=0.3, m_tournament=5_000, seed=3)
+                             source=clean_source(f, dist), delta_override=0.3,
+                             m_tournament=5_000, seed=3)
     assert isinstance(out, Intersection)
     assert out.k <= 2
 
@@ -434,7 +442,7 @@ def test_learn_intersection_provenance_records_escalation(monkeypatch):
     # the default delta gives a 1798-member grid; the cap forces coarsening
     monkeypatch.setattr(intersection_learner, "COMBO_CAP", 1_000)
     out = learn_intersection(LabeledSampleSet(pts, f.evaluate(pts)), 1, 0.0,
-                             m_tournament=5_000, seed=5)
+                             source=clean_source(f, dist), m_tournament=5_000, seed=5)
     prov = out.provenance
     assert set(prov) == {"subspace_dim", "delta", "delta_escalations", "grid_size",
                          "directions", "thresholds_per_direction", "winner_index",
@@ -454,7 +462,9 @@ def test_learn_intersection_constant_target():
     n = 4
     dist = gaussian_descriptor(n, 2, 0.0)
     pts = dist.sample(20_000, 400)
-    out = learn_intersection(LabeledSampleSet(pts, np.ones(20_000)), 1, 0.0, seed=4)
+    const = Intersection([LTF(unit(n, 0), 1e9)])  # labels every point +1
+    out = learn_intersection(LabeledSampleSet(pts, np.ones(20_000)), 1, 0.0,
+                             source=clean_source(const, dist), seed=4)
     assert out.subspace.shape == (n, 0)
     assert out.provenance == {"subspace_dim": 0}
     fresh = dist.sample(5_000, 401)

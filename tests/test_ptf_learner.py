@@ -20,7 +20,7 @@ ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 def sign_x1_chow(dist):
     chi = np.zeros(dist.ell)
     chi[1] = ROOT_2_OVER_PI
-    return ChowEstimate(chi, dist.basis, dist.sigma, {"analytic": True})
+    return ChowEstimate(chi, dist.basis, dist, {"analytic": True})
 
 
 def noiseless_oracle(dist, m=200_000, seed=999):
@@ -98,7 +98,7 @@ def test_reconstruct_zero_when_xi_huge():
     dist = gaussian_descriptor(3, 1, 0.01)
     target = sign_x1_chow(dist)
     norm_target = chow_distance(target,
-                                ChowEstimate(np.zeros(dist.ell), dist.basis, dist.sigma, {}))
+                                ChowEstimate(np.zeros(dist.ell), dist.basis, dist, {}))
     xi = 2 * norm_target / 4.0 + 0.05
     out = chow_reconstruct(target, dist, min(xi, 0.99), noiseless_oracle(dist))
     assert not np.any(out.q.coeffs)
