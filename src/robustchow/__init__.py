@@ -9,7 +9,8 @@ from .chowfilter import (ChowEstimate, FilterParams, chow_distance,
                          empirical_chow, prune_mask, robust_chow)
 from .distributions import (ReasonableDistribution, compute_delta,
                             compute_tmax, from_config, gaussian_descriptor,
-                            gaussian_moment_matrix, hypercube_descriptor,
+                            gaussian_moment_matrix, gaussian_monomial_map,
+                            hypercube_descriptor,
                             hypercube_moment_matrix, log_concave_descriptor,
                             make_tail_bound)
 from .errors import (AcceptanceTooLow, AllPointsPruned, BasisMismatch,
@@ -31,7 +32,7 @@ from .ltf_learner import (LTF, LTFConfig, RejectionParams, constant_ltf,
                           estimate_threshold, learn_ltf, recover_ab,
                           refine_extreme, refine_moderate, weak_learn_ltf)
 from .polybasis import (MonomialBasis, Polynomial, enumerate_basis,
-                        eval_monomials_batch)
+                        eval_hermite_batch, eval_monomials_batch)
 from .ptf_learner import (PBF, PTF, chow_reconstruct, default_xi, learn_ptf,
                           make_sampling_oracle)
 

@@ -1,10 +1,11 @@
 """Robust estimation of low-degree Chow parameters by iterative spectral
 filtering.
 
-Pipeline: prune points whose whitened monomial vector is extreme, then
-repeatedly find the polynomial direction of largest excess empirical second
-moment and cut its tail until the top eigenvalue falls below the break level;
-the Chow vector is the plain label-weighted monomial mean of the survivors.
+Pipeline: prune points whose feature vector in orthonormal coordinates is
+extreme, then repeatedly find the polynomial direction of largest excess
+empirical second moment and cut its tail until the top eigenvalue falls
+below the break level; the Chow vector is the label-weighted mean of the
+survivors' features, mapped back to monomial coordinates.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ EIGEN_TOL = 1e-8
 C_BREAK = 10.0
 # Filter passes before robust_chow stops and flags cap_reached.
 MAX_ITERATIONS = 200
-# Rows whitened and pruned at a time; bounds the whitened working set.
+# Rows pruned and summed at a time; bounds the pruned-copy working set.
 BLOCK_ROWS = 4096
 
 
@@ -126,25 +127,18 @@ def _top_eigenpair(m_mat: np.ndarray):
     return lam, v
 
 
-def prune_mask(phi: np.ndarray, z: np.ndarray, dist: ReasonableDistribution) -> np.ndarray:
-    """Boolean keep mask for the prune rule m(x)^T Sigma^+ m(x) < T_max^2 / 2.
+def prune_mask(h: np.ndarray, dist: ReasonableDistribution) -> np.ndarray:
+    """Boolean keep mask for the prune rule |h(x)|^2 < T_max^2 / 2.
 
-    phi holds the rows m(x) and z = phi @ Sigma^{-1/2} their whitened form.
-    Points with mass in Sigma's null directions are marked for removal too.
-    All-True for distributions that disable pruning (the hypercube). The
-    mask may be all False: robust_chow applies the rule a row block at a
-    time, and a block may hold nothing but outliers.
+    h holds rows in the descriptor's orthonormal coordinates, where the
+    squared row norm is m(x)^T Sigma^+ m(x). All-True for distributions
+    that disable pruning (the hypercube). The mask may be all False:
+    robust_chow applies the rule a row block at a time, and a block may
+    hold nothing but outliers.
     """
     if not dist.prune_enabled:
-        return np.ones(phi.shape[0], dtype=bool)
-    _, null_vectors = dist.whitener()
-    quad = np.einsum("ij,ij->i", z, z)
-    keep = quad < dist.t_max ** 2 / 2.0
-    if null_vectors.shape[1] > 0:
-        null_part = np.abs(phi @ null_vectors).max(axis=1)
-        scale = np.linalg.norm(phi, axis=1) + 1e-300
-        keep &= null_part <= 1e-8 * scale
-    return keep
+        return np.ones(h.shape[0], dtype=bool)
+    return np.einsum("ij,ij->i", h, h) < dist.t_max ** 2 / 2.0
 
 
 def _threshold_cut(scores: np.ndarray, dist: ReasonableDistribution, eps: float):
@@ -173,13 +167,14 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
                 params: FilterParams, *, features: Optional[np.ndarray] = None) -> ChowEstimate:
     """Prune, filter to fixpoint, and average y * m(x) over the survivors.
 
-    The rows m(x) are computed once. One pass over them in row blocks
-    whitens and prunes them and sums the survivors' Gram matrix and
-    label-weighted rows; no whitened copy of the sample is kept. Each filter
-    pass then takes the top eigenvector, scores the rows with one
-    matrix-vector product and subtracts the cut rows from both sums. A
-    caller that already holds the feature matrix passes it as `features`,
-    shape (m, ell).
+    The rows h(x) in the descriptor's orthonormal coordinates
+    (`dist.featurize`) are computed once. One pass over them in row blocks
+    prunes them and sums the survivors' Gram matrix and label-weighted
+    rows; no copy of the sample is kept. Each filter pass then takes the
+    top eigenvector, scores the rows with one matrix-vector product and
+    subtracts the cut rows from both sums. The label-weighted mean maps
+    back to monomial coordinates through `dist.monomial_map()`. A caller
+    that already holds the rows passes them as `features`, shape (m, ell).
     """
     floor = max(50, 2 * dist.ell)
     if len(corrupted) < floor:
@@ -188,28 +183,25 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
         raise ValueError("sample points must be finite")
     m_in = len(corrupted)
     if features is None:
-        phi = eval_monomials_batch(dist.basis, corrupted.points)
+        h = dist.featurize(corrupted.points)
     elif features.shape != (m_in, dist.ell):
         raise DimensionMismatch(
             f"features have shape {features.shape}, expected ({m_in}, {dist.ell})")
     else:
-        phi = features
-    isqrt, _ = dist.whitener()
-    # Survivor sums of z^T z (z = m(x) Sigma^{-1/2}) and y m(x). Pruned rows
-    # never enter them (their monomials may have overflowed); cut rows
-    # leave by subtraction.
+        h = features
+    # Survivor sums of h^T h and y h. Pruned rows never enter them (their
+    # features may have overflowed); cut rows leave by subtraction.
     alive = np.empty(m_in, dtype=bool)
     gram = np.zeros((dist.ell, dist.ell))
     label_sum = np.zeros(dist.ell)
     for lo in range(0, m_in, BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
-        phi_b, y_b = phi[rows], corrupted.labels[rows]
-        z_b = phi_b @ isqrt
-        keep = alive[rows] = prune_mask(phi_b, z_b, dist)
+        h_b, y_b = h[rows], corrupted.labels[rows]
+        keep = alive[rows] = prune_mask(h_b, dist)
         if not keep.all():
-            phi_b, y_b, z_b = phi_b[keep], y_b[keep], z_b[keep]
-        gram += z_b.T @ z_b
-        label_sum += y_b @ phi_b
+            h_b, y_b = h_b[keep], y_b[keep]
+        gram += h_b.T @ h_b
+        label_sum += y_b @ h_b
     m_cur = int(alive.sum())
     if m_cur == 0:
         raise AllPointsPruned("every sample exceeded the prune radius; "
@@ -235,7 +227,7 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
         # exactly; BLAS gemv may round its last rows differently and split
         # a cluster of identical outliers at the cut.
         idx = np.nonzero(alive)[0]
-        scores = np.abs(np.einsum("ij,j->i", phi, isqrt @ v_star))[idx]
+        scores = np.abs(np.einsum("ij,j->i", h, v_star))[idx]
         try:
             _, keep = _threshold_cut(scores, dist, params.eps)
         except NoThresholdFound:
@@ -247,12 +239,11 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
         m_cur -= gone.size
         if m_cur == 0:
             raise AllPointsPruned("filter removed every sample")
-        phi_gone = phi[gone]
-        z_gone = phi_gone @ isqrt
-        gram -= z_gone.T @ z_gone
-        label_sum -= corrupted.labels[gone] @ phi_gone
+        h_gone = h[gone]
+        gram -= h_gone.T @ h_gone
+        label_sum -= corrupted.labels[gone] @ h_gone
 
-    chi = label_sum / m_cur
+    chi = dist.monomial_map() @ (label_sum / m_cur)
     provenance = {
         "samples_in": m_in,
         "pruned": n_pruned,

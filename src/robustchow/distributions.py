@@ -25,7 +25,8 @@ from .errors import (
     NotPSD,
     UnknownFamily,
 )
-from .polybasis import MonomialBasis, enumerate_basis
+from .polybasis import (MonomialBasis, enumerate_basis, eval_hermite_batch,
+                        eval_monomials_batch)
 
 EPS_FLOOR = 1e-4
 # Eigenvalues below this fraction of the largest are treated as null directions.
@@ -135,18 +136,44 @@ def _double_factorial_table(max_power: int) -> np.ndarray:
     return table
 
 
-def gaussian_moment_matrix(basis: MonomialBasis) -> np.ndarray:
-    """E[m_i(X) m_j(X)] for X ~ N(0, I), via per-coordinate double factorials."""
+def _coordinatewise_products(basis: MonomialBasis, table: np.ndarray) -> np.ndarray:
+    """out[i, j] = prod_t table[a^i_t, a^j_t] over the basis multi-indices:
+    E[u_i(X) w_j(X)] for a product law when u and w are products of
+    per-coordinate factors and table[a, b] is the one-coordinate
+    expectation of their degree-a and degree-b factors."""
     exps = basis.exponents
-    table = _double_factorial_table(2 * int(exps.max()) if basis.ell > 1 else 0)
     ell, n = exps.shape
     out = np.empty((ell, ell), dtype=np.float64)
     chunk = max(1, 4_000_000 // max(1, ell * n))
     for start in range(0, ell, chunk):
         rows = exps[start:start + chunk]              # (r, n)
-        sums = rows[:, None, :] + exps[None, :, :]    # (r, ell, n)
-        out[start:start + chunk] = table[sums].prod(axis=2)
+        out[start:start + chunk] = table[rows[:, None, :], exps[None, :, :]].prod(axis=2)
     return out
+
+
+def gaussian_moment_matrix(basis: MonomialBasis) -> np.ndarray:
+    """E[m_i(X) m_j(X)] for X ~ N(0, I), via per-coordinate double factorials."""
+    top = np.arange(int(basis.exponents.max()) + 1)
+    dfact = _double_factorial_table(2 * int(top[-1]))
+    return _coordinatewise_products(basis, dfact[top[:, None] + top[None, :]])
+
+
+def gaussian_monomial_map(basis: MonomialBasis) -> np.ndarray:
+    """C = E[m(X) h(X)^T] for X ~ N(0, I), so that m(x) = C h(x) with h the
+    normalized Hermite products of `eval_hermite_batch`.
+
+    Per coordinate x^a = sum_k a! / (k! 2^k (a - 2k)!) He_{a-2k}(x), so
+    E[x^a He_b(x) / sqrt(b!)] = a! / (k! 2^k sqrt(b!)) when a - b = 2k >= 0
+    and 0 otherwise.
+    """
+    top = int(basis.exponents.max())
+    table = np.zeros((top + 1, top + 1))
+    for a in range(top + 1):
+        for b in range(a % 2, a + 1, 2):
+            k = (a - b) // 2
+            table[a, b] = math.factorial(a) / (
+                math.factorial(k) * 2 ** k * math.sqrt(math.factorial(b)))
+    return _coordinatewise_products(basis, table)
 
 
 def hypercube_moment_matrix(basis: MonomialBasis) -> np.ndarray:
@@ -163,6 +190,12 @@ class ReasonableDistribution:
     Bundles the basis, the (approximate) moment matrix Sigma with relative
     error gamma, the tail bound, and the derived constants delta and T_max
     for the working rate eps_ref.
+
+    The filter works in orthonormal coordinates h(x), with m(x) = C h(x)
+    for the monomial vector m(x) and E[h h^T] = I. `coords` names them:
+    "hermite" (normalized Hermite products, the Gaussian), "monomial" (the
+    basis itself, already orthonormal on the hypercube) or "whitened"
+    (m(x) Sigma^{-1/2}, for a moment table).
     """
 
     name: str
@@ -176,8 +209,10 @@ class ReasonableDistribution:
     t_max: float
     prune_enabled: bool
     eps_ref: float
+    coords: str
     sampler: Optional[Callable] = None  # (count, Generator) -> (count, n) array
     _whitener: Optional[tuple] = field(default=None, repr=False, compare=False)
+    _monomial_map: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def ell(self) -> int:
@@ -203,6 +238,44 @@ class ReasonableDistribution:
             self._whitener = (isqrt, v[:, null])
         return self._whitener
 
+    def featurize(self, points) -> np.ndarray:
+        """The rows h(x) of an (m, n) array of points, (m, ell).
+
+        In whitened coordinates a point whose monomials have mass in
+        Sigma's null directions gets the row T_max * e_0 instead: finite,
+        and beyond the prune radius T_max / sqrt(2), so the filter drops it.
+        """
+        if self.coords == "hermite":
+            return eval_hermite_batch(self.basis, points)
+        phi = eval_monomials_batch(self.basis, points)
+        if self.coords == "monomial":
+            return phi
+        isqrt, null_vectors = self.whitener()
+        z = phi @ isqrt
+        if null_vectors.shape[1] > 0:
+            null_part = np.abs(phi @ null_vectors).max(axis=1)
+            scale = np.linalg.norm(phi, axis=1) + 1e-300
+            off = ~(null_part <= 1e-8 * scale)  # overflowed (NaN) rows too
+            z[off] = 0.0
+            z[off, 0] = self.t_max
+        return z
+
+    def monomial_map(self) -> np.ndarray:
+        """C with m(x) = C h(x) for the rows h of `featurize`, cached.
+
+        Closed form for the Gaussian, the identity on the hypercube and
+        Sigma^{1/2} = Sigma Sigma^{-1/2} for a moment table (on Sigma's
+        range, where every unpruned row lies).
+        """
+        if self._monomial_map is None:
+            if self.coords == "hermite":
+                self._monomial_map = gaussian_monomial_map(self.basis)
+            elif self.coords == "monomial":
+                self._monomial_map = np.eye(self.ell)
+            else:
+                self._monomial_map = self.sigma @ self.whitener()[0]
+        return self._monomial_map
+
 
 def _check_reasonable(dist: ReasonableDistribution, eps_eff: float):
     ell = dist.ell
@@ -225,7 +298,7 @@ def gaussian_descriptor(n: int, d: int, eps: float,
         sigma=gaussian_moment_matrix(basis), gamma=0.0, tail=tail,
         delta=compute_delta(tail, eps_eff),
         t_max=compute_tmax(tail, eps_eff, basis.ell),
-        prune_enabled=True, eps_ref=eps,
+        prune_enabled=True, eps_ref=eps, coords="hermite",
         sampler=lambda count, rng: rng.standard_normal((count, n)),
     )
     _check_reasonable(dist, eps_eff)
@@ -243,7 +316,7 @@ def hypercube_descriptor(n: int, d: int, eps: float,
         sigma=np.eye(basis.ell), gamma=0.0, tail=tail,
         delta=compute_delta(tail, eps_eff),
         t_max=math.sqrt(basis.ell),
-        prune_enabled=False, eps_ref=eps,
+        prune_enabled=False, eps_ref=eps, coords="monomial",
         sampler=lambda count, rng: (2.0 * rng.integers(0, 2, size=(count, n)) - 1.0),
     )
     if dist.delta <= 0:
@@ -270,13 +343,15 @@ def log_concave_descriptor(n: int, d: int, moment_table: np.ndarray, gamma: floa
     w = np.linalg.eigvalsh(0.5 * (M + M.T))
     if w.min() < -1e-10 * max(w.max(), 1.0):
         raise NotPSD(f"moment table has negative eigenvalue {w.min()}")
+    if w.max() <= 0.0:
+        raise NotPSD("moment table has no positive eigenvalue")
     tail = make_tail_bound("log-concave-chaos", d, c=tail_c)
     dist = ReasonableDistribution(
         name=name, n=n, d=d, basis=basis,
         sigma=0.5 * (M + M.T), gamma=float(gamma), tail=tail,
         delta=compute_delta(tail, eps_eff),
         t_max=compute_tmax(tail, eps_eff, basis.ell),
-        prune_enabled=True, eps_ref=eps, sampler=sampler,
+        prune_enabled=True, eps_ref=eps, coords="whitened", sampler=sampler,
     )
     _check_reasonable(dist, eps_eff)
     return dist
@@ -313,6 +388,9 @@ def from_config(cfg: dict, eps: float) -> ReasonableDistribution:
         if not path:
             raise ConfigError("moments_file: a log-concave config requires one")
         moments = np.loadtxt(path, delimiter=",", ndmin=2)
-        return log_concave_descriptor(n, d, moments, float(cfg.get("gamma", 0.0)),
-                                      eps, tail_c=tail_c)
+        try:
+            return log_concave_descriptor(n, d, moments, float(cfg.get("gamma", 0.0)),
+                                          eps, tail_c=tail_c)
+        except NotPSD as exc:
+            raise ConfigError(f"moments_file: {exc}") from exc
     raise ConfigError(f"family: must be gaussian, hypercube or log-concave, got {family!r}")

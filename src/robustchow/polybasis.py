@@ -10,6 +10,7 @@ vector, and moment matrix in the package is indexed by this ordering.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -46,10 +47,11 @@ class MonomialBasis:
     multilinear: bool = False
     _index: dict = field(default_factory=dict, repr=False, compare=False)
     # Featurization plan, one (lo, hi, parents, factors) entry per degree
-    # block exponents[lo:hi]: monomial i is monomial parents[i - lo] times
-    # power-table row factors[i - lo]. The parent drops the last variable
-    # with a nonzero exponent, so m_i = (...(x_j1^p1 * x_j2^p2) ...) * x_jk^pk
-    # is built in the same left-to-right order as a per-variable product.
+    # block exponents[lo:hi]: element i is element parents[i - lo] times
+    # factor-table row factors[i - lo] (x_j^p, or He_p(x_j) / sqrt(p!)). The
+    # parent drops the last variable with a nonzero exponent, so
+    # m_i = (...(x_j1^p1 * x_j2^p2) ...) * x_jk^pk is built in the same
+    # left-to-right order as a per-variable product.
     plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -124,13 +126,33 @@ def enumerate_basis(n: int, d: int, multilinear: bool = False) -> MonomialBasis:
     return MonomialBasis(n=n, d=d, exponents=exps, multilinear=multilinear)
 
 
-def eval_monomials_batch(basis: MonomialBasis, points) -> np.ndarray:
-    """Evaluate the basis on an (m, n) array of points, returning (m, ell).
+def _power_table(pw, n, max_exp):
+    """pw[(p - 1) * n + j] = x_j ** p, by repeated multiplication."""
+    for p in range(1, max_exp):
+        np.multiply(pw[(p - 1) * n:p * n], pw[:n], out=pw[p * n:(p + 1) * n])
 
-    Rows are processed in tiles. Each tile gets a table of coordinate powers
-    and then one multiply per monomial: its parent's values times one power
-    (see MonomialBasis.plan), filled a degree block at a time into an
-    (ell, tile) buffer that is copied into the C-ordered output.
+
+def _hermite_table(pw, n, max_exp):
+    """pw[(p - 1) * n + j] = He_p(x_j) / sqrt(p!), by the three-term
+    recurrence h_{p+1} = (x h_p - sqrt(p) h_{p-1}) / sqrt(p + 1)."""
+    x = pw[:n]
+    for p in range(1, max_exp):
+        nxt = pw[p * n:(p + 1) * n]
+        np.multiply(x, pw[(p - 1) * n:p * n], out=nxt)
+        nxt -= 1.0 if p == 1 else math.sqrt(p) * pw[(p - 2) * n:(p - 1) * n]
+        nxt /= math.sqrt(p + 1)
+
+
+def _featurize(basis: MonomialBasis, points, fill_table) -> np.ndarray:
+    """Evaluate the products of per-variable factors that the basis plan
+    names on an (m, n) array of points, returning (m, ell).
+
+    Rows are processed in tiles. Each tile gets a table of per-variable
+    factors (row (p - 1) * n + j holds the degree-p factor of x_j, filled by
+    fill_table from row p = 1, which holds x itself) and then one multiply
+    per basis element: its parent's values times one table row (see
+    MonomialBasis.plan), filled a degree block at a time into an (ell, tile)
+    buffer that is copied into the C-ordered output.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != basis.n:
@@ -140,19 +162,29 @@ def eval_monomials_batch(basis: MonomialBasis, points) -> np.ndarray:
     tile = max(1, min(TILE_ROWS, TILE_ENTRIES // basis.ell))
     max_exp = int(basis.exponents.max())
     buf = np.empty((basis.ell, min(m, tile)), dtype=np.float64)
-    # powers[(p - 1) * n + j] = x_j ** p, built by repeated multiplication
-    powers = np.empty((max_exp * n, buf.shape[1]), dtype=np.float64)
+    table = np.empty((max_exp * n, buf.shape[1]), dtype=np.float64)
     buf[0] = 1.0
     for r0 in range(0, m, tile):
         rows = min(tile, m - r0)
-        pw, vals = powers[:, :rows], buf[:, :rows]
-        pw[:n] = pts[r0:r0 + rows].T
-        for p in range(1, max_exp):
-            np.multiply(pw[(p - 1) * n:p * n], pw[:n], out=pw[p * n:(p + 1) * n])
+        tab, vals = table[:, :rows], buf[:, :rows]
+        tab[:n] = pts[r0:r0 + rows].T
+        fill_table(tab, n, max_exp)
         for lo, hi, parents, factors in basis.plan:
-            np.multiply(vals[parents], pw[factors], out=vals[lo:hi])
+            np.multiply(vals[parents], tab[factors], out=vals[lo:hi])
         out[r0:r0 + rows] = vals.T
     return out
+
+
+def eval_monomials_batch(basis: MonomialBasis, points) -> np.ndarray:
+    """The monomials m(x) on an (m, n) array of points, (m, ell)."""
+    return _featurize(basis, points, _power_table)
+
+
+def eval_hermite_batch(basis: MonomialBasis, points) -> np.ndarray:
+    """The normalized Hermite products h_a(x) = prod_j He_{a_j}(x_j) /
+    sqrt(a_j!), one per multi-index of the basis, on an (m, n) array of
+    points, (m, ell). They are orthonormal under N(0, I)."""
+    return _featurize(basis, points, _hermite_table)
 
 
 @dataclass

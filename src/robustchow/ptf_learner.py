@@ -20,7 +20,7 @@ from .adversary import AdversaryStrategy, LabeledSampleSet, corrupt
 from .chowfilter import ChowEstimate, FilterParams, robust_chow
 from .distributions import EPS_FLOOR, ReasonableDistribution
 from .errors import ConfigError
-from .polybasis import Polynomial, eval_monomials_batch
+from .polybasis import Polynomial
 
 C_STOP_DEFAULT = 4.0
 
@@ -169,16 +169,17 @@ def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
         draw_seed = stream.integers(0, 2 ** 63)
         adv_seed = stream.integers(0, 2 ** 63)
         pts = dist.sample(m_per_call, draw_seed)
-        phi = eval_monomials_batch(dist.basis, pts)
-        clean = LabeledSampleSet(pts, np.clip(phi @ pbf.q.coeffs, -1.0, 1.0))
+        h = dist.featurize(pts)
+        # q(x) = q . m(x) = (C^T q) . h(x) with m(x) = C h(x)
+        weights = dist.monomial_map().T @ pbf.q.coeffs
+        clean = LabeledSampleSet(pts, np.clip(h @ weights, -1.0, 1.0))
         moved = corrupt(clean, pbf, eps, strategy, dist, adv_seed)
         touched = moved.corrupted_mask
         if touched.any():
-            phi[touched] = eval_monomials_batch(dist.basis, moved.points[touched])
+            h[touched] = dist.featurize(moved.points[touched])
         # the learner labels whatever points it is handed
-        relabeled = LabeledSampleSet(moved.points, np.clip(phi @ pbf.q.coeffs, -1.0, 1.0),
-                                     touched)
-        return robust_chow(relabeled, dist, FilterParams(eps=eps), features=phi)
+        relabeled = LabeledSampleSet(moved.points, np.clip(h @ weights, -1.0, 1.0), touched)
+        return robust_chow(relabeled, dist, FilterParams(eps=eps), features=h)
 
     return oracle
 

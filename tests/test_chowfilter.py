@@ -32,9 +32,8 @@ def ltf_instance(n=10, m=20_000, theta=0.0, eps=0.1, seed=0):
 
 
 def prune_keep(s, dist):
-    """The prune rule's keep mask on a sample set, featurized and whitened."""
-    phi = eval_monomials_batch(dist.basis, s.points)
-    return prune_mask(phi, phi @ dist.whitener()[0], dist)
+    """The prune rule's keep mask on a sample set, featurized by the descriptor."""
+    return prune_mask(dist.featurize(s.points), dist)
 
 
 def two_cluster_attack(n=6, m=10_000, seed=0):
@@ -45,11 +44,16 @@ def two_cluster_attack(n=6, m=10_000, seed=0):
 
 
 def dense_filter(s, dist, params):
-    """The filter without row blocks or downdates: whiten the whole sample,
-    rebuild the survivors' Gram matrix every pass, average a survivor copy."""
+    """The filter without row blocks, downdates or orthonormal featurizers:
+    whiten the whole monomial matrix, prune rows that are extreme or have
+    mass in Sigma's null directions, rebuild the survivors' Gram matrix
+    every pass, average a survivor copy of the monomial rows."""
     phi = eval_monomials_batch(dist.basis, s.points)
-    z = phi @ dist.whitener()[0]
-    alive = prune_mask(phi, z, dist)
+    isqrt, null_vectors = dist.whitener()
+    z = phi @ isqrt
+    alive = prune_mask(z, dist)
+    if null_vectors.shape[1] > 0:
+        alive &= np.abs(phi @ null_vectors).max(axis=1) <= 1e-8 * np.linalg.norm(phi, axis=1)
     break_level = chowfilter.C_BREAK * (dist.gamma + dist.delta + params.eps)
     while True:
         z_alive = z[alive]
@@ -62,6 +66,8 @@ def dense_filter(s, dist, params):
 
 
 def assert_matches_dense(s, dist, params):
+    """Same survivors as the dense whitened-monomial reference, and chi
+    within 1e-12 of its monomial mean."""
     est = robust_chow(s, dist, params)
     alive, chi = dense_filter(s, dist, params)
     assert np.array_equal(est.keep_mask, alive)
@@ -188,8 +194,8 @@ def test_downdated_gram_matches_rebuilt(monkeypatch):
     monkeypatch.setattr(chowfilter, "_top_eigenpair", spy)
     est = robust_chow(bad, dist, FilterParams(eps=0.1))
     assert est.provenance["iterations"] == len(seen) >= 3  # two cuts, then converged
-    z = eval_monomials_batch(dist.basis, bad.points[est.keep_mask]) @ dist.whitener()[0]
-    rebuilt = z.T @ z
+    h = dist.featurize(bad.points[est.keep_mask])
+    rebuilt = h.T @ h
     downdated = seen[-1] * est.provenance["used"]
     assert np.abs(downdated - rebuilt).max() <= 1e-12 * np.abs(rebuilt).max()
 
@@ -238,6 +244,45 @@ def test_identical_points_share_one_decision():
         pts[-1], labels[-1] = pts[first], labels[first]
         est = robust_chow(LabeledSampleSet(pts, labels), dist, FilterParams(eps=0.1))
         assert not est.keep_mask[np.all(pts == pts[first], axis=1)].any()
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_gaussian_hermite_filter_matches_dense_whitened_filter(d):
+    # Hermite rows are a rotation of the whitened monomial rows: same
+    # prune, same spectrum, same |scores|, so the same survivors
+    dist = gaussian_descriptor(5, d, 0.1)
+    pts = dist.sample(BLOCK_ROWS + 700, 10 + d)
+    f = LTF(np.r_[1.0, np.zeros(4)], 0.3)
+    s = LabeledSampleSet(pts, f.evaluate(pts).astype(np.float64))
+    bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack", rho=0.9), dist, 20 + d)
+    far = bad.points.copy()
+    far[:3] = 50.0  # beyond the prune radius at every degree
+    est = assert_matches_dense(LabeledSampleSet(far, bad.labels), dist, FilterParams(eps=0.1))
+    assert est.provenance["pruned"] == 3 and est.provenance["filtered"] > 0
+
+
+def test_null_direction_rows_are_pruned():
+    # Gaussian moments with every x_2 monomial zeroed: the law of
+    # (x_1, 0, x_3). Rows with x_2 != 0 have mass in Sigma's null space.
+    gauss = gaussian_descriptor(3, 2, 0.1)
+    on_x2 = gauss.basis.exponents[:, 1] > 0
+    table = gauss.sigma.copy()
+    table[on_x2] = 0.0
+    table[:, on_x2] = 0.0
+    dist = log_concave_descriptor(3, 2, table, 0.0, 0.1)
+    assert dist.whitener()[1].shape[1] == int(on_x2.sum())
+    pts = gauss.sample(3000, 7)
+    pts[:, 1] = 0.0
+    stray = np.arange(0, 3000, 100)
+    pts[stray, 1] = 0.01
+    s = LabeledSampleSet(pts, np.where(pts[:, 0] >= 0.2, 1.0, -1.0))
+    h = dist.featurize(pts)
+    assert np.all(np.isfinite(h))
+    assert np.allclose(np.linalg.norm(h[stray], axis=1), dist.t_max)
+    assert not prune_keep(s, dist)[stray].any()
+    est = assert_matches_dense(s, dist, FilterParams(eps=0.1))
+    assert est.provenance["pruned"] == stray.size
+    assert not est.keep_mask[stray].any() and est.keep_mask.sum() == 3000 - stray.size
 
 
 def test_hypercube_blocks_match_dense_filter():
@@ -414,27 +459,27 @@ def test_filter_stops_at_iteration_cap(monkeypatch):
 def test_robust_chow_features_match_featurizing():
     dist, f, s = ltf_instance(n=6, m=8000, seed=2)
     bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack"), dist, 3)
-    phi = eval_monomials_batch(dist.basis, bad.points)
+    h = dist.featurize(bad.points)
     a = robust_chow(bad, dist, FilterParams(eps=0.1))
-    b = robust_chow(bad, dist, FilterParams(eps=0.1), features=phi)
+    b = robust_chow(bad, dist, FilterParams(eps=0.1), features=h)
     assert np.array_equal(a.chi, b.chi)
     assert np.array_equal(a.keep_mask, b.keep_mask)
     with pytest.raises(DimensionMismatch):
-        robust_chow(bad, dist, FilterParams(eps=0.1), features=phi[:-1])
+        robust_chow(bad, dist, FilterParams(eps=0.1), features=h[:-1])
 
 
 def test_robust_chow_featurizes_once(monkeypatch):
     dist, f, s = ltf_instance(n=6, m=8000, seed=5)
     bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack"), dist, 6)
     rows = []
-    real = chowfilter.eval_monomials_batch
+    real = dist.featurize
 
-    def counted(basis, points):
-        out = real(basis, points)
+    def counted(points):
+        out = real(points)
         rows.append(out.shape[0])
         return out
 
-    monkeypatch.setattr(chowfilter, "eval_monomials_batch", counted)
+    monkeypatch.setattr(dist, "featurize", counted)
     est = robust_chow(bad, dist, FilterParams(eps=0.1))
     assert est.provenance["iterations"] >= 2  # pruning and several passes, one featurization
     assert rows == [8000]

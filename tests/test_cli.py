@@ -121,6 +121,20 @@ def test_chow_log_concave_config(tmp_path):
     assert chi[1] == pytest.approx(math.sqrt(2.0 / math.pi), abs=0.03)
 
 
+def test_chow_bad_moment_table_exits_2(tmp_path, capsys):
+    # n=3, d=1 has ell=4, so a 3x3 table is the wrong shape: a config error
+    cfg = tmp_path / "dist.json"
+    samples = tmp_path / "data.csv"
+    table = tmp_path / "m.csv"
+    np.savetxt(table, np.eye(3), delimiter=",")
+    cfg.write_text(json.dumps({"family": "log-concave", "n": 3, "d": 1,
+                               "moments_file": str(table)}))
+    write_samples(samples, m=2000)
+    assert main(["chow", "--config", str(cfg), "--samples", str(samples)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: moments_file") and "(3, 3)" in err
+
+
 @pytest.mark.parametrize("dist,code", [
     ({"family": "gaussian", "tail_constants": {"c": 0}}, 2),
     ({"family": "gaussian", "tail_constants": {"c": -1}}, 2),

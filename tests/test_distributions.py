@@ -8,11 +8,13 @@ from scipy.stats import norm
 from robustchow.distributions import (EPS_FLOOR, compute_delta, compute_tmax,
                                       from_config, gaussian_descriptor,
                                       gaussian_moment_matrix,
+                                      gaussian_monomial_map,
                                       hypercube_descriptor,
                                       hypercube_moment_matrix,
                                       log_concave_descriptor, make_tail_bound)
 from robustchow.errors import ConfigError, NonMultilinearBasis, UnknownFamily
-from robustchow.polybasis import enumerate_basis
+from robustchow.polybasis import (enumerate_basis, eval_hermite_batch,
+                                  eval_monomials_batch)
 
 
 # --- tail bounds ---------------------------------------------------------
@@ -198,7 +200,6 @@ def test_descriptor_eps_zero_uses_floor():
 def test_descriptor_sampling_moments_match():
     d = gaussian_descriptor(3, 2, 0.05)
     pts = d.sample(200_000, 123)
-    from robustchow.polybasis import eval_monomials_batch
     phi = eval_monomials_batch(d.basis, pts)
     emp = phi.T @ phi / len(pts)
     assert np.max(np.abs(emp - d.sigma)) < 0.15  # loose MC check
@@ -226,6 +227,40 @@ def test_whitener_pseudoinverse():
     assert np.allclose(isqrt @ d.sigma @ isqrt, np.eye(d.ell), atol=1e-8)
 
 
+@pytest.mark.parametrize("n,d", [(1, 1), (1, 5), (2, 3), (4, 2), (3, 4), (12, 3)])
+def test_gaussian_monomial_map_factors_the_moment_matrix(n, d):
+    b = enumerate_basis(n, d)
+    c = gaussian_monomial_map(b)
+    assert np.allclose(c @ c.T, gaussian_moment_matrix(b), rtol=1e-12, atol=0)
+    # graded: a monomial has no Hermite component of higher degree
+    degree = b.exponents.sum(axis=1)
+    assert not np.any(c[degree[:, None] < degree[None, :]])
+
+
+@pytest.mark.parametrize("n,d", [(1, 5), (3, 3), (5, 2)])
+def test_hermite_rows_map_to_monomial_rows(n, d):
+    b = enumerate_basis(n, d)
+    pts = np.random.default_rng(n + d).standard_normal((300, n)) * 1.5
+    mono = eval_monomials_batch(b, pts)
+    mapped = eval_hermite_batch(b, pts) @ gaussian_monomial_map(b).T
+    assert np.allclose(mapped, mono, rtol=1e-12, atol=1e-12 * np.abs(mono).max())
+
+
+def test_descriptor_featurizers_and_maps():
+    g = gaussian_descriptor(3, 2, 0.05)
+    pts = g.sample(5, 0)
+    assert g.coords == "hermite"
+    assert np.array_equal(g.featurize(pts), eval_hermite_batch(g.basis, pts))
+    assert g.monomial_map() is g.monomial_map()  # built once, on first use
+    h = hypercube_descriptor(4, 2, 0.05)
+    cube = h.sample(5, 0)
+    assert np.array_equal(h.featurize(cube), eval_monomials_batch(h.basis, cube))
+    assert np.array_equal(h.monomial_map(), np.eye(h.ell))
+    lc = log_concave_descriptor(3, 2, g.sigma, 0.0, 0.05)
+    assert np.allclose(lc.featurize(pts), eval_monomials_batch(g.basis, pts) @ lc.whitener()[0])
+    assert np.allclose(lc.monomial_map() @ lc.monomial_map().T, g.sigma, atol=1e-12)
+
+
 def test_log_concave_descriptor_builds():
     b = enumerate_basis(3, 1)
     table = gaussian_moment_matrix(b)
@@ -249,3 +284,14 @@ def test_from_config_roundtrip_and_errors():
         from_config({"family": "pareto", "n": 2, "d": 1}, 0.05)
     with pytest.raises(ConfigError, match="moments_file"):
         from_config({"family": "log-concave", "n": 2, "d": 1}, 0.05)
+
+
+@pytest.mark.parametrize("table", [np.eye(3), np.triu(np.ones((4, 4))), -np.eye(4),
+                                   np.zeros((4, 4))],
+                         ids=["wrong-shape", "asymmetric", "not-psd", "zero"])
+def test_from_config_bad_moment_table_is_config_error(tmp_path, table):
+    path = tmp_path / "m.csv"
+    np.savetxt(path, table, delimiter=",")
+    with pytest.raises(ConfigError, match="moments_file"):
+        from_config({"family": "log-concave", "n": 3, "d": 1,
+                     "moments_file": str(path)}, 0.05)

@@ -2,7 +2,7 @@
 
 perfbench binds learner entry points, config fields and traced function
 names by name, so a signature change in src/ can break it without failing
-any unit test. One traced round of two workloads catches that: --trace 1
+any unit test. One traced round of each workload catches that: --trace 1
 wraps every layer listed in perfbench/layers.py.
 """
 
@@ -16,7 +16,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["ltf-localize", "intersection-k2"])
+@pytest.mark.parametrize("workload", ["chow-d3", "ptf-d2", "ltf-localize", "intersection-k2"])
 def test_perfbench_traced_round(workload):
     proc = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,

@@ -7,7 +7,7 @@ import pytest
 from robustchow.errors import DimensionMismatch, SizeCapExceeded
 from robustchow.polybasis import (TILE_ENTRIES, TILE_ROWS, MonomialBasis,
                                   Polynomial, enumerate_basis,
-                                  eval_monomials_batch)
+                                  eval_hermite_batch, eval_monomials_batch)
 
 
 def test_enumerate_n2_d1_exact_order():
@@ -108,6 +108,30 @@ def test_eval_monomials_zero_and_negative():
     assert eval_monomials_batch(b, np.zeros((1, 2))).tolist() == [[1, 0, 0, 0, 0, 0]]
     b1 = enumerate_basis(1, 2)
     assert eval_monomials_batch(b1, np.array([[-1.0]])).tolist() == [[1.0, -1.0, 1.0]]
+
+
+def test_eval_hermite_example():
+    # He_2 = x^2 - 1, He_3 = x^3 - 3x, normalized by sqrt(p!)
+    b = enumerate_basis(2, 3)
+    x, y = 2.0, -1.5
+    got = eval_hermite_batch(b, np.array([[x, y]]))[0]
+    h = {0: lambda t: 1.0, 1: lambda t: t, 2: lambda t: (t * t - 1.0) / math.sqrt(2.0),
+         3: lambda t: (t ** 3 - 3.0 * t) / math.sqrt(6.0)}
+    want = [h[a](x) * h[c](y) for a, c in b.exponents]
+    assert np.allclose(got, want, rtol=1e-14, atol=1e-14)
+
+
+def test_hermite_equals_monomials_at_degree_one():
+    b = enumerate_basis(4, 1)
+    pts = np.random.default_rng(3).standard_normal((50, 4))
+    assert np.array_equal(eval_hermite_batch(b, pts), eval_monomials_batch(b, pts))
+
+
+def test_hermite_rows_orthonormal_under_gaussian():
+    b = enumerate_basis(2, 4)
+    pts = np.random.default_rng(4).standard_normal((400_000, 2))
+    h = eval_hermite_batch(b, pts)
+    assert np.abs(h.T @ h / len(pts) - np.eye(b.ell)).max() < 0.1
 
 
 def test_eval_monomials_dimension_mismatch():

@@ -9,7 +9,7 @@ from robustchow.distributions import gaussian_descriptor
 from robustchow.errors import ConfigError
 from robustchow.harness import score
 from robustchow.ltf_learner import LTF
-from robustchow import adversary, chowfilter, polybasis, ptf_learner
+from robustchow import ptf_learner
 from robustchow.polybasis import Polynomial, enumerate_basis
 from robustchow.ptf_learner import (PBF, PTF, chow_reconstruct, default_xi,
                                     learn_ptf, make_sampling_oracle)
@@ -176,25 +176,46 @@ def test_sampling_oracle_featurizes_each_draw_once(monkeypatch):
     m = 20_000
     budget = int(0.05 * m)
     rows = []
-    real = polybasis.eval_monomials_batch
+    real = dist.featurize
 
-    def counted(basis, points):
-        out = real(basis, points)
+    def counted(points):
+        out = real(points)
         rows.append(out.shape[0])
         return out
 
-    for module in (polybasis, adversary, chowfilter, ptf_learner):
-        monkeypatch.setattr(module, "eval_monomials_batch", counted)
+    monkeypatch.setattr(dist, "featurize", counted)
     coeffs = np.zeros(dist.ell)
     coeffs[1] = 0.5
+    coeffs[dist.basis.index_of((2, 0, 0, 0))] = 0.25
     oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), m, seed=3)
     est = oracle(PBF(Polynomial(dist.basis, coeffs), 0.5))
-    # the draw once, the moved rows once, and otherwise only the single rows
-    # of the adversary's bisection; the filter reuses the oracle's features
-    assert rows.count(m) == 1 and rows.count(budget) == 1
-    assert len(rows) > 2 and all(r == 1 for r in rows if r not in (m, budget))
-    assert sum(rows) == m + budget + (len(rows) - 2)
+    # the draw once and the moved rows once; the labels and the filter
+    # both reuse the oracle's features
+    assert rows == [m, budget]
     assert est.provenance["samples_in"] == m
+
+
+def test_sampling_oracle_labels_and_features_match_its_points(monkeypatch):
+    # the oracle labels in the descriptor's Hermite coordinates through
+    # C^T q; labels and rows must still be those of the points it hands on
+    dist = gaussian_descriptor(3, 2, 0.05)
+    coeffs = np.zeros(dist.ell)
+    coeffs[0], coeffs[1] = -0.25, 0.5
+    coeffs[dist.basis.index_of((2, 0, 0))] = 0.25
+    pbf = PBF(Polynomial(dist.basis, coeffs), 0.5)
+    seen = []
+    real = ptf_learner.robust_chow
+
+    def spy(s, d, params, *, features):
+        seen.append((s, features))
+        return real(s, d, params, features=features)
+
+    monkeypatch.setattr(ptf_learner, "robust_chow", spy)
+    make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), 5000, seed=2)(pbf)
+    (s, h), = seen
+    assert s.corrupted_mask.sum() == 250
+    assert np.allclose(s.labels, pbf.evaluate(s.points), rtol=0, atol=1e-12)
+    assert np.allclose(h, dist.featurize(s.points), rtol=0, atol=1e-12)
 
 
 # --- default_xi --------------------------------------------------------------------
