@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .adversary import LabeledSampleSet
-from .errors import EmptyHoldout
+from .errors import DimensionMismatch, EmptyHoldout
 
 
 def disagreement(hypothesis, s: LabeledSampleSet) -> float:
@@ -49,7 +49,10 @@ def select_intersection_cover(unit_matrix: np.ndarray,
     digit_0..digit_{k-1} and predicts +1 iff all fire. Two constant
     candidates, always-+1 and always--1, compete at flat indices G^k and
     G^k + 1. Returns (winner flat index, empirical error); ties go to the
-    lowest index.
+    lowest index. An intersection does not depend on the order of its
+    members, so every ordering of a member tuple has the same error and the
+    lowest of their flat indices lists the members in ascending order
+    (min G + max at k=2): the winner's digits never decrease.
 
     Members that share a direction differ only in their threshold, so
     whether a candidate fires on x depends only on x's bin among the sorted
@@ -57,20 +60,34 @@ def select_intersection_cover(unit_matrix: np.ndarray,
     -1 on inside ones,
       mismatches(r) = #{y=+1} + sum of w over the points r fires on,
     which is a k-dimensional prefix sum of the joint bin histogram of w.
-    One histogram per tuple of the first k-1 directions covers every last
-    direction at once: O(D^k m + G^k) work for D distinct directions, with
-    exact integer counts.
+    Only unordered direction tuples are scored: one histogram per
+    non-decreasing tuple of the first k-1 directions covers every last
+    direction from the last lead direction on. That is C(D+k-1, k) m
+    histogram keys for D distinct directions, with exact integer counts,
+    and one count lookup per member tuple whose directions do not
+    decrease: about G^k / k! when no direction holds many of the members.
     """
     if len(holdout) == 0:
         raise EmptyHoldout("holdout batch is empty")
     if k not in (1, 2, 3):
         raise ValueError(f"k must be 1, 2, or 3, got {k}")
+    unit_matrix = np.asarray(unit_matrix, dtype=np.float64)
+    thresholds = np.asarray(thresholds, dtype=np.float64)
+    if (unit_matrix.ndim != 2 or unit_matrix.shape[1] != holdout.n
+            or thresholds.shape != unit_matrix.shape[:1]):
+        raise DimensionMismatch(
+            f"cover has unit_matrix {unit_matrix.shape} and thresholds "
+            f"{thresholds.shape}; expected (G, {holdout.n}) and (G,)")
+    if not (np.isfinite(unit_matrix).all() and np.isfinite(thresholds).all()):
+        raise ValueError("cover directions and thresholds must be finite")
     m = len(holdout)
     g_count = unit_matrix.shape[0]
     directions, dir_of = np.unique(unit_matrix, axis=0, return_inverse=True)
     dir_of = dir_of.reshape(-1)
     d_count = directions.shape[0]
-    groups = [np.flatnonzero(dir_of == d) for d in range(d_count)]
+    order = np.argsort(dir_of, kind="stable")   # members grouped by direction
+    start = np.searchsorted(dir_of[order], np.arange(d_count + 1))
+    groups = [order[a:b] for a, b in zip(start[:-1], start[1:])]
     edges = [np.unique(thresholds[g]) for g in groups]
     width = 1 + max(len(e) for e in edges)     # bins 0..len(edges), padded
 
@@ -90,38 +107,43 @@ def select_intersection_cover(unit_matrix: np.ndarray,
         bins = np.stack([np.searchsorted(e, p, side="left")
                          for e, p in zip(edges, proj)])
         parts.append((bins, bins + last_key))
-    block = d_count * width                     # keys of one lead-bin tuple
-    size = width ** (k - 1) * block
-    last_col = dir_of * width + rank            # member -> its key
+    key_of = (dir_of * width + rank)[order]     # member in direction order -> key
 
-    def prefix_counts(lead_dirs):
-        """Prefix sums of the w histogram over lead bins x (last dir, bin)."""
+    def prefix_counts(lead_dirs, lo):
+        """Prefix sums of the w histogram over lead bins x (last dir >= lo, bin)."""
+        block = (d_count - lo) * width
         hist = []
         for part_bins, part_keys in parts:
             lead = np.zeros(part_bins.shape[1], dtype=np.intp)
             for d in lead_dirs:
                 lead = lead * width + part_bins[d]
-            hist.append(np.bincount((part_keys + lead * block).ravel(),
-                                    minlength=size))
-        cum = (hist[0] - hist[1]).reshape((width,) * (k - 1) + (d_count, width))
+            hist.append(np.bincount((part_keys[lo:] + (lead * block - lo * width)).ravel(),
+                                    minlength=width ** (k - 1) * block))
+        cum = (hist[0] - hist[1]).reshape((width,) * (k - 1) + (d_count - lo, width))
         for axis in range(cum.ndim):
             if axis != k - 1:                   # not the direction axis
                 np.cumsum(cum, axis=axis, out=cum)
         return cum.reshape(-1)
 
     best_idx, best_count = 0, m + 1
-    for lead_dirs in itertools.product(range(d_count), repeat=k - 1):
+    for lead_dirs in itertools.combinations_with_replacement(range(d_count), k - 1):
+        lo = lead_dirs[-1] if lead_dirs else 0  # last members: directions >= lo
         pos = np.zeros((), dtype=np.intp)       # lead members -> lead bin tuple
-        prefix = np.zeros((), dtype=np.intp)    # lead members -> flat index / G
         for d in lead_dirs:
             pos = pos[..., None] * width + rank[groups[d]]
-            prefix = prefix[..., None] * g_count + groups[d]
-        counts = prefix_counts(lead_dirs)[pos[..., None] * block + last_col]
-        loc = int(np.argmin(counts))            # lowest flat index in the block
-        cand = n_in + int(counts.reshape(-1)[loc])
-        idx = int(prefix.reshape(-1)[loc // g_count]) * g_count + loc % g_count
-        if (cand, idx) < (best_count, best_idx):
-            best_idx, best_count = idx, cand
+        block = (d_count - lo) * width
+        counts = prefix_counts(lead_dirs, lo)[pos[..., None] * block
+                                              + key_of[start[lo]:] - lo * width]
+        low = int(counts.min())
+        if n_in + low > best_count:
+            continue
+        # each entry at the minimum counts at the flat index of its members
+        # in ascending order, the lowest among their orderings
+        at = np.unravel_index(np.flatnonzero(counts == low), counts.shape)
+        members = [groups[d][i] for d, i in zip(lead_dirs, at)] + [order[start[lo] + at[-1]]]
+        idx = int(np.ravel_multi_index(np.sort(members, axis=0), (g_count,) * k).min())
+        if (n_in + low, idx) < (best_count, best_idx):
+            best_idx, best_count = idx, n_in + low
     n_combos = g_count ** k
     if m - n_in < best_count:                   # predict +1 everywhere
         best_idx, best_count = n_combos, m - n_in

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from robustchow.adversary import LabeledSampleSet
-from robustchow.errors import EmptyHoldout
+from robustchow.errors import DimensionMismatch, EmptyHoldout
 from robustchow import intersection_learner
 from robustchow.hypothesis_select import (disagreement, select,
                                           select_intersection_cover)
@@ -200,6 +202,8 @@ def test_cover_tournament_matches_reference_on_seeded_covers(k, dim, delta, monk
     got = select_intersection_cover(cover.unit_matrix, cover.thresholds, k, holdout)
     assert got == _reference_cover_select(cover.unit_matrix, cover.thresholds, k, holdout)
     assert got[0] < cover.grid_size ** k     # a grid candidate beats both constants
+    digits = np.unravel_index(got[0], (cover.grid_size,) * k)
+    assert list(digits) == sorted(digits)    # members listed in ascending order
 
 
 def test_cover_tournament_constant_wins_on_constant_labels():
@@ -229,3 +233,71 @@ def test_cover_tournament_bad_k():
     s = holdout_from(np.zeros((3, 2)), [1, 1, 1])
     with pytest.raises(ValueError):
         select_intersection_cover(unit, thr, 4, s)
+
+
+def test_cover_tournament_winner_lists_members_ascending():
+    # np.unique sorts direction -e1 before +e1, so the best pair (members 0
+    # and 2) has its lower-indexed member in the later direction
+    unit = np.array([[1.0], [1.0], [-1.0]])
+    thr = np.array([1.0, 3.0, 1.0])
+    holdout = holdout_from([[-2.0], [0.0], [0.5], [2.0]], [-1.0, 1.0, 1.0, -1.0])
+    got = select_intersection_cover(unit, thr, 2, holdout)
+    assert got == (0 * 3 + 2, 0.0)          # min*G + max, not 2*G + 0
+    assert got == _brute_force(unit, thr, 2, holdout)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_cover_tournament_scores_unordered_direction_tuples(k, monkeypatch):
+    """The histogram keys fed to bincount: one lead tuple per non-decreasing
+    direction tuple, each over the directions from its last one on, so
+    C(D+k-1, k) m keys in all, not the D^k m of ordered tuples."""
+    fed = []
+    bincount = np.bincount
+
+    def counting_bincount(x, *args, **kwargs):
+        fed.append(len(x))
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", counting_bincount)
+    rng = np.random.default_rng(5)
+    d_count, m = 5, 60
+    angles = np.linspace(0.0, np.pi, d_count, endpoint=False)
+    dirs = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+    unit = np.repeat(dirs, 3, axis=0)
+    thr = np.tile([-0.5, 0.0, 0.5], d_count)
+    pts = rng.standard_normal((m, 2))
+    holdout = holdout_from(pts, np.where(pts[:, 0] <= 0.3, 1.0, -1.0))
+    select_intersection_cover(unit, thr, k, holdout)
+    assert sum(fed) == math.comb(d_count + k - 1, k) * m
+
+
+def test_cover_tournament_rejects_nan_threshold():
+    # a NaN threshold would rank past every edge and fire everywhere
+    holdout = holdout_from(np.ones((3, 1)), [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        select_intersection_cover(np.array([[1.0], [1.0]]), np.array([np.nan, -5.0]),
+                                  1, holdout)
+
+
+def test_cover_tournament_rejects_non_finite_direction():
+    holdout = holdout_from(np.ones((3, 1)), [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="finite"):
+        select_intersection_cover(np.array([[np.inf], [1.0]]), np.zeros(2), 1, holdout)
+
+
+def test_cover_tournament_rejects_extra_thresholds():
+    holdout = holdout_from(np.ones((3, 1)), [1.0, 1.0, 1.0])
+    with pytest.raises(DimensionMismatch):
+        select_intersection_cover(np.ones((2, 1)), np.zeros(3), 1, holdout)
+
+
+def test_cover_tournament_rejects_missing_thresholds():
+    holdout = holdout_from(np.ones((3, 1)), [1.0, 1.0, 1.0])
+    with pytest.raises(DimensionMismatch):
+        select_intersection_cover(np.ones((3, 1)), np.zeros(2), 1, holdout)
+
+
+def test_cover_tournament_rejects_holdout_of_wrong_dimension():
+    holdout = holdout_from(np.ones((3, 2)), [1.0, 1.0, 1.0])
+    with pytest.raises(DimensionMismatch):
+        select_intersection_cover(np.ones((2, 1)), np.zeros(2), 1, holdout)
