@@ -5,9 +5,9 @@ descent over clipped polynomials recovers a bounded function with
 matching correlations: each round compares the target Chow vector to
 that of the current clipped iterate and takes a half-step along the
 gap, with coefficients kept on a fixed grid. The sign of the result is
-the learned hypothesis. The Chow oracle the descent queries is itself a
-fresh corrupted sample each round, so the whole loop runs at the same
-noise level as the original estimate.
+the learned hypothesis. The Chow oracle the descent queries draws one
+clean sample and lets the adversary corrupt it anew for every query, so
+the whole loop runs at the same noise level as the original estimate.
 """
 
 import numpy as np

@@ -149,12 +149,12 @@ def _threshold_cut(scores: np.ndarray, dist: ReasonableDistribution, eps: float)
     """
     m_cur = scores.shape[0]
     order = np.sort(scores)
-    candidates = np.unique(order)
-    candidates = candidates[candidates > 0.0]
-    if candidates.size == 0:
+    # sorted position of the first copy of each distinct positive score
+    first = np.flatnonzero(np.r_[True, order[1:] != order[:-1]] & (order > 0.0))
+    if first.size == 0:
         raise NoThresholdFound("all projections are zero")
-    counts = m_cur - np.searchsorted(order, candidates, side="left")
-    frac = counts / m_cur
+    candidates = order[first]
+    frac = (m_cur - first) / m_cur
     required = 4.0 * dist.tail(candidates) + 3.0 * eps / dist.t_max ** 2
     valid = frac >= required
     if not valid.any():

@@ -127,23 +127,17 @@ def build_degree2(chow: ChowEstimate) -> Degree2ChowMatrix:
     basis = chow.basis
     if basis.d < 2 or basis.multilinear:
         raise BasisMismatch("need a dense basis of degree >= 2")
-    n = basis.n
+    n, exps, chi = basis.n, basis.exponents, chow.chi
+    degree = exps.sum(axis=1)
+    lin, quad = degree == 1, degree == 2
     vec1 = np.zeros(n)
+    vec1[exps[lin].argmax(axis=1)] = chi[lin]
+    # x_i x_j, or x_i^2 when i == j: i is the first variable of the
+    # monomial, j the last
+    i, j = exps[quad].argmax(axis=1), n - 1 - exps[quad][:, ::-1].argmax(axis=1)
     mat2 = np.zeros((n, n))
-    unit = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        unit[:] = 0
-        unit[i] = 1
-        vec1[i] = chow.chi[basis.index_of(tuple(unit))]
-        unit[i] = 2
-        mat2[i, i] = chow.chi[basis.index_of(tuple(unit))] - chow.chi[0]
-        for j in range(i + 1, n):
-            unit[i] = 1
-            unit[j] = 1
-            val = chow.chi[basis.index_of(tuple(unit))]
-            mat2[i, j] = val
-            mat2[j, i] = val
-            unit[j] = 0
+    mat2[i, j] = mat2[j, i] = chi[quad]
+    mat2[np.diag_indices(n)] -= chi[0]
     return Degree2ChowMatrix(vec1, (mat2 + mat2.T) / 2.0)
 
 

@@ -2,10 +2,10 @@
 
 The robust Chow vector of the target pins down a bounded polynomial
 hypothesis: starting from q = 0, repeatedly measure the Chow vector of the
-clamped current polynomial on fresh (corrupted, self-labeled) points and add
-half the whitened residual, with coefficients snapped to a xi/2 grid. The
-clamp keeps the hypothesis bounded, the grid keeps the iterate count
-O(1/xi^2), and the final sign gives the PTF.
+clamped current polynomial on one pool of points, corrupted anew for each
+query and self-labeled, and add half the whitened residual, with
+coefficients snapped to a xi/2 grid. The clamp keeps the hypothesis
+bounded, the grid the iterate count O(1/xi^2); the sign gives the PTF.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ class PTF:
     """f(x) = sign(q(x)), sign(0) = +1."""
 
     poly: Polynomial
+    provenance: dict = field(default_factory=dict, compare=False)  # how learn_ptf ran
 
     def __post_init__(self):
         if not np.any(self.poly.coeffs != 0.0):
@@ -109,9 +110,7 @@ def chow_reconstruct(target: ChowEstimate, dist: ReasonableDistribution, xi: flo
     residual_norm = math.inf
     last_nudge = None
     while True:
-        pbf = PBF(Polynomial(dist.basis, coeffs), xi,
-                  {"iterations": iterations, "cap_reached": cap_reached})
-        chi_t = chow_oracle(pbf).chi
+        chi_t = chow_oracle(PBF(Polynomial(dist.basis, coeffs), xi)).chi
         rho = isqrt @ (chi_target - chi_t)
         residual_norm = float(np.linalg.norm(rho))
         if residual_norm <= C_STOP_DEFAULT * xi:
@@ -142,44 +141,49 @@ def chow_reconstruct(target: ChowEstimate, dist: ReasonableDistribution, xi: flo
         coeffs = proposed
         iterations += 1
 
+    # every pass of the loop queries the oracle once
     return PBF(Polynomial(dist.basis, coeffs), xi,
                {"iterations": iterations, "cap_reached": cap_reached,
-                "stalled": stalled, "final_residual": residual_norm})
+                "stalled": stalled, "final_residual": residual_norm,
+                "oracle_calls": iterations + 1})
 
 
 def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
                          strategy: AdversaryStrategy, m_per_call: int,
                          seed) -> ChowOracle:
-    """Chow oracle backed by fresh corrupted points, self-labeled.
+    """Chow oracle on one clean pool, corrupted anew per call, self-labeled.
 
-    The adversary moves up to an eps-fraction of the points, then the
-    learner labels every point by the queried hypothesis, so only point
-    placement (not labels) can be corrupted here. Each draw is featurized
-    once: the oracle plays the sampling environment, so it knows which rows
-    the adversary replaced and re-featurizes only those before relabeling
-    and filtering.
+    The first call draws and featurizes m_per_call points; uniform
+    convergence over clipped degree-d polynomials covers every query on
+    that one pool, adaptive queries included. Each call lets the adversary
+    move up to an eps-fraction of the points, then labels all of them by
+    the queried hypothesis, so only placement (not labels) is corrupted.
+    The moved rows' features replace the pool's for the filter and are
+    swapped back afterwards, also when the filter raises.
     """
-    base = np.random.SeedSequence(seed) if not isinstance(seed, np.random.SeedSequence) else seed
-    # draws come from the second child seed; the first is left unused so a
-    # given seed keeps giving the same stream
-    _, stream_seed = base.spawn(2)
-    stream = np.random.default_rng(stream_seed)
+    stream = np.random.default_rng(seed)
+    pool_seed = stream.integers(0, 2 ** 63)
+    pts = h = None   # the pool's points and features, set by the first call
 
     def oracle(pbf: PBF) -> ChowEstimate:
-        draw_seed = stream.integers(0, 2 ** 63)
+        nonlocal pts, h
         adv_seed = stream.integers(0, 2 ** 63)
-        pts = dist.sample(m_per_call, draw_seed)
-        h = dist.featurize(pts)
+        if h is None:
+            pts = dist.sample(m_per_call, pool_seed)
+            h = dist.featurize(pts)
         # q(x) = q . m(x) = (C^T q) . h(x) with m(x) = C h(x)
         weights = dist.monomial_map().T @ pbf.q.coeffs
         clean = LabeledSampleSet(pts, np.clip(h @ weights, -1.0, 1.0))
         moved = corrupt(clean, pbf, eps, strategy, dist, adv_seed)
-        touched = moved.corrupted_mask
-        if touched.any():
-            h[touched] = dist.featurize(moved.points[touched])
-        # the learner labels whatever points it is handed
-        relabeled = LabeledSampleSet(moved.points, np.clip(h @ weights, -1.0, 1.0), touched)
-        return robust_chow(relabeled, dist, FilterParams(eps=eps), features=h)
+        idx = np.flatnonzero(moved.corrupted_mask)
+        saved = h[idx]
+        try:
+            h[idx] = rows = dist.featurize(moved.points[idx])
+            # the learner labels whatever points it is handed
+            moved.labels[idx] = np.clip(rows @ weights, -1.0, 1.0)
+            return robust_chow(moved, dist, FilterParams(eps=eps), features=h)
+        finally:
+            h[idx] = saved
 
     return oracle
 
@@ -221,10 +225,10 @@ def learn_ptf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, d: int,
     oracle = make_sampling_oracle(dist, eps, strategy, m_call, seed)
     pbf = chow_reconstruct(target, dist, xi, oracle)
     coeffs = pbf.q.coeffs
+    provenance = {"target": dict(target.provenance), **pbf.provenance}
     if not np.any(coeffs != 0.0):
         # reconstruction stopped at the zero polynomial: emit the constant
         # hypothesis matching the empirical label sign
-        const = np.zeros_like(coeffs)
-        const[0] = math.copysign(xi / 2.0, float(np.mean(corrupted.labels)) or 1.0)
-        return PTF(Polynomial(dist.basis, const))
-    return PTF(Polynomial(dist.basis, coeffs))
+        coeffs = np.zeros_like(coeffs)
+        coeffs[0] = math.copysign(xi / 2.0, float(np.mean(corrupted.labels)) or 1.0)
+    return PTF(Polynomial(dist.basis, coeffs), provenance)

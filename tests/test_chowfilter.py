@@ -332,6 +332,50 @@ def test_threshold_cut_rejects_clean_gaussian_scores():
         _threshold_cut(scores, dist, 0.1)
 
 
+def unique_searchsorted_cut(scores, dist, eps):
+    """The cut rule with np.unique candidates and searchsorted counts, as a
+    reference for the single-sort version."""
+    order = np.sort(scores)
+    candidates = np.unique(order)
+    candidates = candidates[candidates > 0.0]
+    if candidates.size == 0:
+        raise NoThresholdFound("all projections are zero")
+    frac = (scores.size - np.searchsorted(order, candidates, side="left")) / scores.size
+    valid = frac >= 4.0 * dist.tail(candidates) + 3.0 * eps / dist.t_max ** 2
+    if not valid.any():
+        raise NoThresholdFound("no sample value satisfies the tail-excess test")
+    t_cut = float(candidates[np.nonzero(valid)[0][-1]])
+    return t_cut, scores < t_cut
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_threshold_cut_matches_unique_searchsorted_rule(seed):
+    dist = gaussian_descriptor(6, 1, 0.1)
+    rng = np.random.default_rng(seed)
+    m = 3000
+    # coarse grid ties, a zero-heavy block and tied outlier clusters
+    scores = np.round(np.abs(rng.standard_normal(m)), 1 + seed % 3)
+    scores[rng.choice(m, m // 3, replace=False)] = 0.0
+    for value, size in ((6.5, 150), (8.0, 90 * (seed % 2)), (9.0, 40)):
+        scores[rng.choice(m, size, replace=False)] = value
+    # the outlier clusters merged into one tie; a prefix; clean scores;
+    # nothing but zeros; one positive score among zeros
+    cases = (scores, np.minimum(scores, 7.0), scores[:7],
+             np.abs(rng.standard_normal(m)), np.zeros(10), np.r_[np.zeros(50), 3.0])
+    cut = 0
+    for s in cases:
+        try:
+            want_t, want_keep = unique_searchsorted_cut(s, dist, 0.1)
+        except NoThresholdFound as err:
+            with pytest.raises(NoThresholdFound, match=str(err)):
+                _threshold_cut(s, dist, 0.1)
+            continue
+        t, keep = _threshold_cut(s, dist, 0.1)
+        assert t == want_t and np.array_equal(keep, want_keep)
+        cut += 1
+    assert cut >= 2
+
+
 def test_threshold_prefers_largest_valid():
     dist = gaussian_descriptor(6, 1, 0.1)
     rng = np.random.default_rng(2)
@@ -372,6 +416,33 @@ def test_robust_chow_removes_chow_attack():
     # at least 2/3 of planted points removed
     prov = filt.provenance
     assert prov["filtered"] + prov["pruned"] >= (2 / 3) * int(bad.corrupted_mask.sum())
+
+
+def test_filtered_error_is_dimension_independent():
+    # The paper's headline: the filtered error does not grow with n. With
+    # m = 500 ell the sqrt(ell / m) sampling floor is the same at every n,
+    # so the filtered error stays at it, while the raw mean is dragged
+    # toward the attack cluster at whitened radius 0.9 T_max / sqrt(2).
+    per_row, seeds = 500, 3
+    floor = math.sqrt(1.0 / per_row)
+    excess, raw_per_tmax, raw = [], [], []
+    for n in (10, 40, 160):
+        errs, raws = [], []
+        for seed in range(seeds):
+            dist, f, s = ltf_instance(n=n, m=per_row * (n + 1), eps=0.05, seed=seed)
+            bad = corrupt(s, f, 0.05, AdversaryStrategy("chow_attack", rho=0.9), dist,
+                          seed + 100)
+            truth = np.zeros(dist.ell)
+            truth[1] = ROOT_2_OVER_PI
+            truth = ChowEstimate(truth, dist.basis, dist)
+            errs.append(chow_distance(robust_chow(bad, dist, FilterParams(eps=0.05)), truth))
+            raws.append(chow_distance(empirical_chow(bad, dist), truth))
+        excess.append(np.mean(errs) - floor)
+        raw.append(np.mean(raws))
+        raw_per_tmax.append(raw[-1] / dist.t_max)
+    assert max(abs(e) for e in excess) <= 0.35 * floor, excess
+    assert raw[1] > 1.8 * raw[0] and raw[2] > 1.8 * raw[1], raw
+    assert max(raw_per_tmax) <= 1.1 * min(raw_per_tmax), raw_per_tmax
 
 
 def test_robust_chow_soundness_on_clean_data():

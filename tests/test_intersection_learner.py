@@ -171,6 +171,34 @@ def test_build_degree2_shifted_halfspace_diagonal():
     assert np.allclose(d2.mat2 - np.diag(np.diag(d2.mat2)), 0.0)
 
 
+def loop_degree2(chow):
+    """The per-entry index_of loop build_degree2 replaced, as a reference."""
+    basis, n = chow.basis, chow.basis.n
+    vec1, mat2 = np.zeros(n), np.zeros((n, n))
+    for i in range(n):
+        unit = [0] * n
+        unit[i] = 1
+        vec1[i] = chow.chi[basis.index_of(unit)]
+        unit[i] = 2
+        mat2[i, i] = chow.chi[basis.index_of(unit)] - chow.chi[0]
+        unit[i] = 1
+        for j in range(i + 1, n):
+            unit[j] = 1
+            mat2[i, j] = mat2[j, i] = chow.chi[basis.index_of(unit)]
+            unit[j] = 0
+    return vec1, (mat2 + mat2.T) / 2.0
+
+
+@pytest.mark.parametrize("n, d", [(1, 2), (2, 2), (5, 2), (8, 2), (4, 3), (3, 4)])
+def test_build_degree2_matches_index_loop(n, d):
+    basis = enumerate_basis(n, d)
+    chi = np.random.default_rng(n * 10 + d).standard_normal(basis.ell)
+    d2 = build_degree2(ChowEstimate(chi, basis, None))
+    vec1, mat2 = loop_degree2(ChowEstimate(chi, basis, None))
+    assert d2.vec1.tobytes() == vec1.tobytes()
+    assert d2.mat2.tobytes() == mat2.tobytes()
+
+
 def test_build_degree2_rejects_wrong_basis():
     b1 = enumerate_basis(3, 1)
     with pytest.raises(BasisMismatch):

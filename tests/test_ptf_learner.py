@@ -159,16 +159,53 @@ def test_sampling_oracle_relabels_with_hypothesis():
     assert chow_distance(est_flip, est_none) < 0.05
 
 
-def test_sampling_oracle_fresh_batches():
-    dist = gaussian_descriptor(3, 1, 0.0)
-    b = dist.basis
-    coeffs = np.zeros(b.ell)
+def test_sampling_oracle_keeps_one_clean_pool(monkeypatch):
+    dist = gaussian_descriptor(3, 2, 0.05)
+    coeffs = np.zeros(dist.ell)
     coeffs[1] = 0.5
-    pbf = PBF(Polynomial(b, coeffs), 0.5)
+    pbf = PBF(Polynomial(dist.basis, coeffs), 0.5)
+    pools = []
+    real_featurize = dist.featurize
+
+    def remember(points):
+        out = real_featurize(points)
+        if not pools:
+            pools.append((points, out))
+        return out
+
+    monkeypatch.setattr(dist, "featurize", remember)
     oracle = make_sampling_oracle(dist, 0.0, AdversaryStrategy("none"), 20_000, seed=9)
     a = oracle(pbf)
     c = oracle(pbf)
-    assert not np.array_equal(a.chi, c.chi)  # new draw every call
+    assert np.array_equal(a.chi, c.chi)  # one pool serves every call
+
+    moved = []
+    real_chow = ptf_learner.robust_chow
+
+    def spy(s, d, params, *, features):
+        moved.append(np.flatnonzero(s.corrupted_mask))
+        return real_chow(s, d, params, features=features)
+
+    monkeypatch.setattr(ptf_learner, "robust_chow", spy)
+    pools.clear()
+    oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), 5000, seed=2)
+    oracle(pbf)
+    (pts, h), = pools
+    clean = real_featurize(pts)
+    assert h.tobytes() == clean.tobytes()
+    oracle(pbf)
+    assert h.tobytes() == clean.tobytes()
+    assert moved[0].size == moved[1].size == 250
+    assert not np.array_equal(moved[0], moved[1])
+
+    def fails(*args, **kwargs):
+        raise RuntimeError("filter failed")
+
+    monkeypatch.setattr(ptf_learner, "robust_chow", fails)
+    with pytest.raises(RuntimeError):
+        oracle(pbf)
+    # the moved rows are swapped back even when the filter raises
+    assert h.tobytes() == clean.tobytes()
 
 
 def test_sampling_oracle_featurizes_each_draw_once(monkeypatch):
@@ -188,11 +225,12 @@ def test_sampling_oracle_featurizes_each_draw_once(monkeypatch):
     coeffs[1] = 0.5
     coeffs[dist.basis.index_of((2, 0, 0, 0))] = 0.25
     oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), m, seed=3)
-    est = oracle(PBF(Polynomial(dist.basis, coeffs), 0.5))
-    # the draw once and the moved rows once; the labels and the filter
-    # both reuse the oracle's features
-    assert rows == [m, budget]
-    assert est.provenance["samples_in"] == m
+    pbf = PBF(Polynomial(dist.basis, coeffs), 0.5)
+    ests = [oracle(pbf), oracle(pbf)]
+    # the pool once and each call's moved rows once; the labels and the
+    # filter both reuse the oracle's features
+    assert rows == [m, budget, budget]
+    assert [est.provenance["samples_in"] for est in ests] == [m, m]
 
 
 def test_sampling_oracle_labels_and_features_match_its_points(monkeypatch):
@@ -207,7 +245,8 @@ def test_sampling_oracle_labels_and_features_match_its_points(monkeypatch):
     real = ptf_learner.robust_chow
 
     def spy(s, d, params, *, features):
-        seen.append((s, features))
+        # the oracle swaps the pool's clean rows back after the call
+        seen.append((s, features.copy()))
         return real(s, d, params, features=features)
 
     monkeypatch.setattr(ptf_learner, "robust_chow", spy)
@@ -269,6 +308,41 @@ def test_learn_ptf_degree2_with_attack():
     out = learn_ptf(bad, dist, 2, 0.05,
                     oracle_strategy=AdversaryStrategy("chow_attack"), seed=18)
     assert score(out, f, dist, 100_000, 19) <= 0.35
+
+
+def test_learn_ptf_reports_provenance(monkeypatch):
+    dist = gaussian_descriptor(4, 2, 0.05)
+    coeffs = np.zeros(dist.ell)
+    coeffs[0] = -1.0
+    coeffs[dist.basis.index_of((2, 0, 0, 0))] = 1.0
+    f = PTF(Polynomial(dist.basis, coeffs))
+    pts = dist.sample(20_000, 16)
+    clean = LabeledSampleSet(pts, f.evaluate(pts).astype(np.float64))
+    bad = corrupt(clean, f, 0.05, AdversaryStrategy("chow_attack"), dist, 17)
+    calls = []
+    real = ptf_learner.make_sampling_oracle
+
+    def counting(*args):
+        oracle = real(*args)
+
+        def counted(pbf):
+            calls.append(1)
+            return oracle(pbf)
+        return counted
+
+    monkeypatch.setattr(ptf_learner, "make_sampling_oracle", counting)
+    out = learn_ptf(bad, dist, 2, 0.05,
+                    oracle_strategy=AdversaryStrategy("chow_attack"), seed=18)
+    prov = out.provenance
+    target = ptf_learner.robust_chow(bad, dist, ptf_learner.FilterParams(eps=0.05))
+    assert prov["target"] == target.provenance
+    assert prov["target"]["filtered"] > 0
+    assert prov["oracle_calls"] == len(calls) == prov["iterations"] + 1
+    assert isinstance(prov["stalled"], bool) and isinstance(prov["cap_reached"], bool)
+    assert math.isfinite(prov["final_residual"])
+    # the record rides along: it is not part of equality or the JSON form
+    assert out == PTF(out.poly)
+    assert "provenance" not in out.to_json()
 
 
 def test_pbf_to_ptf_halving_property():
