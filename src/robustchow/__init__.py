@@ -17,9 +17,9 @@ from .errors import (AcceptanceTooLow, AllPointsPruned, BasisMismatch,
                      BudgetExceeded, ConfigError, CoverTooLarge,
                      DimensionMismatch, EmptyHoldout, IntegralDiverges,
                      InvalidHypothesis, NonMultilinearBasis,
-                     NoThresholdFound, NotPSD, OracleFailure,
-                     RobustChowError, SizeCapExceeded, UnknownFamily,
-                     UnknownStrategy, ZeroChowVector)
+                     NoThresholdFound, NotPSD, RobustChowError,
+                     SizeCapExceeded, UnknownFamily, UnknownStrategy,
+                     ZeroChowVector)
 from .harness import (ExperimentConfig, ResultRow, analytic_ltf_chow,
                       make_corrupted_source, run_experiment, score)
 from .hypothesis_select import disagreement, select, select_intersection_cover

@@ -26,6 +26,7 @@ from .chowfilter import FilterParams, robust_chow
 from .distributions import from_config
 from .errors import ConfigError, RobustChowError
 from .harness import ExperimentConfig, run_cell, run_experiment
+from .intersection_learner import DELTA_CEIL, K_CAP
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -123,7 +124,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="JSON list of basis coefficients for the planted sign polynomial")
 
     p = learn_parser("intersection", "learn an intersection of halfspaces", 8, 200_000, 0.02)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=int, default=2,
+                   help=f"halfspaces, 1 to {K_CAP}; at k = 2 a dim-3 subspace fits the "
+                        f"cover cap only with --delta-override above {DELTA_CEIL} (1.0 fits)")
     p.add_argument("--delta-override", type=float, default=None, dest="delta_override")
     p.add_argument("--theta-plant", type=float, default=0.5, dest="theta_plant")
 

@@ -189,7 +189,7 @@ class ReasonableDistribution:
 
     Bundles the basis, the (approximate) moment matrix Sigma with relative
     error gamma, the tail bound, and the derived constants delta and T_max
-    for the working rate eps_ref.
+    for the working rate.
 
     The filter works in orthonormal coordinates h(x), with m(x) = C h(x)
     for the monomial vector m(x) and E[h h^T] = I. `coords` names them:
@@ -208,7 +208,6 @@ class ReasonableDistribution:
     delta: float
     t_max: float
     prune_enabled: bool
-    eps_ref: float
     coords: str
     sampler: Optional[Callable] = None  # (count, Generator) -> (count, n) array
     _whitener: Optional[tuple] = field(default=None, repr=False, compare=False)
@@ -298,7 +297,7 @@ def gaussian_descriptor(n: int, d: int, eps: float,
         sigma=gaussian_moment_matrix(basis), gamma=0.0, tail=tail,
         delta=compute_delta(tail, eps_eff),
         t_max=compute_tmax(tail, eps_eff, basis.ell),
-        prune_enabled=True, eps_ref=eps, coords="hermite",
+        prune_enabled=True, coords="hermite",
         sampler=lambda count, rng: rng.standard_normal((count, n)),
     )
     _check_reasonable(dist, eps_eff)
@@ -313,10 +312,10 @@ def hypercube_descriptor(n: int, d: int, eps: float,
     tail = make_tail_bound("hypercube-chaos", d, c=tail_c)
     dist = ReasonableDistribution(
         name="hypercube", n=n, d=d, basis=basis,
-        sigma=np.eye(basis.ell), gamma=0.0, tail=tail,
+        sigma=hypercube_moment_matrix(basis), gamma=0.0, tail=tail,
         delta=compute_delta(tail, eps_eff),
         t_max=math.sqrt(basis.ell),
-        prune_enabled=False, eps_ref=eps, coords="monomial",
+        prune_enabled=False, coords="monomial",
         sampler=lambda count, rng: (2.0 * rng.integers(0, 2, size=(count, n)) - 1.0),
     )
     if dist.delta <= 0:
@@ -351,7 +350,7 @@ def log_concave_descriptor(n: int, d: int, moment_table: np.ndarray, gamma: floa
         sigma=0.5 * (M + M.T), gamma=float(gamma), tail=tail,
         delta=compute_delta(tail, eps_eff),
         t_max=compute_tmax(tail, eps_eff, basis.ell),
-        prune_enabled=True, eps_ref=eps, coords="whitened", sampler=sampler,
+        prune_enabled=True, coords="whitened", sampler=sampler,
     )
     _check_reasonable(dist, eps_eff)
     return dist

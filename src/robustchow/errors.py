@@ -61,10 +61,6 @@ class BasisMismatch(RobustChowError):
     """Two estimates (or an estimate and a basis) disagree on (n, d, ordering)."""
 
 
-class OracleFailure(RobustChowError):
-    """A Chow oracle callback failed."""
-
-
 class ZeroChowVector(RobustChowError):
     """Degree-1 Chow block is below the statistical noise floor."""
 

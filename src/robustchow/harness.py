@@ -27,7 +27,7 @@ from .adversary import STRATEGIES, AdversaryStrategy, LabeledSampleSet, corrupt
 from .chowfilter import ChowEstimate, FilterParams, chow_distance, robust_chow
 from .distributions import ReasonableDistribution, gaussian_descriptor, hypercube_descriptor
 from .errors import ConfigError, RobustChowError
-from .intersection_learner import Intersection, learn_intersection
+from .intersection_learner import DELTA_FLOOR, K_CAP, Intersection, learn_intersection
 from .ltf_learner import LTF, LTFConfig, learn_ltf
 from .polybasis import DEFAULT_SIZE_CAP, Polynomial, basis_size
 from .ptf_learner import PTF, learn_ptf
@@ -83,9 +83,13 @@ class ExperimentConfig:
             problems.append(f"dist: must be gaussian or hypercube, got {self.dist!r}")
         if self.d < 1:
             problems.append(f"d: must be >= 1, got {self.d}")
-        if self.learner == "intersection" and not (1 <= self.k <= min(3, self.n)):
-            problems.append(f"k: intersection learner needs 1 <= k <= min(3, n), "
+        if self.learner == "intersection" and not (1 <= self.k <= min(K_CAP, self.n)):
+            problems.append(f"k: intersection learner needs 1 <= k <= min({K_CAP}, n), "
                             f"got k={self.k}, n={self.n}")
+        if self.delta_override is not None and not (
+                DELTA_FLOOR <= self.delta_override <= 4 * self.k):   # NaN fails too
+            problems.append(f"delta_override: must lie in [{DELTA_FLOOR}, 4k], "
+                            f"got {self.delta_override} with k={self.k}")
         if not problems:
             ell = basis_size(self.n, self.degree, multilinear=self.dist == "hypercube")
             if ell > DEFAULT_SIZE_CAP:

@@ -15,6 +15,10 @@ import numpy as np
 from .adversary import LabeledSampleSet
 from .errors import DimensionMismatch, EmptyHoldout
 
+# Largest k the cover tournament scores: a cover holds G^k candidates, and at
+# k = 3 no subspace of dim >= 2 fits the intersection learner's COMBO_CAP.
+K_CAP = 2
+
 
 def disagreement(hypothesis, s: LabeledSampleSet) -> float:
     pred = np.asarray(hypothesis.evaluate(s.points), dtype=np.float64)
@@ -69,8 +73,8 @@ def select_intersection_cover(unit_matrix: np.ndarray,
     """
     if len(holdout) == 0:
         raise EmptyHoldout("holdout batch is empty")
-    if k not in (1, 2, 3):
-        raise ValueError(f"k must be 1, 2, or 3, got {k}")
+    if not 1 <= k <= K_CAP:
+        raise ValueError(f"k must be between 1 and {K_CAP}, got {k}")
     unit_matrix = np.asarray(unit_matrix, dtype=np.float64)
     thresholds = np.asarray(thresholds, dtype=np.float64)
     if (unit_matrix.ndim != 2 or unit_matrix.shape[1] != holdout.n
@@ -97,16 +101,15 @@ def select_intersection_cover(unit_matrix: np.ndarray,
     for g, e in zip(groups, edges):
         rank[g] = np.searchsorted(e, thresholds[g])
     # w is +1 / -1, so its histogram is the difference of two unweighted
-    # bincounts, one over the outside points and one over the inside ones
+    # bincounts, one over the outside points and one over the inside ones:
+    # with the outside points first, those are two column slices
     inside = holdout.labels > 0
     n_in = int(np.count_nonzero(inside))
-    last_key = (np.arange(d_count) * width)[:, None]
-    parts = []
-    for points in (holdout.points[~inside], holdout.points[inside]):
-        proj = directions @ points.T
-        bins = np.stack([np.searchsorted(e, p, side="left")
-                         for e, p in zip(edges, proj)])
-        parts.append((bins, bins + last_key))
+    proj = directions @ holdout.points[np.argsort(inside, kind="stable")].T
+    bins = np.stack([np.searchsorted(e, p, side="left") for e, p in zip(edges, proj)])
+    keys = bins + (np.arange(d_count) * width)[:, None]
+    n_out = m - n_in
+    parts = [(bins[:, :n_out], keys[:, :n_out]), (bins[:, n_out:], keys[:, n_out:])]
     key_of = (dir_of * width + rank)[order]     # member in direction order -> key
 
     def prefix_counts(lead_dirs, lo):

@@ -22,10 +22,9 @@ from .adversary import LabeledSampleSet
 from .chowfilter import ChowEstimate, FilterParams, robust_chow
 from .distributions import EPS_FLOOR, gaussian_descriptor
 from .errors import BasisMismatch, CoverTooLarge
-from .hypothesis_select import select_intersection_cover
+from .hypothesis_select import K_CAP, select_intersection_cover
 from .ltf_learner import LTF, SampleSource, constant_ltf
 
-K_CAP = 3
 COMBO_CAP = 300_000_000   # flat cover candidates the tournament will scan
 DELTA_FLOOR = 0.05
 DELTA_CEIL = 0.95
@@ -172,21 +171,14 @@ def _sphere_net(dim: int, resolution: float) -> np.ndarray:
         count = max(8, int(math.ceil(2.0 * math.pi / resolution)))
         ang = np.arange(count) * (2.0 * math.pi / count)
         return np.column_stack([np.cos(ang), np.sin(ang)])
-    if dim == 3:
-        # Fibonacci sphere; covering radius ~ 2.7/sqrt(count)
-        count = max(16, int(math.ceil((3.0 / resolution) ** 2)))
-        i = np.arange(count) + 0.5
-        z = 1.0 - 2.0 * i / count
-        r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-        golden = math.pi * (3.0 - math.sqrt(5.0))
-        ang = golden * i
-        return np.column_stack([r * np.cos(ang), r * np.sin(ang), z])
-    # dim 4 only reachable at k = 3; quasi-uniform seeded net
-    count = max(32, int(math.ceil((3.0 / resolution) ** (dim - 1))))
-    rng = np.random.default_rng(0xC0FFEE)
-    pts = rng.standard_normal((count, dim))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    return pts
+    # dim 3: Fibonacci sphere; covering radius ~ 2.7/sqrt(count)
+    count = max(16, int(math.ceil((3.0 / resolution) ** 2)))
+    i = np.arange(count) + 0.5
+    z = 1.0 - 2.0 * i / count
+    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
+    golden = math.pi * (3.0 - math.sqrt(5.0))
+    ang = golden * i
+    return np.column_stack([r * np.cos(ang), r * np.sin(ang), z])
 
 
 @dataclass
@@ -236,11 +228,12 @@ def make_cover(k: int, dim: int, delta: float) -> Cover:
     """Grid cover fine enough that any k-fold intersection on R^dim is
     within disagreement delta of some member: directions on a net of
     angular resolution delta/(4k), thresholds on a delta/(4k) grid over
-    [-Theta, Theta] with Theta = Phi^{-1}(1 - delta/(8k))."""
-    if not (1 <= k <= K_CAP and 1 <= dim <= k + 1 and dim <= 4):
+    [-Theta, Theta] with Theta = Phi^{-1}(1 - delta/(8k)), which needs
+    DELTA_FLOOR <= delta <= 4k (Theta >= 0)."""
+    if not (1 <= k <= K_CAP and 1 <= dim <= k + 1):
         raise ValueError(f"unsupported cover shape k={k}, dim={dim}")
-    if delta < DELTA_FLOOR:
-        raise ValueError(f"delta {delta} below the enumerable floor {DELTA_FLOOR}")
+    if not DELTA_FLOOR <= delta <= 4 * k:   # NaN fails too
+        raise ValueError(f"delta {delta} outside [{DELTA_FLOOR}, 4k = {4 * k}]")
     resolution = delta / (4.0 * k)
     theta_max = float(_norm.ppf(1.0 - delta / (8.0 * k)))
     steps = int(math.ceil(2.0 * theta_max / resolution)) + 1
@@ -287,9 +280,9 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
     dimension, the cover that was searched (after any delta escalations) and
     the tournament's winner.
 
-    At k=3 COMBO_CAP admits only dim-1 covers: a subspace of dim >= 2
-    raises CoverTooLarge even at the coarsest delta, so a genuine 3-fold
-    intersection (dim >= 3) needs a larger cap."""
+    At k=2 a dim-3 subspace fits COMBO_CAP only with a delta above
+    DELTA_CEIL (delta_override 1.0 fits, 0.95 does not), so without an
+    override it raises CoverTooLarge."""
     n = corrupted.n
     dist = gaussian_descriptor(n, 2, eps)
     est = robust_chow(corrupted, dist, FilterParams(eps=eps))

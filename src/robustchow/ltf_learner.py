@@ -28,6 +28,8 @@ from .hypothesis_select import select
 CONSTANT_THETA = 1e6        # |theta| at or above this encodes a constant sign
 EPS_PRIME_CAP = 0.3         # effective corruption rate fed to the filter
 MIN_ACCEPTED = 50           # fewer accepted points than this aborts a step
+ACCEPT_TARGET = 50_000      # accepted points a moderate step draws for
+EXTREME_ACCEPT_TARGET = 4_000  # accepted points an extreme trial draws for
 # Branch-plumbing constants. The guarantees fix them only up to O(1), so they
 # are calibrated here.
 CONST_MARGIN = 0.25         # constant branch: 1 - |E f| <= margin * eps
@@ -151,9 +153,7 @@ class LocalizationState:
 class LTFConfig:
     """Sample budgets of the localization steps and the holdout."""
 
-    accept_target: int = 50_000
     batch_cap: int = 400_000
-    extreme_accept_target: int = 4_000
     extreme_batch_cap: int = 200_000
     holdout_size: int = 20_000
 
@@ -231,7 +231,7 @@ def refine_moderate(source, v_prev: np.ndarray, theta: float, delta_prev: float,
     rate_exp = rp.expected_rate()
     m_batch = int(min(config.batch_cap,
                       max(4 * MIN_ACCEPTED,
-                          math.ceil(config.accept_target / max(rate_exp, 1e-6)))))
+                          math.ceil(ACCEPT_TARGET / max(rate_exp, 1e-6)))))
     draw_seed, rej_seed = _seed_seq(seed).spawn(2)
     batch = source(m_batch, draw_seed)
     keep = _rejection_mask(batch.points, rp, np.random.default_rng(rej_seed))
@@ -288,7 +288,7 @@ def refine_extreme(source, theta: float, eps: float, delta: float,
     rate_exp = rp.expected_rate()
     m_batch = int(min(config.extreme_batch_cap,
                       max(4 * MIN_ACCEPTED,
-                          math.ceil(config.extreme_accept_target / max(rate_exp, 1e-8)))))
+                          math.ceil(EXTREME_ACCEPT_TARGET / max(rate_exp, 1e-8)))))
     batch = source(m_batch, draw_seed)
     keep = _rejection_mask(batch.points, rp, np.random.default_rng(rej_seed))
     rate_emp = float(keep.mean())

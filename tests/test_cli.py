@@ -254,6 +254,8 @@ def test_learn_matches_one_cell_experiment(tmp_path, capsys, argv, config, keys)
      "8259888 monomials"),
     (["learn-ptf", "--n", "60", "--d", "5"], "8259888 monomials"),
     (["learn-intersection", "--n", "700"], "degree-2 basis"),
+    (["learn-intersection", "--delta-override", "16"], "config error: delta_override"),
+    (["learn-intersection", "--delta-override", "nan"], "config error: delta_override"),
 ])
 def test_learn_malformed_input_exits_2(capsys, argv, message):
     assert main(argv) == 2

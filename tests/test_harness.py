@@ -10,7 +10,7 @@ from scipy.stats import norm
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet
 from robustchow.chowfilter import ChowEstimate, chow_distance, empirical_chow
 from robustchow.distributions import gaussian_descriptor
-from robustchow.errors import ConfigError, OracleFailure
+from robustchow.errors import ConfigError, ZeroChowVector
 from robustchow.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
@@ -69,6 +69,14 @@ def test_config_from_json_file(tmp_path):
 def test_config_intersection_k_validation():
     cfg = base_config(learner="intersection", k=5)
     with pytest.raises(ConfigError, match="k:"):
+        cfg.validate()
+
+
+@pytest.mark.parametrize("delta", [0.04, 5.0, float("nan")])
+def test_config_delta_override_range(delta):
+    # the cover's threshold range needs DELTA_FLOOR <= delta <= 4k, here k = 1
+    cfg = base_config(learner="intersection", k=1, delta_override=delta)
+    with pytest.raises(ConfigError, match="delta_override"):
         cfg.validate()
 
 
@@ -259,7 +267,7 @@ def test_run_experiment_chow_rows_have_errors(tmp_path):
 
 def test_run_experiment_captures_cell_failure(tmp_path, monkeypatch):
     def declines(*args, **kwargs):
-        raise OracleFailure("the oracle declined")
+        raise ZeroChowVector("the learner declined")
 
     monkeypatch.setattr("robustchow.harness.learn_ptf", declines)
     cfg = base_config(learner="ptf", d=2, n=3, eps_grid=[0.0],
@@ -267,7 +275,7 @@ def test_run_experiment_captures_cell_failure(tmp_path, monkeypatch):
                       out=str(tmp_path / "fail.csv"))
     rows = run_experiment(cfg)
     assert len(rows) == 1
-    assert rows[0].flags == "error:OracleFailure"
+    assert rows[0].flags == "error:ZeroChowVector"
     assert rows[0].disagreement == 1.0
     assert (tmp_path / "fail.csv").exists()
 

@@ -10,10 +10,13 @@ from robustchow import intersection_learner
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import ChowEstimate, empirical_chow
 from robustchow.distributions import gaussian_descriptor
-from robustchow.errors import BasisMismatch, CoverTooLarge
-from robustchow.harness import make_corrupted_source
+from robustchow.cli import main
+from robustchow.errors import BasisMismatch, ConfigError, CoverTooLarge
+from robustchow.harness import ExperimentConfig, make_corrupted_source
+from robustchow.hypothesis_select import select_intersection_cover
 from robustchow.intersection_learner import (
     COMBO_CAP,
+    K_CAP,
     Cover,
     Degree2ChowMatrix,
     Intersection,
@@ -372,6 +375,35 @@ def test_make_cover_validation():
         make_cover(4, 2, 0.5)
     with pytest.raises(ValueError):
         make_cover(1, 3, 0.5)  # dim must stay <= k + 1
+    # Theta = Phi^{-1}(1 - delta/(8k)) is negative above 4k = 4 at k = 1,
+    # and undefined from 8k on; at 4k it is 0, a single threshold
+    for delta in (16.0, 15.9, 5.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="outside"):
+            make_cover(1, 1, delta)
+    assert np.array_equal(make_cover(1, 1, 4.0).thresholds, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("entry", ["Intersection", "make_cover",
+                                   "select_intersection_cover",
+                                   "ExperimentConfig.validate", "learn-intersection"])
+def test_k_above_cap_rejected_at_every_entry(entry, capsys):
+    k = K_CAP + 1
+    if entry == "learn-intersection":
+        assert main(["learn-intersection", "--n", "8", "--k", str(k)]) == 2
+        assert capsys.readouterr().err.startswith("config error: k:")
+        return
+    holdout = LabeledSampleSet(np.zeros((3, 2)), np.ones(3))
+    config = ExperimentConfig(learner="intersection", n=8, k=k, eps_grid=[0.02],
+                              strategies=["none"], m_train=1_000)
+    error, call = {
+        "Intersection": (ValueError, lambda: Intersection([LTF(unit(2, 0), 0.0)] * k)),
+        "make_cover": (ValueError, lambda: make_cover(k, 1, 0.5)),
+        "select_intersection_cover":
+            (ValueError, lambda: select_intersection_cover(np.eye(2), np.zeros(2), k, holdout)),
+        "ExperimentConfig.validate": (ConfigError, config.validate),
+    }[entry]
+    with pytest.raises(error):
+        call()
 
 
 def test_default_cover_delta_properties():

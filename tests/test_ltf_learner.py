@@ -7,6 +7,7 @@ from scipy.stats import norm
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import ChowEstimate
 from robustchow.distributions import gaussian_descriptor
+from robustchow import ltf_learner
 from robustchow.harness import make_corrupted_source, score
 from robustchow.ltf_learner import (LTF, LTFConfig, RejectionParams,
                                     _rejection_mask, _whiten_accepted,
@@ -202,13 +203,15 @@ def test_weak_learner_constant_target():
 
 # --- refinement stages ---------------------------------------------------------
 
-def small_config():
-    return LTFConfig(accept_target=12_000, batch_cap=120_000,
-                     extreme_accept_target=2_000, extreme_batch_cap=60_000,
-                     holdout_size=6_000)
+@pytest.fixture
+def small_config(monkeypatch):
+    """Smaller budgets; the accept targets are ltf_learner constants."""
+    monkeypatch.setattr(ltf_learner, "ACCEPT_TARGET", 12_000)
+    monkeypatch.setattr(ltf_learner, "EXTREME_ACCEPT_TARGET", 2_000)
+    return LTFConfig(batch_cap=120_000, extreme_batch_cap=60_000, holdout_size=6_000)
 
 
-def test_refine_moderate_improves_direction():
+def test_refine_moderate_improves_direction(small_config):
     n = 8
     dist = gaussian_descriptor(n, 1, 0.01)
     f = plant(n, 0.4, 12)
@@ -218,21 +221,21 @@ def test_refine_moderate_improves_direction():
     v0 = f.v + 0.15 * rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)
     u_new, state = refine_moderate(source, v0, f.theta, 0.3, 0.01, seed=14,
-                                   config=small_config())
+                                   config=small_config)
     v_new = u_new / np.linalg.norm(u_new)
     assert float(v_new @ f.v) > float(v0 @ f.v)  # alignment improved
     assert 0 < state.a <= 1 and 0 <= state.b < 1
     assert state.a ** 2 + state.b ** 2 == pytest.approx(1.0)
 
 
-def test_refine_extreme_runs_and_returns_state():
+def test_refine_extreme_runs_and_returns_state(small_config):
     n = 5
     dist = gaussian_descriptor(n, 1, 0.005)
     f = plant(n, 2.2, 21)
     source = make_corrupted_source(f, dist, 0.0, AdversaryStrategy("none"))
     u0 = 2 * norm.pdf(2.2) * f.v
     u_cand, state = refine_extreme(source, 2.2, 0.005, 0.2, u0, seed=3,
-                                   config=small_config())
+                                   config=small_config)
     assert np.isfinite(u_cand).all()
     assert state.s is not None
     a, b = state.a, state.b
@@ -241,56 +244,56 @@ def test_refine_extreme_runs_and_returns_state():
 
 # --- full learner ----------------------------------------------------------------
 
-def test_learn_ltf_clean_small():
+def test_learn_ltf_clean_small(small_config):
     n = 8
     dist = gaussian_descriptor(n, 1, 0.01)
     f = plant(n, 0.4, 31)
     s = clean_set(f, dist, 60_000, 32)
     source = make_corrupted_source(f, dist, 0.0, AdversaryStrategy("none"))
-    out = learn_ltf(s, dist, 0.01, source=source, seed=33, config=small_config())
+    out = learn_ltf(s, dist, 0.01, source=source, seed=33, config=small_config)
     assert score(out, f, dist, 100_000, 34) <= 0.05
 
 
-def test_learn_ltf_under_attack():
+def test_learn_ltf_under_attack(small_config):
     n = 8
     dist = gaussian_descriptor(n, 1, 0.05)
     f = plant(n, 0.4, 41)
     strategy = AdversaryStrategy("chow_attack", rho=0.9)
     source = make_corrupted_source(f, dist, 0.05, strategy)
     s = source(60_000, 42)
-    out = learn_ltf(s, dist, 0.05, source=source, seed=43, config=small_config())
+    out = learn_ltf(s, dist, 0.05, source=source, seed=43, config=small_config)
     assert score(out, f, dist, 100_000, 44) <= 0.5  # 10 eps
     assert abs(out.theta - f.theta) < 0.35 or out.is_constant is False
 
 
-def test_learn_ltf_negative_threshold():
+def test_learn_ltf_negative_threshold(small_config):
     n = 6
     dist = gaussian_descriptor(n, 1, 0.02)
     f = plant(n, -0.6, 51)
     source = make_corrupted_source(f, dist, 0.0, AdversaryStrategy("none"))
     s = source(50_000, 52)
-    out = learn_ltf(s, dist, 0.02, source=source, seed=53, config=small_config())
+    out = learn_ltf(s, dist, 0.02, source=source, seed=53, config=small_config)
     assert out.theta < 0
     assert score(out, f, dist, 100_000, 54) <= 0.05
 
 
-def test_learn_ltf_constant_branch():
+def test_learn_ltf_constant_branch(small_config):
     n = 5
     dist = gaussian_descriptor(n, 1, 0.05)
     f = constant_ltf(n, -1)
     source = make_corrupted_source(f, dist, 0.05, AdversaryStrategy("random_flip"))
     s = source(30_000, 61)
-    out = learn_ltf(s, dist, 0.05, source=source, seed=62, config=small_config())
+    out = learn_ltf(s, dist, 0.05, source=source, seed=62, config=small_config)
     pts = dist.sample(5000, 63)
     assert float(np.mean(out.evaluate(pts) == -1.0)) > 0.95
 
 
-def test_learn_ltf_deterministic_given_seed():
+def test_learn_ltf_deterministic_given_seed(small_config):
     n = 5
     dist = gaussian_descriptor(n, 1, 0.02)
     f = plant(n, 0.3, 71)
     source = make_corrupted_source(f, dist, 0.02, AdversaryStrategy("random_flip"))
     s = source(30_000, 72)
-    a = learn_ltf(s, dist, 0.02, source=source, seed=73, config=small_config())
-    b = learn_ltf(s, dist, 0.02, source=source, seed=73, config=small_config())
+    a = learn_ltf(s, dist, 0.02, source=source, seed=73, config=small_config)
+    b = learn_ltf(s, dist, 0.02, source=source, seed=73, config=small_config)
     assert np.array_equal(a.v, b.v) and a.theta == b.theta
