@@ -19,8 +19,7 @@ import numpy as np
 
 from .adversary import LabeledSampleSet
 from .distributions import ReasonableDistribution
-from .errors import (AllPointsPruned, BasisMismatch, DimensionMismatch,
-                     NoThresholdFound)
+from .errors import AllPointsPruned, BasisMismatch, NoThresholdFound
 from .polybasis import MonomialBasis, enumerate_basis, eval_monomials_batch
 
 DENSE_EIG_MAX = 2000
@@ -163,51 +162,52 @@ def _threshold_cut(scores: np.ndarray, dist: ReasonableDistribution, eps: float)
     return t_cut, scores < t_cut
 
 
-def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
-                params: FilterParams, *, features: Optional[np.ndarray] = None) -> ChowEstimate:
-    """Prune, filter to fixpoint, and average y * m(x) over the survivors.
+def sample_floor(dist: ReasonableDistribution) -> int:
+    """Fewest samples the filter accepts: max(50, 2 * ell)."""
+    return max(50, 2 * dist.ell)
 
-    The rows h(x) in the descriptor's orthonormal coordinates
-    (`dist.featurize`) are computed once. One pass over them in row blocks
-    prunes them and sums the survivors' Gram matrix and label-weighted
-    rows; no copy of the sample is kept. Each filter pass then takes the
-    top eigenvector, scores the rows with one matrix-vector product and
-    subtracts the cut rows from both sums. The label-weighted mean maps
-    back to monomial coordinates through `dist.monomial_map()`. A caller
-    that already holds the rows passes them as `features`, shape (m, ell).
+
+def _survivor_sums(h: np.ndarray, dist: ReasonableDistribution,
+                   labels: Optional[np.ndarray] = None):
+    """Prune mask, survivor Gram h^T h and, given labels, survivor sum y h.
+
+    One pass over the rows in blocks of BLOCK_ROWS; no pruned copy of the
+    sample is kept. Pruned rows never enter either sum, so their features
+    may have overflowed. The label sum is None without labels.
     """
-    floor = max(50, 2 * dist.ell)
-    if len(corrupted) < floor:
-        raise ValueError(f"need at least {floor} samples, got {len(corrupted)}")
-    if not np.isfinite(corrupted.points).all():
-        raise ValueError("sample points must be finite")
-    m_in = len(corrupted)
-    if features is None:
-        h = dist.featurize(corrupted.points)
-    elif features.shape != (m_in, dist.ell):
-        raise DimensionMismatch(
-            f"features have shape {features.shape}, expected ({m_in}, {dist.ell})")
-    else:
-        h = features
-    # Survivor sums of h^T h and y h. Pruned rows never enter them (their
-    # features may have overflowed); cut rows leave by subtraction.
-    alive = np.empty(m_in, dtype=bool)
+    alive = np.empty(h.shape[0], dtype=bool)
     gram = np.zeros((dist.ell, dist.ell))
-    label_sum = np.zeros(dist.ell)
-    for lo in range(0, m_in, BLOCK_ROWS):
+    label_sum = None if labels is None else np.zeros(dist.ell)
+    for lo in range(0, h.shape[0], BLOCK_ROWS):
         rows = slice(lo, lo + BLOCK_ROWS)
-        h_b, y_b = h[rows], corrupted.labels[rows]
+        h_b = h[rows]
+        y_b = None if labels is None else labels[rows]
         keep = alive[rows] = prune_mask(h_b, dist)
         if not keep.all():
-            h_b, y_b = h_b[keep], y_b[keep]
+            h_b = h_b[keep]
+            y_b = None if y_b is None else y_b[keep]
         gram += h_b.T @ h_b
-        label_sum += y_b @ h_b
+        if y_b is not None:
+            label_sum += y_b @ h_b
+    return alive, gram, label_sum
+
+
+def _filter(h: np.ndarray, labels: np.ndarray, alive: np.ndarray, gram: np.ndarray,
+            label_sum: np.ndarray, dist: ReasonableDistribution,
+            eps: float) -> ChowEstimate:
+    """Filter to fixpoint from the survivor sums of `_survivor_sums`.
+
+    Each pass takes the top eigenvector of the survivors' Gram matrix,
+    scores the rows with one matrix-vector product and subtracts the cut
+    rows from both sums, which it updates in place along with `alive`.
+    """
+    m_in = h.shape[0]
     m_cur = int(alive.sum())
     if m_cur == 0:
         raise AllPointsPruned("every sample exceeded the prune radius; "
                               "distribution parameters likely mismatch the data")
     n_pruned = m_in - m_cur
-    break_level = C_BREAK * (dist.gamma + dist.delta + params.eps)
+    break_level = C_BREAK * (dist.gamma + dist.delta + eps)
 
     iterations = 0
     degraded = False
@@ -229,7 +229,7 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
         idx = np.nonzero(alive)[0]
         scores = np.abs(np.einsum("ij,j->i", h, v_star))[idx]
         try:
-            _, keep = _threshold_cut(scores, dist, params.eps)
+            _, keep = _threshold_cut(scores, dist, eps)
         except NoThresholdFound:
             degraded = True
             break
@@ -241,7 +241,7 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
             raise AllPointsPruned("filter removed every sample")
         h_gone = h[gone]
         gram -= h_gone.T @ h_gone
-        label_sum -= corrupted.labels[gone] @ h_gone
+        label_sum -= labels[gone] @ h_gone
 
     chi = dist.monomial_map() @ (label_sum / m_cur)
     provenance = {
@@ -255,6 +255,32 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
         "cap_reached": cap_reached,
     }
     return ChowEstimate(chi, dist.basis, dist, provenance, keep_mask=alive)
+
+
+def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
+                params: FilterParams) -> ChowEstimate:
+    """Prune, filter to fixpoint, and average y * m(x) over the survivors.
+
+    The rows h(x) in the descriptor's orthonormal coordinates
+    (`dist.featurize`) are computed once. One pass over them in row blocks
+    prunes them and sums the survivors' Gram matrix and label-weighted
+    rows (`_survivor_sums`); the filter loop (`_filter`) then cuts from
+    those sums. The label-weighted mean maps back to monomial coordinates
+    through `dist.monomial_map()`.
+
+    On the hypercube at degree 1 every row has norm sqrt(n + 1), so every
+    score is at most sqrt(n + 1). For n <= 9 that is below 3.30, the point
+    where the tail bound Q_1 drops under 1, so no cut can fire and the
+    estimate is the plain label-weighted mean.
+    """
+    floor = sample_floor(dist)
+    if len(corrupted) < floor:
+        raise ValueError(f"need at least {floor} samples, got {len(corrupted)}")
+    if not np.isfinite(corrupted.points).all():
+        raise ValueError("sample points must be finite")
+    h = dist.featurize(corrupted.points)
+    alive, gram, label_sum = _survivor_sums(h, dist, corrupted.labels)
+    return _filter(h, corrupted.labels, alive, gram, label_sum, dist, params.eps)
 
 
 def empirical_chow(s: LabeledSampleSet, dist: ReasonableDistribution) -> ChowEstimate:

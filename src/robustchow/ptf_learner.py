@@ -17,12 +17,15 @@ from typing import Callable, Optional
 import numpy as np
 
 from .adversary import AdversaryStrategy, LabeledSampleSet, corrupt
-from .chowfilter import ChowEstimate, FilterParams, robust_chow
+from .chowfilter import (ChowEstimate, FilterParams, _filter, _survivor_sums,
+                         prune_mask, robust_chow, sample_floor)
 from .distributions import EPS_FLOOR, ReasonableDistribution
 from .errors import ConfigError
 from .polybasis import Polynomial
 
 C_STOP_DEFAULT = 4.0
+# Filter provenance kept from each oracle estimate, in call order.
+ORACLE_FILTER_KEYS = ("iterations", "pruned", "filtered", "degraded", "cap_reached")
 
 
 @dataclass
@@ -109,8 +112,11 @@ def chow_reconstruct(target: ChowEstimate, dist: ReasonableDistribution, xi: flo
     stalled = False
     residual_norm = math.inf
     last_nudge = None
+    oracle_filters = []
     while True:
-        chi_t = chow_oracle(PBF(Polynomial(dist.basis, coeffs), xi)).chi
+        est = chow_oracle(PBF(Polynomial(dist.basis, coeffs), xi))
+        oracle_filters.append({k: est.provenance[k] for k in ORACLE_FILTER_KEYS})
+        chi_t = est.chi
         rho = isqrt @ (chi_target - chi_t)
         residual_norm = float(np.linalg.norm(rho))
         if residual_norm <= C_STOP_DEFAULT * xi:
@@ -145,7 +151,7 @@ def chow_reconstruct(target: ChowEstimate, dist: ReasonableDistribution, xi: flo
     return PBF(Polynomial(dist.basis, coeffs), xi,
                {"iterations": iterations, "cap_reached": cap_reached,
                 "stalled": stalled, "final_residual": residual_norm,
-                "oracle_calls": iterations + 1})
+                "oracle_calls": iterations + 1, "oracle_filters": oracle_filters})
 
 
 def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
@@ -153,35 +159,58 @@ def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
                          seed) -> ChowOracle:
     """Chow oracle on one clean pool, corrupted anew per call, self-labeled.
 
-    The first call draws and featurizes m_per_call points; uniform
+    The first call draws and featurizes m_per_call points and prunes them
+    once, keeping the pool's prune mask and survivor Gram matrix; uniform
     convergence over clipped degree-d polynomials covers every query on
     that one pool, adaptive queries included. Each call lets the adversary
     move up to an eps-fraction of the points, then labels all of them by
     the queried hypothesis, so only placement (not labels) is corrupted.
-    The moved rows' features replace the pool's for the filter and are
-    swapped back afterwards, also when the filter raises.
+    A copy of the pool's sums is then corrected by the moved rows: their
+    old rows leave if they survived the prune, their new rows enter if
+    they pass it. One gemv sums the survivors' labels and the filter loop
+    runs as in `robust_chow`, which gives the same estimate on the moved
+    sample up to summation order. The moved rows' features replace the
+    pool's for the filter and are swapped back afterwards, also when the
+    filter raises.
     """
+    floor = sample_floor(dist)
+    if m_per_call < floor:
+        raise ValueError(f"oracle pool needs at least {floor} points, got {m_per_call}")
     stream = np.random.default_rng(seed)
     pool_seed = stream.integers(0, 2 ** 63)
-    pts = h = None   # the pool's points and features, set by the first call
+    pool = None   # points, features, prune mask and survivor Gram; set by the first call
 
     def oracle(pbf: PBF) -> ChowEstimate:
-        nonlocal pts, h
+        nonlocal pool
         adv_seed = stream.integers(0, 2 ** 63)
-        if h is None:
+        if pool is None:
             pts = dist.sample(m_per_call, pool_seed)
             h = dist.featurize(pts)
+            pool = (pts, h, *_survivor_sums(h, dist)[:2])
+        pts, h, pool_alive, pool_gram = pool
         # q(x) = q . m(x) = (C^T q) . h(x) with m(x) = C h(x)
         weights = dist.monomial_map().T @ pbf.q.coeffs
         clean = LabeledSampleSet(pts, np.clip(h @ weights, -1.0, 1.0))
         moved = corrupt(clean, pbf, eps, strategy, dist, adv_seed)
         idx = np.flatnonzero(moved.corrupted_mask)
+        if not np.isfinite(moved.points[idx]).all():
+            raise ValueError("sample points must be finite")
+        rows = dist.featurize(moved.points[idx])
+        # the learner labels whatever points it is handed
+        moved.labels[idx] = np.clip(rows @ weights, -1.0, 1.0)
+        alive, gram = pool_alive.copy(), pool_gram.copy()
+        old = h[idx[alive[idx]]]
+        gram -= old.T @ old
+        keep = alive[idx] = prune_mask(rows, dist)
+        new = rows[keep]
+        gram += new.T @ new
         saved = h[idx]
         try:
-            h[idx] = rows = dist.featurize(moved.points[idx])
-            # the learner labels whatever points it is handed
-            moved.labels[idx] = np.clip(rows @ weights, -1.0, 1.0)
-            return robust_chow(moved, dist, FilterParams(eps=eps), features=h)
+            h[idx] = rows
+            # a view when nothing is pruned; pruned rows may have overflowed
+            surv = slice(None) if alive.all() else alive
+            label_sum = moved.labels[surv] @ h[surv]
+            return _filter(h, moved.labels, alive, gram, label_sum, dist, eps)
         finally:
             h[idx] = saved
 
@@ -221,7 +250,7 @@ def learn_ptf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, d: int,
         xi = default_xi(dist, eps, len(corrupted),
                         achieved_excess=target.provenance.get("final_lambda"))
     strategy = oracle_strategy or AdversaryStrategy("none")
-    m_call = m_oracle or min(len(corrupted), 100_000)
+    m_call = min(len(corrupted), 100_000) if m_oracle is None else m_oracle
     oracle = make_sampling_oracle(dist, eps, strategy, m_call, seed)
     pbf = chow_reconstruct(target, dist, xi, oracle)
     coeffs = pbf.q.coeffs

@@ -216,6 +216,26 @@ def test_attack_point_closed_form_matches_bisection(n, d, rho, seed):
     assert np.allclose(x, bisect_attack_point(dist, u, rho), rtol=1e-12, atol=0.0)
 
 
+@settings(max_examples=60, deadline=None)
+@given(tag=st.sampled_from(STRATEGIES), m=st.integers(1, 400),
+       eps=st.floats(0.0, 0.33), seed=st.integers(0, 2 ** 32 - 1))
+def test_corrupt_invariants_every_strategy(tag, m, eps, seed):
+    # the PTF oracle corrects its pool's sums by the flagged rows alone, so
+    # the budget must be exact and unflagged rows and the input untouched
+    dist = attack_descriptor(4, 2)
+    f = LTF(np.full(4, 0.5), 0.3)
+    pts = dist.sample(m, seed)
+    s = LabeledSampleSet(pts, f.evaluate(pts).astype(np.float64))
+    before = s.copy()
+    out = corrupt(s, f, eps, AdversaryStrategy(tag), dist, seed + 1)
+    flagged = out.corrupted_mask
+    assert int(flagged.sum()) == (0 if tag == "none" else math.floor(eps * m))
+    assert out.points[~flagged].tobytes() == s.points[~flagged].tobytes()
+    assert out.labels[~flagged].tobytes() == s.labels[~flagged].tobytes()
+    assert s.points.tobytes() == before.points.tobytes()
+    assert s.labels.tobytes() == before.labels.tobytes()
+
+
 def test_chow_attack_featurizes_one_row(monkeypatch):
     dist = gaussian_descriptor(5, 3, 0.1)
     f = LTF(np.full(5, 1.0 / math.sqrt(5.0)), 0.2)

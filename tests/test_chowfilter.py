@@ -9,13 +9,13 @@ from hypothesis import strategies as st
 from robustchow import chowfilter
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import (BLOCK_ROWS, ChowEstimate, FilterParams,
-                                   _threshold_cut, _top_eigenpair,
+                                   _filter, _survivor_sums, _threshold_cut,
+                                   _top_eigenpair,
                                    chow_distance, empirical_chow, prune_mask,
                                    robust_chow)
 from robustchow.distributions import (gaussian_descriptor, hypercube_descriptor,
                                       log_concave_descriptor)
-from robustchow.errors import (AllPointsPruned, BasisMismatch,
-                               DimensionMismatch, NoThresholdFound)
+from robustchow.errors import AllPointsPruned, BasisMismatch, NoThresholdFound
 from robustchow.ltf_learner import LTF
 from robustchow.polybasis import eval_monomials_batch
 
@@ -527,16 +527,40 @@ def test_filter_stops_at_iteration_cap(monkeypatch):
     assert 0 < prov["filtered"] < uncapped["filtered"]
 
 
-def test_robust_chow_features_match_featurizing():
-    dist, f, s = ltf_instance(n=6, m=8000, seed=2)
+def test_survivor_sums_then_filter_is_robust_chow():
+    dist, f, s = ltf_instance(n=6, m=2 * BLOCK_ROWS + 77, seed=2)
     bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack"), dist, 3)
+    bad.points[[5, BLOCK_ROWS + 9]] = 1e6   # one pruned row in each of two blocks
     h = dist.featurize(bad.points)
-    a = robust_chow(bad, dist, FilterParams(eps=0.1))
-    b = robust_chow(bad, dist, FilterParams(eps=0.1), features=h)
-    assert np.array_equal(a.chi, b.chi)
-    assert np.array_equal(a.keep_mask, b.keep_mask)
-    with pytest.raises(DimensionMismatch):
-        robust_chow(bad, dist, FilterParams(eps=0.1), features=h[:-1])
+    alive, gram, label_sum = _survivor_sums(h, dist, bad.labels)
+    assert np.array_equal(alive, prune_mask(h, dist)) and (~alive).sum() == 2
+    live = h[alive]
+    assert np.allclose(gram, live.T @ live, rtol=1e-12, atol=0)
+    assert np.allclose(label_sum, bad.labels[alive] @ live, rtol=0, atol=1e-9)
+    # without labels: the same mask and Gram matrix, no label sum
+    bare_alive, bare_gram, bare_sum = _survivor_sums(h, dist)
+    assert np.array_equal(bare_alive, alive) and np.array_equal(bare_gram, gram)
+    assert bare_sum is None
+    est = _filter(h, bad.labels, alive, gram, label_sum, dist, 0.1)
+    ref = robust_chow(bad, dist, FilterParams(eps=0.1))
+    assert est.provenance == ref.provenance and ref.provenance["filtered"] > 0
+    assert np.array_equal(est.keep_mask, ref.keep_mask)
+    assert np.array_equal(est.chi, ref.chi)
+
+
+@pytest.mark.parametrize("n", [2, 6, 9])
+def test_hypercube_degree1_filter_is_the_plain_mean(monkeypatch, n):
+    # every hypercube score is at most sqrt(n + 1) < 3.30, where the
+    # degree-1 tail bound is still 1, so even a zero break level cuts nothing
+    monkeypatch.setattr(chowfilter, "C_BREAK", 0.0)
+    dist = hypercube_descriptor(n, 1, 0.1)
+    f = LTF(np.eye(n)[0], 0.0)
+    pts = dist.sample(4000, n)
+    bad = corrupt(LabeledSampleSet(pts, f.evaluate(pts)), f, 0.1,
+                  AdversaryStrategy("chow_attack"), dist, n + 1)
+    est = robust_chow(bad, dist, FilterParams(eps=0.1))
+    assert est.provenance["filtered"] == 0 and est.provenance["pruned"] == 0
+    assert np.allclose(est.chi, empirical_chow(bad, dist).chi, rtol=0, atol=1e-12)
 
 
 def test_robust_chow_featurizes_once(monkeypatch):

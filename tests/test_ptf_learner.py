@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
-from robustchow.chowfilter import ChowEstimate, chow_distance, empirical_chow
+from robustchow.chowfilter import (ChowEstimate, _survivor_sums, chow_distance,
+                                   empirical_chow, robust_chow, sample_floor)
 from robustchow.distributions import gaussian_descriptor
-from robustchow.errors import ConfigError
+from robustchow.errors import AllPointsPruned, ConfigError
 from robustchow.harness import score
 from robustchow.ltf_learner import LTF
 from robustchow import ptf_learner
@@ -159,6 +160,18 @@ def test_sampling_oracle_relabels_with_hypothesis():
     assert chow_distance(est_flip, est_none) < 0.05
 
 
+def spy_on_corrupt(monkeypatch, moved):
+    """Record every sample the oracle's adversary hands back."""
+    real = ptf_learner.corrupt
+
+    def spy(*args):
+        out = real(*args)
+        moved.append(out)
+        return out
+
+    monkeypatch.setattr(ptf_learner, "corrupt", spy)
+
+
 def test_sampling_oracle_keeps_one_clean_pool(monkeypatch):
     dist = gaussian_descriptor(3, 2, 0.05)
     coeffs = np.zeros(dist.ell)
@@ -180,13 +193,7 @@ def test_sampling_oracle_keeps_one_clean_pool(monkeypatch):
     assert np.array_equal(a.chi, c.chi)  # one pool serves every call
 
     moved = []
-    real_chow = ptf_learner.robust_chow
-
-    def spy(s, d, params, *, features):
-        moved.append(np.flatnonzero(s.corrupted_mask))
-        return real_chow(s, d, params, features=features)
-
-    monkeypatch.setattr(ptf_learner, "robust_chow", spy)
+    spy_on_corrupt(monkeypatch, moved)
     pools.clear()
     oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), 5000, seed=2)
     oracle(pbf)
@@ -195,17 +202,136 @@ def test_sampling_oracle_keeps_one_clean_pool(monkeypatch):
     assert h.tobytes() == clean.tobytes()
     oracle(pbf)
     assert h.tobytes() == clean.tobytes()
-    assert moved[0].size == moved[1].size == 250
-    assert not np.array_equal(moved[0], moved[1])
+    first, second = (np.flatnonzero(s.corrupted_mask) for s in moved)
+    assert first.size == second.size == 250
+    assert not np.array_equal(first, second)
 
     def fails(*args, **kwargs):
         raise RuntimeError("filter failed")
 
-    monkeypatch.setattr(ptf_learner, "robust_chow", fails)
+    monkeypatch.setattr(ptf_learner, "_filter", fails)
     with pytest.raises(RuntimeError):
         oracle(pbf)
     # the moved rows are swapped back even when the filter raises
     assert h.tobytes() == clean.tobytes()
+
+
+def test_sampling_oracle_matches_robust_chow_on_each_moved_sample(monkeypatch):
+    # The oracle corrects its pool's prune mask and Gram matrix by the moved
+    # rows; a fresh robust_chow on the same moved sample is the reference.
+    dist = gaussian_descriptor(3, 2, 0.05)
+    m, eps = 3000, 0.05
+    pools = []
+    real_sample, real_featurize = dist.sample, dist.featurize
+
+    def far_pool(count, seed):
+        pts = real_sample(count, seed)
+        pts[:3] = 1e4   # pool rows 0, 1 and 2 are pruned
+        return pts
+
+    def remember(points):
+        out = real_featurize(points)
+        if not pools:
+            pools.append((points.copy(), out))
+        return out
+
+    real_corrupt = ptf_learner.corrupt
+    moved = []
+
+    def adversary(clean, f, eps_, strategy, dist_, seed):
+        out = real_corrupt(clean, f, eps_, strategy, dist_, seed)
+        free = np.flatnonzero(~out.corrupted_mask)[3:]
+        out.points[0] = 0.25        # lands on a pruned pool row
+        out.points[free[0]] = 1e4   # pruned where it lands
+        out.points[free[1]] = 1e200  # its degree-2 features overflow
+        out.corrupted_mask[[0, free[0], free[1]]] = True
+        moved.append(out)
+        return out
+
+    real_filter = ptf_learner._filter
+    sums = []
+
+    def spy(h, labels, alive, gram, label_sum, *args):
+        sums.append((alive.copy(), gram.copy(), label_sum.copy()))
+        return real_filter(h, labels, alive, gram, label_sum, *args)
+
+    monkeypatch.setattr(dist, "sample", far_pool)
+    monkeypatch.setattr(dist, "featurize", remember)
+    monkeypatch.setattr(ptf_learner, "corrupt", adversary)
+    monkeypatch.setattr(ptf_learner, "_filter", spy)
+    oracle = make_sampling_oracle(dist, eps, AdversaryStrategy("chow_attack"), m, seed=5)
+    coeffs = np.zeros(dist.ell)
+    coeffs[0], coeffs[1] = -0.25, 0.5
+    queries = [coeffs, 2 * coeffs, np.zeros(dist.ell)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for q in queries:
+            est = oracle(PBF(Polynomial(dist.basis, q), 0.5))
+            ref = robust_chow(moved[-1], dist, ptf_learner.FilterParams(eps=eps))
+            # the corrected sums are the moved sample's survivor sums
+            alive, gram, label_sum = sums[-1]
+            fresh = _survivor_sums(real_featurize(moved[-1].points), dist, moved[-1].labels)
+            assert np.array_equal(alive, fresh[0])
+            for got, want in ((gram, fresh[1]), (label_sum, fresh[2])):
+                assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+            assert np.array_equal(est.keep_mask, ref.keep_mask)
+            for key in ("iterations", "pruned", "filtered", "degraded", "cap_reached"):
+                assert est.provenance[key] == ref.provenance[key], key
+            assert np.allclose(est.chi, ref.chi, rtol=0, atol=1e-12)
+            assert est.keep_mask[0] and not est.keep_mask[1:3].any()
+            assert est.provenance["pruned"] == 4 and est.provenance["filtered"] > 0
+    (pts, h), = pools
+    clean = real_featurize(pts)
+    assert h.tobytes() == clean.tobytes()
+
+    def fails(*args, **kwargs):
+        raise RuntimeError("filter failed")
+
+    monkeypatch.setattr(ptf_learner, "_filter", fails)
+    with pytest.raises(RuntimeError), np.errstate(over="ignore", invalid="ignore"):
+        oracle(PBF(Polynomial(dist.basis, coeffs), 0.5))
+    assert h.tobytes() == clean.tobytes()
+
+
+def test_sampling_oracle_rejects_a_pool_below_the_filter_floor():
+    dist = gaussian_descriptor(4, 2, 0.05)
+    floor = sample_floor(dist)
+    with pytest.raises(ValueError, match="at least"):
+        make_sampling_oracle(dist, 0.05, AdversaryStrategy("none"), floor - 1, seed=0)
+    oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("none"), floor, seed=0)
+    coeffs = np.zeros(dist.ell)
+    coeffs[1] = 0.5
+    assert oracle(PBF(Polynomial(dist.basis, coeffs), 0.5)).provenance["samples_in"] == floor
+
+
+def test_sampling_oracle_keeps_the_filter_input_checks(monkeypatch):
+    dist = gaussian_descriptor(3, 2, 0.05)
+    coeffs = np.zeros(dist.ell)
+    coeffs[1] = 0.5
+    pbf = PBF(Polynomial(dist.basis, coeffs), 0.5)
+    real_corrupt = ptf_learner.corrupt
+
+    def nan_adversary(*args):
+        out = real_corrupt(*args)
+        out.points[np.flatnonzero(out.corrupted_mask)[0], 1] = np.nan
+        return out
+
+    monkeypatch.setattr(ptf_learner, "corrupt", nan_adversary)
+    oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), 2000, seed=1)
+    with pytest.raises(ValueError, match="finite"):
+        oracle(pbf)
+    monkeypatch.setattr(ptf_learner, "corrupt", real_corrupt)
+    monkeypatch.setattr(dist, "sample", lambda count, seed: np.full((count, 3), 1e4))
+    oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("none"), 2000, seed=1)
+    with pytest.raises(AllPointsPruned):
+        oracle(pbf)
+
+
+def test_learn_ptf_takes_a_zero_oracle_pool_literally():
+    dist = gaussian_descriptor(3, 1, 0.0)
+    pts = dist.sample(2000, 1)
+    s = LabeledSampleSet(pts, np.where(pts[:, 0] >= 0, 1.0, -1.0))
+    with pytest.raises(ValueError, match="at least"):
+        learn_ptf(s, dist, 1, 0.0, m_oracle=0)
 
 
 def test_sampling_oracle_featurizes_each_draw_once(monkeypatch):
@@ -241,19 +367,20 @@ def test_sampling_oracle_labels_and_features_match_its_points(monkeypatch):
     coeffs[0], coeffs[1] = -0.25, 0.5
     coeffs[dist.basis.index_of((2, 0, 0))] = 0.25
     pbf = PBF(Polynomial(dist.basis, coeffs), 0.5)
-    seen = []
-    real = ptf_learner.robust_chow
+    moved, seen = [], []
+    spy_on_corrupt(monkeypatch, moved)
+    real = ptf_learner._filter
 
-    def spy(s, d, params, *, features):
+    def spy(h, labels, *args):
         # the oracle swaps the pool's clean rows back after the call
-        seen.append((s, features.copy()))
-        return real(s, d, params, features=features)
+        seen.append((labels.copy(), h.copy()))
+        return real(h, labels, *args)
 
-    monkeypatch.setattr(ptf_learner, "robust_chow", spy)
+    monkeypatch.setattr(ptf_learner, "_filter", spy)
     make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), 5000, seed=2)(pbf)
-    (s, h), = seen
+    (s,), ((labels, h),) = moved, seen
     assert s.corrupted_mask.sum() == 250
-    assert np.allclose(s.labels, pbf.evaluate(s.points), rtol=0, atol=1e-12)
+    assert np.allclose(labels, pbf.evaluate(s.points), rtol=0, atol=1e-12)
     assert np.allclose(h, dist.featurize(s.points), rtol=0, atol=1e-12)
 
 
@@ -326,8 +453,8 @@ def test_learn_ptf_reports_provenance(monkeypatch):
         oracle = real(*args)
 
         def counted(pbf):
-            calls.append(1)
-            return oracle(pbf)
+            calls.append(oracle(pbf))
+            return calls[-1]
         return counted
 
     monkeypatch.setattr(ptf_learner, "make_sampling_oracle", counting)
@@ -338,6 +465,10 @@ def test_learn_ptf_reports_provenance(monkeypatch):
     assert prov["target"] == target.provenance
     assert prov["target"]["filtered"] > 0
     assert prov["oracle_calls"] == len(calls) == prov["iterations"] + 1
+    # each oracle estimate's filter record, in call order
+    keys = ("iterations", "pruned", "filtered", "degraded", "cap_reached")
+    assert prov["oracle_filters"] == [{k: est.provenance[k] for k in keys} for est in calls]
+    assert any(entry["filtered"] > 0 for entry in prov["oracle_filters"])
     assert isinstance(prov["stalled"], bool) and isinstance(prov["cap_reached"], bool)
     assert math.isfinite(prov["final_residual"])
     # the record rides along: it is not part of equality or the JSON form
