@@ -2,8 +2,11 @@
 up to an eps-fraction of (point, label) pairs before the learner runs.
 
 The adversary is white-box: it receives the true hypothesis and the
-distribution descriptor. corrupted_mask is carried for diagnostics only and
-must never be read by a learner.
+distribution descriptor. corrupted_mask is carried for diagnostics and must
+never be read by a learner. The one reader is the PTF sampling oracle, which
+plays the sample source rather than the learner: it generates the pool
+itself, so it knows which rows the adversary moved and reads the mask only
+to relabel and re-featurize those rows.
 """
 
 from __future__ import annotations
@@ -56,10 +59,6 @@ class LabeledSampleSet:
         mask = None if self.corrupted_mask is None else self.corrupted_mask.copy()
         return LabeledSampleSet(self.points.copy(), self.labels.copy(), mask)
 
-    def subset(self, idx) -> "LabeledSampleSet":
-        mask = None if self.corrupted_mask is None else self.corrupted_mask[idx]
-        return LabeledSampleSet(self.points[idx], self.labels[idx], mask)
-
     def to_csv(self, path):
         """Header x1..xn,y[,corrupted]; floats at full round-trip precision,
         CRLF line ends."""
@@ -94,16 +93,12 @@ class AdversaryStrategy:
 
     tag: str = "none"
     rho: float = 0.9
-    attack_direction: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.tag not in STRATEGIES:
             raise UnknownStrategy(f"unknown strategy {self.tag!r}; catalog: {STRATEGIES}")
         if not (0.0 < self.rho < 1.0):
             raise ValueError(f"rho must lie in (0, 1), got {self.rho}")
-        if self.attack_direction is not None:
-            u = np.asarray(self.attack_direction, dtype=np.float64)
-            self.attack_direction = u / np.linalg.norm(u)
 
 
 def _attack_point(dist: ReasonableDistribution, direction: np.ndarray,
@@ -165,10 +160,8 @@ def corrupt(clean: LabeledSampleSet, f, eps: float, strategy: AdversaryStrategy,
         out.corrupted_mask[idx] = True
 
     elif strategy.tag == "chow_attack":
-        direction = strategy.attack_direction
-        if direction is None:
-            direction = rng.standard_normal(clean.n)
-            direction /= np.linalg.norm(direction)
+        direction = rng.standard_normal(clean.n)
+        direction /= np.linalg.norm(direction)
         x0 = _attack_point(dist, direction, strategy.rho)
         idx = rng.choice(m, size=budget, replace=False)
         out.points[idx] = x0

@@ -10,7 +10,6 @@ survivors' features, mapped back to monomial coordinates.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -88,10 +87,6 @@ class ChowEstimate:
                                 multilinear=bool(data.get("multilinear", False)))
         return cls(np.asarray(data["chi"], dtype=np.float64), basis, dist,
                    dict(data.get("provenance", {})))
-
-    def dump(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
 
 
 def _top_eigenpair(m_mat: np.ndarray):

@@ -50,7 +50,7 @@ def _write_json(payload: dict, out: str | None):
 def _cmd_chow(args) -> int:
     cfg = _load_json(args.config)
     eps = float(args.eps if args.eps is not None else cfg.get("eps", 0.0))
-    dist = from_config(cfg["dist"] if "dist" in cfg else cfg, eps)
+    dist = from_config(cfg, eps)
     samples_path = args.samples or cfg.get("samples")
     if samples_path is None:
         raise ConfigError("chow: provide --samples or a 'samples' config entry")

@@ -325,8 +325,7 @@ def hypercube_descriptor(n: int, d: int, eps: float,
 
 def log_concave_descriptor(n: int, d: int, moment_table: np.ndarray, gamma: float,
                            eps: float, sampler: Optional[Callable] = None,
-                           tail_c: Optional[float] = None,
-                           name: str = "log-concave") -> ReasonableDistribution:
+                           tail_c: Optional[float] = None) -> ReasonableDistribution:
     """Wrap user-supplied degree-2d moments as Sigma with relative error gamma.
 
     Sampling is only available if the caller registers a sampler; moment-only
@@ -346,7 +345,7 @@ def log_concave_descriptor(n: int, d: int, moment_table: np.ndarray, gamma: floa
         raise NotPSD("moment table has no positive eigenvalue")
     tail = make_tail_bound("log-concave-chaos", d, c=tail_c)
     dist = ReasonableDistribution(
-        name=name, n=n, d=d, basis=basis,
+        name="log-concave", n=n, d=d, basis=basis,
         sigma=0.5 * (M + M.T), gamma=float(gamma), tail=tail,
         delta=compute_delta(tail, eps_eff),
         t_max=compute_tmax(tail, eps_eff, basis.ell),

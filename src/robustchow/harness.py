@@ -3,8 +3,8 @@ Monte-Carlo scoring, CSV reporting.
 
 Every reported number is a pure function of the config: cells derive their
 RNG streams from (master seed, cell index), run independently in a thread
-pool, and rows are emitted in cell order. Wall-clock time is recorded as 0
-under deterministic_output (the default) so reruns are bit-identical.
+pool, and rows are emitted in cell order. The wall_time_ms column is
+always 0, so reruns are bit-identical.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import math
 import os
 import tempfile
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -52,10 +51,7 @@ class ExperimentConfig:
     trials: int = 3
     seed: int = 0
     out: str = "results.csv"
-    rho: float = 0.9
     plant: dict = field(default_factory=dict)
-    deterministic_output: bool = True
-    timeout_s: float = 600.0
     xi: Optional[float] = None
     delta_override: Optional[float] = None
 
@@ -79,6 +75,12 @@ class ExperimentConfig:
             problems.append(f"m_train: must be >= 100, got {self.m_train}")
         if self.trials < 1:
             problems.append("trials: must be >= 1")
+        if self.m_holdout < 1:
+            problems.append(f"m_holdout: must be >= 1, got {self.m_holdout}")
+        if self.m_score < 1000:
+            problems.append(f"m_score: must be >= 1000, got {self.m_score}")
+        if self.xi is not None and not (0.0 < self.xi < 1.0):   # NaN fails too
+            problems.append(f"xi: must lie in (0, 1), got {self.xi}")
         if self.dist not in ("gaussian", "hypercube"):
             problems.append(f"dist: must be gaussian or hypercube, got {self.dist!r}")
         if self.d < 1:
@@ -273,14 +275,13 @@ def run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,
     ss = np.random.SeedSequence(config.seed, spawn_key=(cell_index,))
     cell_seed = int(ss.generate_state(1)[0])
     s_plant, s_corrupt, s_learn, s_score, s_extra = ss.spawn(5)
-    started = time.monotonic()
 
     dist = _build_dist(config, eps)
     rng = np.random.default_rng(s_plant)
     plant = _plant_for_cell(config, dist, rng)
     pts = dist.sample(config.m_train, s_extra)
     clean = LabeledSampleSet(pts, np.asarray(plant.evaluate(pts), dtype=np.float64))
-    strategy = AdversaryStrategy(strategy_tag, rho=config.rho)
+    strategy = AdversaryStrategy(strategy_tag)
     corrupted = corrupt(clean, plant, eps, strategy, dist, s_corrupt)
 
     disagreement = 0.0
@@ -310,7 +311,6 @@ def run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,
         elif config.learner == "ptf":
             hyp = learn_ptf(corrupted, dist, config.d, eps, xi=config.xi,
                             oracle_strategy=strategy,
-                            m_oracle=min(config.m_train, 100_000),
                             seed=int(s_learn.generate_state(1)[0]))
         else:
             hyp = learn_intersection(corrupted, config.k, eps, source=source,
@@ -320,15 +320,8 @@ def run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,
         disagreement = score(hyp, plant, dist, config.m_score, s_score)
         output = hyp
 
-    elapsed_ms = int(round((time.monotonic() - started) * 1000.0))
-    if config.deterministic_output:
-        wall = 0
-    else:
-        wall = elapsed_ms
-        if elapsed_ms > config.timeout_s * 1000.0:
-            flags.append("timeout")
     row = ResultRow(config.learner, strategy_tag, eps, trial, cell_seed,
-                    disagreement, chow_error, iterations, removed, wall,
+                    disagreement, chow_error, iterations, removed, 0,
                     ";".join(flags))
     return row, output
 

@@ -10,7 +10,6 @@ much degree-2 Chow mass a single direction carries.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -71,10 +70,6 @@ class Intersection:
         sub = data.get("subspace")
         basis = np.asarray(sub, dtype=np.float64).T if sub is not None else None
         return cls(members, subspace=basis)
-
-    def dump(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
 
 
 @dataclass

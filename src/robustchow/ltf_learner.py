@@ -11,7 +11,6 @@ candidates go through holdout selection.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -83,10 +82,6 @@ class LTF:
     @classmethod
     def from_json(cls, data: dict) -> "LTF":
         return cls(np.asarray(data["v"], dtype=np.float64), float(data["theta"]))
-
-    def dump(self, path):
-        with open(path, "w") as fh:
-            json.dump(self.to_json(), fh, indent=2)
 
 
 def constant_ltf(n: int, sign: float) -> LTF:
@@ -215,13 +210,12 @@ def weak_learn_ltf(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
 
 
 def refine_moderate(source, v_prev: np.ndarray, theta: float, delta_prev: float,
-                    eps: float, seed=0, config: Optional[LTFConfig] = None):
+                    eps: float, seed, config: LTFConfig):
     """One localization step in the moderate-bias regime.
 
     Returns (u_new, LocalizationState); u_new estimates the degree-1 Chow
     vector 2 G(theta) v_true with error O(eps sqrt(log(delta_prev / eps))).
     """
-    config = config or LTFConfig()
     eps_eff = max(eps, EPS_FLOOR)
     v_prev = np.asarray(v_prev, dtype=np.float64)
     sigma = min(0.5, delta_prev * math.exp(theta ** 2 / 2.0))
@@ -259,7 +253,7 @@ def refine_moderate(source, v_prev: np.ndarray, theta: float, delta_prev: float,
 
 
 def refine_extreme(source, theta: float, eps: float, delta: float,
-                   u: np.ndarray, seed, config: Optional[LTFConfig] = None):
+                   u: np.ndarray, seed, config: LTFConfig):
     """One randomized trial for heavily biased targets.
 
     Guesses the misalignment magnitude b on a coarse grid, shifts the
@@ -268,7 +262,6 @@ def refine_extreme(source, theta: float, eps: float, delta: float,
     succeeds only with inverse-polylog probability; the caller runs a budget
     of trials and lets holdout selection keep the good ones.
     """
-    config = config or LTFConfig()
     eps_eff = max(eps, EPS_FLOOR)
     u = np.asarray(u, dtype=np.float64)
     v = u / np.linalg.norm(u)
@@ -345,10 +338,10 @@ def learn_ltf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, eps: fl
                            source=flipped_src, seed=seed, config=config)
         return LTF(-mirror.v, -mirror.theta)
 
-    seeds = _seed_seq(seed).spawn(4)
+    s_branch, s_holdout = _seed_seq(seed).spawn(2)
     weak = weak_learn_ltf(corrupted, dist, eps)
     candidates = [weak, constant_ltf(n, 1.0 if mean >= 0 else -1.0)]
-    branch_seed = int(seeds[0].generate_state(1)[0])
+    branch_seed = int(s_branch.generate_state(1)[0])
 
     log_term = math.log(1.0 / eps_eff)
     extreme = (theta0 * math.exp(theta0 ** 2 / 2.0)
@@ -385,6 +378,6 @@ def learn_ltf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, eps: fl
                 if nrm > 1e-12:
                     candidates.append(LTF(u_cand / nrm, theta0))
 
-    holdout = source(config.holdout_size, seeds[1])
+    holdout = source(config.holdout_size, s_holdout)
     winner, _ = select(candidates, holdout)
     return winner

@@ -9,7 +9,6 @@ vector, and moment matrix in the package is indexed by this ordering.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -204,19 +203,3 @@ class Polynomial:
 
     def __call__(self, points) -> np.ndarray:
         return eval_monomials_batch(self.basis, points) @ self.coeffs
-
-    def to_json(self) -> str:
-        return json.dumps({"n": self.basis.n, "d": self.basis.d,
-                           "multilinear": self.basis.multilinear,
-                           "coeffs": [float(c) for c in self.coeffs]})
-
-    @classmethod
-    def from_json(cls, text: str) -> "Polynomial":
-        obj = json.loads(text)
-        basis = enumerate_basis(int(obj["n"]), int(obj["d"]),
-                                multilinear=bool(obj.get("multilinear", False)))
-        coeffs = np.asarray(obj["coeffs"], dtype=np.float64)
-        if coeffs.shape != (basis.ell,):
-            raise DimensionMismatch(
-                f"JSON has {coeffs.shape[0]} coefficients, basis needs {basis.ell}")
-        return cls(basis, coeffs)

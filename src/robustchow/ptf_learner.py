@@ -159,8 +159,8 @@ def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
                          seed) -> ChowOracle:
     """Chow oracle on one clean pool, corrupted anew per call, self-labeled.
 
-    The first call draws and featurizes m_per_call points and prunes them
-    once, keeping the pool's prune mask and survivor Gram matrix; uniform
+    Building the oracle draws and featurizes m_per_call points and prunes
+    them once, keeping the pool's prune mask and survivor Gram matrix; uniform
     convergence over clipped degree-d polynomials covers every query on
     that one pool, adaptive queries included. Each call lets the adversary
     move up to an eps-fraction of the points, then labels all of them by
@@ -177,17 +177,12 @@ def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
     if m_per_call < floor:
         raise ValueError(f"oracle pool needs at least {floor} points, got {m_per_call}")
     stream = np.random.default_rng(seed)
-    pool_seed = stream.integers(0, 2 ** 63)
-    pool = None   # points, features, prune mask and survivor Gram; set by the first call
+    pts = dist.sample(m_per_call, stream.integers(0, 2 ** 63))
+    h = dist.featurize(pts)
+    pool_alive, pool_gram, _ = _survivor_sums(h, dist)
 
     def oracle(pbf: PBF) -> ChowEstimate:
-        nonlocal pool
         adv_seed = stream.integers(0, 2 ** 63)
-        if pool is None:
-            pts = dist.sample(m_per_call, pool_seed)
-            h = dist.featurize(pts)
-            pool = (pts, h, *_survivor_sums(h, dist)[:2])
-        pts, h, pool_alive, pool_gram = pool
         # q(x) = q . m(x) = (C^T q) . h(x) with m(x) = C h(x)
         weights = dist.monomial_map().T @ pbf.q.coeffs
         clean = LabeledSampleSet(pts, np.clip(h @ weights, -1.0, 1.0))

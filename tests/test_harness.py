@@ -47,9 +47,12 @@ def test_config_validation_collects_all_problems():
 
 
 def test_config_from_json_rejects_unknown_keys():
-    with pytest.raises(ConfigError, match="epsilon_grid"):
-        ExperimentConfig.from_json({"learner": "chow", "n": 3,
-                                    "epsilon_grid": [0.1]})
+    # rho, deterministic_output and timeout_s were config keys once; old
+    # configs that still set them must fail, not be silently ignored
+    for key, value in (("epsilon_grid", [0.1]), ("rho", 0.9),
+                       ("deterministic_output", True), ("timeout_s", 600.0)):
+        with pytest.raises(ConfigError, match=key):
+            ExperimentConfig.from_json({"learner": "chow", "n": 3, key: value})
 
 
 def test_config_from_json_missing_required_key():
@@ -78,6 +81,21 @@ def test_config_delta_override_range(delta):
     cfg = base_config(learner="intersection", k=1, delta_override=delta)
     with pytest.raises(ConfigError, match="delta_override"):
         cfg.validate()
+
+
+@pytest.mark.parametrize("over,field", [
+    (dict(learner="ptf", d=2, xi=1.5), "xi"),
+    (dict(learner="ptf", d=2, xi=0.0), "xi"),
+    (dict(learner="ptf", d=2, xi=float("nan")), "xi"),
+    (dict(learner="ltf", m_holdout=0), "m_holdout"),
+    (dict(learner="ltf", m_score=10), "m_score"),
+    (dict(learner="ltf", m_score=999), "m_score"),
+])
+def test_config_rejects_bad_xi_and_sample_counts(tmp_path, over, field):
+    cfg = base_config(out=str(tmp_path / "b.csv"), **over)
+    with pytest.raises(ConfigError, match=field):
+        run_experiment(cfg)
+    assert not (tmp_path / "b.csv").exists()
 
 
 def test_config_intersection_k_above_n_rejected(tmp_path):

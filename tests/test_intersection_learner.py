@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -81,19 +80,13 @@ def test_intersection_member_count_validation():
         Intersection(members)
 
 
-def test_intersection_json_roundtrip(tmp_path):
+def test_intersection_json_roundtrip():
     basis = np.linalg.qr(np.random.default_rng(3).standard_normal((5, 2)))[0]
     g = Intersection([LTF(unit(5, 0), 0.3), LTF(unit(5, 2), -0.7)], subspace=basis)
     back = Intersection.from_json(g.to_json())
     pts = np.random.default_rng(4).standard_normal((500, 5))
     assert np.array_equal(g.evaluate(pts), back.evaluate(pts))
     assert np.allclose(back.subspace, basis)
-
-    path = tmp_path / "hyp.json"
-    g.dump(path)
-    with open(path) as fh:
-        again = Intersection.from_json(json.load(fh))
-    assert np.array_equal(g.evaluate(pts), again.evaluate(pts))
 
 
 # --- build_degree2 ----------------------------------------------------------------

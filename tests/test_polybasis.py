@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -184,24 +183,6 @@ def test_index_of_roundtrip():
     b = enumerate_basis(3, 2)
     for i, e in enumerate(b.exponents):
         assert b.index_of(tuple(int(v) for v in e)) == i
-
-
-def test_polynomial_json_roundtrip():
-    b = enumerate_basis(3, 2)
-    rng = np.random.default_rng(7)
-    p = Polynomial(b, rng.standard_normal(b.ell))
-    q = Polynomial.from_json(p.to_json())
-    assert q.basis.same_layout(p.basis)
-    assert np.array_equal(q.coeffs, p.coeffs)
-    obj = json.loads(p.to_json())
-    assert obj["n"] == 3 and obj["d"] == 2 and obj["multilinear"] is False
-
-
-def test_polynomial_json_multilinear_flag():
-    b = enumerate_basis(3, 1, multilinear=True)
-    p = Polynomial(b, np.ones(b.ell))
-    q = Polynomial.from_json(p.to_json())
-    assert q.basis.multilinear
 
 
 def test_coeff_length_enforced():

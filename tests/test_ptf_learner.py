@@ -76,6 +76,15 @@ def test_ptf_json_roundtrip():
     g = PTF.from_json(f.to_json())
     pts = rng.standard_normal((100, 3))
     assert np.array_equal(f.evaluate(pts), g.evaluate(pts))
+    assert g.poly.basis.same_layout(b) and np.array_equal(g.poly.coeffs, f.poly.coeffs)
+
+
+def test_ptf_json_multilinear_flag():
+    b = enumerate_basis(3, 1, multilinear=True)
+    f = PTF(Polynomial(b, np.ones(b.ell)))
+    data = f.to_json()
+    assert data["multilinear"] is True
+    assert PTF.from_json(data).poly.basis.multilinear
 
 
 # --- chow_reconstruct -----------------------------------------------------------
@@ -290,6 +299,25 @@ def test_sampling_oracle_matches_robust_chow_on_each_moved_sample(monkeypatch):
     with pytest.raises(RuntimeError), np.errstate(over="ignore", invalid="ignore"):
         oracle(PBF(Polynomial(dist.basis, coeffs), 0.5))
     assert h.tobytes() == clean.tobytes()
+
+
+def test_sampling_oracle_draws_its_pool_once_at_build(monkeypatch):
+    dist = gaussian_descriptor(3, 2, 0.05)
+    draws = []
+    real_sample = dist.sample
+
+    def counted(count, seed):
+        draws.append(count)
+        return real_sample(count, seed)
+
+    monkeypatch.setattr(dist, "sample", counted)
+    oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), 3000, seed=4)
+    assert draws == [3000]
+    coeffs = np.zeros(dist.ell)
+    coeffs[1] = 0.5
+    for _ in range(3):
+        oracle(PBF(Polynomial(dist.basis, coeffs), 0.5))
+    assert draws == [3000]
 
 
 def test_sampling_oracle_rejects_a_pool_below_the_filter_floor():
