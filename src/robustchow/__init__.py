@@ -3,8 +3,7 @@ and point corruption, with halfspace, polynomial-threshold, and
 intersection-of-halfspaces learners built on top of the filtered estimates.
 """
 
-from .adversary import (STRATEGIES, AdversaryStrategy, LabeledSampleSet,
-                        corrupt, plant_instance)
+from .adversary import STRATEGIES, AdversaryStrategy, LabeledSampleSet, corrupt
 from .chowfilter import (ChowEstimate, FilterParams, chow_distance,
                          empirical_chow, prune_mask, robust_chow)
 from .distributions import (ReasonableDistribution, compute_delta,
@@ -21,7 +20,8 @@ from .errors import (AcceptanceTooLow, AllPointsPruned, BasisMismatch,
                      SizeCapExceeded, UnknownFamily, UnknownStrategy,
                      ZeroChowVector)
 from .harness import (ExperimentConfig, ResultRow, analytic_ltf_chow,
-                      make_corrupted_source, run_experiment, score)
+                      make_corrupted_source, plant_instance, run_experiment,
+                      score)
 from .hypothesis_select import disagreement, select, select_intersection_cover
 from .intersection_learner import (Cover, Degree2ChowMatrix, Intersection,
                                    Subspace, build_degree2,

@@ -1,7 +1,8 @@
 """The nasty-noise adversary: sees the full clean labeled sample and replaces
 up to an eps-fraction of (point, label) pairs before the learner runs.
 
-The adversary is white-box: it receives the true hypothesis and the
+The adversary is white-box: it receives the true hypothesis (any object
+with evaluate and margin, so this module imports no learner) and the
 distribution descriptor. corrupted_mask is carried for diagnostics and must
 never be read by a learner. The one reader is the PTF sampling oracle, which
 plays the sample source rather than the learner: it generates the pool
@@ -186,46 +187,3 @@ def corrupt(clean: LabeledSampleSet, f, eps: float, strategy: AdversaryStrategy,
     if touched != budget:
         raise BudgetExceeded(f"adversary touched {touched} entries, budget {budget}")
     return out
-
-
-def plant_instance(kind: str, params, dist: ReasonableDistribution, m: int, seed):
-    """Draw m clean points and label them by a planted hypothesis.
-
-    kind 'ltf': params (v, theta) or an LTF; 'ptf': a Polynomial or PTF;
-    'intersection': sequence of (v, theta) pairs or an Intersection.
-    Returns (hypothesis, clean LabeledSampleSet).
-    """
-    from .intersection_learner import Intersection
-    from .ltf_learner import LTF
-    from .ptf_learner import PTF
-
-    if kind == "ltf":
-        if isinstance(params, LTF):
-            hyp = params
-        else:
-            v, theta = params
-            v = np.asarray(v, dtype=np.float64)
-            if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-                raise InvalidHypothesis(f"defining vector has norm {np.linalg.norm(v)}")
-            hyp = LTF(v, float(theta))
-    elif kind == "ptf":
-        hyp = params if isinstance(params, PTF) else PTF(params)
-        if hyp.poly.basis.n != dist.n:
-            raise InvalidHypothesis("polynomial dimension does not match distribution")
-    elif kind == "intersection":
-        if isinstance(params, Intersection):
-            hyp = params
-        else:
-            members = []
-            for v, theta in params:
-                v = np.asarray(v, dtype=np.float64)
-                if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-                    raise InvalidHypothesis("intersection member has non-unit vector")
-                members.append(LTF(v, float(theta)))
-            hyp = Intersection(members)
-    else:
-        raise InvalidHypothesis(f"unknown plant kind {kind!r}")
-
-    points = dist.sample(m, seed)
-    labels = np.asarray(hyp.evaluate(points), dtype=np.float64)
-    return hyp, LabeledSampleSet(points, labels)

@@ -157,9 +157,9 @@ def _threshold_cut(scores: np.ndarray, dist: ReasonableDistribution, eps: float)
     return t_cut, scores < t_cut
 
 
-def sample_floor(dist: ReasonableDistribution) -> int:
-    """Fewest samples the filter accepts: max(50, 2 * ell)."""
-    return max(50, 2 * dist.ell)
+def sample_floor(ell: int) -> int:
+    """Fewest samples the filter accepts on ell monomials: max(50, 2 * ell)."""
+    return max(50, 2 * ell)
 
 
 def _survivor_sums(h: np.ndarray, dist: ReasonableDistribution,
@@ -268,7 +268,7 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
     where the tail bound Q_1 drops under 1, so no cut can fire and the
     estimate is the plain label-weighted mean.
     """
-    floor = sample_floor(dist)
+    floor = sample_floor(dist.ell)
     if len(corrupted) < floor:
         raise ValueError(f"need at least {floor} samples, got {len(corrupted)}")
     if not np.isfinite(corrupted.points).all():

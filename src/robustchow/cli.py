@@ -146,8 +146,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, KeyError,
-            ValueError) as exc:
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RobustChowError as exc:

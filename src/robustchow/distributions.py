@@ -372,6 +372,10 @@ def from_config(cfg: dict, eps: float) -> ReasonableDistribution:
       "tail_constants": {"c":…}, "moments_file": "path.csv" }
     """
     family = cfg.get("family")
+    missing = [key for key in ("n", "d") if key not in cfg]
+    if missing:
+        raise ConfigError(f"{', '.join(missing)}: missing; the chow config is one flat "
+                          f"object {{\"family\": ..., \"n\": ..., \"d\": ...}}")
     n, d = int(cfg["n"]), int(cfg["d"])
     tail_c = None
     if isinstance(cfg.get("tail_constants"), dict):

@@ -4,7 +4,8 @@ Monte-Carlo scoring, CSV reporting.
 Every reported number is a pure function of the config: cells derive their
 RNG streams from (master seed, cell index), run independently in a thread
 pool, and rows are emitted in cell order. The wall_time_ms column is
-always 0, so reruns are bit-identical.
+always 0, so reruns are bit-identical. `_plant_for_cell` is the one reader
+of config.plant and `validate` runs it, so every accepted plant builds.
 """
 
 from __future__ import annotations
@@ -23,12 +24,14 @@ from scipy.special import factorial
 from scipy.stats import norm as _norm
 
 from .adversary import STRATEGIES, AdversaryStrategy, LabeledSampleSet, corrupt
-from .chowfilter import ChowEstimate, FilterParams, chow_distance, robust_chow
+from .chowfilter import (ChowEstimate, FilterParams, chow_distance, robust_chow,
+                         sample_floor)
 from .distributions import ReasonableDistribution, gaussian_descriptor, hypercube_descriptor
-from .errors import ConfigError, RobustChowError
+from .errors import ConfigError, InvalidHypothesis, RobustChowError
 from .intersection_learner import DELTA_FLOOR, K_CAP, Intersection, learn_intersection
 from .ltf_learner import LTF, LTFConfig, learn_ltf
-from .polybasis import DEFAULT_SIZE_CAP, Polynomial, basis_size
+from .polybasis import (DEFAULT_SIZE_CAP, MonomialBasis, Polynomial, basis_size,
+                        enumerate_basis)
 from .ptf_learner import PTF, learn_ptf
 
 LEARNERS = ("chow", "ltf", "ptf", "intersection")
@@ -85,6 +88,10 @@ class ExperimentConfig:
             problems.append(f"dist: must be gaussian or hypercube, got {self.dist!r}")
         if self.d < 1:
             problems.append(f"d: must be >= 1, got {self.d}")
+        elif self.d > 1 and self.learner == "ltf":
+            problems.append(f"d: the ltf learner works at d = 1, got {self.d}")
+        elif self.d > 1 and self.learner == "ptf" and self.dist == "hypercube":
+            problems.append(f"d: the ptf learner on the hypercube works at d = 1, got {self.d}")
         if self.learner == "intersection" and not (1 <= self.k <= min(K_CAP, self.n)):
             problems.append(f"k: intersection learner needs 1 <= k <= min({K_CAP}, n), "
                             f"got k={self.k}, n={self.n}")
@@ -92,48 +99,23 @@ class ExperimentConfig:
                 DELTA_FLOOR <= self.delta_override <= 4 * self.k):   # NaN fails too
             problems.append(f"delta_override: must lie in [{DELTA_FLOOR}, 4k], "
                             f"got {self.delta_override} with k={self.k}")
-        if not problems:
-            ell = basis_size(self.n, self.degree, multilinear=self.dist == "hypercube")
-            if ell > DEFAULT_SIZE_CAP:
-                problems.append(f"n, d: the degree-{self.degree} basis on n={self.n} has "
-                                f"{ell} monomials, above the cap {DEFAULT_SIZE_CAP}")
-            else:
-                problems = self._plant_problems()
         if problems:
             raise ConfigError("; ".join(problems))
+        multilinear = self.dist == "hypercube"
+        ell = basis_size(self.n, self.degree, multilinear)
+        if ell > DEFAULT_SIZE_CAP:
+            raise ConfigError(f"n, d: the degree-{self.degree} basis on n={self.n} has "
+                              f"{ell} monomials, above the cap {DEFAULT_SIZE_CAP}")
+        if self.m_train < sample_floor(ell):
+            raise ConfigError(f"m_train: the filter needs at least {sample_floor(ell)} "
+                              f"samples on {ell} monomials, got {self.m_train}")
+        _plant_for_cell(self, enumerate_basis(self.n, self.degree, multilinear),
+                        np.random.default_rng(0))
 
     @property
     def degree(self) -> int:
         """Degree of the monomial basis the learner works in."""
         return 2 if self.learner == "intersection" else self.d
-
-    def _plant_problems(self) -> list:
-        """Shape and value checks on the plant entries this learner reads."""
-        shapes = {}
-        if self.learner == "intersection":
-            shapes = {"thetas": (self.k,), "vs": (self.k, self.n)}
-        elif self.learner != "ptf":
-            shapes = {"theta": (), "v": (self.n,)}
-        elif "coeffs" in self.plant:
-            ell = basis_size(self.n, self.d, multilinear=self.dist == "hypercube")
-            shapes = {"coeffs": (ell,)}
-        elif self.d < 2 or self.dist == "hypercube":
-            return ["plant: the default ptf plant sign(x1^2 - 1) needs d >= 2 on the "
-                    "Gaussian; give plant.coeffs"]
-        problems = []
-        for key in [key for key in shapes if key in self.plant]:
-            try:
-                arr = np.asarray(self.plant[key], dtype=np.float64)
-            except (TypeError, ValueError):
-                arr = None
-            if arr is None or arr.shape != shapes[key]:
-                got = "non-numbers" if arr is None else f"shape {arr.shape}"
-                problems.append(f"plant.{key}: need numbers of shape {shapes[key]}, got {got}")
-            elif not np.all(np.isfinite(arr)):
-                problems.append(f"plant.{key}: entries must be finite")
-            elif key in ("v", "vs") and np.any(np.linalg.norm(arr, axis=-1) == 0.0):
-                problems.append(f"plant.{key}: direction vectors must be nonzero")
-        return problems
 
     @classmethod
     def from_json(cls, data) -> "ExperimentConfig":
@@ -223,42 +205,98 @@ def make_corrupted_source(f, dist: ReasonableDistribution, eps: float,
     return draw
 
 
-def _random_unit(rng, n: int) -> np.ndarray:
-    v = rng.standard_normal(n)
-    return v / np.linalg.norm(v)
+def _plant_entry(plant: dict, key: str, shape: tuple, default=None):
+    """plant[key] as finite numbers of the given shape, or the default when
+    the key is absent. A polynomial must not be identically zero."""
+    if key not in plant:
+        return default
+    try:
+        arr = np.asarray(plant[key], dtype=np.float64)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.shape != shape:
+        got = "non-numbers" if arr is None else f"shape {arr.shape}"
+        raise ConfigError(f"plant.{key}: need numbers of shape {shape}, got {got}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigError(f"plant.{key}: entries must be finite")
+    if key == "coeffs" and not arr.any():
+        raise ConfigError("plant.coeffs: the polynomial is identically zero")
+    return arr
 
 
-def _plant_for_cell(config: ExperimentConfig, dist: ReasonableDistribution, rng):
-    """Build the cell's target hypothesis from the plant config."""
-    plant_cfg = config.plant
+def _unit(v: np.ndarray, key: str) -> np.ndarray:
+    """Direction v (plant.<key>, or a random draw) scaled to unit length."""
+    norm = np.linalg.norm(v)
+    if norm == 0.0:
+        raise ConfigError(f"plant.{key}: direction vectors must be nonzero")
+    return v / norm
+
+
+def _plant_for_cell(config: ExperimentConfig, basis: MonomialBasis, rng):
+    """Build the cell's target from config.plant; a bad entry raises a
+    ConfigError naming plant.<key>. Random plants draw from rng."""
+    plant, n, k = config.plant, config.n, config.k
     if config.learner in ("chow", "ltf"):
-        theta = float(plant_cfg.get("theta", 0.5))
-        if "v" in plant_cfg:
-            v = np.asarray(plant_cfg["v"], dtype=np.float64)
-            v = v / np.linalg.norm(v)
-        else:
-            v = _random_unit(rng, config.n)
-        return LTF(v, theta)
+        theta = float(_plant_entry(plant, "theta", (), 0.5))
+        v = _plant_entry(plant, "v", (n,))
+        return LTF(_unit(rng.standard_normal(n) if v is None else v, "v"), theta)
     if config.learner == "ptf":
-        if "coeffs" in plant_cfg:
-            coeffs = np.asarray(plant_cfg["coeffs"], dtype=np.float64)
-        else:
-            # default plant: sign(x1^2 - 1)
-            coeffs = np.zeros(dist.basis.ell)
-            exp = np.zeros(config.n, dtype=np.int64)
+        coeffs = _plant_entry(plant, "coeffs", (basis.ell,))
+        if coeffs is None:  # default plant: sign(x1^2 - 1)
+            if basis.d < 2 or basis.multilinear:
+                raise ConfigError("plant: the default ptf plant sign(x1^2 - 1) needs "
+                                  "d >= 2 on the Gaussian; give plant.coeffs")
+            coeffs = np.zeros(basis.ell)
             coeffs[0] = -1.0
-            exp[0] = 2
-            coeffs[dist.basis.index_of(tuple(exp))] = 1.0
-        return PTF(Polynomial(dist.basis, coeffs))
-    thetas = plant_cfg.get("thetas", [0.5] * config.k)
-    if "vs" in plant_cfg:
-        vs = [np.asarray(v, dtype=np.float64) for v in plant_cfg["vs"]]
-        vs = [v / np.linalg.norm(v) for v in vs]
+            coeffs[basis.index_of((2,) + (0,) * (n - 1))] = 1.0
+        return PTF(Polynomial(basis, coeffs))
+    thetas = _plant_entry(plant, "thetas", (k,), [0.5] * k)
+    vs = _plant_entry(plant, "vs", (k, n))
+    if vs is None:
+        q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+        vs = q.T
     else:
-        raw = rng.standard_normal((config.n, config.k))
-        q, _ = np.linalg.qr(raw)
-        vs = [q[:, i] for i in range(config.k)]
+        vs = [_unit(v, "vs") for v in vs]
     return Intersection([LTF(v, float(t)) for v, t in zip(vs, thetas)])
+
+
+def plant_instance(kind: str, params, dist: ReasonableDistribution, m: int, seed):
+    """Draw m clean points and label them by a planted hypothesis.
+
+    kind 'ltf': params (v, theta) or an LTF; 'ptf': a Polynomial or PTF;
+    'intersection': sequence of (v, theta) pairs or an Intersection.
+    Returns (hypothesis, clean LabeledSampleSet).
+    """
+    if kind == "ltf":
+        if isinstance(params, LTF):
+            hyp = params
+        else:
+            v, theta = params
+            v = np.asarray(v, dtype=np.float64)
+            if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+                raise InvalidHypothesis(f"defining vector has norm {np.linalg.norm(v)}")
+            hyp = LTF(v, float(theta))
+    elif kind == "ptf":
+        hyp = params if isinstance(params, PTF) else PTF(params)
+        if hyp.poly.basis.n != dist.n:
+            raise InvalidHypothesis("polynomial dimension does not match distribution")
+    elif kind == "intersection":
+        if isinstance(params, Intersection):
+            hyp = params
+        else:
+            members = []
+            for v, theta in params:
+                v = np.asarray(v, dtype=np.float64)
+                if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+                    raise InvalidHypothesis("intersection member has non-unit vector")
+                members.append(LTF(v, float(theta)))
+            hyp = Intersection(members)
+    else:
+        raise InvalidHypothesis(f"unknown plant kind {kind!r}")
+
+    points = dist.sample(m, seed)
+    labels = np.asarray(hyp.evaluate(points), dtype=np.float64)
+    return hyp, LabeledSampleSet(points, labels)
 
 
 def _build_dist(config: ExperimentConfig, eps: float) -> ReasonableDistribution:
@@ -278,7 +316,7 @@ def run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,
 
     dist = _build_dist(config, eps)
     rng = np.random.default_rng(s_plant)
-    plant = _plant_for_cell(config, dist, rng)
+    plant = _plant_for_cell(config, dist.basis, rng)
     pts = dist.sample(config.m_train, s_extra)
     clean = LabeledSampleSet(pts, np.asarray(plant.evaluate(pts), dtype=np.float64))
     strategy = AdversaryStrategy(strategy_tag)

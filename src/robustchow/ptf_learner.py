@@ -173,7 +173,7 @@ def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
     pool's for the filter and are swapped back afterwards, also when the
     filter raises.
     """
-    floor = sample_floor(dist)
+    floor = sample_floor(dist.ell)
     if m_per_call < floor:
         raise ValueError(f"oracle pool needs at least {floor} points, got {m_per_call}")
     stream = np.random.default_rng(seed)

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 
 from robustchow import adversary
 from robustchow.adversary import (STRATEGIES, AdversaryStrategy,
-                                  LabeledSampleSet, _attack_point, corrupt,
-                                  plant_instance)
+                                  LabeledSampleSet, _attack_point, corrupt)
 from robustchow.distributions import gaussian_descriptor, hypercube_descriptor
 from robustchow.errors import InvalidHypothesis, UnknownStrategy
+from robustchow.harness import plant_instance
 from robustchow.ltf_learner import LTF
 from robustchow.polybasis import eval_monomials_batch
 

@@ -157,6 +157,30 @@ def test_chow_distribution_config_errors(tmp_path, capsys, dist, code):
     assert err.startswith("config error:" if code == 2 else "learner failure: IntegralDiverges")
 
 
+def test_chow_nested_config_names_the_missing_keys(tmp_path, capsys):
+    # the chow config is one flat object; the old nested form must say so
+    cfg = tmp_path / "nested.json"
+    cfg.write_text(json.dumps({"dist": {"family": "gaussian", "n": 3, "d": 1}}))
+    samples = tmp_path / "data.csv"
+    write_samples(samples)
+    assert main(["chow", "--config", str(cfg), "--samples", str(samples)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: n, d: missing") and "flat" in err
+
+
+def test_chow_program_keyerror_is_not_a_config_error(tmp_path, monkeypatch):
+    # only input errors map to exit 2; a KeyError from a bug keeps its traceback
+    def broken(*args, **kwargs):
+        raise KeyError("bug in the filter")
+
+    monkeypatch.setattr("robustchow.cli.robust_chow", broken)
+    cfg, samples = tmp_path / "dist.json", tmp_path / "data.csv"
+    dist_config(cfg)
+    write_samples(samples)
+    with pytest.raises(KeyError, match="bug in the filter"):
+        main(["chow", "--config", str(cfg), "--samples", str(samples)])
+
+
 def test_chow_gross_outliers_exit_3(tmp_path, capsys):
     # every point far outside the prune radius: the filter declines
     cfg = tmp_path / "dist.json"

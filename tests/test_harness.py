@@ -24,6 +24,7 @@ from robustchow.harness import (
     write_csv,
 )
 from robustchow.ltf_learner import LTF
+from robustchow.polybasis import basis_size
 
 
 def base_config(**over):
@@ -90,6 +91,11 @@ def test_config_delta_override_range(delta):
     (dict(learner="ltf", m_holdout=0), "m_holdout"),
     (dict(learner="ltf", m_score=10), "m_score"),
     (dict(learner="ltf", m_score=999), "m_score"),
+    # learner/degree pairs whose every cell would fail
+    (dict(learner="ltf", d=2), "d:"),
+    (dict(learner="ptf", d=2, dist="hypercube", plant={"coeffs": [1.0] * 7}), "d:"),
+    # below the filter's max(50, 2 ell) floor: ell = 455, so 910 samples
+    (dict(learner="chow", n=12, d=3, m_train=500), "m_train: .*910"),
 ])
 def test_config_rejects_bad_xi_and_sample_counts(tmp_path, over, field):
     cfg = base_config(out=str(tmp_path / "b.csv"), **over)
@@ -107,8 +113,9 @@ def test_config_intersection_k_above_n_rejected(tmp_path):
 
 @pytest.mark.parametrize("over,field", [
     (dict(learner="ptf", d=2, plant={"coeffs": [1.0, 2.0]}), "plant.coeffs"),
-    # the hypercube basis is multilinear: 7 monomials for n=3, d=2, not 10
-    (dict(learner="ptf", d=2, dist="hypercube", plant={"coeffs": [0.0] * 10}),
+    # the hypercube ptf learner works at d = 1, where the basis has n + 1 = 4
+    # monomials
+    (dict(learner="ptf", d=1, dist="hypercube", plant={"coeffs": [0.0, 1.0]}),
      "plant.coeffs"),
     (dict(learner="ptf", d=2, plant={"coeffs": "x1"}), "plant.coeffs"),
     (dict(learner="ptf", d=1), "plant:"),
@@ -121,6 +128,7 @@ def test_config_intersection_k_above_n_rejected(tmp_path):
     (dict(learner="intersection", k=2,
           plant={"vs": [[1.0, 0.0, 0.0], [0.0, 0.0, 0.0]]}), "plant.vs"),
     (dict(learner="intersection", k=2, plant={"thetas": [0.5]}), "plant.thetas"),
+    (dict(learner="ptf", d=2, plant={"coeffs": [0.0] * 10}), "plant.coeffs"),
 ])
 def test_config_rejects_malformed_plant(tmp_path, over, field):
     cfg = base_config(strategies=["none"], out=str(tmp_path / "p.csv"), **over)
@@ -130,12 +138,53 @@ def test_config_rejects_malformed_plant(tmp_path, over, field):
 
 
 def test_config_accepts_well_formed_plants():
-    base_config(learner="ptf", d=2, dist="hypercube", plant={"coeffs": [0.0] * 7}).validate()
-    base_config(learner="ptf", d=2, plant={"coeffs": [0.0] * 10}).validate()
+    base_config(learner="ptf", d=1, dist="hypercube",
+                plant={"coeffs": [0.0, 1.0, 0.0, 0.0]}).validate()
+    base_config(learner="ptf", d=2,  # sign(x1^2 - 1)
+                plant={"coeffs": [-1.0, 0.0, 0.0, 0.0, 1.0] + [0.0] * 5}).validate()
     base_config(learner="ltf", plant={"v": [0.0, 2.0, 0.0], "theta": -0.3}).validate()
     base_config(learner="intersection", k=2,
                 plant={"vs": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]],
                        "thetas": [0.1, 0.2]}).validate()
+
+
+LTF_PLANT = {"v": [1.0, 2.0, 0.0], "theta": 0.3}
+INTERSECTION_PLANT = {"vs": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], "thetas": [0.3, 0.5]}
+PTF1_PLANT = {"coeffs": [0.2, 1.0, 1.0, 0.0]}
+PTF2_PLANT = {"coeffs": [-1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0]}  # x1^2 + x2^2 - 1
+
+
+@pytest.mark.parametrize("over", [
+    dict(learner="chow", d=2),
+    dict(learner="chow", d=2, plant=LTF_PLANT),
+    dict(learner="chow", d=2, dist="hypercube"),
+    dict(learner="chow", d=2, dist="hypercube", plant=LTF_PLANT),
+    dict(learner="chow", n=12, d=3),  # the 2 ell floor (910) is above 100 here
+    dict(learner="chow", n=12, d=3, plant={"theta": -0.2}),
+    dict(learner="ltf"),
+    dict(learner="ltf", plant=LTF_PLANT),
+    dict(learner="ltf", dist="hypercube"),
+    dict(learner="ltf", dist="hypercube", plant=LTF_PLANT),
+    dict(learner="ptf", d=2),
+    dict(learner="ptf", d=2, plant=PTF2_PLANT),
+    dict(learner="ptf", d=1, plant=PTF1_PLANT),
+    dict(learner="ptf", d=1, dist="hypercube", plant=PTF1_PLANT),
+    dict(learner="intersection", k=2),
+    dict(learner="intersection", k=2, plant=INTERSECTION_PLANT),
+    dict(learner="intersection", k=2, dist="hypercube"),
+    dict(learner="intersection", k=2, dist="hypercube", plant=INTERSECTION_PLANT),
+])
+def test_accepted_config_runs_at_the_smallest_m_train(tmp_path, over):
+    # a config that validate accepts must run: no cell may fail on it
+    cfg = base_config(eps_grid=[0.0, 0.1], strategies=["chow_attack", "random_flip"],
+                      trials=1, m_holdout=1_000, m_score=1_000,
+                      out=str(tmp_path / "r.csv"), **over)
+    cfg.m_train = max(100, 2 * basis_size(cfg.n, cfg.degree, cfg.dist == "hypercube")) - 1
+    with pytest.raises(ConfigError, match="m_train:"):
+        cfg.validate()
+    cfg.m_train += 1  # the smallest m_train that validate accepts
+    rows = run_experiment(cfg)
+    assert [row.flags for row in rows if row.flags.startswith("error:")] == []
 
 
 # --- rows and CSV -----------------------------------------------------------------

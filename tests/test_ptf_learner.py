@@ -322,7 +322,7 @@ def test_sampling_oracle_draws_its_pool_once_at_build(monkeypatch):
 
 def test_sampling_oracle_rejects_a_pool_below_the_filter_floor():
     dist = gaussian_descriptor(4, 2, 0.05)
-    floor = sample_floor(dist)
+    floor = sample_floor(dist.ell)
     with pytest.raises(ValueError, match="at least"):
         make_sampling_oracle(dist, 0.05, AdversaryStrategy("none"), floor - 1, seed=0)
     oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("none"), floor, seed=0)
