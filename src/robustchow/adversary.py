@@ -4,10 +4,9 @@ up to an eps-fraction of (point, label) pairs before the learner runs.
 The adversary is white-box: it receives the true hypothesis (any object
 with evaluate and margin, so this module imports no learner) and the
 distribution descriptor. corrupted_mask is carried for diagnostics and must
-never be read by a learner. The one reader is the PTF sampling oracle, which
-plays the sample source rather than the learner: it generates the pool
-itself, so it knows which rows the adversary moved and reads the mask only
-to relabel and re-featurize those rows.
+never be read by a learner. The PTF sampling oracle, which plays the sample
+source rather than the learner, does not read it either: it takes the moved
+rows from `corrupted_rows` and relabels and re-featurizes only those.
 """
 
 from __future__ import annotations
@@ -132,58 +131,61 @@ def _attack_point(dist: ReasonableDistribution, direction: np.ndarray,
     return float(positive.min()) * direction
 
 
-def corrupt(clean: LabeledSampleSet, f, eps: float, strategy: AdversaryStrategy,
-            dist: ReasonableDistribution, seed) -> LabeledSampleSet:
-    """Replace exactly floor(eps * m) entries per the strategy.
-
-    Everything not replaced is byte-identical to the input. The target
-    hypothesis f must expose evaluate(points) and margin(points).
-    """
+def corrupted_rows(clean: LabeledSampleSet, f, eps: float, strategy: AdversaryStrategy,
+                   dist: ReasonableDistribution, seed):
+    """The floor(eps * m) rows `corrupt` replaces, as ascending indices idx,
+    their new points and their new labels. The target hypothesis f must
+    expose evaluate(points) and margin(points)."""
     if not (0.0 <= eps < 1.0 / 3.0):
         raise ValueError(f"eps must lie in [0, 1/3), got {eps}")
     m = len(clean)
     budget = int(math.floor(eps * m))
-    out = clean.copy()
-    out.corrupted_mask = np.zeros(m, dtype=bool)
+    idx = np.zeros(0, dtype=np.intp)
     if budget == 0 or strategy.tag == "none":
-        return out
+        return idx, clean.points[idx], clean.labels[idx]
     rng = np.random.default_rng(seed)
 
     if strategy.tag == "random_flip":
-        idx = rng.choice(m, size=budget, replace=False)
-        out.labels[idx] = -out.labels[idx]
-        out.corrupted_mask[idx] = True
+        idx = np.sort(rng.choice(m, size=budget, replace=False))
+        points, labels = clean.points[idx], -clean.labels[idx]
 
     elif strategy.tag == "boundary_flip":
         margins = np.abs(np.asarray(f.margin(clean.points), dtype=np.float64))
-        idx = np.argsort(margins, kind="stable")[:budget]
-        out.labels[idx] = -out.labels[idx]
-        out.corrupted_mask[idx] = True
+        idx = np.sort(np.argsort(margins, kind="stable")[:budget])
+        points, labels = clean.points[idx], -clean.labels[idx]
 
     elif strategy.tag == "chow_attack":
         direction = rng.standard_normal(clean.n)
         direction /= np.linalg.norm(direction)
         x0 = _attack_point(dist, direction, strategy.rho)
-        idx = rng.choice(m, size=budget, replace=False)
-        out.points[idx] = x0
+        idx = np.sort(rng.choice(m, size=budget, replace=False))
         # +1 labels push E[y * p(x)] up along the polynomial maximized at x0.
-        out.labels[idx] = 1.0
-        out.corrupted_mask[idx] = True
+        points, labels = np.tile(x0, (budget, 1)), np.ones(budget)
 
     elif strategy.tag == "remove_informative":
         margins = np.abs(np.asarray(f.margin(clean.points), dtype=np.float64))
         idx = np.argsort(-margins, kind="stable")[:budget]
         pool = dist.sample(50 * budget, rng.integers(0, 2**63))
         pool_margins = np.abs(np.asarray(f.margin(pool), dtype=np.float64))
-        near = np.argsort(pool_margins, kind="stable")[:budget]
-        out.points[idx] = pool[near]
-        out.labels[idx] = np.asarray(f.evaluate(pool[near]), dtype=np.float64)
-        out.corrupted_mask[idx] = True
+        points = pool[np.argsort(pool_margins, kind="stable")[:budget]]
+        labels = np.asarray(f.evaluate(points), dtype=np.float64)
+        order = np.argsort(idx)
+        idx, points, labels = idx[order], points[order], labels[order]
 
     else:  # pragma: no cover - constructor already validated the tag
         raise UnknownStrategy(strategy.tag)
 
-    touched = int(out.corrupted_mask.sum())
+    touched = idx.size - int(np.count_nonzero(idx[1:] == idx[:-1]))   # idx is sorted
     if touched != budget:
         raise BudgetExceeded(f"adversary touched {touched} entries, budget {budget}")
+    return idx, points, labels
+
+
+def corrupt(clean: LabeledSampleSet, f, eps: float, strategy: AdversaryStrategy,
+            dist: ReasonableDistribution, seed) -> LabeledSampleSet:
+    """Replace and flag the rows `corrupted_rows` picks; the rest stay byte-identical."""
+    out = clean.copy()
+    out.corrupted_mask = np.zeros(len(clean), dtype=bool)
+    idx, points, labels = corrupted_rows(clean, f, eps, strategy, dist, seed)
+    out.points[idx], out.labels[idx], out.corrupted_mask[idx] = points, labels, True
     return out

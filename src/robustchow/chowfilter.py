@@ -139,22 +139,28 @@ def _threshold_cut(scores: np.ndarray, dist: ReasonableDistribution, eps: float)
     """Largest observed score T > 0 with frac{|p*| >= T} >= 4 Q_d(T) + 3 eps / T_max^2.
 
     Returns (T, keep_mask). Raises NoThresholdFound when no sample value
-    qualifies.
+    qualifies. Sorts only the k largest scores, and sorts more while no
+    value above the rest qualifies.
     """
     m_cur = scores.shape[0]
-    order = np.sort(scores)
-    # sorted position of the first copy of each distinct positive score
-    first = np.flatnonzero(np.r_[True, order[1:] != order[:-1]] & (order > 0.0))
-    if first.size == 0:
-        raise NoThresholdFound("all projections are zero")
-    candidates = order[first]
-    frac = (m_cur - first) / m_cur
-    required = 4.0 * dist.tail(candidates) + 3.0 * eps / dist.t_max ** 2
-    valid = frac >= required
-    if not valid.any():
-        raise NoThresholdFound("no sample value satisfies the tail-excess test")
-    t_cut = float(candidates[np.nonzero(valid)[0][-1]])
-    return t_cut, scores < t_cut
+    k = 4 * math.ceil(eps * m_cur) + 256
+    while True:
+        split = max(m_cur - k, 0)   # 0: a sort of every score
+        part = np.partition(scores, split - 1)
+        pivot, top = (part[split - 1] if split else 0.0), np.sort(part[split:])
+        # a value above the pivot has its first copy in top, split places
+        # before its position among all the sorted scores
+        first = np.flatnonzero(np.r_[True, top[1:] != top[:-1]] & (top > pivot))
+        candidates = top[first]
+        required = 4.0 * dist.tail(candidates) + 3.0 * eps / dist.t_max ** 2
+        valid = (m_cur - split - first) / m_cur >= required
+        if valid.any():
+            t_cut = float(candidates[np.nonzero(valid)[0][-1]])
+            return t_cut, scores < t_cut
+        if not split:
+            raise NoThresholdFound("no sample value satisfies the tail-excess test"
+                                   if first.size else "all projections are zero")
+        k *= 4
 
 
 def sample_floor(ell: int) -> int:

@@ -39,6 +39,15 @@ CSV_COLUMNS = ("learner", "strategy", "eps", "trial", "seed", "disagreement",
                "chow_error", "iterations", "points_removed", "wall_time_ms", "flags")
 
 
+def _json_fits(kind: str, value) -> bool:
+    """Whether a JSON value has the type a field annotation names; bools are not numbers."""
+    if kind.startswith("Optional["):
+        return value is None or _json_fits(kind[9:-1], value)
+    if kind.startswith("Sequence["):
+        return type(value) is list and all(_json_fits(kind[9:-1], v) for v in value)
+    return type(value) in {"int": (int,), "float": (int, float), "str": (str,), "dict": (dict,)}[kind]
+
+
 @dataclass
 class ExperimentConfig:
     learner: str
@@ -122,10 +131,14 @@ class ExperimentConfig:
         if isinstance(data, (str, os.PathLike)):
             with open(data) as fh:
                 data = json.load(fh)
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        fields = cls.__dataclass_fields__
+        unknown = set(data) - set(fields)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        wrong = [f"{k}: must be {fields[k].type}, got {v!r}" for k, v in data.items()
+                 if not _json_fits(fields[k].type, v)]
+        if wrong:
+            raise ConfigError("; ".join(wrong))
         try:
             cfg = cls(**data)
         except TypeError as exc:

@@ -55,9 +55,6 @@ class Intersection:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         return np.where(self.margin(points) >= 0.0, 1.0, -1.0)
 
-    def indicator(self, points: np.ndarray) -> np.ndarray:
-        return (self.evaluate(points) + 1.0) / 2.0
-
     def to_json(self) -> dict:
         out = {"halfspaces": [h.to_json() for h in self.halfspaces]}
         if self.subspace is not None:

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .adversary import AdversaryStrategy, LabeledSampleSet, corrupt
+from .adversary import AdversaryStrategy, LabeledSampleSet, corrupted_rows
 from .chowfilter import (ChowEstimate, FilterParams, _filter, _survivor_sums,
                          prune_mask, robust_chow, sample_floor)
 from .distributions import EPS_FLOOR, ReasonableDistribution
@@ -159,14 +159,14 @@ def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
                          seed) -> ChowOracle:
     """Chow oracle on one clean pool, corrupted anew per call, self-labeled.
 
-    Building the oracle draws and featurizes m_per_call points and prunes
-    them once, keeping the pool's prune mask and survivor Gram matrix; uniform
-    convergence over clipped degree-d polynomials covers every query on
-    that one pool, adaptive queries included. Each call lets the adversary
-    move up to an eps-fraction of the points, then labels all of them by
-    the queried hypothesis, so only placement (not labels) is corrupted.
-    A copy of the pool's sums is then corrected by the moved rows: their
-    old rows leave if they survived the prune, their new rows enter if
+    Building the oracle draws, validates, featurizes and prunes m_per_call
+    points once, keeping the pool's prune mask and survivor Gram matrix;
+    uniform convergence over clipped degree-d polynomials covers every
+    query on that one pool, adaptive queries included. Each call labels the
+    pool by the queried hypothesis, lets the adversary move an eps-fraction
+    of its points (`corrupted_rows`) and labels those too, so only placement
+    is corrupted. A copy of the pool's sums is corrected by the moved rows:
+    their old rows leave if they survived the prune, their new rows enter if
     they pass it. One gemv sums the survivors' labels and the filter loop
     runs as in `robust_chow`, which gives the same estimate on the moved
     sample up to summation order. The moved rows' features replace the
@@ -177,22 +177,22 @@ def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
     if m_per_call < floor:
         raise ValueError(f"oracle pool needs at least {floor} points, got {m_per_call}")
     stream = np.random.default_rng(seed)
-    pts = dist.sample(m_per_call, stream.integers(0, 2 ** 63))
-    h = dist.featurize(pts)
+    pool = LabeledSampleSet(dist.sample(m_per_call, stream.integers(0, 2 ** 63)),
+                            np.zeros(m_per_call))
+    h = dist.featurize(pool.points)
     pool_alive, pool_gram, _ = _survivor_sums(h, dist)
 
     def oracle(pbf: PBF) -> ChowEstimate:
         adv_seed = stream.integers(0, 2 ** 63)
         # q(x) = q . m(x) = (C^T q) . h(x) with m(x) = C h(x)
         weights = dist.monomial_map().T @ pbf.q.coeffs
-        clean = LabeledSampleSet(pts, np.clip(h @ weights, -1.0, 1.0))
-        moved = corrupt(clean, pbf, eps, strategy, dist, adv_seed)
-        idx = np.flatnonzero(moved.corrupted_mask)
-        if not np.isfinite(moved.points[idx]).all():
+        pool.labels = labels = np.clip(h @ weights, -1.0, 1.0)
+        idx, points, _ = corrupted_rows(pool, pbf, eps, strategy, dist, adv_seed)
+        if not np.isfinite(points).all():
             raise ValueError("sample points must be finite")
-        rows = dist.featurize(moved.points[idx])
+        rows = dist.featurize(points)
         # the learner labels whatever points it is handed
-        moved.labels[idx] = np.clip(rows @ weights, -1.0, 1.0)
+        labels[idx] = np.clip(rows @ weights, -1.0, 1.0)
         alive, gram = pool_alive.copy(), pool_gram.copy()
         old = h[idx[alive[idx]]]
         gram -= old.T @ old
@@ -204,8 +204,8 @@ def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
             h[idx] = rows
             # a view when nothing is pruned; pruned rows may have overflowed
             surv = slice(None) if alive.all() else alive
-            label_sum = moved.labels[surv] @ h[surv]
-            return _filter(h, moved.labels, alive, gram, label_sum, dist, eps)
+            label_sum = labels[surv] @ h[surv]
+            return _filter(h, labels, alive, gram, label_sum, dist, eps)
         finally:
             h[idx] = saved
 

@@ -8,9 +8,10 @@ from hypothesis import strategies as st
 
 from robustchow import adversary
 from robustchow.adversary import (STRATEGIES, AdversaryStrategy,
-                                  LabeledSampleSet, _attack_point, corrupt)
+                                  LabeledSampleSet, _attack_point, corrupt,
+                                  corrupted_rows)
 from robustchow.distributions import gaussian_descriptor, hypercube_descriptor
-from robustchow.errors import InvalidHypothesis, UnknownStrategy
+from robustchow.errors import BudgetExceeded, InvalidHypothesis, UnknownStrategy
 from robustchow.harness import plant_instance
 from robustchow.ltf_learner import LTF
 from robustchow.polybasis import eval_monomials_batch
@@ -220,8 +221,9 @@ def test_attack_point_closed_form_matches_bisection(n, d, rho, seed):
 @given(tag=st.sampled_from(STRATEGIES), m=st.integers(1, 400),
        eps=st.floats(0.0, 0.33), seed=st.integers(0, 2 ** 32 - 1))
 def test_corrupt_invariants_every_strategy(tag, m, eps, seed):
-    # the PTF oracle corrects its pool's sums by the flagged rows alone, so
-    # the budget must be exact and unflagged rows and the input untouched
+    # the PTF oracle corrects its pool's sums by the moved rows alone, so
+    # the budget must be exact and unflagged rows and the input untouched;
+    # it applies the rows in ascending order, as corrupt flags them
     dist = attack_descriptor(4, 2)
     f = LTF(np.full(4, 0.5), 0.3)
     pts = dist.sample(m, seed)
@@ -234,6 +236,27 @@ def test_corrupt_invariants_every_strategy(tag, m, eps, seed):
     assert out.labels[~flagged].tobytes() == s.labels[~flagged].tobytes()
     assert s.points.tobytes() == before.points.tobytes()
     assert s.labels.tobytes() == before.labels.tobytes()
+    idx, points, labels = corrupted_rows(s, f, eps, AdversaryStrategy(tag), dist, seed + 1)
+    assert np.array_equal(idx, np.flatnonzero(flagged))   # unique and ascending
+    assert out.points[idx].tobytes() == points.tobytes()
+    assert out.labels[idx].tobytes() == labels.tobytes()
+
+
+def test_budget_exceeded_on_a_duplicate_index(monkeypatch):
+    dist, f, s = make_clean(m=500)
+
+    class DuplicateRng:
+        """Picks row 0 twice, as an adversary that miscounts would."""
+
+        def __init__(self, seed):
+            pass
+
+        def choice(self, m, size, replace):
+            return np.zeros(size, dtype=np.intp)
+
+    monkeypatch.setattr(adversary.np.random, "default_rng", DuplicateRng)
+    with pytest.raises(BudgetExceeded, match="touched 1 entries, budget 50"):
+        corrupt(s, f, 0.1, AdversaryStrategy("random_flip"), dist, 1)
 
 
 def test_chow_attack_featurizes_one_row(monkeypatch):

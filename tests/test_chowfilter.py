@@ -330,8 +330,8 @@ def test_threshold_cut_rejects_clean_gaussian_scores():
 
 
 def unique_searchsorted_cut(scores, dist, eps):
-    """The cut rule with np.unique candidates and searchsorted counts, as a
-    reference for the single-sort version."""
+    """The cut rule with a full sort, np.unique candidates and searchsorted
+    counts, as a reference for the partial-sort version."""
     order = np.sort(scores)
     candidates = np.unique(order)
     candidates = candidates[candidates > 0.0]
@@ -343,6 +343,20 @@ def unique_searchsorted_cut(scores, dist, eps):
         raise NoThresholdFound("no sample value satisfies the tail-excess test")
     t_cut = float(candidates[np.nonzero(valid)[0][-1]])
     return t_cut, scores < t_cut
+
+
+def assert_cut_matches_full_sort(scores, dist, eps):
+    """_threshold_cut returns the full-sort reference's (T, keep) or raises
+    its NoThresholdFound reason; returns T, or None when no cut exists."""
+    try:
+        want_t, want_keep = unique_searchsorted_cut(scores, dist, eps)
+    except NoThresholdFound as err:
+        with pytest.raises(NoThresholdFound, match=str(err)):
+            _threshold_cut(scores, dist, eps)
+        return None
+    t, keep = _threshold_cut(scores, dist, eps)
+    assert t == want_t and np.array_equal(keep, want_keep)
+    return t
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -359,18 +373,63 @@ def test_threshold_cut_matches_unique_searchsorted_rule(seed):
     # nothing but zeros; one positive score among zeros
     cases = (scores, np.minimum(scores, 7.0), scores[:7],
              np.abs(rng.standard_normal(m)), np.zeros(10), np.r_[np.zeros(50), 3.0])
-    cut = 0
-    for s in cases:
-        try:
-            want_t, want_keep = unique_searchsorted_cut(s, dist, 0.1)
-        except NoThresholdFound as err:
-            with pytest.raises(NoThresholdFound, match=str(err)):
-                _threshold_cut(s, dist, 0.1)
-            continue
-        t, keep = _threshold_cut(s, dist, 0.1)
-        assert t == want_t and np.array_equal(keep, want_keep)
-        cut += 1
-    assert cut >= 2
+    cuts = [assert_cut_matches_full_sort(s, dist, 0.1) for s in cases]
+    assert sum(t is not None for t in cuts) >= 2
+
+
+def mixed_scores(m, seed, decimals, zero_frac, value, size):
+    """|N(0, 1)| rounded to a grid (ties), a share of zeros and one tied
+    cluster of `size` copies of `value`."""
+    rng = np.random.default_rng(seed)
+    scores = np.round(np.abs(rng.standard_normal(m)), decimals)
+    scores[rng.random(m) < zero_frac] = 0.0
+    scores[rng.choice(m, min(size, m), replace=False)] = value
+    return scores
+
+
+@settings(max_examples=200, deadline=None)
+@given(m=st.integers(1, 6000), seed=st.integers(0, 2 ** 16), decimals=st.integers(0, 4),
+       zero_frac=st.sampled_from([0.0, 0.3, 1.0]), value=st.floats(0.0, 9.0),
+       size=st.integers(0, 3000), eps=st.sampled_from([0.0, 0.01, 0.1]))
+def test_threshold_cut_matches_full_sort(m, seed, decimals, zero_frac, value, size, eps):
+    # cluster sizes up to half of m put tied clusters on both sides of the
+    # partition pivot at m - 4 ceil(eps m) - 256 and across it
+    dist = gaussian_descriptor(6, 1, 0.1)
+    assert_cut_matches_full_sort(mixed_scores(m, seed, decimals, zero_frac, value, size),
+                                 dist, eps)
+
+
+@pytest.mark.parametrize("case, eps, scores, rounds", [
+    # a 10% cluster at 9 lies among the 4 ceil(eps m) + 256 largest
+    ("first round", 0.1, mixed_scores(20_000, 1, 2, 0.0, 9.0, 2000), "partial"),
+    # at eps 0 only 256 scores are sorted first; the 10% cluster at 3 sits
+    # below the pivot until k has grown to 4096
+    ("grows", 0.0, mixed_scores(20_000, 2, 3, 0.0, 3.0, 2000), "grown"),
+    # the only valid value fills the pivot position: only the full sort finds it
+    ("full sort", 0.1, mixed_scores(3000, 3, 3, 0.0, 3.0, 2000), "full"),
+    ("no valid threshold", 0.1, mixed_scores(20_000, 4, 8, 0.0, 0.0, 0), "full"),
+    ("all zero", 0.1, np.zeros(5000), "full"),
+])
+def test_threshold_cut_sorts_only_the_tail_it_needs(monkeypatch, case, eps, scores, rounds):
+    dist = gaussian_descriptor(6, 1, 0.1)
+    sorted_sizes = []
+    real_sort = np.sort
+
+    def counted(a, *args, **kwargs):
+        sorted_sizes.append(np.size(a))
+        return real_sort(a, *args, **kwargs)
+
+    monkeypatch.setattr(chowfilter.np, "sort", counted)
+    try:
+        _threshold_cut(scores, dist, eps)
+    except NoThresholdFound:
+        pass
+    monkeypatch.undo()
+    t = assert_cut_matches_full_sort(scores, dist, eps)
+    assert (t is None) == (case in ("no valid threshold", "all zero"))
+    full = [size == scores.size for size in sorted_sizes]
+    assert {"partial": full == [False], "grown": len(full) > 1 and not any(full),
+            "full": full[-1]}[rounds], sorted_sizes
 
 
 def test_threshold_prefers_largest_valid():

@@ -324,3 +324,12 @@ def test_experiment_unknown_key_exits_2(tmp_path, capsys):
                                "mystery": 1}))
     assert main(["experiment", "--config", str(cfg)]) == 2
     assert "mystery" in capsys.readouterr().err
+
+
+def test_experiment_field_of_the_wrong_type_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "sweep.json"
+    cfg.write_text(json.dumps({"learner": "chow", "n": "3", "eps_grid": [0.0],
+                               "strategies": ["none"], "m_train": 2000}))
+    assert main(["experiment", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: n: must be int") and "Traceback" not in err

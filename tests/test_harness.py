@@ -61,6 +61,17 @@ def test_config_from_json_missing_required_key():
         ExperimentConfig.from_json({"learner": "chow", "n": 3})
 
 
+@pytest.mark.parametrize("key, value", [
+    ("n", True), ("m_train", 2000.0), ("eps_grid", [0.1, "0.2"]), ("strategies", "none"),
+    ("xi", "0.1"), ("plant", []), ("learner", None)])
+def test_config_from_json_names_a_field_of_the_wrong_type(key, value):
+    data = {"learner": "chow", "n": 3, "eps_grid": [0, 0.1], "strategies": ["none"],
+            "m_train": 2000, "xi": None}
+    assert ExperimentConfig.from_json(data).eps_grid == [0, 0.1]
+    with pytest.raises(ConfigError, match=f"^{key}: must be"):
+        ExperimentConfig.from_json({**data, key: value})
+
+
 def test_config_from_json_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"learner": "ltf", "n": 4, "eps_grid": [0.05],

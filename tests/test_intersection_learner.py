@@ -67,7 +67,6 @@ def test_intersection_semantics():
     g = Intersection([LTF(unit(2, 0), 0.0), LTF(unit(2, 1), 0.0)])
     pts = np.array([[1.0, 1.0], [1.0, -1.0], [-1.0, 1.0], [-2.0, -2.0], [0.0, 0.0]])
     assert np.array_equal(g.evaluate(pts), [1.0, -1.0, -1.0, -1.0, 1.0])
-    assert np.array_equal(g.indicator(pts), [1.0, 0.0, 0.0, 0.0, 1.0])
     assert np.allclose(g.margin(pts), [1.0, -1.0, -1.0, -2.0, 0.0])
     assert g.k == 2
 

@@ -169,16 +169,19 @@ def test_sampling_oracle_relabels_with_hypothesis():
     assert chow_distance(est_flip, est_none) < 0.05
 
 
-def spy_on_corrupt(monkeypatch, moved):
-    """Record every sample the oracle's adversary hands back."""
-    real = ptf_learner.corrupt
+def spy_on_moved_rows(monkeypatch, moved):
+    """Record the rows the oracle's adversary moves on each call, with the
+    moved sample: the pool's points with those rows put in place."""
+    real = ptf_learner.corrupted_rows
 
-    def spy(*args):
-        out = real(*args)
-        moved.append(out)
-        return out
+    def spy(clean, *args):
+        idx, points, labels = real(clean, *args)
+        sample = clean.points.copy()
+        sample[idx] = points
+        moved.append((idx, sample))
+        return idx, points, labels
 
-    monkeypatch.setattr(ptf_learner, "corrupt", spy)
+    monkeypatch.setattr(ptf_learner, "corrupted_rows", spy)
 
 
 def test_sampling_oracle_keeps_one_clean_pool(monkeypatch):
@@ -202,7 +205,7 @@ def test_sampling_oracle_keeps_one_clean_pool(monkeypatch):
     assert np.array_equal(a.chi, c.chi)  # one pool serves every call
 
     moved = []
-    spy_on_corrupt(monkeypatch, moved)
+    spy_on_moved_rows(monkeypatch, moved)
     pools.clear()
     oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), 5000, seed=2)
     oracle(pbf)
@@ -211,7 +214,7 @@ def test_sampling_oracle_keeps_one_clean_pool(monkeypatch):
     assert h.tobytes() == clean.tobytes()
     oracle(pbf)
     assert h.tobytes() == clean.tobytes()
-    first, second = (np.flatnonzero(s.corrupted_mask) for s in moved)
+    first, second = (idx for idx, _ in moved)
     assert first.size == second.size == 250
     assert not np.array_equal(first, second)
 
@@ -244,29 +247,34 @@ def test_sampling_oracle_matches_robust_chow_on_each_moved_sample(monkeypatch):
             pools.append((points.copy(), out))
         return out
 
-    real_corrupt = ptf_learner.corrupt
+    real_rows = ptf_learner.corrupted_rows
     moved = []
 
     def adversary(clean, f, eps_, strategy, dist_, seed):
-        out = real_corrupt(clean, f, eps_, strategy, dist_, seed)
-        free = np.flatnonzero(~out.corrupted_mask)[3:]
-        out.points[0] = 0.25        # lands on a pruned pool row
-        out.points[free[0]] = 1e4   # pruned where it lands
-        out.points[free[1]] = 1e200  # its degree-2 features overflow
-        out.corrupted_mask[[0, free[0], free[1]]] = True
-        moved.append(out)
-        return out
+        idx, points, labels = real_rows(clean, f, eps_, strategy, dist_, seed)
+        sample = clean.points.copy()
+        sample[idx] = points
+        mask = np.zeros(len(clean), dtype=bool)
+        mask[idx] = True
+        free = np.flatnonzero(~mask)[3:]
+        sample[0] = 0.25        # lands on a pruned pool row
+        sample[free[0]] = 1e4   # pruned where it lands
+        sample[free[1]] = 1e200  # its degree-2 features overflow
+        mask[[0, free[0], free[1]]] = True
+        moved.append(sample)
+        idx = np.flatnonzero(mask)
+        return idx, sample[idx], np.ones(idx.size)   # the oracle relabels them
 
     real_filter = ptf_learner._filter
     sums = []
 
     def spy(h, labels, alive, gram, label_sum, *args):
-        sums.append((alive.copy(), gram.copy(), label_sum.copy()))
+        sums.append((alive.copy(), gram.copy(), label_sum.copy(), labels.copy()))
         return real_filter(h, labels, alive, gram, label_sum, *args)
 
     monkeypatch.setattr(dist, "sample", far_pool)
     monkeypatch.setattr(dist, "featurize", remember)
-    monkeypatch.setattr(ptf_learner, "corrupt", adversary)
+    monkeypatch.setattr(ptf_learner, "corrupted_rows", adversary)
     monkeypatch.setattr(ptf_learner, "_filter", spy)
     oracle = make_sampling_oracle(dist, eps, AdversaryStrategy("chow_attack"), m, seed=5)
     coeffs = np.zeros(dist.ell)
@@ -275,10 +283,12 @@ def test_sampling_oracle_matches_robust_chow_on_each_moved_sample(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         for q in queries:
             est = oracle(PBF(Polynomial(dist.basis, q), 0.5))
-            ref = robust_chow(moved[-1], dist, ptf_learner.FilterParams(eps=eps))
+            alive, gram, label_sum, labels = sums[-1]
+            sample = LabeledSampleSet(moved[-1], np.zeros(m))
+            sample.labels = labels   # the oracle's; a pruned row's may be NaN
+            ref = robust_chow(sample, dist, ptf_learner.FilterParams(eps=eps))
             # the corrected sums are the moved sample's survivor sums
-            alive, gram, label_sum = sums[-1]
-            fresh = _survivor_sums(real_featurize(moved[-1].points), dist, moved[-1].labels)
+            fresh = _survivor_sums(real_featurize(sample.points), dist, labels)
             assert np.array_equal(alive, fresh[0])
             for got, want in ((gram, fresh[1]), (label_sum, fresh[2])):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -336,18 +346,19 @@ def test_sampling_oracle_keeps_the_filter_input_checks(monkeypatch):
     coeffs = np.zeros(dist.ell)
     coeffs[1] = 0.5
     pbf = PBF(Polynomial(dist.basis, coeffs), 0.5)
-    real_corrupt = ptf_learner.corrupt
+    real_rows = ptf_learner.corrupted_rows
 
     def nan_adversary(*args):
-        out = real_corrupt(*args)
-        out.points[np.flatnonzero(out.corrupted_mask)[0], 1] = np.nan
-        return out
+        idx, points, labels = real_rows(*args)
+        points = points.copy()
+        points[0, 1] = np.nan
+        return idx, points, labels
 
-    monkeypatch.setattr(ptf_learner, "corrupt", nan_adversary)
+    monkeypatch.setattr(ptf_learner, "corrupted_rows", nan_adversary)
     oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), 2000, seed=1)
     with pytest.raises(ValueError, match="finite"):
         oracle(pbf)
-    monkeypatch.setattr(ptf_learner, "corrupt", real_corrupt)
+    monkeypatch.setattr(ptf_learner, "corrupted_rows", real_rows)
     monkeypatch.setattr(dist, "sample", lambda count, seed: np.full((count, 3), 1e4))
     oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("none"), 2000, seed=1)
     with pytest.raises(AllPointsPruned):
@@ -396,7 +407,7 @@ def test_sampling_oracle_labels_and_features_match_its_points(monkeypatch):
     coeffs[dist.basis.index_of((2, 0, 0))] = 0.25
     pbf = PBF(Polynomial(dist.basis, coeffs), 0.5)
     moved, seen = [], []
-    spy_on_corrupt(monkeypatch, moved)
+    spy_on_moved_rows(monkeypatch, moved)
     real = ptf_learner._filter
 
     def spy(h, labels, *args):
@@ -406,10 +417,10 @@ def test_sampling_oracle_labels_and_features_match_its_points(monkeypatch):
 
     monkeypatch.setattr(ptf_learner, "_filter", spy)
     make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), 5000, seed=2)(pbf)
-    (s,), ((labels, h),) = moved, seen
-    assert s.corrupted_mask.sum() == 250
-    assert np.allclose(labels, pbf.evaluate(s.points), rtol=0, atol=1e-12)
-    assert np.allclose(h, dist.featurize(s.points), rtol=0, atol=1e-12)
+    ((idx, points),), ((labels, h),) = moved, seen
+    assert idx.size == 250
+    assert np.allclose(labels, pbf.evaluate(points), rtol=0, atol=1e-12)
+    assert np.allclose(h, dist.featurize(points), rtol=0, atol=1e-12)
 
 
 # --- default_xi --------------------------------------------------------------------
