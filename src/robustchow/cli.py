@@ -22,7 +22,7 @@ import json
 import sys
 
 from .adversary import LabeledSampleSet
-from .chowfilter import FilterParams, robust_chow
+from .chowfilter import FilterParams, robust_chow, sample_floor
 from .distributions import from_config
 from .errors import ConfigError, RobustChowError
 from .harness import ExperimentConfig, run_cell, run_experiment
@@ -48,16 +48,29 @@ def _write_json(payload: dict, out: str | None):
 
 
 def _cmd_chow(args) -> int:
+    """Every input robust_chow would reject is a ConfigError here: the eps
+    range, the sample file (non-finite points included), its dimension and
+    its row count."""
     cfg = _load_json(args.config)
     eps = float(args.eps if args.eps is not None else cfg.get("eps", 0.0))
+    try:
+        params = FilterParams(eps=eps)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     dist = from_config(cfg, eps)
     samples_path = args.samples or cfg.get("samples")
     if samples_path is None:
         raise ConfigError("chow: provide --samples or a 'samples' config entry")
-    s = LabeledSampleSet.from_csv(samples_path)
+    try:
+        s = LabeledSampleSet.from_csv(samples_path)
+    except ValueError as exc:
+        raise ConfigError(f"samples: {exc}") from exc
     if s.n != dist.n:
         raise ConfigError(f"chow: sample dimension {s.n} != config n {dist.n}")
-    est = robust_chow(s, dist, FilterParams(eps=eps))
+    if len(s) < sample_floor(dist.ell):
+        raise ConfigError(f"samples: {len(s)} rows, but the filter needs at least "
+                          f"{sample_floor(dist.ell)} for {dist.ell} monomials")
+    est = robust_chow(s, dist, params)
     _write_json(est.to_json(), args.out)
     return EXIT_OK
 

@@ -7,7 +7,6 @@ an additive O(eps) of the best candidate in the list.
 
 from __future__ import annotations
 
-import itertools
 from typing import Sequence
 
 import numpy as np
@@ -52,11 +51,11 @@ def select_intersection_cover(unit_matrix: np.ndarray,
     candidate with flat index r = sum_j digit_j G^(k-1-j) intersects members
     digit_0..digit_{k-1} and predicts +1 iff all fire. Two constant
     candidates, always-+1 and always--1, compete at flat indices G^k and
-    G^k + 1. Returns (winner flat index, empirical error); ties go to the
-    lowest index. An intersection does not depend on the order of its
-    members, so every ordering of a member tuple has the same error and the
-    lowest of their flat indices lists the members in ascending order
-    (min G + max at k=2): the winner's digits never decrease.
+    G^k + 1. Returns (winner flat index, empirical error, direction tuples
+    scored); ties go to the lowest index. An intersection does not depend
+    on the order of its members, so every ordering of a member tuple has the
+    same error and the lowest of their flat indices lists the members in
+    ascending order (min G + max at k=2): the winner's digits never decrease.
 
     Members that share a direction differ only in their threshold, so
     whether a candidate fires on x depends only on x's bin among the sorted
@@ -64,12 +63,27 @@ def select_intersection_cover(unit_matrix: np.ndarray,
     -1 on inside ones,
       mismatches(r) = #{y=+1} + sum of w over the points r fires on,
     which is a k-dimensional prefix sum of the joint bin histogram of w.
-    Only unordered direction tuples are scored: one histogram per
-    non-decreasing tuple of the first k-1 directions covers every last
-    direction from the last lead direction on. That is C(D+k-1, k) m
-    histogram keys for D distinct directions, with exact integer counts,
-    and one count lookup per member tuple whose directions do not
-    decrease: about G^k / k! when no direction holds many of the members.
+    Only unordered direction tuples are scored: one histogram per lead
+    direction covers its pairs with every last direction from the lead on.
+    Each scored direction tuple costs m histogram keys, with exact integer
+    counts, and one count lookup per member tuple whose directions do not
+    decrease. At k = 1 that is one histogram of all D directions.
+
+    At k = 2 the scan is an exact branch and bound over the C(D+1, 2)
+    direction pairs. Member g fires on in_g of the n_in inside points and
+    out_g of the n_out outside ones, so the pair a, b mismatches at least
+      max(n_in - in_a, n_in - in_b) + max(0, out_a + out_b - n_out)
+    points: the inside points either member misses, plus the outside points
+    that both members fire on by inclusion-exclusion. One argsort of each
+    direction's projections per label side gives these counts and every
+    point's bin alike. A direction pair's bound is the least over its
+    member pairs. Lead directions go in ascending order of their best pair
+    bound, and a lead's histogram takes only the last directions whose pair
+    bound is at most the best count found so far. A pair is skipped only
+    when its bound is strictly above that count, so a pair that could tie
+    is scored and the lowest-index tie rule holds. The third value returned
+    counts the direction tuples histogrammed: D at k = 1, at most
+    C(D+1, 2) at k = 2.
     """
     if len(holdout) == 0:
         raise EmptyHoldout("holdout batch is empty")
@@ -90,66 +104,101 @@ def select_intersection_cover(unit_matrix: np.ndarray,
     dir_of = dir_of.reshape(-1)
     d_count = directions.shape[0]
     order = np.argsort(dir_of, kind="stable")   # members grouped by direction
-    start = np.searchsorted(dir_of[order], np.arange(d_count + 1))
+    dir_sorted = dir_of[order]
+    start = np.searchsorted(dir_sorted, np.arange(d_count + 1))
     groups = [order[a:b] for a, b in zip(start[:-1], start[1:])]
     edges = [np.unique(thresholds[g]) for g in groups]
     width = 1 + max(len(e) for e in edges)     # bins 0..len(edges), padded
 
-    # x falls in bin searchsorted(edges, v . x, "left"), and the member with
-    # threshold edges[r] fires on x iff that bin is <= r: the <= survives
+    # x falls in bin #{edges < v . x}, and the member with threshold
+    # edges[r] fires on x iff that bin is <= r: the <= survives
     rank = np.empty(g_count, dtype=np.intp)
     for g, e in zip(groups, edges):
         rank[g] = np.searchsorted(e, thresholds[g])
+    key_of = (dir_of * width + rank)[order]     # member in direction order -> key
     # w is +1 / -1, so its histogram is the difference of two unweighted
     # bincounts, one over the outside points and one over the inside ones:
     # with the outside points first, those are two column slices
     inside = holdout.labels > 0
     n_in = int(np.count_nonzero(inside))
-    proj = directions @ holdout.points[np.argsort(inside, kind="stable")].T
-    bins = np.stack([np.searchsorted(e, p, side="left") for e, p in zip(edges, proj)])
-    keys = bins + (np.arange(d_count) * width)[:, None]
     n_out = m - n_in
-    parts = [(bins[:, :n_out], keys[:, :n_out]), (bins[:, n_out:], keys[:, n_out:])]
-    key_of = (dir_of * width + rank)[order]     # member in direction order -> key
+    proj = directions @ holdout.points[np.argsort(inside, kind="stable")].T
+    sides = (proj[:, :n_out], proj[:, n_out:])
+    # one argsort per direction and side orders its projections: in that
+    # order bin r + 1 starts after the cuts[r] points at or below edge r,
+    # which is also how many of them a member with that threshold fires on
+    keys, below = [], []
+    for side in sides:
+        side_keys, side_cuts = np.empty(side.shape, dtype=np.intp), []
+        for d, (row, e) in enumerate(zip(side, edges)):
+            perm = np.argsort(row)
+            cuts = np.searchsorted(row[perm], e, side="right")
+            side_keys[d][perm] = np.repeat(np.arange(d * width, d * width + len(e) + 1),
+                                           np.diff(cuts, prepend=0, append=row.size))
+            side_cuts.append(cuts)
+        keys.append(side_keys)
+        below.append(side_cuts)
 
-    def prefix_counts(lead_dirs, lo):
-        """Prefix sums of the w histogram over lead bins x (last dir >= lo, bin)."""
-        block = (d_count - lo) * width
+    def prefix_counts(lead, lasts):
+        """w-sums of every member tuple (lead member, member of a last
+        direction): a row per lead member (one row at k = 1), a column per
+        member of the directions in lasts, which ascend."""
+        wanted = np.zeros(d_count, dtype=bool)
+        wanted[lasts] = True
+        cols = np.flatnonzero(wanted[dir_sorted])
+        lo, hi = lasts[0], lasts[-1] + 1
+        block = (hi - lo) * width
+        rows = slice(lo, hi) if hi - lo == lasts.size else lasts   # no gather if none pruned
         hist = []
-        for part_bins, part_keys in parts:
-            lead = np.zeros(part_bins.shape[1], dtype=np.intp)
-            for d in lead_dirs:
-                lead = lead * width + part_bins[d]
-            hist.append(np.bincount((part_keys[lo:] + (lead * block - lo * width)).ravel(),
+        for side_keys in keys:
+            shift = -lo * width
+            if lead is not None:
+                shift = (side_keys[lead] - lead * width) * block + shift
+            hist.append(np.bincount((side_keys[rows] + shift).ravel(),
                                     minlength=width ** (k - 1) * block))
-        cum = (hist[0] - hist[1]).reshape((width,) * (k - 1) + (d_count - lo, width))
-        for axis in range(cum.ndim):
-            if axis != k - 1:                   # not the direction axis
-                np.cumsum(cum, axis=axis, out=cum)
-        return cum.reshape(-1)
+        cum = (hist[0] - hist[1]).reshape(width ** (k - 1), hi - lo, width)
+        np.cumsum(cum, axis=0, out=cum)
+        np.cumsum(cum, axis=2, out=cum)
+        lead_bins = rank[groups[lead]] if lead is not None else np.zeros(1, dtype=np.intp)
+        return cum.reshape(-1)[lead_bins[:, None] * block + key_of[cols] - lo * width], cols
 
-    best_idx, best_count = 0, m + 1
-    for lead_dirs in itertools.combinations_with_replacement(range(d_count), k - 1):
-        lo = lead_dirs[-1] if lead_dirs else 0  # last members: directions >= lo
-        pos = np.zeros((), dtype=np.intp)       # lead members -> lead bin tuple
-        for d in lead_dirs:
-            pos = pos[..., None] * width + rank[groups[d]]
-        block = (d_count - lo) * width
-        counts = prefix_counts(lead_dirs, lo)[pos[..., None] * block
-                                              + key_of[start[lo]:] - lo * width]
+    if k == 1:                                  # one scan of every direction
+        plan = [(None, np.zeros(d_count))]
+    else:
+        # members in direction order; int32 halves the traffic of the bound
+        out, fired_in = (np.concatenate([cuts[d][rank[g]] for d, g in enumerate(groups)])
+                         .astype(np.int32) for cuts in below)
+        over, miss = out - n_out, n_in - fired_in
+        bound = np.full((d_count, d_count), np.inf)   # bound[a, b] for b >= a
+        for a in range(d_count):
+            in_a, from_a = slice(start[a], start[a + 1]), slice(start[a], None)
+            both = over[in_a, None] + out[None, from_a]
+            np.maximum(both, 0, out=both)       # outside points both members fire on
+            both += np.maximum(miss[in_a, None], miss[None, from_a])
+            bound[a, a:] = np.minimum.reduceat(both.min(axis=0), start[a:-1] - start[a])
+        plan = [(a, bound[a]) for a in np.argsort(bound.min(axis=1), kind="stable")]
+    best_idx, best_count, scored = 0, m + 1, 0
+    for lead, row in plan:
+        lasts = np.flatnonzero(row <= best_count)
+        if not lasts.size:                      # leads ascend by best bound
+            break
+        scored += lasts.size
+        counts, cols = prefix_counts(lead, lasts)
         low = int(counts.min())
         if n_in + low > best_count:
             continue
         # each entry at the minimum counts at the flat index of its members
         # in ascending order, the lowest among their orderings
-        at = np.unravel_index(np.flatnonzero(counts == low), counts.shape)
-        members = [groups[d][i] for d, i in zip(lead_dirs, at)] + [order[start[lo] + at[-1]]]
+        at = np.nonzero(counts == low)
+        members = [order[cols[at[1]]]]
+        if lead is not None:
+            members.insert(0, groups[lead][at[0]])
         idx = int(np.ravel_multi_index(np.sort(members, axis=0), (g_count,) * k).min())
         if (n_in + low, idx) < (best_count, best_idx):
             best_idx, best_count = idx, n_in + low
     n_combos = g_count ** k
-    if m - n_in < best_count:                   # predict +1 everywhere
-        best_idx, best_count = n_combos, m - n_in
+    if n_out < best_count:                      # predict +1 everywhere
+        best_idx, best_count = n_combos, n_out
     if n_in < best_count:                       # predict -1 everywhere
         best_idx, best_count = n_combos + 1, n_in
-    return best_idx, best_count / m
+    return best_idx, best_count / m, scored

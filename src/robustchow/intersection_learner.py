@@ -269,8 +269,9 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
     """Subspace from robust degree-2 Chow parameters, then cover tournament
     on a fresh holdout drawn by source(m, seed) and projected, lifted back to
     ambient coordinates. The result's provenance records the subspace
-    dimension, the cover that was searched (after any delta escalations) and
-    the tournament's winner.
+    dimension, the cover that was searched (after any delta escalations),
+    the tournament's winner, and how many of the cover's unordered direction
+    k-tuples (pairs at k = 2) the tournament histogrammed out of all of them.
 
     At k=2 a dim-3 subspace fits COMBO_CAP only with a delta above
     DELTA_CEIL (delta_override 1.0 fits, 0.95 does not), so without an
@@ -303,7 +304,7 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
                 raise
             delta = min(DELTA_CEIL, delta * 1.25)
             escalations += 1
-    winner_idx, holdout_error = select_intersection_cover(
+    winner_idx, holdout_error, pairs_scored = select_intersection_cover(
         cover.unit_matrix, cover.thresholds, k, projected)
     g = cover[winner_idx]
 
@@ -324,5 +325,7 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
         "thresholds_per_direction": cover.grid_size // directions,
         "winner_index": winner_idx,
         "holdout_error": holdout_error,
+        "pairs_scored": pairs_scored,
+        "pairs_total": math.comb(directions + k - 1, k),
     }
     return out

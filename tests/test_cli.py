@@ -82,7 +82,19 @@ def test_chow_too_few_samples_exits_2(tmp_path, capsys):
     dist_config(cfg)
     write_samples(samples, m=20)
     assert main(["chow", "--config", str(cfg), "--samples", str(samples)]) == 2
-    capsys.readouterr()
+    err = capsys.readouterr().err
+    # n = 3, d = 1: 4 monomials, floor max(50, 2 * 4)
+    assert err.startswith("config error: samples: 20 rows") and "at least 50" in err
+
+
+@pytest.mark.parametrize("eps", ["0.4", "0.3334", "-0.01", "nan"])
+def test_chow_bad_eps_exits_2(tmp_path, capsys, eps):
+    cfg = tmp_path / "dist.json"
+    samples = tmp_path / "data.csv"
+    dist_config(cfg)
+    write_samples(samples, m=200)
+    assert main(["chow", "--config", str(cfg), "--samples", str(samples), "--eps", eps]) == 2
+    assert capsys.readouterr().err.startswith("config error: eps must lie in [0, 1/3)")
 
 
 @pytest.mark.parametrize("family", ["gaussian", "hypercube"])
@@ -98,7 +110,8 @@ def test_chow_nan_in_samples_exits_2(tmp_path, capsys, family):
     samples.write_text("\n".join(lines) + "\n")
     assert main(["chow", "--config", str(cfg), "--samples", str(samples)]) == 2
     err = capsys.readouterr().err
-    assert "config error" in err and "finite" in err and "NaN" in err and "sample index 4" in err
+    assert err.startswith("config error: samples: points must be finite")
+    assert "NaN" in err and "sample index 4" in err
 
 
 def moments_csv(path, n, d):

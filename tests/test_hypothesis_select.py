@@ -98,19 +98,25 @@ def _reference_cover_select(unit_matrix, thresholds, k, holdout, block=512):
     return best_idx, best_count / m
 
 
-def _brute_force(unit_matrix, thresholds, k, holdout):
-    """Every candidate evaluated at once: the k-fold AND of the members'
-    LTF predictions, broadcast to shape (G,)*k + (m,), then the two
-    constants; ties go to the lowest flat index."""
+def _brute_force(unit_matrix, thresholds, k, holdout, block=64):
+    """Every candidate evaluated: the k-fold AND of the members' LTF
+    predictions, then the two constants; ties go to the lowest flat index.
+    Predictions are bit-packed over the holdout (padding bits are 0 in the
+    labels too, so they never mismatch), and the k = 2 grid is evaluated a
+    block of first members at a time, so covers of thousands of members fit
+    in memory."""
     fires = np.stack([h.evaluate(holdout.points) > 0
                       for h in _cover_members(unit_matrix, thresholds)])
-    g = fires.shape[0]
-    pred = np.ones((g,) * k + (len(holdout),), dtype=bool)
-    for axis in range(k):
-        pred = pred & fires.reshape((1,) * axis + (g,) + (1,) * (k - 1 - axis) + (-1,))
     inside = holdout.labels > 0
-    counts = np.concatenate([(pred != inside).sum(axis=-1).ravel(),
-                             [np.count_nonzero(~inside), np.count_nonzero(inside)]])
+    packed, target = np.packbits(fires, axis=1), np.packbits(inside)
+    if k == 1:
+        counts = np.bitwise_count(packed ^ target).sum(axis=1, dtype=np.int64)
+    else:
+        counts = np.concatenate([
+            np.bitwise_count((packed[lo:lo + block, None] & packed[None]) ^ target)
+            .sum(axis=-1, dtype=np.int64).ravel()
+            for lo in range(0, fires.shape[0], block)])
+    counts = np.concatenate([counts, [np.count_nonzero(~inside), np.count_nonzero(inside)]])
     flat = int(np.argmin(counts))
     return flat, int(counts[flat]) / len(holdout)
 
@@ -126,7 +132,7 @@ def test_cover_tournament_matches_brute_force(k):
     pts = rng.standard_normal((400, n))
     labels = np.where((pts @ unit[2] <= thr[2]) & (pts @ unit[5] <= thr[5]), 1.0, -1.0)
     holdout = holdout_from(pts, labels)
-    flat, err = select_intersection_cover(unit, thr, k, holdout)
+    flat, err, _ = select_intersection_cover(unit, thr, k, holdout)
     assert (flat, err) == _brute_force(unit, thr, k, holdout)
     assert (flat, err) == _reference_cover_select(unit, thr, k, holdout)
 
@@ -168,7 +174,7 @@ def grid_cover_cases(draw):
 @given(grid_cover_cases())
 def test_cover_tournament_property_grid_members(case):
     unit, thr, k, holdout = case
-    got = select_intersection_cover(unit, thr, k, holdout)
+    got = select_intersection_cover(unit, thr, k, holdout)[:2]
     assert got == _reference_cover_select(unit, thr, k, holdout)
     assert got == _brute_force(unit, thr, k, holdout)
 
@@ -178,7 +184,7 @@ def test_cover_tournament_point_on_threshold_fires():
     thr = np.array([-1.0, 0.0])
     holdout = holdout_from([[0.0], [0.5], [-2.0]], [1.0, -1.0, 1.0])
     # member 1 (x <= 0) fires on x = 0 and is perfect
-    assert select_intersection_cover(unit, thr, 1, holdout) == (1, 0.0)
+    assert select_intersection_cover(unit, thr, 1, holdout)[:2] == (1, 0.0)
 
 
 @pytest.mark.parametrize("k,dim,delta", [(1, 1, 0.5), (1, 2, 0.5), (2, 2, 0.95),
@@ -191,7 +197,7 @@ def test_cover_tournament_matches_reference_on_seeded_covers(k, dim, delta, monk
     labels = np.where((pts[:, 0] <= 0.5) & (pts[:, -1] >= -0.3), 1.0, -1.0)
     labels[rng.random(2000) < 0.1] *= -1.0
     holdout = holdout_from(pts, labels)
-    got = select_intersection_cover(cover.unit_matrix, cover.thresholds, k, holdout)
+    got = select_intersection_cover(cover.unit_matrix, cover.thresholds, k, holdout)[:2]
     assert got == _reference_cover_select(cover.unit_matrix, cover.thresholds, k, holdout)
     assert got[0] < cover.grid_size ** k     # a grid candidate beats both constants
     digits = np.unravel_index(got[0], (cover.grid_size,) * k)
@@ -206,7 +212,7 @@ def test_cover_tournament_constant_wins_on_constant_labels():
     thr = np.full(g, -50.0)  # every member fires almost never
     pts = rng.standard_normal((200, 2))
     holdout = holdout_from(pts, -np.ones(200))
-    flat, err = select_intersection_cover(unit, thr, 1, holdout)
+    flat, err, _ = select_intersection_cover(unit, thr, 1, holdout)
     # all-minus constant is perfect; grid members also never fire -> all predict -1
     assert err == 0.0
 
@@ -233,16 +239,16 @@ def test_cover_tournament_winner_lists_members_ascending():
     unit = np.array([[1.0], [1.0], [-1.0]])
     thr = np.array([1.0, 3.0, 1.0])
     holdout = holdout_from([[-2.0], [0.0], [0.5], [2.0]], [-1.0, 1.0, 1.0, -1.0])
-    got = select_intersection_cover(unit, thr, 2, holdout)
+    got = select_intersection_cover(unit, thr, 2, holdout)[:2]
     assert got == (0 * 3 + 2, 0.0)          # min*G + max, not 2*G + 0
     assert got == _brute_force(unit, thr, 2, holdout)
 
 
 @pytest.mark.parametrize("k", [1, 2])
 def test_cover_tournament_scores_unordered_direction_tuples(k, monkeypatch):
-    """The histogram keys fed to bincount: one lead tuple per non-decreasing
-    direction tuple, each over the directions from its last one on, so
-    C(D+k-1, k) m keys in all, not the D^k m of ordered tuples."""
+    """The pair-histogram keys fed to bincount, m per direction tuple
+    scored: all D at k = 1; at k = 2 at most the C(D+1, 2) unordered pairs,
+    and on these labels the bound prunes some of them."""
     fed = []
     bincount = np.bincount
 
@@ -259,8 +265,54 @@ def test_cover_tournament_scores_unordered_direction_tuples(k, monkeypatch):
     thr = np.tile([-0.5, 0.0, 0.5], d_count)
     pts = rng.standard_normal((m, 2))
     holdout = holdout_from(pts, np.where(pts[:, 0] <= 0.3, 1.0, -1.0))
-    select_intersection_cover(unit, thr, k, holdout)
-    assert sum(fed) == math.comb(d_count + k - 1, k) * m
+    *_, scored = select_intersection_cover(unit, thr, k, holdout)
+    assert sum(fed) == scored * m
+    if k == 1:
+        assert sum(fed) == d_count * m
+    else:
+        assert sum(fed) < math.comb(d_count + 1, 2) * m
+
+
+@pytest.mark.parametrize("shuffle", [False, True], ids=["planted", "shuffled"])
+def test_cover_tournament_exact_under_pruning(shuffle):
+    """make_cover(2, 2, 0.75) and 1000 holdout points labelled by the planted
+    pair x1 >= -0.5, x2 >= -0.5 with 10% of the labels flipped: the bound
+    prunes most direction pairs. With the labels shuffled no pair beats the
+    constants by much, and nothing is pruned."""
+    cover = make_cover(2, 2, 0.75)
+    rng = np.random.default_rng(11)
+    pts = rng.standard_normal((1000, 2))
+    labels = np.where((pts[:, 0] >= -0.5) & (pts[:, 1] >= -0.5), 1.0, -1.0)
+    labels[rng.random(1000) < 0.1] *= -1.0
+    if shuffle:
+        labels = rng.permutation(labels)
+    holdout = holdout_from(pts, labels)
+    flat, err, scored = select_intersection_cover(cover.unit_matrix, cover.thresholds, 2,
+                                                  holdout)
+    assert (flat, err) == _reference_cover_select(cover.unit_matrix, cover.thresholds, 2,
+                                                  holdout)
+    assert (flat, err) == _brute_force(cover.unit_matrix, cover.thresholds, 2, holdout)
+    pairs = math.comb(cover.directions + 1, 2)
+    if shuffle:
+        assert scored == pairs
+    else:
+        assert scored < pairs / 2
+
+
+def test_cover_tournament_scores_pair_whose_bound_ties_the_best():
+    # np.unique puts direction -1 first, and its lead goes first: it finds
+    # the perfect pair (member 1, member 0) at flat index 1. Member 0 alone,
+    # the pair (0, 0) at flat index 0, sits in the later lead +1. It fires
+    # on the inside point and on no outside one, so its bound
+    # max(1 - 1, 1 - 1) + max(0, 0 + 0 - 1) = 0 equals the best count. It
+    # must still be scored, and it wins the tie by its lower index.
+    unit = np.array([[1.0], [-1.0]])
+    thr = np.array([-1.0, 2.0])             # member 0: x <= -1, member 1: x >= -2
+    holdout = holdout_from([[-1.0], [1.0]], [1.0, -1.0])
+    got = select_intersection_cover(unit, thr, 2, holdout)
+    assert got == (0, 0.0, 3)
+    assert got[:2] == _brute_force(unit, thr, 2, holdout)
+    assert got[:2] == _reference_cover_select(unit, thr, 2, holdout)
 
 
 def test_cover_tournament_rejects_nan_threshold():

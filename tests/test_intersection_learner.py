@@ -471,6 +471,24 @@ def test_learn_intersection_k2_planted_orthogonal():
     assert dis <= 0.1
 
 
+def test_learn_intersection_criterion_11_plant_pinned():
+    """The criterion-11 plant at eps = 0.02 with that criterion's seeds. The
+    winner and holdout error are those of the exhaustive tournament over
+    every direction pair; the branch and bound must leave them unchanged
+    while it histograms only part of the pairs."""
+    n, k, theta, eps = 8, 2, 0.5, 0.02
+    hyp = Intersection([LTF(unit(n, 0), theta), LTF(unit(n, 1), theta)])
+    dist = gaussian_descriptor(n, 2, eps)
+    s_train, s_learn, _ = np.random.SeedSequence(1111, spawn_key=(20,)).spawn(3)
+    source = make_corrupted_source(hyp, dist, eps, AdversaryStrategy("chow_attack", rho=0.9))
+    out = learn_intersection(source(200_000, s_train), k, eps, source=source,
+                             seed=int(s_learn.generate_state(1)[0]))
+    prov = out.provenance
+    assert (prov["winner_index"], prov["holdout_error"]) == (58927, 0.01755)
+    assert prov["pairs_total"] == math.comb(prov["directions"] + 1, 2)
+    assert prov["pairs_scored"] < prov["pairs_total"]
+
+
 def test_learn_intersection_delta_raising(monkeypatch):
     # a tight combo cap forces the cover-resolution loop to coarsen delta
     # instead of failing
@@ -498,7 +516,7 @@ def test_learn_intersection_provenance_records_escalation(monkeypatch):
     prov = out.provenance
     assert set(prov) == {"subspace_dim", "delta", "delta_escalations", "grid_size",
                          "directions", "thresholds_per_direction", "winner_index",
-                         "holdout_error"}
+                         "holdout_error", "pairs_scored", "pairs_total"}
     assert prov["delta_escalations"] >= 1
     assert prov["delta"] == pytest.approx(default_cover_delta(1, 0.0)
                                           * 1.25 ** prov["delta_escalations"])
@@ -507,6 +525,8 @@ def test_learn_intersection_provenance_records_escalation(monkeypatch):
     assert prov["directions"] * prov["thresholds_per_direction"] == prov["grid_size"]
     assert 0 <= prov["winner_index"] < prov["grid_size"]
     assert 0.0 <= prov["holdout_error"] <= 0.1
+    # at k = 1 every direction is scored in one histogram
+    assert prov["pairs_scored"] == prov["pairs_total"] == prov["directions"]
     assert "provenance" not in out.to_json()
 
 
