@@ -13,7 +13,7 @@ from .distributions import (ReasonableDistribution, compute_delta,
                             hypercube_moment_matrix, log_concave_descriptor,
                             make_tail_bound)
 from .errors import (AcceptanceTooLow, AllPointsPruned, BasisMismatch,
-                     BudgetExceeded, ConfigError, CoverTooLarge,
+                     BudgetExceeded, ChowBoundViolated, ConfigError, CoverTooLarge,
                      DimensionMismatch, EmptyHoldout, IntegralDiverges,
                      InvalidHypothesis, NonMultilinearBasis,
                      NoThresholdFound, NotPSD, RobustChowError,

@@ -18,7 +18,7 @@ import numpy as np
 
 from .adversary import LabeledSampleSet
 from .distributions import ReasonableDistribution
-from .errors import AllPointsPruned, BasisMismatch, NoThresholdFound
+from .errors import AllPointsPruned, BasisMismatch, ChowBoundViolated, NoThresholdFound
 from .polybasis import MonomialBasis, enumerate_basis, eval_monomials_batch
 
 DENSE_EIG_MAX = 2000
@@ -70,7 +70,7 @@ class ChowEstimate:
             # to the filter's break level.
             bound = 2.0 * np.sqrt(np.diag(self.dist.sigma)) + 1e-6
             if np.any(np.abs(self.chi) > bound):
-                raise ValueError("chi violates the Cauchy-Schwarz bound")
+                raise ChowBoundViolated("chi violates the Cauchy-Schwarz bound")
 
     def to_json(self) -> dict:
         return {

@@ -11,8 +11,10 @@ learn-ltf, learn-ptf and learn-intersection run cell 0 of a one-cell
 the hypothesis JSON plus its `disagreement_estimate`. The cell draws its
 streams from SeedSequence(--seed, spawn_key=(0,)), like cell 0 of a sweep, and
 learn-ltf runs with the harness's LTFConfig(batch_cap=--m, holdout_size=20000).
+learn-intersection searches a subspace of dim <= --k, so its cover is 1-D or 2-D.
 
-Exit codes: 0 success, 2 config error, 3 learner failure.
+Exit codes: 0 success, 2 config error, 3 learner failure (any RobustChowError,
+including a sample that breaks the Chow vector's Cauchy-Schwarz bound).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .chowfilter import FilterParams, robust_chow, sample_floor
 from .distributions import from_config
 from .errors import ConfigError, RobustChowError
 from .harness import ExperimentConfig, run_cell, run_experiment
-from .intersection_learner import DELTA_CEIL, K_CAP
+from .intersection_learner import K_CAP
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -83,7 +85,7 @@ def _cmd_learn(args) -> int:
         plant = {"thetas": [args.theta_plant] * args.k}
     else:
         plant = {} if args.plant_coeffs is None else {"coeffs": json.loads(args.plant_coeffs)}
-    extra = {f: getattr(args, f) for f in ("d", "k", "xi", "delta_override") if hasattr(args, f)}
+    extra = {f: getattr(args, f) for f in ("d", "k", "xi") if hasattr(args, f)}
     cfg = ExperimentConfig(learner=args.learner, n=args.n, eps_grid=[args.eps],
                            strategies=[args.strategy], m_train=args.m, trials=1,
                            seed=args.seed, plant=plant, **extra)
@@ -138,9 +140,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = learn_parser("intersection", "learn an intersection of halfspaces", 8, 200_000, 0.02)
     p.add_argument("--k", type=int, default=2,
-                   help=f"halfspaces, 1 to {K_CAP}; at k = 2 a dim-3 subspace fits the "
-                        f"cover cap only with --delta-override above {DELTA_CEIL} (1.0 fits)")
-    p.add_argument("--delta-override", type=float, default=None, dest="delta_override")
+                   help=f"halfspaces, 1 to {K_CAP}; the learner searches a subspace of "
+                        "dim <= k")
     p.add_argument("--theta-plant", type=float, default=0.5, dest="theta_plant")
 
     p = sub.add_parser("experiment", help="run a (strategy, eps, trial) sweep to CSV")

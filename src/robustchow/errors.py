@@ -61,6 +61,11 @@ class BasisMismatch(RobustChowError):
     """Two estimates (or an estimate and a basis) disagree on (n, d, ordering)."""
 
 
+class ChowBoundViolated(RobustChowError):
+    """An estimated Chow vector breaks the Cauchy-Schwarz bound of its law:
+    the corrupted sample is too far off for the filter's guarantee."""
+
+
 class ZeroChowVector(RobustChowError):
     """Degree-1 Chow block is below the statistical noise floor."""
 

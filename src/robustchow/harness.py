@@ -28,7 +28,7 @@ from .chowfilter import (ChowEstimate, FilterParams, chow_distance, robust_chow,
                          sample_floor)
 from .distributions import ReasonableDistribution, gaussian_descriptor, hypercube_descriptor
 from .errors import ConfigError, InvalidHypothesis, RobustChowError
-from .intersection_learner import DELTA_FLOOR, K_CAP, Intersection, learn_intersection
+from .intersection_learner import K_CAP, Intersection, learn_intersection
 from .ltf_learner import LTF, LTFConfig, learn_ltf
 from .polybasis import (DEFAULT_SIZE_CAP, MonomialBasis, Polynomial, basis_size,
                         enumerate_basis)
@@ -65,7 +65,6 @@ class ExperimentConfig:
     out: str = "results.csv"
     plant: dict = field(default_factory=dict)
     xi: Optional[float] = None
-    delta_override: Optional[float] = None
 
     def validate(self):
         problems = []
@@ -104,10 +103,6 @@ class ExperimentConfig:
         if self.learner == "intersection" and not (1 <= self.k <= min(K_CAP, self.n)):
             problems.append(f"k: intersection learner needs 1 <= k <= min({K_CAP}, n), "
                             f"got k={self.k}, n={self.n}")
-        if self.delta_override is not None and not (
-                DELTA_FLOOR <= self.delta_override <= 4 * self.k):   # NaN fails too
-            problems.append(f"delta_override: must lie in [{DELTA_FLOOR}, 4k], "
-                            f"got {self.delta_override} with k={self.k}")
         if problems:
             raise ConfigError("; ".join(problems))
         multilinear = self.dist == "hypercube"
@@ -365,7 +360,6 @@ def run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,
                             seed=int(s_learn.generate_state(1)[0]))
         else:
             hyp = learn_intersection(corrupted, config.k, eps, source=source,
-                                     delta_override=config.delta_override,
                                      m_tournament=config.m_holdout,
                                      seed=int(s_learn.generate_state(1)[0]))
         disagreement = score(hyp, plant, dist, config.m_score, s_score)

@@ -134,8 +134,10 @@ def build_degree2(chow: ChowEstimate) -> Degree2ChowMatrix:
 
 def extract_subspace(d2: Degree2ChowMatrix, k: int,
                      noise_floor: float = 1e-8) -> Subspace:
-    """Orthonormal span of vec1 and the k largest-|eigenvalue| directions of
-    mat2, keeping only contributions above the noise floor."""
+    """The top k (at most) left singular vectors of vec1 stacked with the k
+    largest-|eigenvalue| directions of mat2, each kept only above the noise
+    floor. An intersection of k halfspaces depends on a subspace of dim <= k,
+    so noise that puts vec1 slightly off the eigenvectors' span adds nothing."""
     if k < 1:
         raise ValueError("k must be at least 1")
     n = d2.vec1.shape[0]
@@ -151,26 +153,17 @@ def extract_subspace(d2: Degree2ChowMatrix, k: int,
         return Subspace(np.zeros((n, 0)))
     stacked = np.column_stack(cols)
     u, s, _ = np.linalg.svd(stacked, full_matrices=False)
-    keep = s > 1e-10
-    return Subspace(u[:, keep])
+    return Subspace(u[:, :min(k, int(np.sum(s > 1e-10)))])
 
 
 def _sphere_net(dim: int, resolution: float) -> np.ndarray:
-    """Unit vectors covering S^{dim-1} to within the angular resolution."""
+    """Unit vectors covering S^{dim-1}, dim 1 or 2, to within the angular
+    resolution."""
     if dim == 1:
         return np.array([[1.0], [-1.0]])
-    if dim == 2:
-        count = max(8, int(math.ceil(2.0 * math.pi / resolution)))
-        ang = np.arange(count) * (2.0 * math.pi / count)
-        return np.column_stack([np.cos(ang), np.sin(ang)])
-    # dim 3: Fibonacci sphere; covering radius ~ 2.7/sqrt(count)
-    count = max(16, int(math.ceil((3.0 / resolution) ** 2)))
-    i = np.arange(count) + 0.5
-    z = 1.0 - 2.0 * i / count
-    r = np.sqrt(np.maximum(0.0, 1.0 - z * z))
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    ang = golden * i
-    return np.column_stack([r * np.cos(ang), r * np.sin(ang), z])
+    count = max(8, int(math.ceil(2.0 * math.pi / resolution)))
+    ang = np.arange(count) * (2.0 * math.pi / count)
+    return np.column_stack([np.cos(ang), np.sin(ang)])
 
 
 @dataclass
@@ -217,12 +210,12 @@ class Cover:
 
 
 def make_cover(k: int, dim: int, delta: float) -> Cover:
-    """Grid cover fine enough that any k-fold intersection on R^dim is
-    within disagreement delta of some member: directions on a net of
+    """Grid cover fine enough that any k-fold intersection on R^dim, dim <= k,
+    is within disagreement delta of some member: directions on a net of
     angular resolution delta/(4k), thresholds on a delta/(4k) grid over
     [-Theta, Theta] with Theta = Phi^{-1}(1 - delta/(8k)), which needs
     DELTA_FLOOR <= delta <= 4k (Theta >= 0)."""
-    if not (1 <= k <= K_CAP and 1 <= dim <= k + 1):
+    if not (1 <= k <= K_CAP and 1 <= dim <= k):
         raise ValueError(f"unsupported cover shape k={k}, dim={dim}")
     if not DELTA_FLOOR <= delta <= 4 * k:   # NaN fails too
         raise ValueError(f"delta {delta} outside [{DELTA_FLOOR}, 4k = {4 * k}]")
@@ -264,18 +257,14 @@ def direction_correlation(samples: LabeledSampleSet, v: np.ndarray) -> float:
 
 
 def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
-                       source: SampleSource, delta_override: Optional[float] = None,
-                       m_tournament: int = 20_000, seed=0) -> Intersection:
+                       source: SampleSource, m_tournament: int = 20_000,
+                       seed=0) -> Intersection:
     """Subspace from robust degree-2 Chow parameters, then cover tournament
     on a fresh holdout drawn by source(m, seed) and projected, lifted back to
     ambient coordinates. The result's provenance records the subspace
     dimension, the cover that was searched (after any delta escalations),
     the tournament's winner, and how many of the cover's unordered direction
-    k-tuples (pairs at k = 2) the tournament histogrammed out of all of them.
-
-    At k=2 a dim-3 subspace fits COMBO_CAP only with a delta above
-    DELTA_CEIL (delta_override 1.0 fits, 0.95 does not), so without an
-    override it raises CoverTooLarge."""
+    k-tuples (pairs at k = 2) the tournament histogrammed out of all of them."""
     n = corrupted.n
     dist = gaussian_descriptor(n, 2, eps)
     est = robust_chow(corrupted, dist, FilterParams(eps=eps))
@@ -293,7 +282,7 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
     holdout = source(m_tournament, np.random.SeedSequence(seed).spawn(1)[0])
     projected = LabeledSampleSet(sub.project(holdout.points), holdout.labels)
 
-    delta = delta_override if delta_override is not None else default_cover_delta(k, eps)
+    delta = default_cover_delta(k, eps)
     cover = None
     escalations = 0
     while cover is None:

@@ -14,7 +14,8 @@ from robustchow.chowfilter import (BLOCK_ROWS, ChowEstimate, FilterParams,
                                    robust_chow)
 from robustchow.distributions import (gaussian_descriptor, hypercube_descriptor,
                                       log_concave_descriptor)
-from robustchow.errors import AllPointsPruned, BasisMismatch, NoThresholdFound
+from robustchow.errors import (AllPointsPruned, BasisMismatch, ChowBoundViolated,
+                               NoThresholdFound, RobustChowError)
 from robustchow.ltf_learner import LTF
 from robustchow.polybasis import eval_monomials_batch
 
@@ -91,6 +92,20 @@ def test_chow_estimate_rejects_nonfinite():
     chi[0] = float("nan")
     with pytest.raises(ValueError):
         ChowEstimate(chi, dist.basis, dist, {})
+
+
+def test_chow_estimate_cauchy_schwarz_is_a_library_error():
+    # |chi_i| <= 2 sqrt(Sigma_ii): data that breaks it is a learner failure,
+    # not a ValueError the CLI would report as a config error
+    dist = gaussian_descriptor(3, 1, 0.1)
+    chi = np.zeros(dist.ell)
+    chi[1] = 2.0
+    ChowEstimate(chi, dist.basis, dist, {})
+    chi[1] = 2.01
+    with pytest.raises(ChowBoundViolated, match="Cauchy-Schwarz") as exc:
+        ChowEstimate(chi, dist.basis, dist, {})
+    assert isinstance(exc.value, RobustChowError) and not isinstance(exc.value, ValueError)
+    ChowEstimate(chi, dist.basis, None, {})   # no reference law, no bound
 
 
 def test_chow_estimate_json_roundtrip():
@@ -499,6 +514,31 @@ def test_filtered_error_is_dimension_independent():
     assert max(abs(e) for e in excess) <= 0.35 * floor, excess
     assert raw[1] > 1.8 * raw[0] and raw[2] > 1.8 * raw[1], raw
     assert max(raw_per_tmax) <= 1.1 * min(raw_per_tmax), raw_per_tmax
+
+
+@pytest.mark.parametrize("n,d,eps", [(6, 2, 0.05), (12, 3, 0.05), (10, 1, 0.1)])
+def test_filter_error_at_the_weakest_placement(n, d, eps):
+    # chow_attack just under the break level, at whitened radius 0.95 r*
+    # with r* = sqrt(C_BREAK (gamma + delta + eps) / eps): the eigen excess
+    # eps r^2 stays below the break level, so no pass fires and the error is
+    # about eps r. This pins the bound the filter meets today; a tighter
+    # stop rule shows up as a smaller printed error.
+    m = 100_000
+    dist = gaussian_descriptor(n, d, eps)
+    f = LTF(np.eye(n)[0], 0.5)
+    pts = dist.sample(m, 1)
+    s = LabeledSampleSet(pts, f.evaluate(pts).astype(np.float64))
+    level = dist.gamma + dist.delta + eps
+    r_star = math.sqrt(chowfilter.C_BREAK * level / eps)
+    rho = 0.95 * r_star * math.sqrt(2.0) / dist.t_max
+    bad = corrupt(s, f, eps, AdversaryStrategy("chow_attack", rho=rho), dist, 2)
+    est = robust_chow(bad, dist, FilterParams(eps=eps))
+    err = chow_distance(est, empirical_chow(s, dist))
+    bound = math.sqrt(chowfilter.C_BREAK * eps * level) + 3.0 * math.sqrt(dist.ell / m)
+    print(f"n={n} d={d} eps={eps}: r*={r_star:.1f}, whitened error {err:.3f} "
+          f"(bound {bound:.3f}), rows removed "
+          f"{est.provenance['pruned'] + est.provenance['filtered']}")
+    assert err <= bound
 
 
 def test_robust_chow_soundness_on_clean_data():

@@ -205,6 +205,23 @@ def test_chow_gross_outliers_exit_3(tmp_path, capsys):
     assert "learner failure" in capsys.readouterr().err
 
 
+def test_chow_cauchy_schwarz_violation_exits_3(tmp_path, capsys):
+    # a well-formed sample whose filtered mean breaks the Cauchy-Schwarz
+    # bound: 30% of the rows sit at x = 5 with label +1, under eps = 0.3
+    cfg = tmp_path / "dist.json"
+    samples = tmp_path / "cluster.csv"
+    dist_config(cfg, n=1)
+    rng = np.random.default_rng(0)
+    pts = rng.standard_normal((4000, 1))
+    labels = np.sign(pts[:, 0])
+    pts[:1200], labels[:1200] = 5.0, 1.0
+    LabeledSampleSet(pts, labels).to_csv(samples)
+    assert main(["chow", "--config", str(cfg), "--samples", str(samples),
+                 "--eps", "0.3"]) == 3
+    assert capsys.readouterr().err.startswith(
+        "learner failure: ChowBoundViolated: chi violates the Cauchy-Schwarz bound")
+
+
 # --- learner subcommands ----------------------------------------------------------
 
 
@@ -291,8 +308,6 @@ def test_learn_matches_one_cell_experiment(tmp_path, capsys, argv, config, keys)
      "8259888 monomials"),
     (["learn-ptf", "--n", "60", "--d", "5"], "8259888 monomials"),
     (["learn-intersection", "--n", "700"], "degree-2 basis"),
-    (["learn-intersection", "--delta-override", "16"], "config error: delta_override"),
-    (["learn-intersection", "--delta-override", "nan"], "config error: delta_override"),
 ])
 def test_learn_malformed_input_exits_2(capsys, argv, message):
     assert main(argv) == 2
