@@ -37,8 +37,8 @@ class LabeledSampleSet:
         self.labels = np.asarray(self.labels, dtype=np.float64)
         if self.points.ndim != 2 or self.labels.shape != (self.points.shape[0],):
             raise ValueError("points must be (m, n) with matching (m,) labels")
-        bad = ~np.isfinite(self.points).all(axis=1)
-        if bad.any():
+        if not np.isfinite(self.points).all():   # per-row diagnostics only on failure
+            bad = ~np.isfinite(self.points).all(axis=1)
             raise ValueError(f"points must be finite: {int(bad.sum())} row(s) hold NaN or "
                              f"infinity, first at sample index {int(np.argmax(bad))}")
         if not np.all(np.abs(self.labels) <= 1.0 + 1e-9):
@@ -183,7 +183,7 @@ def corrupted_rows(clean: LabeledSampleSet, f, eps: float, strategy: AdversarySt
 
 def corrupt(clean: LabeledSampleSet, f, eps: float, strategy: AdversaryStrategy,
             dist: ReasonableDistribution, seed) -> LabeledSampleSet:
-    """Replace and flag the rows `corrupted_rows` picks; the rest stay byte-identical."""
+    """A copy of clean with the rows `corrupted_rows` picks replaced and flagged."""
     out = clean.copy()
     out.corrupted_mask = np.zeros(len(clean), dtype=bool)
     idx, points, labels = corrupted_rows(clean, f, eps, strategy, dist, seed)

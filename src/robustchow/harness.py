@@ -23,7 +23,7 @@ from numpy.polynomial import hermite_e
 from scipy.special import factorial
 from scipy.stats import norm as _norm
 
-from .adversary import STRATEGIES, AdversaryStrategy, LabeledSampleSet, corrupt
+from .adversary import STRATEGIES, AdversaryStrategy, LabeledSampleSet, corrupted_rows
 from .chowfilter import (ChowEstimate, FilterParams, chow_distance, robust_chow,
                          sample_floor)
 from .distributions import ReasonableDistribution, gaussian_descriptor, hypercube_descriptor
@@ -201,15 +201,24 @@ def analytic_ltf_chow(v: np.ndarray, theta: float,
     return ChowEstimate(dist.sigma @ coeffs, dist.basis, dist, {"analytic": True})
 
 
+def _corrupted_batch(f, dist: ReasonableDistribution, eps: float,
+                     strategy: AdversaryStrategy, pts: np.ndarray, seed) -> LabeledSampleSet:
+    """The set `corrupt` returns on pts labelled by f, built without its
+    copy: one allocation and one validation, the moved rows written in place."""
+    out = LabeledSampleSet(pts, np.asarray(f.evaluate(pts), dtype=np.float64),
+                           np.zeros(len(pts), dtype=bool))
+    idx, points, labels = corrupted_rows(out, f, eps, strategy, dist, seed)
+    out.points[idx], out.labels[idx], out.corrupted_mask[idx] = points, labels, True
+    return out
+
+
 def make_corrupted_source(f, dist: ReasonableDistribution, eps: float,
                           strategy: AdversaryStrategy):
     """Fresh-batch oracle: draw clean points, label by the plant, corrupt."""
     def draw(m: int, seed) -> LabeledSampleSet:
         ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         s_draw, s_adv = ss.spawn(2)
-        pts = dist.sample(m, s_draw)
-        clean = LabeledSampleSet(pts, np.asarray(f.evaluate(pts), dtype=np.float64))
-        return corrupt(clean, f, eps, strategy, dist, s_adv)
+        return _corrupted_batch(f, dist, eps, strategy, dist.sample(m, s_draw), s_adv)
     return draw
 
 
@@ -325,10 +334,9 @@ def run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,
     dist = _build_dist(config, eps)
     rng = np.random.default_rng(s_plant)
     plant = _plant_for_cell(config, dist.basis, rng)
-    pts = dist.sample(config.m_train, s_extra)
-    clean = LabeledSampleSet(pts, np.asarray(plant.evaluate(pts), dtype=np.float64))
     strategy = AdversaryStrategy(strategy_tag)
-    corrupted = corrupt(clean, plant, eps, strategy, dist, s_corrupt)
+    corrupted = _corrupted_batch(plant, dist, eps, strategy,
+                                 dist.sample(config.m_train, s_extra), s_corrupt)
 
     disagreement = 0.0
     chow_error: Optional[float] = None

@@ -309,9 +309,8 @@ def refine_extreme(source, theta: float, eps: float, delta: float,
 
 
 def _flip_labels(s: LabeledSampleSet) -> LabeledSampleSet:
-    out = s.copy()
-    out.labels = -out.labels
-    return out
+    """The set with negated labels, sharing its points and mask."""
+    return LabeledSampleSet(s.points, -s.labels, s.corrupted_mask)
 
 
 def learn_ltf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, eps: float,

@@ -158,6 +158,9 @@ def _featurize(basis: MonomialBasis, points, fill_table) -> np.ndarray:
         raise DimensionMismatch(f"points have shape {pts.shape}, basis expects (m, {basis.n})")
     m, n = pts.shape
     out = np.empty((m, basis.ell), dtype=np.float64)
+    if basis.d == 1:   # graded lex order gives [1, x]; x^1 = He_1(x) = x
+        out[:, 0], out[:, 1:] = 1.0, pts
+        return out
     tile = max(1, min(TILE_ROWS, TILE_ENTRIES // basis.ell))
     max_exp = int(basis.exponents.max())
     buf = np.empty((basis.ell, min(m, tile)), dtype=np.float64)

@@ -89,7 +89,15 @@ def test_sampleset_rejects_nonfinite_points_and_nan_labels():
     for bad in (np.nan, np.inf, -np.inf):
         pts = s.points.copy()
         pts[9, 1] = bad
-        with pytest.raises(ValueError, match="finite.*sample index 9"):
+        with pytest.raises(ValueError, match="finite: 1 row.*sample index 9$"):
+            LabeledSampleSet(pts, s.labels)
+    # the first row, the last row, and three rows at once (one with two bad entries)
+    for cells, count, first in (([(0, 0)], 1, 0), ([(49, 5)], 1, 49),
+                                ([(31, 2), (7, 0), (7, 4), (44, 5)], 3, 7)):
+        pts = s.points.copy()
+        for row, col in cells:
+            pts[row, col] = np.nan
+        with pytest.raises(ValueError, match=f"finite: {count} row.*sample index {first}$"):
             LabeledSampleSet(pts, s.labels)
     labels = s.labels.copy()
     labels[3] = np.nan
@@ -291,6 +299,16 @@ def test_remove_informative_drops_largest_margins():
     for m_, rb in originals:
         if m_ < dropped_floor[0] - 1e-12:
             assert rb in kept
+
+
+def test_corrupt_leaves_its_input_unchanged():
+    dist, f, s = make_clean(m=1000)
+    before = [s.points.copy(), s.labels.copy()]
+    for tag in STRATEGIES:
+        out = corrupt(s, f, 0.1, AdversaryStrategy(tag), dist, 5)
+        assert out.points is not s.points and out.labels is not s.labels
+        assert np.array_equal(s.points, before[0]) and np.array_equal(s.labels, before[1])
+        assert s.corrupted_mask is None
 
 
 def test_corrupt_deterministic_in_seed():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from robustchow.adversary import AdversaryStrategy, LabeledSampleSet
+from robustchow.adversary import STRATEGIES, AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import ChowEstimate, chow_distance, empirical_chow
 from robustchow.distributions import gaussian_descriptor
 from robustchow.errors import ConfigError, ZeroChowVector
@@ -289,6 +289,24 @@ def test_make_corrupted_source_determinism_and_budget():
     assert a.corrupted_mask.sum() == math.floor(eps * 5_000)
     untouched = ~a.corrupted_mask
     assert np.array_equal(a.labels[untouched], plant.evaluate(a.points)[untouched])
+
+
+@pytest.mark.parametrize("seed", [3, 2024])
+@pytest.mark.parametrize("tag", STRATEGIES)
+def test_make_corrupted_source_equals_corrupt_of_the_clean_draw(tag, seed):
+    # the source corrupts its batch in place; the result is the set `corrupt`
+    # returns on the same clean draw, byte for byte
+    dist = gaussian_descriptor(5, 1, 0.1)
+    plant = LTF(np.array([0.6, 0.0, 0.8, 0.0, 0.0]), 0.3)
+    strategy = AdversaryStrategy(tag)
+    got = make_corrupted_source(plant, dist, 0.1, strategy)(3_000, seed)
+    s_draw, s_adv = np.random.SeedSequence(seed).spawn(2)
+    pts = dist.sample(3_000, s_draw)
+    want = corrupt(LabeledSampleSet(pts, plant.evaluate(pts)), plant, 0.1, strategy, dist, s_adv)
+    for name in ("points", "labels", "corrupted_mask"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert got.corrupted_mask.sum() == (0 if tag == "none" else 300)
 
 
 # --- pool sizing ------------------------------------------------------------------

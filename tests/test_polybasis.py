@@ -126,6 +126,24 @@ def test_hermite_equals_monomials_at_degree_one():
     assert np.array_equal(eval_hermite_batch(b, pts), eval_monomials_batch(b, pts))
 
 
+@pytest.mark.parametrize("m", [1, 7, 3000])
+@pytest.mark.parametrize("n", [1, 5, 20])
+@pytest.mark.parametrize("kind", ["hermite", "monomial", "multilinear"])
+def test_degree_one_rows_are_the_leading_columns_of_degree_two(kind, n, m):
+    # d = 1 writes [1, x] without the tiled kernel; d = 2 builds its first
+    # n + 1 columns with it, so the two must agree bit for bit
+    featurize = eval_hermite_batch if kind == "hermite" else eval_monomials_batch
+    multilinear = kind == "multilinear"
+    pts = np.random.default_rng(n * m).standard_normal((m, n)) * 3.0
+    pts[0, 0] = -0.0
+    one = featurize(enumerate_basis(n, 1, multilinear), pts)
+    two = featurize(enumerate_basis(n, 2, multilinear), pts)
+    assert one.shape == (m, n + 1) and one.flags.c_contiguous
+    assert one.tobytes() == np.ascontiguousarray(two[:, :n + 1]).tobytes()
+    with pytest.raises(DimensionMismatch):
+        featurize(enumerate_basis(n, 1, multilinear), np.zeros((m, n + 1)))
+
+
 def test_hermite_rows_orthonormal_under_gaussian():
     b = enumerate_basis(2, 4)
     pts = np.random.default_rng(4).standard_normal((400_000, 2))

@@ -6,7 +6,7 @@ import pytest
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import (ChowEstimate, _survivor_sums, chow_distance,
                                    empirical_chow, robust_chow, sample_floor)
-from robustchow.distributions import gaussian_descriptor
+from robustchow.distributions import gaussian_descriptor, log_concave_descriptor
 from robustchow.errors import AllPointsPruned, ConfigError
 from robustchow.harness import score
 from robustchow.ltf_learner import LTF
@@ -530,3 +530,61 @@ def test_pbf_to_ptf_halving_property():
     disagree = float(np.mean(signs != truth))
     l1 = float(np.mean(np.abs(truth - pbf.evaluate(pts))))
     assert disagree <= l1 + 1e-12
+
+
+# --- a non-Gaussian leg: the uniform law on a cube, through a moment table -------
+
+SQRT3 = math.sqrt(3.0)
+
+
+def uniform_cube_descriptor(n, d, eps, gamma=0.0):
+    """The uniform law on [-sqrt(3), sqrt(3)]^n (mean 0, unit variance), a
+    log-concave law, described by its closed-form moment table: coordinates
+    are independent with E[x^p] = 3^(p/2) / (p + 1) for even p and 0 for odd
+    p. gamma > 0 perturbs the table by D M D with D = diag(sqrt(1 + gamma u)),
+    u in [-1, 1], so every entry is off by a relative error of at most gamma
+    and the table stays PSD."""
+    basis = enumerate_basis(n, d)
+    p = basis.exponents[:, None, :] + basis.exponents[None, :, :]
+    table = np.where(p % 2 == 0, 3.0 ** (p / 2) / (p + 1), 0.0).prod(axis=2)
+    if gamma:
+        scale = np.sqrt(1.0 + gamma * np.random.default_rng(11).uniform(-1, 1, basis.ell))
+        table = scale[:, None] * table * scale[None, :]
+    return log_concave_descriptor(n, d, table, gamma, eps,
+                                  sampler=lambda count, rng: rng.uniform(-SQRT3, SQRT3,
+                                                                         (count, n)))
+
+
+def uniform_cube_instance(gamma, seed, m=20_000, eps=0.05):
+    """sign(x1^2 - 0.8) on the uniform cube at n = 6, d = 2, with a rho = 0.9
+    chow_attack cluster. At eps = 0.05 the default constants give delta ~
+    34,178 and T_max ~ 35,348, so the paper's guarantee is vacuous at this m;
+    the checks below are what the filter and the learner do in practice."""
+    dist = uniform_cube_descriptor(6, 2, eps, gamma)
+    assert round(dist.delta) == 34_178 and round(dist.t_max) == 35_348
+    coeffs = np.zeros(dist.ell)
+    coeffs[0] = -0.8
+    coeffs[dist.basis.index_of((2, 0, 0, 0, 0, 0))] = 1.0
+    plant = PTF(Polynomial(dist.basis, coeffs))
+    pts = dist.sample(m, seed)
+    clean = LabeledSampleSet(pts, plant.evaluate(pts))
+    bad = corrupt(clean, plant, eps, AdversaryStrategy("chow_attack", rho=0.9), dist, seed + 100)
+    return dist, plant, bad
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.05])
+def test_uniform_cube_filter_removes_the_attack_cluster(gamma):
+    for seed in (1, 2):
+        dist, _, bad = uniform_cube_instance(gamma, seed)
+        est = robust_chow(bad, dist, ptf_learner.FilterParams(eps=0.05))
+        assert not (est.keep_mask & bad.corrupted_mask).any()
+        assert est.keep_mask[~bad.corrupted_mask].all()
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.05])
+def test_uniform_cube_learn_ptf(gamma):
+    for seed in (1, 2):
+        dist, plant, bad = uniform_cube_instance(gamma, seed)
+        hyp = learn_ptf(bad, dist, 2, 0.05, seed=seed,
+                        oracle_strategy=AdversaryStrategy("chow_attack", rho=0.9))
+        assert score(hyp, plant, dist, 100_000, 5) <= 0.1
