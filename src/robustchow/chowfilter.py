@@ -21,11 +21,6 @@ from .distributions import ReasonableDistribution
 from .errors import AllPointsPruned, BasisMismatch, ChowBoundViolated, NoThresholdFound
 from .polybasis import MonomialBasis, enumerate_basis, eval_monomials_batch
 
-DENSE_EIG_MAX = 2000
-POWER_ITER_CAP = 10_000
-# Power iteration stops once the eigen-residual falls below this fraction of
-# the eigenvalue.
-EIGEN_TOL = 1e-8
 # The break level is C_BREAK * (gamma + delta + eps); calibrated so clean
 # Gaussian runs at m = 1e5 converge in a couple of iterations.
 C_BREAK = 10.0
@@ -87,38 +82,6 @@ class ChowEstimate:
                                 multilinear=bool(data.get("multilinear", False)))
         return cls(np.asarray(data["chi"], dtype=np.float64), basis, dist,
                    dict(data.get("provenance", {})))
-
-
-def _top_eigenpair(m_mat: np.ndarray):
-    """Largest eigenvalue and eigenvector of a PSD symmetric matrix.
-
-    Dense eigendecomposition up to DENSE_EIG_MAX, deterministic power
-    iteration beyond. Eigenvector sign is fixed so both paths agree.
-    """
-    ell = m_mat.shape[0]
-    if ell <= DENSE_EIG_MAX:
-        vals, vecs = np.linalg.eigh(m_mat)
-        lam, v = float(vals[-1]), vecs[:, -1]
-    else:
-        rng = np.random.default_rng(0x5EED)
-        v = rng.standard_normal(ell)
-        v /= np.linalg.norm(v)
-        lam = 0.0
-        for _ in range(POWER_ITER_CAP):
-            w = m_mat @ v
-            nrm = float(np.linalg.norm(w))
-            if nrm == 0.0:
-                return 0.0, v
-            v = w / nrm
-            lam = float(v @ (m_mat @ v))
-            # residual-based stop: loose eigenvalue stagnation converges
-            # before the eigenvector does when the spectral gap is small
-            if float(np.linalg.norm(m_mat @ v - lam * v)) <= EIGEN_TOL * max(1.0, abs(lam)):
-                break
-    i = int(np.argmax(np.abs(v)))
-    if v[i] < 0:
-        v = -v
-    return lam, v
 
 
 def prune_mask(h: np.ndarray, dist: ReasonableDistribution) -> np.ndarray:
@@ -219,8 +182,9 @@ def _filter(h: np.ndarray, labels: np.ndarray, alive: np.ndarray, gram: np.ndarr
             cap_reached = True
             break
         iterations += 1
-        lam_max, v_star = _top_eigenpair(gram / m_cur)
-        lambda_star = lam_max - 1.0
+        # |h . v| ignores v's sign; a contiguous v takes einsum's faster loop
+        vals, vecs = np.linalg.eigh(gram / m_cur)
+        lambda_star, v_star = float(vals[-1]) - 1.0, np.ascontiguousarray(vecs[:, -1])
         if lambda_star <= break_level:
             last_lambda = lambda_star
             break

@@ -13,8 +13,9 @@ streams from SeedSequence(--seed, spawn_key=(0,)), like cell 0 of a sweep, and
 learn-ltf runs with the harness's LTFConfig(batch_cap=--m, holdout_size=20000).
 learn-intersection searches a subspace of dim <= --k, so its cover is 1-D or 2-D.
 
-Exit codes: 0 success, 2 config error, 3 learner failure (any RobustChowError,
-including a sample that breaks the Chow vector's Cauchy-Schwarz bound).
+Exit codes: 0 success, 2 config error (ConfigError, a missing file, malformed
+JSON), 3 learner failure (any RobustChowError, including a sample that breaks
+the Chow vector's Cauchy-Schwarz bound); any other exception keeps its traceback.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import sys
 
 from .adversary import LabeledSampleSet
 from .chowfilter import FilterParams, robust_chow, sample_floor
-from .distributions import from_config
+from .distributions import config_number, from_config
 from .errors import ConfigError, RobustChowError
 from .harness import ExperimentConfig, run_cell, run_experiment
 from .intersection_learner import K_CAP
@@ -36,8 +37,15 @@ EXIT_LEARNER = 3
 
 
 def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+    """The config file's JSON object; a file that is not UTF-8 is a ConfigError."""
+    try:
+        with open(path) as fh:
+            cfg = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config: {exc}") from exc
+    if type(cfg) is not dict:
+        raise ConfigError(f"config: must be a JSON object, got {type(cfg).__name__}")
+    return cfg
 
 
 def _write_json(payload: dict, out: str | None):
@@ -54,15 +62,15 @@ def _cmd_chow(args) -> int:
     range, the sample file (non-finite points included), its dimension and
     its row count."""
     cfg = _load_json(args.config)
-    eps = float(args.eps if args.eps is not None else cfg.get("eps", 0.0))
+    eps = float(config_number(cfg.get("eps", 0.0) if args.eps is None else args.eps, "eps"))
     try:
         params = FilterParams(eps=eps)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     dist = from_config(cfg, eps)
     samples_path = args.samples or cfg.get("samples")
-    if samples_path is None:
-        raise ConfigError("chow: provide --samples or a 'samples' config entry")
+    if type(samples_path) is not str:
+        raise ConfigError(f"samples: need --samples or a 'samples' path, got {samples_path!r}")
     try:
         s = LabeledSampleSet.from_csv(samples_path)
     except ValueError as exc:
@@ -98,7 +106,7 @@ def _cmd_learn(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = ExperimentConfig.from_json(args.config)
+    cfg = ExperimentConfig.from_json(_load_json(args.config))
     if args.seed is not None:
         cfg.seed = args.seed
     run_experiment(cfg, out=args.out)
@@ -160,7 +168,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RobustChowError as exc:

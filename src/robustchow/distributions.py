@@ -365,6 +365,17 @@ def sample(dist: ReasonableDistribution, count: int, seed) -> np.ndarray:
     return dist.sampler(count, rng)
 
 
+def config_number(value, name: str, integer: bool = False, minimum=None):
+    """A config field's value, checked to be a JSON number (an integer when
+    asked, at least minimum when given); a ConfigError names the field."""
+    if type(value) not in ((int,) if integer else (int, float)) or not (
+            minimum is None or value >= minimum):   # bools and NaN fail too
+        need = ("an integer" if integer else "a number") + (
+            "" if minimum is None else f" >= {minimum}")
+        raise ConfigError(f"{name}: must be {need}, got {value!r}")
+    return value
+
+
 def from_config(cfg: dict, eps: float) -> ReasonableDistribution:
     """Build a descriptor from the JSON config schema.
 
@@ -376,23 +387,28 @@ def from_config(cfg: dict, eps: float) -> ReasonableDistribution:
     if missing:
         raise ConfigError(f"{', '.join(missing)}: missing; the chow config is one flat "
                           f"object {{\"family\": ..., \"n\": ..., \"d\": ...}}")
-    n, d = int(cfg["n"]), int(cfg["d"])
-    tail_c = None
-    if isinstance(cfg.get("tail_constants"), dict):
-        tail_c = cfg["tail_constants"].get("c")
-        tail_c = None if tail_c is None else float(tail_c)
+    n = config_number(cfg["n"], "n", integer=True, minimum=1)
+    d = config_number(cfg["d"], "d", integer=True, minimum=1)
+    gamma = config_number(cfg.get("gamma", 0.0), "gamma", minimum=0.0)
+    tails = cfg.get("tail_constants", {})
+    if type(tails) is not dict:
+        raise ConfigError(f"tail_constants: must be an object, got {tails!r}")
+    tail_c = tails.get("c")
+    tail_c = None if tail_c is None else float(config_number(tail_c, "tail_constants.c"))
     if family == "gaussian":
         return gaussian_descriptor(n, d, eps, tail_c=tail_c)
     if family == "hypercube":
         return hypercube_descriptor(n, d, eps, tail_c=tail_c)
     if family == "log-concave":
         path = cfg.get("moments_file")
-        if not path:
-            raise ConfigError("moments_file: a log-concave config requires one")
-        moments = np.loadtxt(path, delimiter=",", ndmin=2)
+        if type(path) is not str or not path:
+            raise ConfigError(f"moments_file: a log-concave config needs a path, got {path!r}")
         try:
-            return log_concave_descriptor(n, d, moments, float(cfg.get("gamma", 0.0)),
-                                          eps, tail_c=tail_c)
+            moments = np.loadtxt(path, delimiter=",", ndmin=2)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"moments_file: {exc}") from exc
+        try:
+            return log_concave_descriptor(n, d, moments, gamma, eps, tail_c=tail_c)
         except NotPSD as exc:
             raise ConfigError(f"moments_file: {exc}") from exc
     raise ConfigError(f"family: must be gaussian, hypercube or log-concave, got {family!r}")

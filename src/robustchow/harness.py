@@ -86,6 +86,8 @@ class ExperimentConfig:
             problems.append(f"m_train: must be >= 100, got {self.m_train}")
         if self.trials < 1:
             problems.append("trials: must be >= 1")
+        if self.seed < 0:
+            problems.append(f"seed: must be >= 0, got {self.seed}")
         if self.m_holdout < 1:
             problems.append(f"m_holdout: must be >= 1, got {self.m_holdout}")
         if self.m_score < 1000:
@@ -126,6 +128,8 @@ class ExperimentConfig:
         if isinstance(data, (str, os.PathLike)):
             with open(data) as fh:
                 data = json.load(fh)
+        if type(data) is not dict:
+            raise ConfigError(f"config: must be a JSON object, got {type(data).__name__}")
         fields = cls.__dataclass_fields__
         unknown = set(data) - set(fields)
         if unknown:
@@ -280,34 +284,19 @@ def _plant_for_cell(config: ExperimentConfig, basis: MonomialBasis, rng):
 def plant_instance(kind: str, params, dist: ReasonableDistribution, m: int, seed):
     """Draw m clean points and label them by a planted hypothesis.
 
-    kind 'ltf': params (v, theta) or an LTF; 'ptf': a Polynomial or PTF;
-    'intersection': sequence of (v, theta) pairs or an Intersection.
+    kind 'ltf' takes params (v, theta) with unit v; 'ptf' takes a PTF.
     Returns (hypothesis, clean LabeledSampleSet).
     """
     if kind == "ltf":
-        if isinstance(params, LTF):
-            hyp = params
-        else:
-            v, theta = params
-            v = np.asarray(v, dtype=np.float64)
-            if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-                raise InvalidHypothesis(f"defining vector has norm {np.linalg.norm(v)}")
-            hyp = LTF(v, float(theta))
+        v, theta = params
+        v = np.asarray(v, dtype=np.float64)
+        if abs(np.linalg.norm(v) - 1.0) > 1e-8:
+            raise InvalidHypothesis(f"defining vector has norm {np.linalg.norm(v)}")
+        hyp = LTF(v, float(theta))
     elif kind == "ptf":
-        hyp = params if isinstance(params, PTF) else PTF(params)
+        hyp = params
         if hyp.poly.basis.n != dist.n:
             raise InvalidHypothesis("polynomial dimension does not match distribution")
-    elif kind == "intersection":
-        if isinstance(params, Intersection):
-            hyp = params
-        else:
-            members = []
-            for v, theta in params:
-                v = np.asarray(v, dtype=np.float64)
-                if abs(np.linalg.norm(v) - 1.0) > 1e-8:
-                    raise InvalidHypothesis("intersection member has non-unit vector")
-                members.append(LTF(v, float(theta)))
-            hyp = Intersection(members)
     else:
         raise InvalidHypothesis(f"unknown plant kind {kind!r}")
 

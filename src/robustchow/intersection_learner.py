@@ -11,7 +11,7 @@ much degree-2 Chow mass a single direction carries.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,7 +26,6 @@ from .ltf_learner import LTF, SampleSource, constant_ltf
 
 COMBO_CAP = 300_000_000   # flat cover candidates the tournament will scan
 DELTA_FLOOR = 0.05
-DELTA_CEIL = 0.95
 DELTA_CONST = 0.55        # calibration constant in the cover-resolution rate
 
 
@@ -235,11 +234,11 @@ def make_cover(k: int, dim: int, delta: float) -> Cover:
 
 def default_cover_delta(k: int, eps: float) -> float:
     """Cover resolution from the theory rate eps^{1/11} k^{4/11} log^{3/11},
-    with a calibrated leading constant and desk-scale clamps."""
+    with a calibrated leading constant. For k <= K_CAP and eps in [0, 1/3)
+    it lies in [0.43, 0.78], where every cover fits COMBO_CAP."""
     eps_eff = max(eps, EPS_FLOOR)
-    raw = (DELTA_CONST * eps_eff ** (1.0 / 11.0) * k ** (4.0 / 11.0)
-           * math.log(k / eps_eff) ** (3.0 / 11.0))
-    return float(min(DELTA_CEIL, max(DELTA_FLOOR, raw)))
+    return float(DELTA_CONST * eps_eff ** (1.0 / 11.0) * k ** (4.0 / 11.0)
+                 * math.log(k / eps_eff) ** (3.0 / 11.0))
 
 
 def direction_correlation(samples: LabeledSampleSet, v: np.ndarray) -> float:
@@ -259,12 +258,12 @@ def direction_correlation(samples: LabeledSampleSet, v: np.ndarray) -> float:
 def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
                        source: SampleSource, m_tournament: int = 20_000,
                        seed=0) -> Intersection:
-    """Subspace from robust degree-2 Chow parameters, then cover tournament
-    on a fresh holdout drawn by source(m, seed) and projected, lifted back to
-    ambient coordinates. The result's provenance records the subspace
-    dimension, the cover that was searched (after any delta escalations),
-    the tournament's winner, and how many of the cover's unordered direction
-    k-tuples (pairs at k = 2) the tournament histogrammed out of all of them."""
+    """Subspace from robust degree-2 Chow parameters, then a tournament over the
+    cover at default_cover_delta(k, eps) on a fresh holdout drawn by source(m,
+    seed) and projected, lifted back to ambient coordinates. Its provenance
+    records the subspace dimension, the cover searched, the winner, and how many
+    of the cover's unordered direction k-tuples (pairs at k = 2) the tournament
+    histogrammed out of all of them."""
     n = corrupted.n
     dist = gaussian_descriptor(n, 2, eps)
     est = robust_chow(corrupted, dist, FilterParams(eps=eps))
@@ -282,17 +281,7 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
     holdout = source(m_tournament, np.random.SeedSequence(seed).spawn(1)[0])
     projected = LabeledSampleSet(sub.project(holdout.points), holdout.labels)
 
-    delta = default_cover_delta(k, eps)
-    cover = None
-    escalations = 0
-    while cover is None:
-        try:
-            cover = make_cover(k, sub.dim, delta)
-        except CoverTooLarge:
-            if delta >= DELTA_CEIL:
-                raise
-            delta = min(DELTA_CEIL, delta * 1.25)
-            escalations += 1
+    cover = make_cover(k, sub.dim, default_cover_delta(k, eps))
     winner_idx, holdout_error, pairs_scored = select_intersection_cover(
         cover.unit_matrix, cover.thresholds, k, projected)
     g = cover[winner_idx]
@@ -307,8 +296,7 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
     directions = cover.directions
     out.provenance = {
         "subspace_dim": sub.dim,
-        "delta": delta,
-        "delta_escalations": escalations,
+        "delta": cover.delta,
         "grid_size": cover.grid_size,
         "directions": directions,
         "thresholds_per_direction": cover.grid_size // directions,

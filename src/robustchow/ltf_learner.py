@@ -12,7 +12,7 @@ candidates go through holdout selection.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -123,28 +123,6 @@ class RejectionParams:
 
 
 @dataclass
-class LocalizationState:
-    """One localization step's bookkeeping: the new Chow estimate u, the
-    error bound it was run at, and the recovered decomposition
-    v_new = a * v_prev + b * w (a^2 + b^2 = 1)."""
-
-    u: np.ndarray
-    delta: float
-    a: float
-    b: float
-    w: np.ndarray
-    s: Optional[float] = None   # shifted rejection threshold, extreme branch
-
-    def __post_init__(self):
-        if not (0.0 < self.a <= 1.0 + 1e-12):
-            raise ValueError(f"a out of range: {self.a}")
-        if not (0.0 <= self.b < 1.0):
-            raise ValueError(f"b out of range: {self.b}")
-        if not (0.0 < self.delta <= 1.0):
-            raise ValueError(f"delta out of range: {self.delta}")
-
-
-@dataclass
 class LTFConfig:
     """Sample budgets of the localization steps and the holdout."""
 
@@ -213,9 +191,12 @@ def refine_moderate(source, v_prev: np.ndarray, theta: float, delta_prev: float,
                     eps: float, seed, config: LTFConfig):
     """One localization step in the moderate-bias regime.
 
-    Returns (u_new, LocalizationState); u_new estimates the degree-1 Chow
-    vector 2 G(theta) v_true with error O(eps sqrt(log(delta_prev / eps))).
+    Returns u_new, an estimate of the degree-1 Chow vector 2 G(theta) v_true
+    with error O(eps sqrt(log(delta_prev / eps))); delta_prev in (0, 1] is
+    the error bound of the current direction v_prev.
     """
+    if not (0.0 < delta_prev <= 1.0):
+        raise ValueError(f"delta_prev out of range: {delta_prev}")
     eps_eff = max(eps, EPS_FLOOR)
     v_prev = np.asarray(v_prev, dtype=np.float64)
     sigma = min(0.5, delta_prev * math.exp(theta ** 2 / 2.0))
@@ -248,13 +229,12 @@ def refine_moderate(source, v_prev: np.ndarray, theta: float, delta_prev: float,
     w = perp / perp_nrm if perp_nrm > 1e-12 else np.zeros_like(v_prev)
     if perp_nrm <= 1e-12:
         a, b = 1.0, 0.0
-    u_new = 2.0 * gaussian_pdf(theta) * (a * v_prev + b * w)
-    return u_new, LocalizationState(u_new, delta_prev, a, b, w)
+    return 2.0 * gaussian_pdf(theta) * (a * v_prev + b * w)
 
 
-def refine_extreme(source, theta: float, eps: float, delta: float,
-                   u: np.ndarray, seed, config: LTFConfig):
-    """One randomized trial for heavily biased targets.
+def refine_extreme(source, theta: float, eps: float, u: np.ndarray, seed,
+                   config: LTFConfig):
+    """One randomized trial for heavily biased targets; returns a candidate u.
 
     Guesses the misalignment magnitude b on a coarse grid, shifts the
     rejection threshold uniformly inside the guess's slack, and reads the
@@ -262,6 +242,8 @@ def refine_extreme(source, theta: float, eps: float, delta: float,
     succeeds only with inverse-polylog probability; the caller runs a budget
     of trials and lets holdout selection keep the good ones.
     """
+    if not theta > 0.0:
+        raise ValueError(f"extreme branch needs theta > 0, got {theta}")
     eps_eff = max(eps, EPS_FLOOR)
     u = np.asarray(u, dtype=np.float64)
     v = u / np.linalg.norm(u)
@@ -273,8 +255,6 @@ def refine_extreme(source, theta: float, eps: float, delta: float,
     b = step * int(rng.integers(0, int(B_CAP / step) + 1))
     a = math.sqrt(1.0 - b ** 2)
     sigma = min(0.9, 1.0 / theta)
-    if sigma <= 0.0:
-        raise ValueError("extreme branch needs theta > 0")
     s = float(rng.uniform(a * theta, a * theta + b))
     rp = RejectionParams(v, s, sigma)
 
@@ -304,8 +284,7 @@ def refine_extreme(source, theta: float, eps: float, delta: float,
             a, b = 1.0, 0.0
     else:
         a, b, w = 1.0, 0.0, np.zeros_like(v)
-    u_cand = 2.0 * gaussian_pdf(theta) * (a * v + b * w)
-    return u_cand, LocalizationState(u_cand, max(min(delta, 1.0), 1e-12), a, b, w, s=s)
+    return 2.0 * gaussian_pdf(theta) * (a * v + b * w)
 
 
 def _flip_labels(s: LabeledSampleSet) -> LabeledSampleSet:
@@ -356,8 +335,8 @@ def learn_ltf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, eps: fl
                 if delta_next >= delta / 2.0:
                     break
                 try:
-                    u_new, _ = refine_moderate(source, v_cur, theta0, delta, eps,
-                                               seed=branch_seed + it, config=config)
+                    u_new = refine_moderate(source, v_cur, theta0, delta, eps,
+                                            seed=branch_seed + it, config=config)
                 except (AcceptanceTooLow, ZeroChowVector):
                     break
                 v_cur = u_new / np.linalg.norm(u_new)
@@ -366,11 +345,10 @@ def learn_ltf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, eps: fl
         else:
             budget = int(math.ceil(TRIAL_BUDGET_C * log_term ** 2))
             u0 = 2.0 * gaussian_pdf(theta0) * weak.v
-            delta = min(1.0, WEAK_C * eps_eff * math.sqrt(max(1.0, log_term)))
             for t in range(budget):
                 try:
-                    u_cand, _ = refine_extreme(source, theta0, eps, delta, u0,
-                                               seed=branch_seed + t, config=config)
+                    u_cand = refine_extreme(source, theta0, eps, u0,
+                                            seed=branch_seed + t, config=config)
                 except (AcceptanceTooLow, ZeroChowVector):
                     continue
                 nrm = float(np.linalg.norm(u_cand))

@@ -344,6 +344,9 @@ def test_plant_instance_rejects_bad_params():
     dist = gaussian_descriptor(5, 1, 0.05)
     with pytest.raises(InvalidHypothesis):
         plant_instance("ltf", (np.full(5, 0.5), 0.5), dist, 100, 0)
+    # the plant kinds are 'ltf' and 'ptf'
+    with pytest.raises(InvalidHypothesis, match="unknown plant kind"):
+        plant_instance("intersection", [(np.eye(5)[0], 0.5)], dist, 100, 0)
 
 
 def test_hypercube_chow_attack_vertex():

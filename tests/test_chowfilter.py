@@ -9,7 +9,6 @@ from robustchow import chowfilter
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import (BLOCK_ROWS, ChowEstimate, FilterParams,
                                    _filter, _survivor_sums, _threshold_cut,
-                                   _top_eigenpair,
                                    chow_distance, empirical_chow, prune_mask,
                                    robust_chow)
 from robustchow.distributions import (gaussian_descriptor, hypercube_descriptor,
@@ -57,7 +56,8 @@ def dense_filter(s, dist, params):
     break_level = chowfilter.C_BREAK * (dist.gamma + dist.delta + params.eps)
     while True:
         z_alive = z[alive]
-        lam, v = _top_eigenpair(z_alive.T @ z_alive / len(z_alive))
+        vals, vecs = np.linalg.eigh(z_alive.T @ z_alive / len(z_alive))
+        lam, v = vals[-1], vecs[:, -1]
         if lam - 1.0 <= break_level:
             break
         _, keep = _threshold_cut(np.abs(np.einsum("ij,j->i", z_alive, v)), dist, params.eps)
@@ -120,41 +120,25 @@ def test_chow_estimate_json_roundtrip():
     assert back.provenance == {"iterations": 2}
 
 
-# --- eigen paths -----------------------------------------------------------
+# --- eigenvector sign ---------------------------------------------------------
 
-def power_eigenpair(monkeypatch, m):
-    """_top_eigenpair on its power-iteration path."""
-    with monkeypatch.context() as patch:
-        patch.setattr(chowfilter, "DENSE_EIG_MAX", 0)
-        return _top_eigenpair(m)
+def test_filter_ignores_eigenvector_sign(monkeypatch):
+    # every score is |h . v|: negating v negates each product and partial
+    # sum exactly, so the cuts, the survivors and chi do not change
+    dist, bad = two_cluster_attack()
+    est = robust_chow(bad, dist, FilterParams(eps=0.1))
+    real = np.linalg.eigh
 
+    def negated(m_mat):
+        vals, vecs = real(m_mat)
+        return vals, -vecs
 
-def test_top_eigenpair_dense_small():
-    m = np.diag([1.0, 5.0, 2.0])
-    lam, v = _top_eigenpair(m)
-    assert lam == pytest.approx(5.0)
-    assert np.allclose(np.abs(v), [0, 1, 0], atol=1e-12)
-
-
-def test_dense_and_power_paths_agree(monkeypatch):
-    rng = np.random.default_rng(5)
-    for trial in range(5):
-        a = rng.standard_normal((40, 40))
-        m = a @ a.T  # PSD with distinct top eigenvalue almost surely
-        lam_d, v_d = _top_eigenpair(m)
-        lam_p, v_p = power_eigenpair(monkeypatch, m)
-        assert lam_p == pytest.approx(lam_d, rel=1e-6)
-        assert abs(abs(float(v_d @ v_p)) - 1.0) < 1e-6
-
-
-def test_power_iteration_sign_convention(monkeypatch):
-    rng = np.random.default_rng(8)
-    a = rng.standard_normal((30, 30))
-    m = a @ a.T
-    _, v_d = _top_eigenpair(m)
-    _, v_p = power_eigenpair(monkeypatch, m)
-    # both fix the largest-magnitude component positive, so vectors match exactly
-    assert np.allclose(v_d, v_p, atol=1e-6)
+    monkeypatch.setattr(np.linalg, "eigh", negated)
+    flipped = robust_chow(bad, dist, FilterParams(eps=0.1))
+    assert est.provenance["iterations"] >= 3  # two cuts, then converged
+    assert np.array_equal(flipped.keep_mask, est.keep_mask)
+    assert np.array_equal(flipped.chi, est.chi)
+    assert flipped.provenance == est.provenance
 
 
 # --- prune -----------------------------------------------------------------
@@ -197,13 +181,13 @@ def test_prune_all_points_error():
 def test_downdated_gram_matches_rebuilt(monkeypatch):
     dist, bad = two_cluster_attack()
     seen = []
-    real = chowfilter._top_eigenpair
+    real = np.linalg.eigh
 
-    def spy(m_mat, **kw):
+    def spy(m_mat):
         seen.append(m_mat.copy())
-        return real(m_mat, **kw)
+        return real(m_mat)
 
-    monkeypatch.setattr(chowfilter, "_top_eigenpair", spy)
+    monkeypatch.setattr(np.linalg, "eigh", spy)
     est = robust_chow(bad, dist, FilterParams(eps=0.1))
     assert est.provenance["iterations"] == len(seen) >= 3  # two cuts, then converged
     h = dist.featurize(bad.points[est.keep_mask])

@@ -148,6 +148,50 @@ def test_chow_bad_moment_table_exits_2(tmp_path, capsys):
     assert err.startswith("config error: moments_file") and "(3, 3)" in err
 
 
+@pytest.mark.parametrize("command", ["chow", "experiment"])
+@pytest.mark.parametrize("text,message", [
+    (b"[]", "must be a JSON object"), (b"null", "must be a JSON object"),
+    (b"5", "must be a JSON object"), (b"\xff\xfe{}", "'utf-8' codec can't decode"),
+])
+def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, command, text, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(text)
+    assert main([command, "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err.startswith(f"config error: config: {message}")
+
+
+@pytest.mark.parametrize("entry,field", [
+    ({"n": None}, "n: must be an integer >= 1"),
+    ({"n": 2.7}, "n: must be an integer >= 1"),
+    ({"n": 0}, "n: must be an integer >= 1"),
+    ({"n": True}, "n: must be an integer >= 1"),
+    ({"d": "1"}, "d: must be an integer >= 1"),
+    ({"gamma": -0.1}, "gamma: must be a number >= 0"),
+    ({"gamma": "small"}, "gamma: must be a number >= 0"),
+    ({"eps": "0.1"}, "eps: must be a number"),
+    ({"eps": None}, "eps: must be a number"),
+    ({"tail_constants": {"c": "1"}}, "tail_constants.c: must be a number"),
+    ({"tail_constants": 3}, "tail_constants: must be an object"),
+    ({"samples": 5}, "samples: need --samples"),
+    ({"family": "log-concave", "moments_file": 5}, "moments_file: a log-concave"),
+    ({"family": "log-concave", "moments_file": "BAD"}, "moments_file: "),
+])
+def test_chow_mistyped_config_field_exits_2(tmp_path, capsys, entry, field):
+    cfg = tmp_path / "dist.json"
+    samples = tmp_path / "data.csv"
+    write_samples(samples, m=2000)
+    if entry.get("moments_file") == "BAD":
+        entry["moments_file"] = str(tmp_path / "m.csv")
+        (tmp_path / "m.csv").write_text("1,2\nthree,4\n")
+    argv = ["chow", "--config", str(cfg)]
+    if "samples" not in entry:
+        argv += ["--samples", str(samples)]
+    cfg.write_text(json.dumps({"family": "gaussian", "n": 3, "d": 1, **entry}))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}") and "Traceback" not in err
+
+
 @pytest.mark.parametrize("dist,code", [
     ({"family": "gaussian", "tail_constants": {"c": 0}}, 2),
     ({"family": "gaussian", "tail_constants": {"c": -1}}, 2),
@@ -192,6 +236,16 @@ def test_chow_program_keyerror_is_not_a_config_error(tmp_path, monkeypatch):
     write_samples(samples)
     with pytest.raises(KeyError, match="bug in the filter"):
         main(["chow", "--config", str(cfg), "--samples", str(samples)])
+
+
+def test_learner_valueerror_is_not_a_config_error(monkeypatch):
+    # a ValueError from inside a learner is a bug, not bad input: no exit 2
+    def broken(*args, **kwargs):
+        raise ValueError("bug in the learner")
+
+    monkeypatch.setattr("robustchow.harness.learn_ltf", broken)
+    with pytest.raises(ValueError, match="bug in the learner"):
+        main(["learn-ltf", "--n", "4", "--m", "2000"])
 
 
 def test_chow_gross_outliers_exit_3(tmp_path, capsys):
@@ -308,6 +362,7 @@ def test_learn_matches_one_cell_experiment(tmp_path, capsys, argv, config, keys)
      "8259888 monomials"),
     (["learn-ptf", "--n", "60", "--d", "5"], "8259888 monomials"),
     (["learn-intersection", "--n", "700"], "degree-2 basis"),
+    (["learn-ltf", "--seed", "-1"], "seed: must be >= 0"),
 ])
 def test_learn_malformed_input_exits_2(capsys, argv, message):
     assert main(argv) == 2

@@ -58,6 +58,15 @@ def test_config_from_json_rejects_unknown_keys():
             ExperimentConfig.from_json({"learner": "chow", "n": 3, key: value})
 
 
+@pytest.mark.parametrize("data", [[], None, 5, "[]"])
+def test_config_from_json_rejects_a_config_that_is_not_an_object(tmp_path, data):
+    if data == "[]":   # the same list, read from a file
+        data = tmp_path / "cfg.json"
+        data.write_text("[]")
+    with pytest.raises(ConfigError, match="^config: must be a JSON object"):
+        ExperimentConfig.from_json(data)
+
+
 def test_config_from_json_missing_required_key():
     with pytest.raises(ConfigError):
         ExperimentConfig.from_json({"learner": "chow", "n": 3})

@@ -419,6 +419,17 @@ def test_default_cover_delta_properties():
     assert default_cover_delta(1, 0.02) < default_cover_delta(3, 0.02)
 
 
+@pytest.mark.parametrize("k", [1, K_CAP])
+def test_default_cover_fits_the_cap(k):
+    # learn_intersection builds its cover once at the default delta, so
+    # that delta must be legal for make_cover and its largest cover (dim k)
+    # must fit COMBO_CAP at every eps
+    for eps in np.linspace(0.0, 0.333, 334):
+        delta = default_cover_delta(k, float(eps))
+        assert intersection_learner.DELTA_FLOOR <= delta <= 4 * k
+        assert len(make_cover(k, k, delta)) <= COMBO_CAP + 2
+
+
 # --- direction_correlation --------------------------------------------------------
 
 
@@ -530,40 +541,21 @@ def test_learn_intersection_k2_plant_grid(index):
     assert float(np.mean(out.evaluate(fresh) != f.evaluate(fresh))) <= 0.1
 
 
-def test_learn_intersection_delta_raising(monkeypatch):
-    # a tight combo cap forces the cover-resolution loop to coarsen delta
-    # instead of failing
-    monkeypatch.setattr(intersection_learner, "COMBO_CAP", 5_000_000)
-    n = 6
-    dist = gaussian_descriptor(n, 2, 0.0)
-    pts = dist.sample(40_000, 300)
-    f = Intersection([LTF(unit(n, 0), 0.5), LTF(unit(n, 1), 0.5)])
-    out = learn_intersection(LabeledSampleSet(pts, f.evaluate(pts)), 2, 0.0,
-                             source=clean_source(f, dist), m_tournament=5_000, seed=3)
-    assert isinstance(out, Intersection)
-    assert out.k <= 2
-
-
-def test_learn_intersection_provenance_records_escalation(monkeypatch):
+def test_learn_intersection_provenance_records_the_cover():
     n = 4
     dist = gaussian_descriptor(n, 2, 0.0)
     pts = dist.sample(20_000, 500)
     f = Intersection([LTF(unit(n, 0), 0.3)])
-    # the default delta gives a 62-member grid on the dim-1 subspace; the
-    # cap forces coarsening
-    cap = 50
-    monkeypatch.setattr(intersection_learner, "COMBO_CAP", cap)
     out = learn_intersection(LabeledSampleSet(pts, f.evaluate(pts)), 1, 0.0,
                              source=clean_source(f, dist), m_tournament=5_000, seed=5)
     prov = out.provenance
-    assert set(prov) == {"subspace_dim", "delta", "delta_escalations", "grid_size",
+    assert set(prov) == {"subspace_dim", "delta", "grid_size",
                          "directions", "thresholds_per_direction", "winner_index",
                          "holdout_error", "pairs_scored", "pairs_total"}
-    assert prov["delta_escalations"] >= 1
-    assert prov["delta"] == pytest.approx(default_cover_delta(1, 0.0)
-                                          * 1.25 ** prov["delta_escalations"])
-    assert prov["subspace_dim"] == out.subspace.shape[1]
-    assert prov["grid_size"] <= cap
+    # one cover, at the default delta: a 62-member grid on the dim-1 subspace
+    assert prov["delta"] == default_cover_delta(1, 0.0)
+    assert prov["subspace_dim"] == out.subspace.shape[1] == 1
+    assert prov["grid_size"] == 62
     assert prov["directions"] * prov["thresholds_per_direction"] == prov["grid_size"]
     assert 0 <= prov["winner_index"] < prov["grid_size"]
     assert 0.0 <= prov["holdout_error"] <= 0.1

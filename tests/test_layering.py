@@ -48,3 +48,33 @@ def test_imports_run_upward_only():
                 upward.append(f"{name} imports {target}")
     assert upward == []
 
+
+
+REPO = SRC.parents[1]
+# Top-level names nothing in the program calls, each with the reason it stays.
+UNREFERENCED = {
+    # criterion 12's diagnostic: tests/test_acceptance.py calls it
+    "direction_correlation",
+}
+
+
+def names_in(node) -> set:
+    return {n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+            if isinstance(n, (ast.Name, ast.Attribute))}
+
+
+def test_every_top_level_definition_is_referenced():
+    """Each top-level function and class of the package is used from src/,
+    perfbench/ or demos/ outside its own definition; __init__'s re-exports
+    do not count."""
+    files = ([p for p in SRC.glob("*.py") if p.name != "__init__.py"]
+             + sorted((REPO / "perfbench").glob("*.py"))
+             + sorted((REPO / "demos").glob("*.py")))
+    defined, used = set(), set()
+    for path in files:
+        for node in ast.parse(path.read_text()).body:
+            own = path.parent == SRC and isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if own:
+                defined.add(node.name)
+            used |= names_in(node) - ({node.name} if own else set())
+    assert sorted(defined - used) == sorted(UNREFERENCED)

@@ -220,12 +220,12 @@ def test_refine_moderate_improves_direction(small_config):
     rng = np.random.default_rng(13)
     v0 = f.v + 0.15 * rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)
-    u_new, state = refine_moderate(source, v0, f.theta, 0.3, 0.01, seed=14,
-                                   config=small_config)
+    u_new = refine_moderate(source, v0, f.theta, 0.3, 0.01, seed=14,
+                            config=small_config)
     v_new = u_new / np.linalg.norm(u_new)
     assert float(v_new @ f.v) > float(v0 @ f.v)  # alignment improved
-    assert 0 < state.a <= 1 and 0 <= state.b < 1
-    assert state.a ** 2 + state.b ** 2 == pytest.approx(1.0)
+    # u = 2 phi(theta) (a v_prev + b w) with a^2 + b^2 = 1 and w _|_ v_prev
+    assert np.linalg.norm(u_new) == pytest.approx(2 * norm.pdf(f.theta), rel=1e-9)
 
 
 def test_refine_extreme_runs_and_returns_state(small_config):
@@ -234,12 +234,27 @@ def test_refine_extreme_runs_and_returns_state(small_config):
     f = plant(n, 2.2, 21)
     source = make_corrupted_source(f, dist, 0.0, AdversaryStrategy("none"))
     u0 = 2 * norm.pdf(2.2) * f.v
-    u_cand, state = refine_extreme(source, 2.2, 0.005, 0.2, u0, seed=3,
-                                   config=small_config)
+    u_cand = refine_extreme(source, 2.2, 0.005, u0, seed=3, config=small_config)
     assert np.isfinite(u_cand).all()
-    assert state.s is not None
-    a, b = state.a, state.b
-    assert a * 2.2 <= state.s <= a * 2.2 + b + 1e-12
+    assert np.linalg.norm(u_cand) == pytest.approx(2 * norm.pdf(2.2), rel=1e-9)
+
+
+def never_called(m, seed):
+    raise AssertionError("the step drew samples before checking its input")
+
+
+@pytest.mark.parametrize("delta_prev", [0.0, -0.1, 1.5, math.nan])
+def test_refine_moderate_rejects_delta_prev_out_of_range(delta_prev):
+    with pytest.raises(ValueError, match="delta_prev"):
+        refine_moderate(never_called, np.r_[1.0, 0.0], 0.4, delta_prev, 0.01,
+                        seed=0, config=LTFConfig())
+
+
+@pytest.mark.parametrize("theta", [0.0, -1.0, math.nan])
+def test_refine_extreme_rejects_nonpositive_theta(theta):
+    with pytest.raises(ValueError, match="theta > 0"):
+        refine_extreme(never_called, theta, 0.01, np.r_[0.1, 0.0], seed=0,
+                       config=LTFConfig())
 
 
 # --- full learner ----------------------------------------------------------------
