@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import ReasonableDistribution
-from .errors import BudgetExceeded, InvalidHypothesis, UnknownStrategy
+from .errors import BudgetExceeded, ConfigError, InvalidHypothesis, UnknownStrategy
 from .polybasis import eval_monomials_batch
 
 STRATEGIES = ("none", "random_flip", "boundary_flip", "chow_attack", "remove_informative")
@@ -74,11 +74,15 @@ class LabeledSampleSet:
 
     @classmethod
     def from_csv(cls, path) -> "LabeledSampleSet":
-        with open(path, newline="") as fh:
-            header = fh.readline().strip().split(",")
-        has_mask = header[-1] == "corrupted"
-        n = len(header) - 1 - int(has_mask)
-        data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        """Read a `to_csv` file; a path that cannot be read is a ConfigError."""
+        try:
+            with open(path, newline="") as fh:
+                header = fh.readline().strip().split(",")
+            has_mask = header[-1] == "corrupted"
+            n = len(header) - 1 - int(has_mask)
+            data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
+        except OSError as exc:
+            raise ConfigError(f"samples: {exc}") from exc
         return cls(data[:, :n], data[:, n], data[:, n + 1] != 0 if has_mask else None)
 
 

@@ -26,8 +26,6 @@ from .polybasis import MonomialBasis, enumerate_basis, eval_monomials_batch
 C_BREAK = 10.0
 # Filter passes before robust_chow stops and flags cap_reached.
 MAX_ITERATIONS = 200
-# Rows pruned and summed at a time; bounds the pruned-copy working set.
-BLOCK_ROWS = 4096
 
 
 @dataclass
@@ -89,9 +87,9 @@ def prune_mask(h: np.ndarray, dist: ReasonableDistribution) -> np.ndarray:
 
     h holds rows in the descriptor's orthonormal coordinates, where the
     squared row norm is m(x)^T Sigma^+ m(x). All-True for distributions
-    that disable pruning (the hypercube). The mask may be all False:
-    robust_chow applies the rule a row block at a time, and a block may
-    hold nothing but outliers.
+    that disable pruning (the hypercube). The mask may be all False: the
+    PTF oracle applies the rule to the moved rows alone, and they may be
+    nothing but outliers.
     """
     if not dist.prune_enabled:
         return np.ones(h.shape[0], dtype=bool)
@@ -135,24 +133,22 @@ def _survivor_sums(h: np.ndarray, dist: ReasonableDistribution,
                    labels: Optional[np.ndarray] = None):
     """Prune mask, survivor Gram h^T h and, given labels, survivor sum y h.
 
-    One pass over the rows in blocks of BLOCK_ROWS; no pruned copy of the
-    sample is kept. Pruned rows never enter either sum, so their features
-    may have overflowed. The label sum is None without labels.
+    h is feature-major, as `dist.featurize` stores it: h.T is C-contiguous,
+    so the Gram matrix is one syrk and the label sum one gemv over every
+    row. Pruned rows and their labels may have overflowed, so they never
+    enter either sum: the rows are zeroed while the products run and
+    restored afterwards, and their labels are replaced by zeros. The label
+    sum is None without labels.
     """
-    alive = np.empty(h.shape[0], dtype=bool)
-    gram = np.zeros((dist.ell, dist.ell))
-    label_sum = None if labels is None else np.zeros(dist.ell)
-    for lo in range(0, h.shape[0], BLOCK_ROWS):
-        rows = slice(lo, lo + BLOCK_ROWS)
-        h_b = h[rows]
-        y_b = None if labels is None else labels[rows]
-        keep = alive[rows] = prune_mask(h_b, dist)
-        if not keep.all():
-            h_b = h_b[keep]
-            y_b = None if y_b is None else y_b[keep]
-        gram += h_b.T @ h_b
-        if y_b is not None:
-            label_sum += y_b @ h_b
+    alive = prune_mask(h, dist)
+    h_t, dead = h.T, np.flatnonzero(~alive)
+    saved = h_t[:, dead]
+    h_t[:, dead] = 0.0
+    try:
+        gram = h_t @ h
+        label_sum = None if labels is None else h_t @ np.where(alive, labels, 0.0)
+    finally:
+        h_t[:, dead] = saved
     return alive, gram, label_sum
 
 
@@ -162,8 +158,9 @@ def _filter(h: np.ndarray, labels: np.ndarray, alive: np.ndarray, gram: np.ndarr
     """Filter to fixpoint from the survivor sums of `_survivor_sums`.
 
     Each pass takes the top eigenvector of the survivors' Gram matrix,
-    scores the rows with one matrix-vector product and subtracts the cut
-    rows from both sums, which it updates in place along with `alive`.
+    scores the rows by one einsum and subtracts the cut rows, gathered
+    feature-major, from both sums, which it updates in place along with
+    `alive`.
     """
     m_in = h.shape[0]
     m_cur = int(alive.sum())
@@ -204,9 +201,9 @@ def _filter(h: np.ndarray, labels: np.ndarray, alive: np.ndarray, gram: np.ndarr
         m_cur -= gone.size
         if m_cur == 0:
             raise AllPointsPruned("filter removed every sample")
-        h_gone = h[gone]
-        gram -= h_gone.T @ h_gone
-        label_sum -= labels[gone] @ h_gone
+        h_gone = h.T.take(gone, axis=1)
+        gram -= h_gone @ h_gone.T
+        label_sum -= h_gone @ labels[gone]
 
     chi = dist.monomial_map() @ (label_sum / m_cur)
     provenance = {
@@ -227,11 +224,11 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
     """Prune, filter to fixpoint, and average y * m(x) over the survivors.
 
     The rows h(x) in the descriptor's orthonormal coordinates
-    (`dist.featurize`) are computed once. One pass over them in row blocks
-    prunes them and sums the survivors' Gram matrix and label-weighted
-    rows (`_survivor_sums`); the filter loop (`_filter`) then cuts from
-    those sums. The label-weighted mean maps back to monomial coordinates
-    through `dist.monomial_map()`.
+    (`dist.featurize`) are computed once, stored feature-major. One pass
+    prunes them, then one syrk and one gemv sum the survivors' Gram matrix
+    and label-weighted rows (`_survivor_sums`); the filter loop (`_filter`)
+    then cuts from those sums. The label-weighted mean maps back to
+    monomial coordinates through `dist.monomial_map()`.
 
     On the hypercube at degree 1 every row has norm sqrt(n + 1), so every
     score is at most sqrt(n + 1). For n <= 9 that is below 3.30, the point

@@ -37,11 +37,12 @@ EXIT_LEARNER = 3
 
 
 def _load_json(path: str) -> dict:
-    """The config file's JSON object; a file that is not UTF-8 is a ConfigError."""
+    """The config file's JSON object; a file that cannot be read (missing, a
+    directory) or is not UTF-8 is a ConfigError."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except UnicodeDecodeError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"config: {exc}") from exc
     if type(cfg) is not dict:
         raise ConfigError(f"config: must be a JSON object, got {type(cfg).__name__}")

@@ -238,7 +238,8 @@ class ReasonableDistribution:
         return self._whitener
 
     def featurize(self, points) -> np.ndarray:
-        """The rows h(x) of an (m, n) array of points, (m, ell).
+        """The rows h(x) of an (m, n) array of points, (m, ell), stored
+        feature-major like the monomials: the result's .T is C-contiguous.
 
         In whitened coordinates a point whose monomials have mass in
         Sigma's null directions gets the row T_max * e_0 instead: finite,
@@ -250,7 +251,7 @@ class ReasonableDistribution:
         if self.coords == "monomial":
             return phi
         isqrt, null_vectors = self.whitener()
-        z = phi @ isqrt
+        z = (isqrt.T @ phi.T).T
         if null_vectors.shape[1] > 0:
             null_part = np.abs(phi @ null_vectors).max(axis=1)
             scale = np.linalg.norm(phi, axis=1) + 1e-300

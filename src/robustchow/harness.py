@@ -126,8 +126,11 @@ class ExperimentConfig:
     @classmethod
     def from_json(cls, data) -> "ExperimentConfig":
         if isinstance(data, (str, os.PathLike)):
-            with open(data) as fh:
-                data = json.load(fh)
+            try:
+                with open(data) as fh:
+                    data = json.load(fh)
+            except OSError as exc:
+                raise ConfigError(f"config: {exc}") from exc
         if type(data) is not dict:
             raise ConfigError(f"config: must be a JSON object, got {type(data).__name__}")
         fields = cls.__dataclass_fields__

@@ -19,10 +19,9 @@ from .errors import DimensionMismatch, SizeCapExceeded
 
 # Dense ell x ell matrices dominate memory, so refuse absurd bases outright.
 DEFAULT_SIZE_CAP = 200_000
-# Featurization tiles: at most TILE_ROWS rows and TILE_ENTRIES buffer
-# entries (1 MiB), so a tile's (ell, rows) buffer stays in cache.
+# Points featurized per tile: the tile's factor table and the parent rows
+# its multiplies read stay in cache while the tile is built.
 TILE_ROWS = 2048
-TILE_ENTRIES = 1 << 17
 
 
 def _exponents_of_degree(n, degree, max_exp):
@@ -45,12 +44,14 @@ class MonomialBasis:
     exponents: np.ndarray  # (ell, n) int array, row i = multi-index a^i
     multilinear: bool = False
     _index: dict = field(default_factory=dict, repr=False, compare=False)
-    # Featurization plan, one (lo, hi, parents, factors) entry per degree
-    # block exponents[lo:hi]: element i is element parents[i - lo] times
-    # factor-table row factors[i - lo] (x_j^p, or He_p(x_j) / sqrt(p!)). The
-    # parent drops the last variable with a nonzero exponent, so
-    # m_i = (...(x_j1^p1 * x_j2^p2) ...) * x_jk^pk is built in the same
-    # left-to-right order as a per-variable product.
+    # Featurization plan for the elements of degree >= 2 (degree 1 is x
+    # itself): one (lo, hi, parent, factor) entry per run of elements that
+    # share a degree, a first nonzero variable j and its power p. Element
+    # lo + k is element parent + k times factor-table row factor =
+    # (p - 1) * n + j (x_j^p, or He_p(x_j) / sqrt(p!)). The parent drops
+    # x_j^p; in graded lex order the parents of a run are one contiguous
+    # run of lower degree, in the same order. So m_i = x_j1^p1 * (x_j2^p2 *
+    # (... * x_jk^pk)) is built right to left, from its last variable.
     plan: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -62,18 +63,23 @@ class MonomialBasis:
         degrees = self.exponents.sum(axis=1)
         if degrees[0] != 0 or np.any(np.diff(degrees) < 0):
             raise ValueError("exponents must be graded with the constant monomial first")
-        parents = np.zeros(self.ell, dtype=np.intp)
-        factors = np.zeros(self.ell, dtype=np.intp)
-        for i in range(1, self.ell):
+        if not np.array_equal(self.exponents[1:self.n + 1], np.eye(self.n)):
+            raise ValueError("degree-1 exponents must list x_1, ..., x_n in order")
+        runs = []
+        for i in range(self.n + 1, self.ell):
             row = [int(e) for e in self.exponents[i]]
-            j = max(k for k, e in enumerate(row) if e)
-            factors[i] = (row[j] - 1) * self.n + j
+            j = next(k for k, e in enumerate(row) if e)
+            factor = (row[j] - 1) * self.n + j
             row[j] = 0
-            parents[i] = self._index[tuple(row)]
-        # degree blocks after the constant: [edges[k], edges[k + 1])
-        edges = np.r_[np.flatnonzero(np.diff(degrees)) + 1, self.ell]
-        return tuple((int(lo), int(hi), parents[lo:hi], factors[lo:hi])
-                     for lo, hi in zip(edges[:-1], edges[1:]))
+            parent = self._index[tuple(row)]
+            # element i extends the last run if it has the run's factor and
+            # degree and its parent follows the run's last parent
+            lo, hi, first, f = runs[-1] if runs else (0, 0, 0, -1)
+            if f == factor and degrees[lo] == degrees[i] and parent == first + hi - lo:
+                runs[-1] = (lo, i + 1, first, f)
+            else:
+                runs.append((i, i + 1, parent, factor))
+        return tuple(runs)
 
     @property
     def ell(self) -> int:
@@ -146,35 +152,32 @@ def _featurize(basis: MonomialBasis, points, fill_table) -> np.ndarray:
     """Evaluate the products of per-variable factors that the basis plan
     names on an (m, n) array of points, returning (m, ell).
 
-    Rows are processed in tiles. Each tile gets a table of per-variable
-    factors (row (p - 1) * n + j holds the degree-p factor of x_j, filled by
-    fill_table from row p = 1, which holds x itself) and then one multiply
-    per basis element: its parent's values times one table row (see
-    MonomialBasis.plan), filled a degree block at a time into an (ell, tile)
-    buffer that is copied into the C-ordered output.
+    The result is stored feature-major: it is the transpose view of one
+    C-contiguous (ell, m) array, so each feature is a contiguous row there.
+    Points are processed in tiles of columns. Each tile gets a table of
+    per-variable factors (row (p - 1) * n + j holds the degree-p factor of
+    x_j, filled by fill_table from row p = 1, which holds x itself), copies
+    x into the degree-1 rows and then does one multiply per run of the
+    basis plan (see MonomialBasis.plan): the run's parent rows times one
+    table row.
     """
     pts = np.asarray(points, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != basis.n:
         raise DimensionMismatch(f"points have shape {pts.shape}, basis expects (m, {basis.n})")
     m, n = pts.shape
-    out = np.empty((m, basis.ell), dtype=np.float64)
-    if basis.d == 1:   # graded lex order gives [1, x]; x^1 = He_1(x) = x
-        out[:, 0], out[:, 1:] = 1.0, pts
-        return out
-    tile = max(1, min(TILE_ROWS, TILE_ENTRIES // basis.ell))
+    out = np.empty((basis.ell, m), dtype=np.float64)
+    out[0] = 1.0
     max_exp = int(basis.exponents.max())
-    buf = np.empty((basis.ell, min(m, tile)), dtype=np.float64)
-    table = np.empty((max_exp * n, buf.shape[1]), dtype=np.float64)
-    buf[0] = 1.0
-    for r0 in range(0, m, tile):
-        rows = min(tile, m - r0)
-        tab, vals = table[:, :rows], buf[:, :rows]
-        tab[:n] = pts[r0:r0 + rows].T
+    table = np.empty((max_exp * n, min(m, TILE_ROWS)), dtype=np.float64)
+    for c0 in range(0, m, TILE_ROWS):
+        cols = slice(c0, min(c0 + TILE_ROWS, m))
+        tab = table[:, :cols.stop - c0]
+        tab[:n] = pts[cols].T
+        out[1:n + 1, cols] = tab[:n]   # x^1 = He_1(x) = x
         fill_table(tab, n, max_exp)
-        for lo, hi, parents, factors in basis.plan:
-            np.multiply(vals[parents], tab[factors], out=vals[lo:hi])
-        out[r0:r0 + rows] = vals.T
-    return out
+        for lo, hi, parent, factor in basis.plan:
+            np.multiply(out[parent:parent + hi - lo, cols], tab[factor], out=out[lo:hi, cols])
+    return out.T
 
 
 def eval_monomials_batch(basis: MonomialBasis, points) -> np.ndarray:

@@ -170,8 +170,8 @@ def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
     they pass it. One gemv sums the survivors' labels and the filter loop
     runs as in `robust_chow`, which gives the same estimate on the moved
     sample up to summation order. The moved rows' features replace the
-    pool's for the filter and are swapped back afterwards, also when the
-    filter raises.
+    pool's, as columns of the feature-major h.T, for the filter and are
+    swapped back afterwards, also when the filter raises.
     """
     floor = sample_floor(dist.ell)
     if m_per_call < floor:
@@ -180,6 +180,7 @@ def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
     pool = LabeledSampleSet(dist.sample(m_per_call, stream.integers(0, 2 ** 63)),
                             np.zeros(m_per_call))
     h = dist.featurize(pool.points)
+    h_t = h.T
     pool_alive, pool_gram, _ = _survivor_sums(h, dist)
 
     def oracle(pbf: PBF) -> ChowEstimate:
@@ -194,20 +195,21 @@ def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
         # the learner labels whatever points it is handed
         labels[idx] = np.clip(rows @ weights, -1.0, 1.0)
         alive, gram = pool_alive.copy(), pool_gram.copy()
-        old = h[idx[alive[idx]]]
-        gram -= old.T @ old
+        old = h_t.take(idx[alive[idx]], axis=1)
+        gram -= old @ old.T
         keep = alive[idx] = prune_mask(rows, dist)
-        new = rows[keep]
-        gram += new.T @ new
-        saved = h[idx]
+        new = rows.T.compress(keep, axis=1)
+        gram += new @ new.T
+        saved = h_t.take(idx, axis=1)
         try:
-            h[idx] = rows
-            # a view when nothing is pruned; pruned rows may have overflowed
-            surv = slice(None) if alive.all() else alive
-            label_sum = labels[surv] @ h[surv]
+            h_t[:, idx] = rows.T
+            if alive.all():
+                label_sum = h_t @ labels
+            else:   # pruned rows may have overflowed
+                label_sum = h_t.compress(alive, axis=1) @ labels[alive]
             return _filter(h, labels, alive, gram, label_sum, dist, eps)
         finally:
-            h[idx] = saved
+            h_t[:, idx] = saved
 
     return oracle
 

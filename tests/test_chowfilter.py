@@ -5,24 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from robustchow import chowfilter
+from robustchow import chowfilter, ptf_learner
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
-from robustchow.chowfilter import (BLOCK_ROWS, ChowEstimate, FilterParams,
-                                   _filter, _survivor_sums, _threshold_cut,
-                                   chow_distance, empirical_chow, prune_mask,
-                                   robust_chow)
+from robustchow.chowfilter import (ChowEstimate, FilterParams, _filter,
+                                   _survivor_sums, _threshold_cut, chow_distance,
+                                   empirical_chow, prune_mask, robust_chow)
 from robustchow.distributions import (gaussian_descriptor, hypercube_descriptor,
                                       log_concave_descriptor)
 from robustchow.errors import (AllPointsPruned, BasisMismatch, ChowBoundViolated,
                                NoThresholdFound, RobustChowError)
 from robustchow.ltf_learner import LTF
-from robustchow.polybasis import eval_monomials_batch
+from robustchow.polybasis import TILE_ROWS, Polynomial, eval_monomials_batch
+from robustchow.ptf_learner import PBF, make_sampling_oracle
 
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+# Sample sizes below are multiples of this plus a remainder, so samples of
+# degree >= 2 end in a partial featurization tile.
+BLOCK_ROWS = 2 * TILE_ROWS
 
 
-def ltf_instance(n=10, m=20_000, theta=0.0, eps=0.1, seed=0):
-    dist = gaussian_descriptor(n, 1, eps)
+def ltf_instance(n=10, m=20_000, theta=0.0, eps=0.1, seed=0, d=1):
+    dist = gaussian_descriptor(n, d, eps)
     v = np.zeros(n)
     v[0] = 1.0
     f = LTF(v, theta)
@@ -43,7 +46,7 @@ def two_cluster_attack(n=6, m=10_000, seed=0):
 
 
 def dense_filter(s, dist, params):
-    """The filter without row blocks, downdates or orthonormal featurizers:
+    """The filter without one-pass sums, downdates or orthonormal featurizers:
     whiten the whole monomial matrix, prune rows that are extreme or have
     mass in Sigma's null directions, rebuild the survivors' Gram matrix
     every pass, average a survivor copy of the monomial rows."""
@@ -176,7 +179,7 @@ def test_prune_all_points_error():
         robust_chow(s_far, dist, FilterParams(eps=0.1))
 
 
-# --- row blocks and Gram downdates -------------------------------------------
+# --- sample sizes, pruned runs and Gram downdates ----------------------------
 
 def test_downdated_gram_matches_rebuilt(monkeypatch):
     dist, bad = two_cluster_attack()
@@ -210,7 +213,7 @@ def test_blocks_match_dense_filter_below_one_block():
 
 def test_whole_blocks_of_far_outliers_are_pruned():
     dist, f, s = ltf_instance(n=4, m=4 * BLOCK_ROWS, seed=6)
-    run = slice(BLOCK_ROWS - 100, 3 * BLOCK_ROWS + 100)  # blocks 1 and 2 whole
+    run = slice(BLOCK_ROWS - 100, 3 * BLOCK_ROWS + 100)
     far = s.points.copy()
     far[run] = 1e6
     est = assert_matches_dense(LabeledSampleSet(far, s.labels), dist, FilterParams(eps=0.1))
@@ -229,17 +232,37 @@ def test_overflowed_rows_are_pruned_without_poisoning_chi():
     assert np.isfinite(est.chi).all()
 
 
-def test_identical_points_share_one_decision():
-    # The cluster's last member is the sample's last row, where a BLAS gemv
-    # may round differently from the other rows and split the cluster.
-    for seed in range(10):
-        dist, f, s = ltf_instance(n=20, m=4003, eps=0.1, seed=seed)
-        bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack"), dist, seed + 50)
-        pts, labels = bad.points.copy(), bad.labels.copy()
-        first = np.nonzero(bad.corrupted_mask)[0][0]
-        pts[-1], labels[-1] = pts[first], labels[first]
-        est = robust_chow(LabeledSampleSet(pts, labels), dist, FilterParams(eps=0.1))
-        assert not est.keep_mask[np.all(pts == pts[first], axis=1)].any()
+def test_identical_points_share_one_decision(monkeypatch):
+    # Clones of one attack point fill the sample's last 8 rows, for every
+    # residue of m mod 8: a BLAS gemv may round those tail rows differently
+    # from the others and split the cluster at the cut. robust_chow and the
+    # PTF oracle's filter must each cut every clone, at d = 1 and d = 3.
+    real_rows = ptf_learner.corrupted_rows
+    moved = []
+
+    def tail_clones(clean, f, eps, strategy, dist, seed):
+        # chow_attack moves every row it picks to one point x0; the last 8 move too
+        idx, points, _ = real_rows(clean, f, eps, strategy, dist, seed)
+        idx = np.union1d(idx, np.arange(len(clean) - 8, len(clean)))
+        moved.append(idx)
+        return idx, np.tile(points[0], (idx.size, 1)), np.ones(idx.size)
+
+    monkeypatch.setattr(ptf_learner, "corrupted_rows", tail_clones)
+    for d, n in ((1, 20), (3, 6)):
+        for m in range(4000, 4008):
+            dist, f, s = ltf_instance(n=n, m=m, eps=0.1, seed=m, d=d)
+            bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack"), dist, m + 50)
+            pts, labels = bad.points.copy(), bad.labels.copy()
+            first = np.nonzero(bad.corrupted_mask)[0][0]
+            pts[-8:], labels[-8:] = pts[first], labels[first]
+            est = robust_chow(LabeledSampleSet(pts, labels), dist, FilterParams(eps=0.1))
+            assert not est.keep_mask[np.all(pts == pts[first], axis=1)].any(), (d, m)
+
+            oracle = make_sampling_oracle(dist, 0.1, AdversaryStrategy("chow_attack"), m, m)
+            coeffs = np.zeros(dist.ell)
+            coeffs[1] = 0.5
+            est = oracle(PBF(Polynomial(dist.basis, coeffs), 0.5))
+            assert not est.keep_mask[moved[-1]].any(), (d, m)
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -610,7 +633,7 @@ def test_filter_stops_at_iteration_cap(monkeypatch):
 def test_survivor_sums_then_filter_is_robust_chow():
     dist, f, s = ltf_instance(n=6, m=2 * BLOCK_ROWS + 77, seed=2)
     bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack"), dist, 3)
-    bad.points[[5, BLOCK_ROWS + 9]] = 1e6   # one pruned row in each of two blocks
+    bad.points[[5, BLOCK_ROWS + 9]] = 1e6   # two pruned rows
     h = dist.featurize(bad.points)
     alive, gram, label_sum = _survivor_sums(h, dist, bad.labels)
     assert np.array_equal(alive, prune_mask(h, dist)) and (~alive).sum() == 2

@@ -7,6 +7,7 @@ import pytest
 from robustchow.adversary import LabeledSampleSet
 from robustchow.cli import main
 from robustchow.distributions import gaussian_descriptor, gaussian_moment_matrix
+from robustchow.errors import ConfigError
 from robustchow.harness import ExperimentConfig, run_experiment
 from robustchow.ltf_learner import LTF
 
@@ -38,6 +39,24 @@ def test_unknown_flag_exits_2(capsys):
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert main(["chow", "--config", str(tmp_path / "nope.json")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["chow", "--config", "{dir}"],
+    ["chow", "--config", "{cfg}", "--samples", "{dir}"],
+    ["experiment", "--config", "{dir}"],
+])
+def test_directory_as_a_path_exits_2(tmp_path, capsys, argv):
+    cfg = tmp_path / "ok.json"
+    dist_config(cfg)
+    assert main([arg.format(dir=tmp_path, cfg=cfg) for arg in argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+def test_experiment_config_from_a_directory_is_a_config_error(tmp_path):
+    with pytest.raises(ConfigError, match="config: .*Is a directory"):
+        ExperimentConfig.from_json(tmp_path)
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -261,6 +261,28 @@ def test_descriptor_featurizers_and_maps():
     assert np.allclose(lc.monomial_map() @ lc.monomial_map().T, g.sigma, atol=1e-12)
 
 
+@pytest.mark.parametrize("coords", ["hermite", "monomial", "whitened", "whitened-null"])
+def test_featurize_is_feature_major(coords):
+    # every descriptor returns (m, ell) rows stored as one C-contiguous
+    # (ell, m) array, which the filter's syrk and column gathers rely on
+    g = gaussian_descriptor(3, 2, 0.05)
+    pts = g.sample(2049, 0)
+    if coords == "hermite":
+        dist = g
+    elif coords == "monomial":
+        dist = hypercube_descriptor(3, 2, 0.05)
+        pts = dist.sample(2049, 0)
+    else:   # "whitened-null": every x_2 monomial has zero moments
+        table = g.sigma.copy()
+        if coords == "whitened-null":
+            on_x2 = g.basis.exponents[:, 1] > 0
+            table[on_x2] = table[:, on_x2] = 0.0
+        dist = log_concave_descriptor(3, 2, table, 0.0, 0.05)
+    for m in (1, 7, 2049):
+        got = dist.featurize(pts[:m])
+        assert got.shape == (m, dist.ell) and got.T.flags.c_contiguous
+
+
 def test_log_concave_descriptor_builds():
     b = enumerate_basis(3, 1)
     table = gaussian_moment_matrix(b)

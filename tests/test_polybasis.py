@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from robustchow.errors import DimensionMismatch, SizeCapExceeded
-from robustchow.polybasis import (TILE_ENTRIES, TILE_ROWS, MonomialBasis,
-                                  Polynomial, enumerate_basis,
-                                  eval_hermite_batch, eval_monomials_batch)
+from robustchow.polybasis import (TILE_ROWS, MonomialBasis, Polynomial,
+                                  basis_size, enumerate_basis, eval_hermite_batch,
+                                  eval_monomials_batch)
 
 
 def test_enumerate_n2_d1_exact_order():
@@ -51,8 +51,9 @@ def test_multilinear_enumeration():
 
 
 def per_column_reference(basis, pts):
-    """The original kernel: for each monomial, multiply a column of ones by
-    one power-table entry per variable, left to right."""
+    """The per-column kernel: for each monomial, multiply a column of ones
+    by one power-table entry per variable, from the last variable to the
+    first, the order in which the basis plan builds it."""
     max_exp = int(basis.exponents.max())
     powers = []
     for j in range(basis.n):
@@ -62,7 +63,7 @@ def per_column_reference(basis, pts):
         powers.append(col)
     out = np.ones((pts.shape[0], basis.ell), dtype=np.float64)
     for i, row in enumerate(basis.exponents):
-        for j in range(basis.n):
+        for j in reversed(range(basis.n)):
             p = int(row[j])
             if p:
                 out[:, i] *= powers[j][p]
@@ -75,8 +76,7 @@ def test_eval_batch_bit_identical_to_per_column_loop(multilinear):
     for n in range(1, 13):
         for d in range(1, 5):
             b = enumerate_basis(n, d, multilinear=multilinear)
-            tile = min(TILE_ROWS, TILE_ENTRIES // b.ell)
-            for m in sorted({0, 1, 2047, 2048, 2049, 5000, tile - 1, tile, tile + 1}):
+            for m in sorted({0, 1, TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 5000}):
                 # mixed scales, exact zeros of both signs, and an infinity
                 pts = rng.standard_normal((m, n)) * rng.choice([1e-3, 1.0, 1e3], size=(m, 1))
                 if m >= 3:
@@ -85,7 +85,7 @@ def test_eval_batch_bit_identical_to_per_column_loop(multilinear):
                     pts[2, 0] = np.inf
                 got = eval_monomials_batch(b, pts)
                 ref = per_column_reference(b, pts)
-                assert got.shape == (m, b.ell) and got.flags.c_contiguous
+                assert got.shape == (m, b.ell) and got.T.flags.c_contiguous
                 assert np.array_equal(got, ref, equal_nan=True), (n, d, m)
                 assert np.array_equal(np.signbit(got), np.signbit(ref)), (n, d, m)
 
@@ -94,6 +94,9 @@ def test_basis_must_be_graded():
     exps = enumerate_basis(2, 2).exponents
     with pytest.raises(ValueError, match="graded"):
         MonomialBasis(n=2, d=2, exponents=exps[::-1].copy())
+    # the kernel writes x into the degree-1 rows, so they must be x_1, ..., x_n
+    with pytest.raises(ValueError, match="degree-1"):
+        MonomialBasis(n=2, d=2, exponents=exps[[0, 2, 1, 3, 4, 5]])
 
 
 def test_eval_monomials_example():
@@ -130,15 +133,16 @@ def test_hermite_equals_monomials_at_degree_one():
 @pytest.mark.parametrize("n", [1, 5, 20])
 @pytest.mark.parametrize("kind", ["hermite", "monomial", "multilinear"])
 def test_degree_one_rows_are_the_leading_columns_of_degree_two(kind, n, m):
-    # d = 1 writes [1, x] without the tiled kernel; d = 2 builds its first
-    # n + 1 columns with it, so the two must agree bit for bit
+    # the first n + 1 columns are [1, x] at every degree, so d = 1 and d = 2
+    # must agree on them bit for bit
     featurize = eval_hermite_batch if kind == "hermite" else eval_monomials_batch
     multilinear = kind == "multilinear"
     pts = np.random.default_rng(n * m).standard_normal((m, n)) * 3.0
     pts[0, 0] = -0.0
     one = featurize(enumerate_basis(n, 1, multilinear), pts)
     two = featurize(enumerate_basis(n, 2, multilinear), pts)
-    assert one.shape == (m, n + 1) and one.flags.c_contiguous
+    assert one.shape == (m, n + 1) and one.T.flags.c_contiguous
+    assert two.shape == (m, basis_size(n, 2, multilinear)) and two.T.flags.c_contiguous
     assert one.tobytes() == np.ascontiguousarray(two[:, :n + 1]).tobytes()
     with pytest.raises(DimensionMismatch):
         featurize(enumerate_basis(n, 1, multilinear), np.zeros((m, n + 1)))
