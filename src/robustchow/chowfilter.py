@@ -58,6 +58,8 @@ class ChowEstimate:
         if not np.all(np.isfinite(self.chi)):
             raise ValueError("chi has non-finite entries")
         if self.dist is not None:
+            if not self.dist.basis.same_layout(self.basis):
+                raise BasisMismatch("the estimate's basis differs from its distribution's")
             # |chi_i| = |E[f m_i]| <= sqrt(E[m_i^2]) since |f| <= 1; allow 2x
             # slack because empirical survivor moments sit above Sigma by up
             # to the filter's break level.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -227,14 +228,7 @@ class ReasonableDistribution:
         largest are null directions excluded from the inverse square root.
         """
         if self._whitener is None:
-            w, v = np.linalg.eigh(self.sigma)
-            lam_max = float(w.max(initial=0.0))
-            if lam_max <= 0:
-                raise NotPSD("moment matrix has no positive eigenvalues")
-            null = w < NULL_EIGENVALUE_REL * lam_max
-            live = ~null
-            isqrt = (v[:, live] / np.sqrt(w[live])) @ v[:, live].T
-            self._whitener = (isqrt, v[:, null])
+            self._whitener = _whiten(self.sigma)
         return self._whitener
 
     def featurize(self, points) -> np.ndarray:
@@ -263,17 +257,14 @@ class ReasonableDistribution:
     def monomial_map(self) -> np.ndarray:
         """C with m(x) = C h(x) for the rows h of `featurize`, cached.
 
-        Closed form for the Gaussian, the identity on the hypercube and
-        Sigma^{1/2} = Sigma Sigma^{-1/2} for a moment table (on Sigma's
-        range, where every unpruned row lies).
+        A Gaussian ("hermite") descriptor is built with its closed-form C
+        (`gaussian_descriptor`). Otherwise C is built on first use: the
+        identity on the hypercube and Sigma^{1/2} = Sigma Sigma^{-1/2} for
+        a moment table (on Sigma's range, where every unpruned row lies).
         """
         if self._monomial_map is None:
-            if self.coords == "hermite":
-                self._monomial_map = gaussian_monomial_map(self.basis)
-            elif self.coords == "monomial":
-                self._monomial_map = np.eye(self.ell)
-            else:
-                self._monomial_map = self.sigma @ self.whitener()[0]
+            self._monomial_map = (np.eye(self.ell) if self.coords == "monomial"
+                                  else self.sigma @ self.whitener()[0])
         return self._monomial_map
 
 
@@ -287,19 +278,52 @@ def _check_reasonable(dist: ReasonableDistribution, eps_eff: float):
         raise ValueError("delta must be positive")
 
 
+def _whiten(sigma: np.ndarray) -> tuple:
+    """(Sigma^{-1/2}, null-direction basis) of a moment matrix; see
+    `ReasonableDistribution.whitener`."""
+    w, v = np.linalg.eigh(sigma)
+    lam_max = float(w.max(initial=0.0))
+    if lam_max <= 0:
+        raise NotPSD("moment matrix has no positive eigenvalues")
+    null = w < NULL_EIGENVALUE_REL * lam_max
+    live = ~null
+    isqrt = (v[:, live] / np.sqrt(w[live])) @ v[:, live].T
+    return isqrt, v[:, null]
+
+
+@lru_cache(maxsize=8)
+def _gaussian_constants(n: int, d: int) -> tuple:
+    """(basis, Sigma, whitener, C) of N(0, I_n) at degree d. None depends on
+    eps, so the Gaussian descriptors of one (n, d) share them; the arrays
+    are read-only, so no caller can change what another sees."""
+    basis = enumerate_basis(n, d)
+    sigma = gaussian_moment_matrix(basis)
+    whitener = _whiten(sigma)
+    monomial_map = gaussian_monomial_map(basis)
+    for array in (basis.exponents, sigma, *whitener, monomial_map):
+        array.flags.writeable = False
+    return basis, sigma, whitener, monomial_map
+
+
 def gaussian_descriptor(n: int, d: int, eps: float,
                         tail_c: Optional[float] = None) -> ReasonableDistribution:
-    """Standard Gaussian N(0, I_n) with exact analytic moments (gamma = 0)."""
+    """Standard Gaussian N(0, I_n) with exact analytic moments (gamma = 0).
+
+    The basis, Sigma, its whitener and C are built once per (n, d) in a
+    process and shared read-only (`_gaussian_constants`); the tail, delta
+    and T_max are built per call.
+    """
     eps_eff = max(eps, EPS_FLOOR)
-    basis = enumerate_basis(n, d)
+    basis, sigma, whitener, monomial_map = _gaussian_constants(n, d)
     tail = make_tail_bound("gaussian-chaos", d, c=tail_c)
     dist = ReasonableDistribution(
         name="gaussian", n=n, d=d, basis=basis,
-        sigma=gaussian_moment_matrix(basis), gamma=0.0, tail=tail,
+        sigma=sigma, gamma=0.0, tail=tail,
         delta=compute_delta(tail, eps_eff),
         t_max=compute_tmax(tail, eps_eff, basis.ell),
         prune_enabled=True, coords="hermite",
         sampler=lambda count, rng: rng.standard_normal((count, n)),
+        _whitener=whitener, _monomial_map=monomial_map,
     )
     _check_reasonable(dist, eps_eff)
     return dist

@@ -15,7 +15,7 @@ from robustchow.distributions import (gaussian_descriptor, hypercube_descriptor,
 from robustchow.errors import (AllPointsPruned, BasisMismatch, ChowBoundViolated,
                                NoThresholdFound, RobustChowError)
 from robustchow.ltf_learner import LTF
-from robustchow.polybasis import TILE_ROWS, Polynomial, eval_monomials_batch
+from robustchow.polybasis import TILE_ROWS, Polynomial, enumerate_basis, eval_monomials_batch
 from robustchow.ptf_learner import PBF, make_sampling_oracle
 
 ROOT_2_OVER_PI = math.sqrt(2.0 / math.pi)
@@ -121,6 +121,21 @@ def test_chow_estimate_json_roundtrip():
     assert np.allclose(back.chi, chi)
     assert back.dist is dist
     assert back.provenance == {"iterations": 2}
+
+
+def test_chow_estimate_rejects_a_dist_of_another_basis():
+    # equal ell (6) but another (n, d): accepted silently once
+    dist = gaussian_descriptor(2, 2, 0.1)
+    with pytest.raises(BasisMismatch):
+        ChowEstimate(np.zeros(6), enumerate_basis(5, 1), dist)
+    # another ell: a BasisMismatch, not numpy's broadcast ValueError
+    with pytest.raises(BasisMismatch):
+        ChowEstimate(np.zeros(4), enumerate_basis(3, 1), dist)
+    with pytest.raises(BasisMismatch):
+        ChowEstimate(np.zeros(dist.ell), dist.basis, hypercube_descriptor(2, 2, 0.1))
+    data = ChowEstimate(np.zeros(6), enumerate_basis(5, 1), None).to_json()
+    with pytest.raises(BasisMismatch):
+        ChowEstimate.from_json(data, dist=dist)
 
 
 # --- eigenvector sign ---------------------------------------------------------
@@ -729,13 +744,21 @@ def test_chow_distance_reuses_the_descriptor_whitener(monkeypatch):
         return eigh(a)
 
     monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    # a Gaussian descriptor arrives with its shared whitener built
     dists = [chow_distance(ests[i], ests[j]) for i, j in ((0, 1), (1, 2), (0, 2))]
-    assert calls == [(dist.ell, dist.ell)]
+    assert calls == []
     assert min(dists) > 0.0
     # a second descriptor with equal moments measures the same distance
     other = empirical_chow(LabeledSampleSet(s.points[1000:], s.labels[1000:]),
                            gaussian_descriptor(4, 1, 0.1))
     assert chow_distance(ests[0], other) == pytest.approx(dists[2], rel=1e-12)
+    # a moment-table descriptor builds its whitener once, on first use
+    lc = log_concave_descriptor(dist.n, dist.d, dist.sigma, 0.0, 0.1)
+    lc_ests = [empirical_chow(LabeledSampleSet(s.points[k:], s.labels[k:]), lc)
+               for k in (0, 500, 1000)]
+    lc_dists = [chow_distance(lc_ests[i], lc_ests[j]) for i, j in ((0, 1), (1, 2), (0, 2))]
+    assert calls == [(lc.ell, lc.ell)]
+    assert lc_dists == pytest.approx(dists, rel=1e-9)
 
 
 def test_chow_distance_basis_mismatch():

@@ -5,6 +5,9 @@ import pytest
 from scipy import integrate
 from scipy.stats import norm
 
+from robustchow import distributions
+from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
+from robustchow.chowfilter import FilterParams, robust_chow
 from robustchow.distributions import (EPS_FLOOR, compute_delta, compute_tmax,
                                       from_config, gaussian_descriptor,
                                       gaussian_moment_matrix,
@@ -13,6 +16,7 @@ from robustchow.distributions import (EPS_FLOOR, compute_delta, compute_tmax,
                                       hypercube_moment_matrix,
                                       log_concave_descriptor, make_tail_bound)
 from robustchow.errors import ConfigError, NonMultilinearBasis, UnknownFamily
+from robustchow.ltf_learner import LTF
 from robustchow.polybasis import (enumerate_basis, eval_hermite_batch,
                                   eval_monomials_batch)
 
@@ -251,7 +255,7 @@ def test_descriptor_featurizers_and_maps():
     pts = g.sample(5, 0)
     assert g.coords == "hermite"
     assert np.array_equal(g.featurize(pts), eval_hermite_batch(g.basis, pts))
-    assert g.monomial_map() is g.monomial_map()  # built once, on first use
+    assert g.monomial_map() is g.monomial_map()
     h = hypercube_descriptor(4, 2, 0.05)
     cube = h.sample(5, 0)
     assert np.array_equal(h.featurize(cube), eval_monomials_batch(h.basis, cube))
@@ -259,6 +263,37 @@ def test_descriptor_featurizers_and_maps():
     lc = log_concave_descriptor(3, 2, g.sigma, 0.0, 0.05)
     assert np.allclose(lc.featurize(pts), eval_monomials_batch(g.basis, pts) @ lc.whitener()[0])
     assert np.allclose(lc.monomial_map() @ lc.monomial_map().T, g.sigma, atol=1e-12)
+
+
+def test_gaussian_descriptors_share_read_only_constants():
+    a, b = gaussian_descriptor(5, 2, 0.01), gaussian_descriptor(5, 2, 0.2)
+    assert a.basis is b.basis and a.sigma is b.sigma
+    assert a.whitener() is b.whitener() and a.monomial_map() is b.monomial_map()
+    assert a.delta != b.delta and a.t_max != b.t_max
+    isqrt, null = a.whitener()
+    for shared in (a.basis.exponents, a.sigma, isqrt, null, a.monomial_map()):
+        with pytest.raises(ValueError, match="read-only"):
+            shared += 1
+
+
+def _chow_at_6_3():
+    dist = gaussian_descriptor(6, 3, 0.1)
+    plant = LTF(np.eye(6)[0], 0.3)
+    pts = dist.sample(3_000, 5)
+    clean = LabeledSampleSet(pts, plant.evaluate(pts).astype(np.float64))
+    bad = corrupt(clean, plant, 0.1, AdversaryStrategy("chow_attack", rho=0.9), dist, 6)
+    return dist, robust_chow(bad, dist, FilterParams(eps=0.1))
+
+
+def test_robust_chow_is_bit_identical_on_a_cold_and_a_warm_cache():
+    distributions._gaussian_constants.cache_clear()
+    cold_dist, cold = _chow_at_6_3()
+    warm_dist, warm = _chow_at_6_3()
+    assert warm_dist.sigma is cold_dist.sigma   # the second run hit the cache
+    assert cold.provenance["filtered"] > 0
+    assert cold.chi.tobytes() == warm.chi.tobytes()
+    assert np.array_equal(cold.keep_mask, warm.keep_mask)
+    assert cold.provenance == warm.provenance
 
 
 @pytest.mark.parametrize("coords", ["hermite", "monomial", "whitened", "whitened-null"])

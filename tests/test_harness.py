@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+from robustchow import distributions
 from robustchow.adversary import STRATEGIES, AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import ChowEstimate, chow_distance, empirical_chow
 from robustchow.distributions import gaussian_descriptor
@@ -351,6 +352,21 @@ def test_run_experiment_bit_identical(tmp_path):
                 for t in range(cfg.trials)]
     assert keys == expected
     assert all(r.wall_time_ms == 0 for r in rows_a)
+
+
+def test_run_experiment_bit_identical_on_a_cold_descriptor_cache(tmp_path, monkeypatch):
+    # two workers start on a cleared cache, so their builds of the shared
+    # d = 3 Gaussian constants can race; the CSV matches a warm rerun
+    monkeypatch.setenv("ROBUST_CHOW_THREADS", "2")
+    cfg = base_config(n=4, d=3, eps_grid=[0.05, 0.1], strategies=["none", "chow_attack"],
+                      out=str(tmp_path / "cold.csv"))
+    distributions._gaussian_constants.cache_clear()
+    run_experiment(cfg)
+    assert distributions._gaussian_constants.cache_info().currsize == 1
+    run_experiment(cfg, out=str(tmp_path / "warm.csv"))
+    digest_cold = hashlib.sha256((tmp_path / "cold.csv").read_bytes()).hexdigest()
+    digest_warm = hashlib.sha256((tmp_path / "warm.csv").read_bytes()).hexdigest()
+    assert digest_cold == digest_warm
 
 
 def test_run_experiment_chow_rows_have_errors(tmp_path):
