@@ -5,8 +5,9 @@ A weak hypothesis comes straight from the robust degree-1 Chow vector
 rejection sampling concentrates fresh samples near the current guess's
 boundary, the restricted target is again an LTF whose Chow direction reveals
 the misalignment, and closed-form geometry folds the correction back in.
-Very biased targets get a randomized threshold-shift variant; all produced
-candidates go through holdout selection.
+The calibrated delta recursion allows at most one such step, and none for
+very biased targets, where the constant candidate is already within O(eps).
+The weak, constant and localized candidates go through holdout selection.
 """
 
 from __future__ import annotations
@@ -19,26 +20,23 @@ import numpy as np
 from scipy.stats import norm as _norm
 
 from .adversary import LabeledSampleSet
-from .chowfilter import FilterParams, robust_chow
+from .chowfilter import FilterParams, robust_chow, sample_floor
 from .distributions import EPS_FLOOR, ReasonableDistribution, gaussian_descriptor
 from .errors import AcceptanceTooLow, ZeroChowVector
 from .hypothesis_select import select
 
 CONSTANT_THETA = 1e6        # |theta| at or above this encodes a constant sign
 EPS_PRIME_CAP = 0.3         # effective corruption rate fed to the filter
-MIN_ACCEPTED = 50           # fewer accepted points than this aborts a step
 ACCEPT_TARGET = 50_000      # accepted points a moderate step draws for
 EXTREME_ACCEPT_TARGET = 4_000  # accepted points an extreme trial draws for
 # Branch-plumbing constants. The guarantees fix them only up to O(1), so they
 # are calibrated here.
 CONST_MARGIN = 0.25         # constant branch: 1 - |E f| <= margin * eps
-REGIME_KAPPA = 1.0          # extreme branch: theta e^{theta^2/2} >= kappa sqrt(L)/eps
+REGIME_KAPPA = 1.0          # no localization once theta e^{theta^2/2} >= kappa sqrt(L)/eps
 LOOP_C = 1.0                # delta recursion: delta' = c eps sqrt(log(delta/eps))
 WEAK_C = 6.0                # initial bound: delta0 = c eps sqrt(log(1/eps))
 DELTA0_CAP = 0.4
 B_CAP = 0.25                # largest misalignment b an extreme trial guesses
-TRIAL_BUDGET_C = 50.0       # extreme trials: c log^2(1/eps)
-MAX_MODERATE_ITERS = 25
 
 SampleSource = Callable[[int, int], LabeledSampleSet]
 
@@ -124,10 +122,10 @@ class RejectionParams:
 
 @dataclass
 class LTFConfig:
-    """Sample budgets of the localization steps and the holdout."""
+    """Sample budgets of the localization step and the holdout."""
 
     batch_cap: int = 400_000
-    extreme_batch_cap: int = 200_000
+    extreme_batch_cap: int = 200_000    # read only by refine_extreme
     holdout_size: int = 20_000
 
 
@@ -204,14 +202,14 @@ def refine_moderate(source, v_prev: np.ndarray, theta: float, delta_prev: float,
     rp = RejectionParams(v_prev, theta, sigma)
 
     rate_exp = rp.expected_rate()
+    floor = sample_floor(v_prev.shape[0] + 1)
     m_batch = int(min(config.batch_cap,
-                      max(4 * MIN_ACCEPTED,
-                          math.ceil(ACCEPT_TARGET / max(rate_exp, 1e-6)))))
+                      max(4 * floor, math.ceil(ACCEPT_TARGET / max(rate_exp, 1e-6)))))
     draw_seed, rej_seed = _seed_seq(seed).spawn(2)
     batch = source(m_batch, draw_seed)
     keep = _rejection_mask(batch.points, rp, np.random.default_rng(rej_seed))
     rate_emp = float(keep.mean())
-    if rate_emp < eps or keep.sum() < MIN_ACCEPTED:
+    if rate_emp < eps or keep.sum() < floor:
         raise AcceptanceTooLow(f"acceptance rate {rate_emp:.2e} too low at "
                                f"sigma={sigma:.2e}")
 
@@ -238,9 +236,10 @@ def refine_extreme(source, theta: float, eps: float, u: np.ndarray, seed,
 
     Guesses the misalignment magnitude b on a coarse grid, shifts the
     rejection threshold uniformly inside the guess's slack, and reads the
-    correction direction from the restricted Chow vector. Any single trial
-    succeeds only with inverse-polylog probability; the caller runs a budget
-    of trials and lets holdout selection keep the good ones.
+    correction direction from the restricted Chow vector. No learner calls
+    it: where `learn_ltf` routes a target past localization (eps >= 1e-4),
+    a trial's expected acceptance stays under its own 3 eps floor, so every
+    trial raises `AcceptanceTooLow`.
     """
     if not theta > 0.0:
         raise ValueError(f"extreme branch needs theta > 0, got {theta}")
@@ -259,13 +258,14 @@ def refine_extreme(source, theta: float, eps: float, u: np.ndarray, seed,
     rp = RejectionParams(v, s, sigma)
 
     rate_exp = rp.expected_rate()
+    floor = sample_floor(v.shape[0] + 1)
     m_batch = int(min(config.extreme_batch_cap,
-                      max(4 * MIN_ACCEPTED,
+                      max(4 * floor,
                           math.ceil(EXTREME_ACCEPT_TARGET / max(rate_exp, 1e-8)))))
     batch = source(m_batch, draw_seed)
     keep = _rejection_mask(batch.points, rp, np.random.default_rng(rej_seed))
     rate_emp = float(keep.mean())
-    if rate_emp < 3.0 * eps or keep.sum() < MIN_ACCEPTED:
+    if rate_emp < 3.0 * eps or keep.sum() < floor:
         raise AcceptanceTooLow(f"trial acceptance rate {rate_emp:.2e} too low")
 
     eps_prime = min(EPS_PRIME_CAP, eps_eff / max(rate_emp, eps_eff))
@@ -295,11 +295,16 @@ def _flip_labels(s: LabeledSampleSet) -> LabeledSampleSet:
 def learn_ltf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, eps: float,
               source: SampleSource, seed=0,
               config: Optional[LTFConfig] = None) -> LTF:
-    """Full pipeline: threshold estimate, branch routing, candidate
-    generation, holdout selection. Targets O(eps) disagreement.
+    """Constant branch, mirror to theta >= 0, weak learner, at most one
+    localization step, holdout selection. Targets O(eps) disagreement.
+
+    The step runs when the weak hypothesis is not constant, the target is not
+    so biased that theta e^{theta^2/2} >= REGIME_KAPPA sqrt(log(1/eps))/eps,
+    and the delta recursion halves the weak bound. A step that fails
+    (`AcceptanceTooLow`, `ZeroChowVector`) adds no candidate.
 
     source(m, seed) draws m fresh corrupted samples; the localization
-    batches and the holdout come from it, never from `corrupted`.
+    batch and the holdout come from it, never from `corrupted`.
     """
     config = config or LTFConfig()
     eps_eff = max(eps, EPS_FLOOR)
@@ -324,36 +329,16 @@ def learn_ltf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, eps: fl
     log_term = math.log(1.0 / eps_eff)
     extreme = (theta0 * math.exp(theta0 ** 2 / 2.0)
                >= REGIME_KAPPA * math.sqrt(log_term) / eps_eff)
-
-    if not weak.is_constant:
-        if not extreme:
-            v_cur = weak.v
-            delta = min(DELTA0_CAP, WEAK_C * eps_eff * math.sqrt(max(1.0, log_term)))
-            for it in range(MAX_MODERATE_ITERS):
-                delta_next = LOOP_C * eps_eff * math.sqrt(
-                    max(1.0, math.log(delta / eps_eff)))
-                if delta_next >= delta / 2.0:
-                    break
-                try:
-                    u_new = refine_moderate(source, v_cur, theta0, delta, eps,
-                                            seed=branch_seed + it, config=config)
-                except (AcceptanceTooLow, ZeroChowVector):
-                    break
-                v_cur = u_new / np.linalg.norm(u_new)
-                candidates.append(LTF(v_cur, theta0))
-                delta = delta_next
-        else:
-            budget = int(math.ceil(TRIAL_BUDGET_C * log_term ** 2))
-            u0 = 2.0 * gaussian_pdf(theta0) * weak.v
-            for t in range(budget):
-                try:
-                    u_cand = refine_extreme(source, theta0, eps, u0,
-                                            seed=branch_seed + t, config=config)
-                except (AcceptanceTooLow, ZeroChowVector):
-                    continue
-                nrm = float(np.linalg.norm(u_cand))
-                if nrm > 1e-12:
-                    candidates.append(LTF(u_cand / nrm, theta0))
+    if not (weak.is_constant or extreme):
+        delta0 = min(DELTA0_CAP, WEAK_C * eps_eff * math.sqrt(max(1.0, log_term)))
+        delta_next = LOOP_C * eps_eff * math.sqrt(max(1.0, math.log(delta0 / eps_eff)))
+        if delta_next < delta0 / 2.0:
+            try:
+                u_new = refine_moderate(source, weak.v, theta0, delta0, eps,
+                                        seed=branch_seed, config=config)
+                candidates.append(LTF(u_new / np.linalg.norm(u_new), theta0))
+            except (AcceptanceTooLow, ZeroChowVector):
+                pass
 
     holdout = source(config.holdout_size, s_holdout)
     winner, _ = select(candidates, holdout)

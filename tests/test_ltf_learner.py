@@ -6,7 +6,7 @@ from scipy.stats import norm
 
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import ChowEstimate
-from robustchow.distributions import gaussian_descriptor
+from robustchow.distributions import EPS_FLOOR, gaussian_descriptor
 from robustchow import ltf_learner
 from robustchow.harness import make_corrupted_source, score
 from robustchow.ltf_learner import (LTF, LTFConfig, RejectionParams,
@@ -257,6 +257,55 @@ def test_refine_extreme_rejects_nonpositive_theta(theta):
                        config=LTFConfig())
 
 
+def _delta_after_step(delta, eps_eff):
+    return ltf_learner.LOOP_C * eps_eff * math.sqrt(max(1.0, math.log(delta / eps_eff)))
+
+
+def test_delta_recursion_allows_at_most_one_step():
+    """learn_ltf localizes only while the recursion halves the bound: once
+    below eps_eff = 0.2, never from 0.2 up, and never a second time."""
+    grid = np.concatenate([[0.0], np.geomspace(1e-12, 0.01, 400),
+                           np.linspace(0.01, 1 / 3, 4000, endpoint=False), [0.2]])
+    for eps in grid:
+        eps_eff = max(float(eps), EPS_FLOOR)
+        delta0 = min(ltf_learner.DELTA0_CAP, ltf_learner.WEAK_C * eps_eff
+                     * math.sqrt(max(1.0, math.log(1.0 / eps_eff))))
+        delta1 = _delta_after_step(delta0, eps_eff)
+        assert (delta1 < delta0 / 2) == (eps_eff < 0.2), eps
+        assert _delta_after_step(delta1, eps_eff) >= delta1 / 2, eps
+
+
+def _branch_start(eps):
+    """Smallest theta0 with theta0 e^{theta0^2/2} >= REGIME_KAPPA sqrt(log(1/eps))/eps."""
+    rhs = ltf_learner.REGIME_KAPPA * math.sqrt(math.log(1.0 / eps)) / eps
+    lo, hi = 0.0, 10.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if mid * math.exp(mid * mid / 2) < rhs else (lo, mid)
+    return hi
+
+
+def test_extreme_trials_cannot_reach_their_acceptance_floor():
+    """Where learn_ltf skips localization (theta0 past the branch start and
+    short of the constant branch), a refine_extreme trial would accept at
+    most its clean rate plus every corrupted point; that stays under the
+    3 eps it needs, by half, at each b it can guess and its smallest shift
+    a theta0 (the rate falls as the shift grows)."""
+    worst = 0.0
+    for eps in np.geomspace(1e-4, 1 / 3, 120, endpoint=False):
+        step = 1.0 / math.log(1.0 / eps)
+        bs = step * np.arange(int(ltf_learner.B_CAP / step) + 1)
+        # the constant branch takes every theta0 with 2 Phibar(theta0) <= CONST_MARGIN eps
+        top = float(norm.isf(ltf_learner.CONST_MARGIN * eps / 2))
+        for theta0 in np.linspace(_branch_start(eps), top, 80):
+            for b in bs:
+                a = math.sqrt(1.0 - b * b)
+                rp = RejectionParams(np.r_[1.0], a * theta0, min(0.9, 1.0 / theta0))
+                worst = max(worst, (rp.expected_rate() + eps) / (3.0 * eps))
+    print(f"largest expected acceptance over the 3 eps floor: {worst:.3f}")
+    assert worst < 0.5
+
+
 # --- full learner ----------------------------------------------------------------
 
 def test_learn_ltf_clean_small(small_config):
@@ -301,6 +350,43 @@ def test_learn_ltf_constant_branch(small_config):
     out = learn_ltf(s, dist, 0.05, source=source, seed=62, config=small_config)
     pts = dist.sample(5000, 63)
     assert float(np.mean(out.evaluate(pts) == -1.0)) > 0.95
+
+
+def test_learn_ltf_too_few_accepted_points_adds_no_candidate():
+    # a localization step that accepts fewer rows than the filter's floor
+    # (here about 70 of 82) is skipped; it must not raise out of learn_ltf
+    n = 40
+    dist = gaussian_descriptor(n, 1, 0.05)
+    f = plant(n, 0.5, 0)
+    source = make_corrupted_source(f, dist, 0.05, AdversaryStrategy("chow_attack"))
+    s = source(100_000, 1)
+    out = learn_ltf(s, dist, 0.05, source=source, seed=3,
+                    config=LTFConfig(batch_cap=180, holdout_size=2000))
+    assert score(out, f, dist, 100_000, 4) <= 0.5   # 10 eps
+
+
+def test_learn_ltf_strongly_biased_target_draws_only_the_holdout():
+    # theta0 lies past the branch start and the weak hypothesis is not
+    # constant, so only the holdout is drawn: no localization step, no trials
+    n, eps = 20, 0.05
+    dist = gaussian_descriptor(n, 1, eps)
+    f = plant(n, 2.8, 81)
+    source = make_corrupted_source(f, dist, eps, AdversaryStrategy("remove_informative"))
+    s = source(100_000, 82)
+    theta0 = estimate_threshold(s)
+    assert theta0 >= _branch_start(eps)
+    assert not weak_learn_ltf(s, dist, eps).is_constant
+    calls = []
+
+    def counted(m, seed):
+        calls.append(m)
+        return source(m, seed)
+
+    cfg = LTFConfig(batch_cap=100_000, extreme_batch_cap=100_000)
+    out = learn_ltf(s, dist, eps, source=counted, seed=5, config=cfg)
+    assert calls == [cfg.holdout_size]
+    assert out.theta == theta0
+    assert score(out, f, dist, 100_000, 83) <= 0.5   # 10 eps
 
 
 def test_learn_ltf_deterministic_given_seed(small_config):
