@@ -332,16 +332,14 @@ def run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,
 
     disagreement = 0.0
     chow_error: Optional[float] = None
-    iterations = 0
-    removed = 0
+    counts = {}   # the target filter's record; LTF keeps none yet
     flags = []
 
     if config.learner == "chow":
         est = robust_chow(corrupted, dist, FilterParams(eps=eps))
         if config.dist == "gaussian":  # the analytic vector holds only there
             chow_error = chow_distance(est, analytic_ltf_chow(plant.v, plant.theta, dist))
-        iterations = int(est.provenance["iterations"])
-        removed = int(est.provenance["pruned"] + est.provenance["filtered"])
+        counts = est.provenance
         if est.provenance.get("degraded"):
             flags.append("degraded")
         if est.provenance.get("cap_reached"):
@@ -358,15 +356,18 @@ def run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,
             hyp = learn_ptf(corrupted, dist, config.d, eps, xi=config.xi,
                             oracle_strategy=strategy,
                             seed=int(s_learn.generate_state(1)[0]))
+            counts = hyp.provenance["target"]
         else:
             hyp = learn_intersection(corrupted, config.k, eps, source=source,
                                      m_tournament=config.m_holdout,
                                      seed=int(s_learn.generate_state(1)[0]))
+            counts = hyp.provenance
         disagreement = score(hyp, plant, dist, config.m_score, s_score)
         output = hyp
 
     row = ResultRow(config.learner, strategy_tag, eps, trial, cell_seed,
-                    disagreement, chow_error, iterations, removed, 0,
+                    disagreement, chow_error, int(counts.get("iterations", 0)),
+                    int(counts.get("pruned", 0) + counts.get("filtered", 0)), 0,
                     ";".join(flags))
     return row, output
 

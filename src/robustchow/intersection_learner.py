@@ -261,8 +261,9 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
     """Subspace from robust degree-2 Chow parameters, then a tournament over the
     cover at default_cover_delta(k, eps) on a fresh holdout drawn by source(m,
     seed) and projected, lifted back to ambient coordinates. Its provenance
-    records the subspace dimension, the cover searched, the winner, and how many
-    of the cover's unordered direction k-tuples (pairs at k = 2) the tournament
+    records the target filter's iterations, pruned and filtered counts, the
+    subspace dimension, the cover searched, the winner, and how many of the
+    cover's unordered direction k-tuples (pairs at k = 2) the tournament
     histogrammed out of all of them."""
     n = corrupted.n
     dist = gaussian_descriptor(n, 2, eps)
@@ -270,12 +271,13 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
     d2 = build_degree2(est)
     floor = 3.0 * (math.sqrt(dist.basis.ell / len(corrupted)) + eps)
     sub = extract_subspace(d2, k, noise_floor=floor)
+    counts = {key: est.provenance[key] for key in ("iterations", "pruned", "filtered")}
 
     mean = float(np.mean(corrupted.labels))
     if sub.dim == 0:
         const = Intersection([constant_ltf(n, 1.0 if mean >= 0 else -1.0)])
         const.subspace = np.zeros((n, 0))
-        const.provenance = {"subspace_dim": 0}
+        const.provenance = {"subspace_dim": 0, **counts}
         return const
 
     holdout = source(m_tournament, np.random.SeedSequence(seed).spawn(1)[0])
@@ -304,5 +306,6 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
         "holdout_error": holdout_error,
         "pairs_scored": pairs_scored,
         "pairs_total": math.comb(directions + k - 1, k),
+        **counts,
     }
     return out

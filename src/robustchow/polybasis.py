@@ -148,35 +148,56 @@ def _hermite_table(pw, n, max_exp):
         nxt /= math.sqrt(p + 1)
 
 
+def _points(basis: MonomialBasis, points) -> np.ndarray:
+    """points as an (m, n) float array, n being the basis's."""
+    pts = np.asarray(points, dtype=np.float64)
+    if pts.ndim != 2 or pts.shape[1] != basis.n:
+        raise DimensionMismatch(f"points have shape {pts.shape}, basis expects (m, {basis.n})")
+    return pts
+
+
+def _tiles(basis: MonomialBasis, pts, fill_table, runs, out=None):
+    """Yield (cols, block) for each tile of TILE_ROWS points, block being the
+    (ell, tile) features of pts[cols] that the given plan runs build.
+
+    Each tile gets a table of per-variable factors (row (p - 1) * n + j
+    holds the degree-p factor of x_j, filled by fill_table from row p = 1,
+    which holds x itself), copies x into the degree-1 rows and then does
+    one multiply per run (see MonomialBasis.plan): the run's parent rows
+    times one table row. With an (ell, m) out, block is out[:, cols].
+    Without one, every tile reuses one zeroed (ell, TILE_ROWS) buffer, so
+    the rows no run writes read 0.
+    """
+    m, n = pts.shape
+    buf = np.zeros((basis.ell, min(m, TILE_ROWS))) if out is None else out
+    buf[0] = 1.0
+    max_exp = int(basis.exponents.max())
+    table = np.empty((max_exp * n, min(m, TILE_ROWS)), dtype=np.float64)
+    for c0 in range(0, m, TILE_ROWS):
+        cols = slice(c0, min(c0 + TILE_ROWS, m))
+        width = cols.stop - c0
+        block = buf[:, :width] if out is None else buf[:, cols]
+        tab = table[:, :width]
+        tab[:n] = pts[cols].T
+        block[1:n + 1] = tab[:n]   # x^1 = He_1(x) = x
+        fill_table(tab, n, max_exp)
+        for lo, hi, parent, factor in runs:
+            np.multiply(block[parent:parent + hi - lo], tab[factor], out=block[lo:hi])
+        yield cols, block
+
+
 def _featurize(basis: MonomialBasis, points, fill_table) -> np.ndarray:
     """Evaluate the products of per-variable factors that the basis plan
     names on an (m, n) array of points, returning (m, ell).
 
     The result is stored feature-major: it is the transpose view of one
     C-contiguous (ell, m) array, so each feature is a contiguous row there.
-    Points are processed in tiles of columns. Each tile gets a table of
-    per-variable factors (row (p - 1) * n + j holds the degree-p factor of
-    x_j, filled by fill_table from row p = 1, which holds x itself), copies
-    x into the degree-1 rows and then does one multiply per run of the
-    basis plan (see MonomialBasis.plan): the run's parent rows times one
-    table row.
+    `_tiles` writes it tile by tile with every run of the plan.
     """
-    pts = np.asarray(points, dtype=np.float64)
-    if pts.ndim != 2 or pts.shape[1] != basis.n:
-        raise DimensionMismatch(f"points have shape {pts.shape}, basis expects (m, {basis.n})")
-    m, n = pts.shape
-    out = np.empty((basis.ell, m), dtype=np.float64)
-    out[0] = 1.0
-    max_exp = int(basis.exponents.max())
-    table = np.empty((max_exp * n, min(m, TILE_ROWS)), dtype=np.float64)
-    for c0 in range(0, m, TILE_ROWS):
-        cols = slice(c0, min(c0 + TILE_ROWS, m))
-        tab = table[:, :cols.stop - c0]
-        tab[:n] = pts[cols].T
-        out[1:n + 1, cols] = tab[:n]   # x^1 = He_1(x) = x
-        fill_table(tab, n, max_exp)
-        for lo, hi, parent, factor in basis.plan:
-            np.multiply(out[parent:parent + hi - lo, cols], tab[factor], out=out[lo:hi, cols])
+    pts = _points(basis, points)
+    out = np.empty((basis.ell, len(pts)), dtype=np.float64)
+    for _ in _tiles(basis, pts, fill_table, basis.plan, out):
+        pass
     return out.T
 
 
@@ -208,4 +229,23 @@ class Polynomial:
             raise ValueError("polynomial coefficients must be finite")
 
     def __call__(self, points) -> np.ndarray:
-        return eval_monomials_batch(self.basis, points) @ self.coeffs
+        """p on an (m, n) array of points, (m,), tile by tile (`_tiles`), so
+        the (m, ell) monomial matrix is never stored. Only the plan runs the
+        nonzero coefficients need are built: walking the plan back, a run is
+        kept when one of its elements is needed, and then its parents are.
+        Where the monomial matrix is finite, the values are bit for bit its
+        product with coeffs per TILE_ROWS slice (one product over all m rows
+        may round a few rows differently, as BLAS splits them among
+        threads); a zero coefficient adds 0 even where its monomial overflows.
+        """
+        need = self.coeffs != 0.0
+        runs = []
+        for lo, hi, parent, factor in reversed(self.basis.plan):
+            if need[lo:hi].any():
+                runs.append((lo, hi, parent, factor))
+                need[parent:parent + hi - lo] = True
+        pts = _points(self.basis, points)
+        out = np.empty(len(pts), dtype=np.float64)
+        for cols, block in _tiles(self.basis, pts, _power_table, runs[::-1]):
+            out[cols] = block.T @ self.coeffs
+        return out

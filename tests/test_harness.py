@@ -2,13 +2,15 @@ import hashlib
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 from scipy.stats import norm
 
 from robustchow import distributions
-from robustchow.adversary import STRATEGIES, AdversaryStrategy, LabeledSampleSet, corrupt
+from robustchow.adversary import (STRATEGIES, AdversaryStrategy, LabeledSampleSet, corrupt,
+                                  corrupted_rows)
 from robustchow.chowfilter import ChowEstimate, chow_distance, empirical_chow
 from robustchow.distributions import gaussian_descriptor
 from robustchow.errors import ConfigError, ZeroChowVector
@@ -25,7 +27,8 @@ from robustchow.harness import (
     write_csv,
 )
 from robustchow.ltf_learner import LTF
-from robustchow.polybasis import basis_size
+from robustchow.polybasis import TILE_ROWS, Polynomial, basis_size
+from robustchow.ptf_learner import PTF
 
 
 def base_config(**over):
@@ -426,6 +429,49 @@ def test_run_experiment_intersection_smoke(tmp_path):
                       plant={"thetas": [0.5]}, out=str(tmp_path / "int.csv"))
     rows = run_experiment(cfg)
     assert rows[0].disagreement <= 0.1
+
+
+@pytest.mark.parametrize("learner", ["ptf", "intersection"])
+def test_run_cell_counters_come_from_the_target_filter(learner):
+    cfg = base_config(learner=learner, n=4, d=2, k=1, eps_grid=[0.05],
+                      strategies=["chow_attack"], trials=1, m_train=20_000,
+                      m_holdout=5_000, m_score=10_000)
+    cfg.validate()
+    row, hyp = run_cell(cfg, "chow_attack", 0.05, 0, 0)
+    prov = hyp.provenance["target"] if learner == "ptf" else hyp.provenance
+    assert row.iterations == prov["iterations"] >= 1
+    assert row.points_removed == prov["pruned"] + prov["filtered"] > 0
+
+
+def _peak_bytes(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ptf_evaluation_memory_is_a_tile_not_the_monomial_matrix():
+    # a dense degree-3 PTF on 1e5 points: the (m, ell) monomial matrix
+    # would take 364 MB, a tile of it 7.5 MB
+    n, d, count, eps = 12, 3, 100_000, 0.1
+    dist = gaussian_descriptor(n, d, eps)
+    rng = np.random.default_rng(8)
+    plant = PTF(Polynomial(dist.basis, rng.standard_normal(dist.ell)))
+    other = PTF(Polynomial(dist.basis, rng.standard_normal(dist.ell)))
+    tile = dist.ell * TILE_ROWS * 8
+    # room for two tiles and two copies of the points evaluated
+    bound = 2 * (tile + count * n * 8)
+    assert _peak_bytes(score, other, plant, dist, count, 9) < bound
+    # remove_informative ranks the m clean points and a pool of 50 budget
+    # fresh ones by margin
+    m = 20_000
+    pts = dist.sample(m, 10)
+    clean = LabeledSampleSet(pts, plant.evaluate(pts))
+    bound = 2 * (tile + (m + 50 * int(eps * m)) * n * 8)
+    assert _peak_bytes(corrupted_rows, clean, plant, eps,
+                       AdversaryStrategy("remove_informative"), dist, 11) < bound
 
 
 def test_run_experiment_ltf_smoke(tmp_path):

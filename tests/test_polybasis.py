@@ -7,6 +7,7 @@ from robustchow.errors import DimensionMismatch, SizeCapExceeded
 from robustchow.polybasis import (TILE_ROWS, MonomialBasis, Polynomial,
                                   basis_size, enumerate_basis, eval_hermite_batch,
                                   eval_monomials_batch)
+from robustchow.ptf_learner import PTF
 
 
 def test_enumerate_n2_d1_exact_order():
@@ -70,8 +71,32 @@ def per_column_reference(basis, pts):
     return out
 
 
+def coefficient_cases(basis, rng):
+    """Dense coefficients; one degree-d term, whose parent chain crosses
+    runs; that term plus the constant; a sparse mix; all zero."""
+    degree = basis.exponents.sum(axis=1)
+    one = np.zeros(basis.ell)
+    one[rng.choice(np.flatnonzero(degree == degree[-1]))] = -1.5
+    two = one.copy()
+    two[0] = 2.0
+    sparse = rng.standard_normal(basis.ell) * (rng.random(basis.ell) < 0.2)
+    return [rng.standard_normal(basis.ell), one, two, sparse, np.zeros(basis.ell)]
+
+
+def tilewise_product(feats, coeffs):
+    """feats @ coeffs, one product per TILE_ROWS rows, as a Polynomial takes
+    it. Up to m = TILE_ROWS that is the one product over all rows. Beyond
+    it, one product may round a few rows differently in the last bits:
+    BLAS splits the rows among its threads and rounds the leftover rows of
+    each share by another path, so which rows take it depends on m."""
+    tiles = [feats[c0:c0 + TILE_ROWS] @ coeffs for c0 in range(0, len(feats), TILE_ROWS)]
+    return np.concatenate(tiles) if tiles else feats @ coeffs
+
+
 @pytest.mark.parametrize("multilinear", [False, True])
 def test_eval_batch_bit_identical_to_per_column_loop(multilinear):
+    # and a Polynomial, built from only the runs its nonzero coefficients
+    # need, takes the values of the full monomial matrix times coeffs
     rng = np.random.default_rng(11)
     for n in range(1, 13):
         for d in range(1, 5):
@@ -88,6 +113,27 @@ def test_eval_batch_bit_identical_to_per_column_loop(multilinear):
                 assert got.shape == (m, b.ell) and got.T.flags.c_contiguous
                 assert np.array_equal(got, ref, equal_nan=True), (n, d, m)
                 assert np.array_equal(np.signbit(got), np.signbit(ref)), (n, d, m)
+                if m >= 3:   # a zero coefficient times inf is NaN in the full matrix
+                    pts[2, 0] = 1e3
+                    got = eval_monomials_batch(b, pts)
+                for coeffs in coefficient_cases(b, rng):
+                    value = Polynomial(b, coeffs)(pts)
+                    assert value.tobytes() == tilewise_product(got, coeffs).tobytes(), (n, d, m)
+
+
+def test_zero_coefficients_cannot_make_a_value_nan():
+    # sign(x1^2 - 1) at a finite point whose x2 squares to infinity: the
+    # full monomial matrix holds x2^2 = inf, and 0 * inf made the margin NaN
+    # and the label -1
+    b = enumerate_basis(2, 2)
+    coeffs = np.zeros(b.ell)
+    coeffs[0] = -1.0
+    coeffs[b.index_of((2, 0))] = 1.0
+    pts = np.array([[2.0, 1e200]])
+    poly = Polynomial(b, coeffs)
+    with np.errstate(over="ignore"):   # the factor table still squares x2
+        margin, label = poly(pts), PTF(poly).evaluate(pts)
+    assert margin.tolist() == [3.0] and label.tolist() == [1.0]
 
 
 def test_basis_must_be_graded():
