@@ -19,7 +19,7 @@ import numpy as np
 from .adversary import LabeledSampleSet
 from .distributions import ReasonableDistribution
 from .errors import AllPointsPruned, BasisMismatch, ChowBoundViolated, NoThresholdFound
-from .polybasis import MonomialBasis, enumerate_basis, eval_monomials_batch
+from .polybasis import MonomialBasis, enumerate_basis, monomial_sum
 
 # The break level is C_BREAK * (gamma + delta + eps); calibrated so clean
 # Gaussian runs at m = 1e5 converge in a couple of iterations.
@@ -249,8 +249,7 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
 
 def empirical_chow(s: LabeledSampleSet, dist: ReasonableDistribution) -> ChowEstimate:
     """Unfiltered label-weighted monomial mean, for comparisons."""
-    phi = eval_monomials_batch(dist.basis, s.points)
-    chi = (s.labels @ phi) / len(s)
+    chi = monomial_sum(dist.basis, s.points, s.labels) / len(s)
     # Corrupted inputs can push the raw mean past the clean Cauchy-Schwarz
     # box, so skip the dist validation here.
     est = ChowEstimate(chi, dist.basis, None,

@@ -67,7 +67,7 @@ class ChowBoundViolated(RobustChowError):
 
 
 class ZeroChowVector(RobustChowError):
-    """Degree-1 Chow block is below the statistical noise floor."""
+    """Degree-1 Chow block is exactly zero, so it names no direction."""
 
 
 class AcceptanceTooLow(RobustChowError):

@@ -7,7 +7,9 @@ boundary, the restricted target is again an LTF whose Chow direction reveals
 the misalignment, and closed-form geometry folds the correction back in.
 The calibrated delta recursion allows at most one such step, and none for
 very biased targets, where the constant candidate is already within O(eps).
-The weak, constant and localized candidates go through holdout selection.
+Both signs of theta take the same path. Holdout selection picks among the
+weak, constant and localized candidates, so it alone judges whether a
+direction is only noise: such a direction loses to the constant there.
 """
 
 from __future__ import annotations
@@ -64,10 +66,6 @@ class LTF:
     def n(self) -> int:
         return self.v.shape[0]
 
-    @property
-    def is_constant(self) -> bool:
-        return abs(self.theta) >= CONSTANT_THETA / 2
-
     def margin(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=np.float64) @ self.v + self.theta
 
@@ -83,9 +81,11 @@ class LTF:
 
 
 def constant_ltf(n: int, sign: float) -> LTF:
+    """The constant sign as (s e_1, s CONSTANT_THETA), so the two constants
+    are negatives of each other."""
     v = np.zeros(n)
-    v[0] = 1.0
-    return LTF(v, CONSTANT_THETA if sign >= 0 else -CONSTANT_THETA)
+    v[0] = 1.0 if sign >= 0 else -1.0
+    return LTF(v, CONSTANT_THETA * v[0])
 
 
 @dataclass
@@ -174,15 +174,11 @@ def _chow_subbatch(batch: LabeledSampleSet, keep: np.ndarray, rp: RejectionParam
 def weak_learn_ltf(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
                    eps: float) -> LTF:
     """Normalize the robust degree-1 Chow vector; threshold from the label mean."""
-    est = robust_chow(corrupted, dist, FilterParams(eps=eps))
-    u = est.chi[1:]
+    u = robust_chow(corrupted, dist, FilterParams(eps=eps)).chi[1:]
     nrm = float(np.linalg.norm(u))
-    floor = 10.0 * math.sqrt(corrupted.n / len(corrupted))
-    theta = estimate_threshold(corrupted)
-    if nrm < floor:
-        # near-constant target: the direction is pure noise
-        return constant_ltf(corrupted.n, np.sign(np.mean(corrupted.labels)) or 1.0)
-    return LTF(u / nrm, theta)
+    if nrm == 0.0:
+        raise ZeroChowVector("the degree-1 Chow vector is exactly zero")
+    return LTF(u / nrm, estimate_threshold(corrupted))
 
 
 def refine_moderate(source, v_prev: np.ndarray, theta: float, delta_prev: float,
@@ -215,10 +211,7 @@ def refine_moderate(source, v_prev: np.ndarray, theta: float, delta_prev: float,
 
     eps_prime = min(EPS_PRIME_CAP, eps_eff / delta_prev)
     u_g = _chow_subbatch(batch, keep, rp, eps_prime)
-    nrm = float(np.linalg.norm(u_g))
-    if nrm < 10.0 * math.sqrt(v_prev.shape[0] / max(int(keep.sum()), 1)):
-        raise ZeroChowVector("restricted target has no usable Chow direction")
-    xhat = u_g / nrm
+    xhat = u_g / np.linalg.norm(u_g)
     par = float(xhat @ v_prev)
     c_perp = math.sqrt(max(0.0, 1.0 - par ** 2))
     a, b = recover_ab(c_perp, sigma)
@@ -287,21 +280,18 @@ def refine_extreme(source, theta: float, eps: float, u: np.ndarray, seed,
     return 2.0 * gaussian_pdf(theta) * (a * v + b * w)
 
 
-def _flip_labels(s: LabeledSampleSet) -> LabeledSampleSet:
-    """The set with negated labels, sharing its points and mask."""
-    return LabeledSampleSet(s.points, -s.labels, s.corrupted_mask)
-
-
 def learn_ltf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, eps: float,
               source: SampleSource, seed=0,
               config: Optional[LTFConfig] = None) -> LTF:
-    """Constant branch, mirror to theta >= 0, weak learner, at most one
-    localization step, holdout selection. Targets O(eps) disagreement.
+    """Constant branch, weak learner, at most one localization step, holdout
+    selection. Targets O(eps) disagreement.
 
-    The step runs when the weak hypothesis is not constant, the target is not
-    so biased that theta e^{theta^2/2} >= REGIME_KAPPA sqrt(log(1/eps))/eps,
-    and the delta recursion halves the weak bound. A step that fails
-    (`AcceptanceTooLow`, `ZeroChowVector`) adds no candidate.
+    The step runs unless the target is so biased that |theta| e^{theta^2/2}
+    >= REGIME_KAPPA sqrt(log(1/eps))/eps, and only when the delta recursion
+    halves the weak bound. It is symmetric in theta, so both signs take this
+    one path. A step that accepts too few points (`AcceptanceTooLow`) adds no
+    candidate. Holdout selection then picks among the weak, constant and
+    localized hypotheses.
 
     source(m, seed) draws m fresh corrupted samples; the localization
     batch and the holdout come from it, never from `corrupted`.
@@ -311,34 +301,28 @@ def learn_ltf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, eps: fl
     n = corrupted.n
     mean = float(np.mean(corrupted.labels))
     theta0 = estimate_threshold(corrupted)
+    constant = constant_ltf(n, 1.0 if mean >= 0 else -1.0)
 
     if 1.0 - abs(mean) <= CONST_MARGIN * eps:
-        return constant_ltf(n, 1.0 if mean >= 0 else -1.0)
-
-    if theta0 < 0.0:
-        flipped_src: SampleSource = lambda m, s: _flip_labels(source(m, s))
-        mirror = learn_ltf(_flip_labels(corrupted), dist, eps,
-                           source=flipped_src, seed=seed, config=config)
-        return LTF(-mirror.v, -mirror.theta)
+        return constant
 
     s_branch, s_holdout = _seed_seq(seed).spawn(2)
     weak = weak_learn_ltf(corrupted, dist, eps)
-    candidates = [weak, constant_ltf(n, 1.0 if mean >= 0 else -1.0)]
+    candidates = [weak, constant]
     branch_seed = int(s_branch.generate_state(1)[0])
 
     log_term = math.log(1.0 / eps_eff)
-    extreme = (theta0 * math.exp(theta0 ** 2 / 2.0)
+    extreme = (abs(theta0) * math.exp(theta0 ** 2 / 2.0)
                >= REGIME_KAPPA * math.sqrt(log_term) / eps_eff)
-    if not (weak.is_constant or extreme):
-        delta0 = min(DELTA0_CAP, WEAK_C * eps_eff * math.sqrt(max(1.0, log_term)))
-        delta_next = LOOP_C * eps_eff * math.sqrt(max(1.0, math.log(delta0 / eps_eff)))
-        if delta_next < delta0 / 2.0:
-            try:
-                u_new = refine_moderate(source, weak.v, theta0, delta0, eps,
-                                        seed=branch_seed, config=config)
-                candidates.append(LTF(u_new / np.linalg.norm(u_new), theta0))
-            except (AcceptanceTooLow, ZeroChowVector):
-                pass
+    delta0 = min(DELTA0_CAP, WEAK_C * eps_eff * math.sqrt(max(1.0, log_term)))
+    delta_next = LOOP_C * eps_eff * math.sqrt(max(1.0, math.log(delta0 / eps_eff)))
+    if not extreme and delta_next < delta0 / 2.0:
+        try:
+            u_new = refine_moderate(source, weak.v, theta0, delta0, eps,
+                                    seed=branch_seed, config=config)
+            candidates.append(LTF(u_new / np.linalg.norm(u_new), theta0))
+        except AcceptanceTooLow:
+            pass
 
     holdout = source(config.holdout_size, s_holdout)
     winner, _ = select(candidates, holdout)

@@ -213,6 +213,16 @@ def eval_hermite_batch(basis: MonomialBasis, points) -> np.ndarray:
     return _featurize(basis, points, _hermite_table)
 
 
+def monomial_sum(basis: MonomialBasis, points, weights) -> np.ndarray:
+    """sum_i weights[i] m(x_i) over an (m, n) array of points, (ell,), tile
+    by tile (`_tiles`), so the (m, ell) monomial matrix is never stored. It
+    agrees with one product over all m rows to rounding, not bit for bit."""
+    total = np.zeros(basis.ell)
+    for cols, block in _tiles(basis, _points(basis, points), _power_table, basis.plan):
+        total += block @ weights[cols]
+    return total
+
+
 @dataclass
 class Polynomial:
     """Dense polynomial p(x) = sum_i coeffs[i] * m_i(x) over a fixed basis."""

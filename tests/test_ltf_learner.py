@@ -7,6 +7,7 @@ from scipy.stats import norm
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import ChowEstimate
 from robustchow.distributions import EPS_FLOOR, gaussian_descriptor
+from robustchow.errors import ZeroChowVector
 from robustchow import ltf_learner
 from robustchow.harness import make_corrupted_source, score
 from robustchow.ltf_learner import (LTF, LTFConfig, RejectionParams,
@@ -49,10 +50,13 @@ def test_ltf_json_roundtrip():
 
 def test_constant_ltf():
     c = constant_ltf(4, 1)
-    assert c.is_constant
+    assert c.theta == ltf_learner.CONSTANT_THETA
     pts = np.random.default_rng(0).standard_normal((50, 4))
     assert (c.evaluate(pts) == 1.0).all()
-    assert (constant_ltf(4, -1).evaluate(pts) == -1.0).all()
+    neg = constant_ltf(4, -1)
+    assert (neg.evaluate(pts) == -1.0).all()
+    # the two constants are negatives of each other, as learn_ltf's output is
+    assert np.array_equal(neg.v, -c.v) and neg.theta == -c.theta
 
 
 # --- threshold estimation ----------------------------------------------------
@@ -196,9 +200,18 @@ def test_weak_learner_constant_target():
     f = constant_ltf(5, 1)
     s = clean_set(f, dist, 20_000, 1)
     out = weak_learn_ltf(s, dist, 0.01)
-    assert out.is_constant
     pts = dist.sample(1000, 2)
     assert (out.evaluate(pts) == 1.0).all()
+
+
+def test_weak_learner_exactly_zero_chow_vector():
+    # every sign pattern of {-1, 1}^3, ten times over, all labelled +1:
+    # sum_i y_i x_i is exactly 0, so there is no direction to normalize
+    cube = np.array(np.meshgrid(*[[-1.0, 1.0]] * 3)).reshape(3, -1).T
+    pts = np.tile(cube, (10, 1))
+    s = LabeledSampleSet(pts, np.ones(len(pts)))
+    with pytest.raises(ZeroChowVector, match="exactly zero"):
+        weak_learn_ltf(s, gaussian_descriptor(3, 1, 0.01), 0.01)
 
 
 # --- refinement stages ---------------------------------------------------------
@@ -327,7 +340,7 @@ def test_learn_ltf_under_attack(small_config):
     s = source(60_000, 42)
     out = learn_ltf(s, dist, 0.05, source=source, seed=43, config=small_config)
     assert score(out, f, dist, 100_000, 44) <= 0.5  # 10 eps
-    assert abs(out.theta - f.theta) < 0.35 or out.is_constant is False
+    assert abs(out.theta - f.theta) < 0.35 or abs(out.theta) < ltf_learner.CONSTANT_THETA
 
 
 def test_learn_ltf_negative_threshold(small_config):
@@ -366,8 +379,8 @@ def test_learn_ltf_too_few_accepted_points_adds_no_candidate():
 
 
 def test_learn_ltf_strongly_biased_target_draws_only_the_holdout():
-    # theta0 lies past the branch start and the weak hypothesis is not
-    # constant, so only the holdout is drawn: no localization step, no trials
+    # theta0 lies past the branch start, so only the holdout is drawn: no
+    # localization step, no trials
     n, eps = 20, 0.05
     dist = gaussian_descriptor(n, 1, eps)
     f = plant(n, 2.8, 81)
@@ -375,7 +388,6 @@ def test_learn_ltf_strongly_biased_target_draws_only_the_holdout():
     s = source(100_000, 82)
     theta0 = estimate_threshold(s)
     assert theta0 >= _branch_start(eps)
-    assert not weak_learn_ltf(s, dist, eps).is_constant
     calls = []
 
     def counted(m, seed):
@@ -398,3 +410,50 @@ def test_learn_ltf_deterministic_given_seed(small_config):
     a = learn_ltf(s, dist, 0.02, source=source, seed=73, config=small_config)
     b = learn_ltf(s, dist, 0.02, source=source, seed=73, config=small_config)
     assert np.array_equal(a.v, b.v) and a.theta == b.theta
+
+
+def test_learn_ltf_is_odd_in_the_labels(small_config):
+    # one path serves both signs: negating every label (training set and
+    # source alike) must negate the output, up to rounding in norm.ppf
+    n, eps = 8, 0.05
+    dist = gaussian_descriptor(n, 1, eps)
+    f = plant(n, -0.8, 91)
+    source = make_corrupted_source(f, dist, eps, AdversaryStrategy("chow_attack", rho=0.9))
+    s = source(60_000, 92)
+
+    def negated(m, seed):
+        batch = source(m, seed)
+        return LabeledSampleSet(batch.points, -batch.labels, batch.corrupted_mask)
+
+    out = learn_ltf(s, dist, eps, source=source, seed=93, config=small_config)
+    mirror = learn_ltf(LabeledSampleSet(s.points, -s.labels, s.corrupted_mask), dist,
+                       eps, source=negated, seed=93, config=small_config)
+    assert out.theta < 0 < mirror.theta
+    assert np.allclose(out.v, -mirror.v, rtol=0, atol=1e-12)
+    assert out.theta == pytest.approx(-mirror.theta, rel=0, abs=1e-12)
+
+
+# theta by eps, at criterion 9's settings: n = 20, m = 1e5, chow_attack with
+# rho 0.9 and LTFConfig(batch_cap=1e5). The bound is C1 eps + C2 sqrt(n/m):
+# O(eps), plus a sampling term small enough to bite at eps = 0.001 (0.0114).
+CLAIM_THETAS = (0.0, 1.0, 1.5, 2.0, 2.25, -2.25)
+CLAIM_EPS = (0.001, 0.01, 0.05)
+CLAIM_C1, CLAIM_C2 = 10.0, 0.1
+
+
+def test_learn_ltf_error_is_order_eps_across_thresholds():
+    n, m = 20, 100_000
+    cfg = LTFConfig(batch_cap=100_000, extreme_batch_cap=100_000)
+    v = plant(n, 0.0, 2027).v
+    misses = []
+    for i, (theta, eps) in enumerate((t, e) for t in CLAIM_THETAS for e in CLAIM_EPS):
+        dist = gaussian_descriptor(n, 1, eps)
+        f = LTF(v, theta)
+        source = make_corrupted_source(f, dist, eps, AdversaryStrategy("chow_attack", rho=0.9))
+        s_train, s_learn, s_score = np.random.SeedSequence(1707, spawn_key=(i,)).spawn(3)
+        out = learn_ltf(source(m, s_train), dist, eps, source=source, seed=s_learn, config=cfg)
+        dis = score(out, f, dist, 1_000_000, s_score)
+        print(f"theta={theta:+.2f} eps={eps}: disagreement {dis / eps:.2f} eps")
+        if dis > CLAIM_C1 * eps + CLAIM_C2 * math.sqrt(n / m):
+            misses.append((theta, eps, dis))
+    assert misses == []

@@ -6,7 +6,7 @@ import pytest
 from robustchow.errors import DimensionMismatch, SizeCapExceeded
 from robustchow.polybasis import (TILE_ROWS, MonomialBasis, Polynomial,
                                   basis_size, enumerate_basis, eval_hermite_batch,
-                                  eval_monomials_batch)
+                                  eval_monomials_batch, monomial_sum)
 from robustchow.ptf_learner import PTF
 
 
@@ -119,6 +119,16 @@ def test_eval_batch_bit_identical_to_per_column_loop(multilinear):
                 for coeffs in coefficient_cases(b, rng):
                     value = Polynomial(b, coeffs)(pts)
                     assert value.tobytes() == tilewise_product(got, coeffs).tobytes(), (n, d, m)
+
+
+@pytest.mark.parametrize("m", [1, TILE_ROWS, 2 * TILE_ROWS + 7])
+def test_monomial_sum_is_the_weighted_column_sum(m):
+    # summed tile by tile: the order differs from one product over all rows
+    b = enumerate_basis(5, 3)
+    rng = np.random.default_rng(m)
+    pts, w = rng.standard_normal((m, 5)), rng.standard_normal(m)
+    np.testing.assert_allclose(monomial_sum(b, pts, w), w @ eval_monomials_batch(b, pts),
+                               rtol=1e-12, atol=1e-12)
 
 
 def test_zero_coefficients_cannot_make_a_value_nan():
