@@ -102,28 +102,23 @@ def _threshold_cut(scores: np.ndarray, dist: ReasonableDistribution, eps: float)
     """Largest observed score T > 0 with frac{|p*| >= T} >= 4 Q_d(T) + 3 eps / T_max^2.
 
     Returns (T, keep_mask). Raises NoThresholdFound when no sample value
-    qualifies. Sorts only the k largest scores, and sorts more while no
-    value above the rest qualifies.
+    qualifies. A fraction is at most 1, so only a score where Q_d has fallen
+    to 1/4 can qualify. The tail is monotone, so those scores are the top
+    ones, and they alone are sorted: a score's count inside them is its
+    count over all scores.
     """
-    m_cur = scores.shape[0]
-    k = 4 * math.ceil(eps * m_cur) + 256
-    while True:
-        split = max(m_cur - k, 0)   # 0: a sort of every score
-        part = np.partition(scores, split - 1)
-        pivot, top = (part[split - 1] if split else 0.0), np.sort(part[split:])
-        # a value above the pivot has its first copy in top, split places
-        # before its position among all the sorted scores
-        first = np.flatnonzero(np.r_[True, top[1:] != top[:-1]] & (top > pivot))
-        candidates = top[first]
-        required = 4.0 * dist.tail(candidates) + 3.0 * eps / dist.t_max ** 2
-        valid = (m_cur - split - first) / m_cur >= required
-        if valid.any():
-            t_cut = float(candidates[np.nonzero(valid)[0][-1]])
-            return t_cut, scores < t_cut
-        if not split:
-            raise NoThresholdFound("no sample value satisfies the tail-excess test"
-                                   if first.size else "all projections are zero")
-        k *= 4
+    # the margin keeps a score that sits at the crossing up to rounding
+    top = np.sort(scores[scores >= dist.tail.crossing(0.25) * (1.0 - 1e-9)])
+    # the first copy of each value; every score in top is positive
+    first = np.flatnonzero(np.r_[top[:1] > 0.0, top[1:] != top[:-1]])
+    candidates = top[first]
+    required = 4.0 * dist.tail(candidates) + 3.0 * eps / dist.t_max ** 2
+    valid = np.flatnonzero((top.size - first) / scores.shape[0] >= required)
+    if not valid.size:
+        raise NoThresholdFound("no sample value satisfies the tail-excess test"
+                               if scores.any() else "all projections are zero")
+    t_cut = float(candidates[valid[-1]])
+    return t_cut, scores < t_cut
 
 
 def sample_floor(ell: int) -> int:

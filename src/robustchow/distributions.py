@@ -55,6 +55,15 @@ class TailBound:
             vals = np.minimum(1.0, np.exp(self.offset - self.c * np.power(t, self.power)))
         return vals if vals.shape else float(vals)
 
+    def crossing(self, level: float) -> float:
+        """Smallest T with Q(T) <= level, in closed form."""
+        u = self.offset + math.log(1.0 / level)
+        try:
+            return (u / self.c) ** (1.0 / self.power)
+        except OverflowError:
+            raise IntegralDiverges(f"tail rate c={self.c} is too slow: Q stays above "
+                                   f"{level} beyond the float range") from None
+
 
 def make_tail_bound(family: str, d: int, c: Optional[float] = None) -> TailBound:
     """Tail bound for a named family at degree d; the rate c is overridable.
@@ -78,16 +87,6 @@ def make_tail_bound(family: str, d: int, c: Optional[float] = None) -> TailBound
     raise UnknownFamily(f"unknown tail family {family!r}; expected one of {_FAMILIES}")
 
 
-def _crossing(tail: TailBound, level: float) -> float:
-    """Smallest T with Q(T) <= level."""
-    u = tail.offset + math.log(1.0 / level)
-    try:
-        return (u / tail.c) ** (1.0 / tail.power)
-    except OverflowError:
-        raise IntegralDiverges(f"tail rate c={tail.c} is too slow: Q stays above "
-                               f"{level} beyond the float range") from None
-
-
 def compute_delta(tail: TailBound, eps: float) -> float:
     """delta = integral of T * min(eps, Q_d(T)) dT over [0, infinity).
 
@@ -96,9 +95,9 @@ def compute_delta(tail: TailBound, eps: float) -> float:
     """
     if not (0.0 < eps <= 0.5):
         raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
-    t0 = _crossing(tail, eps)
+    t0 = tail.crossing(eps)
     head = eps * t0 * t0 / 2.0
-    t_hi = _crossing(tail, 1e-12)
+    t_hi = tail.crossing(1e-12)
 
     def integrand(t):
         return t * np.minimum(eps, tail(t))
@@ -122,7 +121,7 @@ def compute_tmax(tail: TailBound, eps: float, ell: int) -> float:
     if not (0.0 < eps <= 0.5):
         raise ValueError(f"eps must lie in (0, 1/2], got {eps}")
     root_ell = math.sqrt(ell)
-    t_max = 2.0 * root_ell * _crossing(tail, eps / (10.0 * ell))
+    t_max = 2.0 * root_ell * tail.crossing(eps / (10.0 * ell))
     if not t_max <= 1e15:
         raise IntegralDiverges(f"tail does not decay: T_max = {t_max}")
     return max(root_ell, t_max)

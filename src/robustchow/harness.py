@@ -333,17 +333,12 @@ def run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,
     disagreement = 0.0
     chow_error: Optional[float] = None
     counts = {}   # the target filter's record; LTF keeps none yet
-    flags = []
 
     if config.learner == "chow":
         est = robust_chow(corrupted, dist, FilterParams(eps=eps))
         if config.dist == "gaussian":  # the analytic vector holds only there
             chow_error = chow_distance(est, analytic_ltf_chow(plant.v, plant.theta, dist))
         counts = est.provenance
-        if est.provenance.get("degraded"):
-            flags.append("degraded")
-        if est.provenance.get("cap_reached"):
-            flags.append("cap_reached")
         output = est
     else:
         source = make_corrupted_source(plant, dist, eps, strategy)
@@ -368,7 +363,7 @@ def run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,
     row = ResultRow(config.learner, strategy_tag, eps, trial, cell_seed,
                     disagreement, chow_error, int(counts.get("iterations", 0)),
                     int(counts.get("pruned", 0) + counts.get("filtered", 0)), 0,
-                    ";".join(flags))
+                    ";".join(flag for flag in ("degraded", "cap_reached") if counts.get(flag)))
     return row, output
 
 

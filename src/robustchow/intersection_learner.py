@@ -261,24 +261,24 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
     """Subspace from robust degree-2 Chow parameters, then a tournament over the
     cover at default_cover_delta(k, eps) on a fresh holdout drawn by source(m,
     seed) and projected, lifted back to ambient coordinates. Its provenance
-    records the target filter's iterations, pruned and filtered counts, the
-    subspace dimension, the cover searched, the winner, and how many of the
-    cover's unordered direction k-tuples (pairs at k = 2) the tournament
-    histogrammed out of all of them."""
+    records the target filter's iterations, pruned and filtered counts and
+    degraded and cap_reached flags, the subspace dimension, the cover
+    searched, the winner, and how many of the cover's unordered direction
+    k-tuples (pairs at k = 2) the tournament histogrammed out of all of them."""
     n = corrupted.n
     dist = gaussian_descriptor(n, 2, eps)
     est = robust_chow(corrupted, dist, FilterParams(eps=eps))
     d2 = build_degree2(est)
     floor = 3.0 * (math.sqrt(dist.basis.ell / len(corrupted)) + eps)
     sub = extract_subspace(d2, k, noise_floor=floor)
-    counts = {key: est.provenance[key] for key in ("iterations", "pruned", "filtered")}
+    counts = {key: est.provenance[key]
+              for key in ("iterations", "pruned", "filtered", "degraded", "cap_reached")}
 
     mean = float(np.mean(corrupted.labels))
     if sub.dim == 0:
-        const = Intersection([constant_ltf(n, 1.0 if mean >= 0 else -1.0)])
-        const.subspace = np.zeros((n, 0))
-        const.provenance = {"subspace_dim": 0, **counts}
-        return const
+        return Intersection([constant_ltf(n, 1.0 if mean >= 0 else -1.0)],
+                            subspace=np.zeros((n, 0)),
+                            provenance={"subspace_dim": 0, **counts})
 
     holdout = source(m_tournament, np.random.SeedSequence(seed).spawn(1)[0])
     projected = LabeledSampleSet(sub.project(holdout.points), holdout.labels)
@@ -293,10 +293,8 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
         v_amb = sub.basis @ member.v
         nrm = float(np.linalg.norm(v_amb))
         lifted.append(LTF(v_amb / nrm, member.theta))
-    out = Intersection(lifted)
-    out.subspace = sub.basis
     directions = cover.directions
-    out.provenance = {
+    return Intersection(lifted, subspace=sub.basis, provenance={
         "subspace_dim": sub.dim,
         "delta": cover.delta,
         "grid_size": cover.grid_size,
@@ -307,5 +305,4 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
         "pairs_scored": pairs_scored,
         "pairs_total": math.comb(directions + k - 1, k),
         **counts,
-    }
-    return out
+    })

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -368,7 +369,7 @@ def test_threshold_cut_rejects_clean_gaussian_scores():
 
 def unique_searchsorted_cut(scores, dist, eps):
     """The cut rule with a full sort, np.unique candidates and searchsorted
-    counts, as a reference for the partial-sort version."""
+    counts, as a reference for the cut, which sorts only the top scores."""
     order = np.sort(scores)
     candidates = np.unique(order)
     candidates = candidates[candidates > 0.0]
@@ -424,36 +425,58 @@ def mixed_scores(m, seed, decimals, zero_frac, value, size):
     return scores
 
 
+@functools.lru_cache(maxsize=None)
+def cut_family(name):
+    """One descriptor for each tail the cut reads."""
+    if name == "log-concave d2":
+        return log_concave_descriptor(6, 2, cut_family("gaussian d2").sigma, 0.0, 0.1)
+    family, d = name.split(" d")
+    make = gaussian_descriptor if family == "gaussian" else hypercube_descriptor
+    return make(6, int(d), 0.1)
+
+
+# the degree-1 Gaussian's crossing sqrt(2 ln 4): |N(0, 1)| scores and
+# clusters up to 9 straddle it, and scaled by a family's crossing over this
+# they straddle that family's
+CROSSING_G1 = math.sqrt(2.0 * math.log(4.0))
+
+
 @settings(max_examples=200, deadline=None)
 @given(m=st.integers(1, 6000), seed=st.integers(0, 2 ** 16), decimals=st.integers(0, 4),
        zero_frac=st.sampled_from([0.0, 0.3, 1.0]), value=st.floats(0.0, 9.0),
-       size=st.integers(0, 3000), eps=st.sampled_from([0.0, 0.01, 0.1]))
-def test_threshold_cut_matches_full_sort(m, seed, decimals, zero_frac, value, size, eps):
-    # cluster sizes up to half of m put tied clusters on both sides of the
-    # partition pivot at m - 4 ceil(eps m) - 256 and across it
-    dist = gaussian_descriptor(6, 1, 0.1)
-    assert_cut_matches_full_sort(mixed_scores(m, seed, decimals, zero_frac, value, size),
-                                 dist, eps)
+       size=st.integers(0, 3000), eps=st.sampled_from([0.0, 0.01, 0.1]),
+       family=st.sampled_from(["gaussian d1", "gaussian d2", "gaussian d3",
+                               "hypercube d2", "log-concave d2"]))
+def test_threshold_cut_matches_full_sort(m, seed, decimals, zero_frac, value, size, eps,
+                                         family):
+    # tied clusters up to half of m below, at and above the crossing where
+    # the tail bound falls to 1/4, plus one score at the crossing itself
+    dist = cut_family(family)
+    crossing = dist.tail.crossing(0.25)
+    scores = mixed_scores(m, seed, decimals, zero_frac, value, size) * (crossing / CROSSING_G1)
+    assert_cut_matches_full_sort(np.r_[scores, crossing], dist, eps)
 
 
-@pytest.mark.parametrize("case, eps, scores, rounds", [
-    # a 10% cluster at 9 lies among the 4 ceil(eps m) + 256 largest
-    ("first round", 0.1, mixed_scores(20_000, 1, 2, 0.0, 9.0, 2000), "partial"),
-    # at eps 0 only 256 scores are sorted first; the 10% cluster at 3 sits
-    # below the pivot until k has grown to 4096
-    ("grows", 0.0, mixed_scores(20_000, 2, 3, 0.0, 3.0, 2000), "grown"),
-    # the only valid value fills the pivot position: only the full sort finds it
-    ("full sort", 0.1, mixed_scores(3000, 3, 3, 0.0, 3.0, 2000), "full"),
-    ("no valid threshold", 0.1, mixed_scores(20_000, 4, 8, 0.0, 0.0, 0), "full"),
-    ("all zero", 0.1, np.zeros(5000), "full"),
+@pytest.mark.parametrize("eps, scores, cuts", [
+    pytest.param(0.1, mixed_scores(20_000, 1, 2, 0.0, 9.0, 2000), True, id="cluster above"),
+    pytest.param(0.0, mixed_scores(20_000, 2, 3, 0.0, 3.0, 2000), True, id="cluster near"),
+    pytest.param(0.1, mixed_scores(3000, 3, 3, 0.0, 3.0, 2000), True, id="two-thirds cluster"),
+    # at eps 0 a tail of every score passes once Q(T) <= 1/4
+    pytest.param(0.0, np.full(500, CROSSING_G1 * (1 + 1e-12)), True,
+                 id="all above the crossing"),
+    pytest.param(0.1, mixed_scores(20_000, 4, 8, 0.0, 0.0, 0), False, id="no valid threshold"),
+    pytest.param(0.1, np.zeros(5000), False, id="all zero"),
 ])
-def test_threshold_cut_sorts_only_the_tail_it_needs(monkeypatch, case, eps, scores, rounds):
+def test_threshold_cut_sorts_only_the_tail_it_needs(monkeypatch, eps, scores, cuts):
+    # no fraction exceeds 1, so no score whose tail bound is above 1/4 can
+    # pass 4 Q(T) + 3 eps / T_max^2: the cut sorts once, and only the scores
+    # at or above the crossing where the bound falls to 1/4
     dist = gaussian_descriptor(6, 1, 0.1)
-    sorted_sizes = []
+    sorted_args = []
     real_sort = np.sort
 
     def counted(a, *args, **kwargs):
-        sorted_sizes.append(np.size(a))
+        sorted_args.append(np.array(a, copy=True))
         return real_sort(a, *args, **kwargs)
 
     monkeypatch.setattr(chowfilter.np, "sort", counted)
@@ -463,10 +486,12 @@ def test_threshold_cut_sorts_only_the_tail_it_needs(monkeypatch, case, eps, scor
         pass
     monkeypatch.undo()
     t = assert_cut_matches_full_sort(scores, dist, eps)
-    assert (t is None) == (case in ("no valid threshold", "all zero"))
-    full = [size == scores.size for size in sorted_sizes]
-    assert {"partial": full == [False], "grown": len(full) > 1 and not any(full),
-            "full": full[-1]}[rounds], sorted_sizes
+    assert (t is not None) == cuts
+    inside = scores >= dist.tail.crossing(0.25) * (1.0 - 1e-9)
+    assert len(sorted_args) == 1
+    assert np.array_equal(np.sort(sorted_args[0]), np.sort(scores[inside]))
+    assert (dist.tail(scores[~inside]) > 0.25).all()
+    assert (dist.tail(scores[inside]) <= 0.25 * (1.0 + 1e-6)).all()
 
 
 def test_threshold_prefers_largest_valid():

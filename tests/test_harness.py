@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
-from robustchow import distributions
+from robustchow import chowfilter, distributions
 from robustchow.adversary import (STRATEGIES, AdversaryStrategy, LabeledSampleSet, corrupt,
                                   corrupted_rows)
 from robustchow.chowfilter import ChowEstimate, chow_distance, empirical_chow
@@ -418,7 +418,11 @@ def test_run_experiment_ptf_smoke(tmp_path):
                       m_score=20_000, plant={"coeffs": [0.0, 1.0, 0.0, 0.0]},
                       out=str(tmp_path / "ptf.csv"))
     rows = run_experiment(cfg)
-    assert rows[0].flags == ""
+    # the row carries its target filter's flags: at m = 2e4 the clean
+    # sample's excess (about 0.02) is above the break level at eps 0
+    # (0.010), so the filter looks for a cut, finds no tail in excess and
+    # stops degraded, having removed nothing
+    assert (rows[0].flags, rows[0].points_removed) == ("degraded", 0)
     assert rows[0].disagreement <= 0.1
 
 
@@ -441,6 +445,20 @@ def test_run_cell_counters_come_from_the_target_filter(learner):
     prov = hyp.provenance["target"] if learner == "ptf" else hyp.provenance
     assert row.iterations == prov["iterations"] >= 1
     assert row.points_removed == prov["pruned"] + prov["filtered"] > 0
+
+
+@pytest.mark.parametrize("learner", ["ptf", "intersection"])
+def test_run_cell_flags_a_target_filter_that_hit_its_cap(learner, monkeypatch):
+    # one pass cuts the chow_attack cluster; the cap then stops the filter
+    monkeypatch.setattr(chowfilter, "MAX_ITERATIONS", 1)
+    cfg = base_config(learner=learner, n=4, d=2, k=1, eps_grid=[0.05],
+                      strategies=["chow_attack"], trials=1, m_train=20_000,
+                      m_holdout=5_000, m_score=10_000)
+    cfg.validate()
+    row, hyp = run_cell(cfg, "chow_attack", 0.05, 0, 0)
+    prov = hyp.provenance["target"] if learner == "ptf" else hyp.provenance
+    assert prov["cap_reached"] and not prov["degraded"]
+    assert row.iterations == 1 and row.flags == "cap_reached"
 
 
 def _peak_bytes(fn, *args):

@@ -552,7 +552,7 @@ def test_learn_intersection_provenance_records_the_cover():
     assert set(prov) == {"subspace_dim", "delta", "grid_size",
                          "directions", "thresholds_per_direction", "winner_index",
                          "holdout_error", "pairs_scored", "pairs_total",
-                         "iterations", "pruned", "filtered"}
+                         "iterations", "pruned", "filtered", "degraded", "cap_reached"}
     # one cover, at the default delta: a 62-member grid on the dim-1 subspace
     assert prov["delta"] == default_cover_delta(1, 0.0)
     assert prov["subspace_dim"] == out.subspace.shape[1] == 1
@@ -573,7 +573,8 @@ def test_learn_intersection_constant_target():
     out = learn_intersection(LabeledSampleSet(pts, np.ones(20_000)), 1, 0.0,
                              source=clean_source(const, dist), seed=4)
     assert out.subspace.shape == (n, 0)
-    assert set(out.provenance) == {"subspace_dim", "iterations", "pruned", "filtered"}
+    assert set(out.provenance) == {"subspace_dim", "iterations", "pruned", "filtered",
+                                   "degraded", "cap_reached"}
     assert out.provenance["subspace_dim"] == 0
     fresh = dist.sample(5_000, 401)
     assert np.array_equal(out.evaluate(fresh), np.ones(5_000))

@@ -253,7 +253,7 @@ def test_refine_extreme_runs_and_returns_state(small_config):
 
 
 def never_called(m, seed):
-    raise AssertionError("the step drew samples before checking its input")
+    raise AssertionError("samples were drawn where none should be")
 
 
 @pytest.mark.parametrize("delta_prev", [0.0, -0.1, 1.5, math.nan])
@@ -363,6 +363,22 @@ def test_learn_ltf_constant_branch(small_config):
     out = learn_ltf(s, dist, 0.05, source=source, seed=62, config=small_config)
     pts = dist.sample(5000, 63)
     assert float(np.mean(out.evaluate(pts) == -1.0)) > 0.95
+
+
+def test_learn_ltf_nearly_constant_target_returns_the_constant_at_once():
+    # at theta 3.5 only Phi(-3.5) = 2.3e-4 of the labels are -1, and the
+    # attack adds +1 labels, so 1 - |mean| stays under CONST_MARGIN * eps:
+    # the constant is returned before the weak learner, the step or the
+    # holdout draws anything
+    n, eps = 20, 0.01
+    dist = gaussian_descriptor(n, 1, eps)
+    f = plant(n, 3.5, 71)
+    source = make_corrupted_source(f, dist, eps, AdversaryStrategy("chow_attack"))
+    s = source(20_000, 72)
+    assert 1.0 - abs(float(np.mean(s.labels))) <= ltf_learner.CONST_MARGIN * eps
+    out = learn_ltf(s, dist, eps, source=never_called, seed=73)
+    const = constant_ltf(n, 1.0)
+    assert np.array_equal(out.v, const.v) and out.theta == const.theta
 
 
 def test_learn_ltf_too_few_accepted_points_adds_no_candidate():

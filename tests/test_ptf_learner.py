@@ -115,6 +115,53 @@ def test_reconstruct_zero_when_xi_huge():
     assert out.provenance["iterations"] == 0
 
 
+def stretched_descriptor():
+    """n = 1, d = 1 with Sigma = 400 I: Sigma^{-1/2} = I / 20 makes each
+    update 20 times smaller than the whitened residual, so grid rounding
+    can swallow a step whose residual sits far above the stop level."""
+    return log_concave_descriptor(1, 1, 400.0 * np.eye(2), 0.0, 0.01)
+
+
+def scripted_oracle(dist, answers):
+    """An oracle that returns the given Chow vectors in turn, the last one
+    from then on, and records each query."""
+    calls = []
+
+    def oracle(pbf):
+        calls.append(pbf)
+        chi = answers[min(len(calls), len(answers)) - 1]
+        return ChowEstimate(np.asarray(chi, dtype=np.float64), dist.basis, dist,
+                            {key: 0 for key in ptf_learner.ORACLE_FILTER_KEYS})
+    return oracle, calls
+
+
+@pytest.mark.parametrize("xi, target, answers, iterations, stalled, cap_reached, x", [
+    # residual 0.49 > 4 xi, but the update, 0.0175 per coordinate, is under
+    # half a grid step (0.025): no move can lower the potential
+    (0.1, [7.0, 7.0], [[0.0, 0.0]], 0, True, False, 0.0),
+    # the update +0.04 nudges x up one step; the next answer turns it to
+    # -0.04, which would undo that nudge
+    (0.1, [0.0, 0.0], [[0.0, -16.0], [0.0, 16.0]], 1, True, False, 0.05),
+    # the residual stays at 3.8 > 4 xi and every update, +0.19, nudges x one
+    # more step up, until the cap int(4 / xi^2 + 16) = 32
+    (0.5, [0.0, 38.0], [[0.0, -38.0]], 32, False, True, 8.0),
+])
+def test_reconstruct_exits_on_stall_and_cap(xi, target, answers, iterations, stalled,
+                                            cap_reached, x):
+    dist = stretched_descriptor()
+    oracle, calls = scripted_oracle(dist, answers)
+    out = chow_reconstruct(ChowEstimate(np.asarray(target), dist.basis, dist), dist, xi,
+                           oracle)
+    prov = out.provenance
+    assert (prov["iterations"], prov["stalled"], prov["cap_reached"]) == (
+        iterations, stalled, cap_reached)
+    assert prov["final_residual"] > ptf_learner.C_STOP_DEFAULT * xi
+    assert prov["oracle_calls"] == iterations + 1 == len(calls)
+    assert len(prov["oracle_filters"]) == len(calls)
+    # x's coefficient, after as many one-step nudges as iterations
+    assert out.q.coeffs.tolist() == [0.0, x]
+
+
 def test_reconstruct_sign_x1_l1_bound(monkeypatch):
     # frozen example: xi=0.05, noiseless oracle -> L1 distance <= 0.15 to
     # sign(x1).  Needs the descent driven down to the achieved-Chow-error
