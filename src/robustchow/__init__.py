@@ -31,8 +31,7 @@ from .intersection_learner import (Cover, Degree2ChowMatrix, Intersection,
 from .ltf_learner import (LTF, LTFConfig, RejectionParams, constant_ltf,
                           estimate_threshold, learn_ltf, recover_ab,
                           refine_extreme, refine_moderate, weak_learn_ltf)
-from .polybasis import (MonomialBasis, Polynomial, enumerate_basis,
-                        eval_hermite_batch, eval_monomials_batch)
+from .polybasis import MonomialBasis, Polynomial, enumerate_basis, eval_monomials_batch
 from .ptf_learner import (PBF, PTF, chow_reconstruct, default_xi, learn_ptf,
                           make_sampling_oracle)
 

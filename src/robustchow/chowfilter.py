@@ -10,6 +10,7 @@ survivors' features, mapped back to monomial coordinates.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Optional
@@ -126,40 +127,36 @@ def sample_floor(ell: int) -> int:
     return max(50, 2 * ell)
 
 
-def _survivor_sums(h: np.ndarray, dist: ReasonableDistribution,
+def _survivor_sums(tiles, dist: ReasonableDistribution,
                    labels: Optional[np.ndarray] = None):
-    """Prune mask, survivor Gram h^T h and, given labels, survivor sum y h.
-
-    h is feature-major, as `dist.featurize` stores it: h.T is C-contiguous,
-    so the Gram matrix is one syrk and the label sum one gemv over every
-    row. Pruned rows and their labels may have overflowed, so they never
-    enter either sum: the rows are zeroed while the products run and
-    restored afterwards, and their labels are replaced by zeros. The label
-    sum is None without labels.
+    """Prune mask, survivor Gram matrix and, given labels, survivor label
+    sum (else None) from (cols, block) feature tiles in row order, each
+    summed while in cache: prune norms, one syrk, one gemv. Pruned rows
+    and their labels may have overflowed, so a tile that has any enters
+    the products as a copy without them; no tile is written to.
     """
-    alive = prune_mask(h, dist)
-    h_t, dead = h.T, np.flatnonzero(~alive)
-    saved = h_t[:, dead]
-    h_t[:, dead] = 0.0
-    try:
-        gram = h_t @ h
-        label_sum = None if labels is None else h_t @ np.where(alive, labels, 0.0)
-    finally:
-        h_t[:, dead] = saved
-    return alive, gram, label_sum
+    keep_parts, gram = [], np.zeros((dist.ell, dist.ell))
+    label_sum = None if labels is None else np.zeros(dist.ell)
+    for cols, block in tiles:
+        keep_parts.append(keep := prune_mask(block.T, dist))
+        live = block if keep.all() else block.compress(keep, axis=1)
+        gram += live @ live.T
+        if labels is not None:
+            label_sum += live @ labels[cols][keep]
+    return np.concatenate(keep_parts), gram, label_sum
 
 
-def _filter(h: np.ndarray, labels: np.ndarray, alive: np.ndarray, gram: np.ndarray,
-            label_sum: np.ndarray, dist: ReasonableDistribution,
+def _filter(tiles, points: np.ndarray, labels: np.ndarray, alive: np.ndarray,
+            gram: np.ndarray, label_sum: np.ndarray, dist: ReasonableDistribution,
             eps: float) -> ChowEstimate:
     """Filter to fixpoint from the survivor sums of `_survivor_sums`.
 
     Each pass takes the top eigenvector of the survivors' Gram matrix,
-    scores the rows by one einsum and subtracts the cut rows, gathered
-    feature-major, from both sums, which it updates in place along with
-    `alive`.
+    scores the rows on the tiles that tiles() yields anew, and subtracts
+    the cut rows, featurized again from points, from both sums, which it
+    updates in place along with `alive`.
     """
-    m_in = h.shape[0]
+    m_in = alive.size
     m_cur = int(alive.sum())
     if m_cur == 0:
         raise AllPointsPruned("every sample exceeded the prune radius; "
@@ -171,6 +168,7 @@ def _filter(h: np.ndarray, labels: np.ndarray, alive: np.ndarray, gram: np.ndarr
     degraded = False
     cap_reached = False
     last_lambda = math.nan
+    scores = np.empty(m_in)
     while True:
         if iterations >= MAX_ITERATIONS:
             cap_reached = True
@@ -185,10 +183,12 @@ def _filter(h: np.ndarray, labels: np.ndarray, alive: np.ndarray, gram: np.ndarr
         # einsum scores every row by the same loop, so identical points tie
         # exactly; BLAS gemv may round its last rows differently and split
         # a cluster of identical outliers at the cut.
+        for cols, block in tiles():
+            np.einsum("ij,j->i", block.T, v_star, out=scores[cols])
+        del block   # the tile buffer, before the cut rows are featurized
         idx = np.nonzero(alive)[0]
-        scores = np.abs(np.einsum("ij,j->i", h, v_star))[idx]
         try:
-            _, keep = _threshold_cut(scores, dist, eps)
+            _, keep = _threshold_cut(np.abs(scores[idx]), dist, eps)
         except NoThresholdFound:
             degraded = True
             break
@@ -198,7 +198,7 @@ def _filter(h: np.ndarray, labels: np.ndarray, alive: np.ndarray, gram: np.ndarr
         m_cur -= gone.size
         if m_cur == 0:
             raise AllPointsPruned("filter removed every sample")
-        h_gone = h.T.take(gone, axis=1)
+        h_gone = dist.featurize(points[gone]).T
         gram -= h_gone @ h_gone.T
         label_sum -= h_gone @ labels[gone]
 
@@ -220,12 +220,12 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
                 params: FilterParams) -> ChowEstimate:
     """Prune, filter to fixpoint, and average y * m(x) over the survivors.
 
-    The rows h(x) in the descriptor's orthonormal coordinates
-    (`dist.featurize`) are computed once, stored feature-major. One pass
-    prunes them, then one syrk and one gemv sum the survivors' Gram matrix
-    and label-weighted rows (`_survivor_sums`); the filter loop (`_filter`)
-    then cuts from those sums. The label-weighted mean maps back to
-    monomial coordinates through `dist.monomial_map()`.
+    The rows h(x) in the descriptor's orthonormal coordinates stream
+    through one reused tile buffer (`dist.feature_tiles`); no (m, ell)
+    matrix is stored. One stream prunes and sums (`_survivor_sums`); the
+    filter loop (`_filter`) streams again per scoring pass and featurizes
+    only the rows it cuts. The label-weighted mean maps back to monomial
+    coordinates through `dist.monomial_map()`.
 
     On the hypercube at degree 1 every row has norm sqrt(n + 1), so every
     score is at most sqrt(n + 1). For n <= 9 that is below 3.30, the point
@@ -235,11 +235,12 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
     floor = sample_floor(dist.ell)
     if len(corrupted) < floor:
         raise ValueError(f"need at least {floor} samples, got {len(corrupted)}")
-    if not np.isfinite(corrupted.points).all():
+    pts, labels = corrupted.points, corrupted.labels
+    if not np.isfinite(pts).all():
         raise ValueError("sample points must be finite")
-    h = dist.featurize(corrupted.points)
-    alive, gram, label_sum = _survivor_sums(h, dist, corrupted.labels)
-    return _filter(h, corrupted.labels, alive, gram, label_sum, dist, params.eps)
+    tiles = functools.partial(dist.feature_tiles, pts)
+    alive, gram, label_sum = _survivor_sums(tiles(), dist, labels)
+    return _filter(tiles, pts, labels, alive, gram, label_sum, dist, params.eps)
 
 
 def empirical_chow(s: LabeledSampleSet, dist: ReasonableDistribution) -> ChowEstimate:

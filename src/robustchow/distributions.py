@@ -26,8 +26,8 @@ from .errors import (
     NotPSD,
     UnknownFamily,
 )
-from .polybasis import (MonomialBasis, enumerate_basis, eval_hermite_batch,
-                        eval_monomials_batch)
+from .polybasis import (TILE_ROWS, MonomialBasis, _hermite_table, _points, _power_table,
+                        _tiles, enumerate_basis)
 
 EPS_FLOOR = 1e-4
 # Eigenvalues below this fraction of the largest are treated as null directions.
@@ -160,7 +160,7 @@ def gaussian_moment_matrix(basis: MonomialBasis) -> np.ndarray:
 
 def gaussian_monomial_map(basis: MonomialBasis) -> np.ndarray:
     """C = E[m(X) h(X)^T] for X ~ N(0, I), so that m(x) = C h(x) with h the
-    normalized Hermite products of `eval_hermite_batch`.
+    normalized Hermite products of a Gaussian descriptor's `featurize`.
 
     Per coordinate x^a = sum_k a! / (k! 2^k (a - 2k)!) He_{a-2k}(x), so
     E[x^a He_b(x) / sqrt(b!)] = a! / (k! 2^k sqrt(b!)) when a - b = 2k >= 0
@@ -230,28 +230,37 @@ class ReasonableDistribution:
             self._whitener = _whiten(self.sigma)
         return self._whitener
 
-    def featurize(self, points) -> np.ndarray:
-        """The rows h(x) of an (m, n) array of points, (m, ell), stored
-        feature-major like the monomials: the result's .T is C-contiguous.
-
-        In whitened coordinates a point whose monomials have mass in
-        Sigma's null directions gets the row T_max * e_0 instead: finite,
-        and beyond the prune radius T_max / sqrt(2), so the filter drops it.
-        """
-        if self.coords == "hermite":
-            return eval_hermite_batch(self.basis, points)
-        phi = eval_monomials_batch(self.basis, points)
-        if self.coords == "monomial":
-            return phi
+    def feature_tiles(self, points, out=None):
+        """Yield (cols, block) per TILE_ROWS points of an (m, n) array: the
+        rows h(x) of points[cols] as (ell, width) columns, in one buffer the
+        next tile reuses (its consumer may change it) or, given an (ell, m)
+        out, in out[:, cols]. Whitened rows are the monomials times
+        Sigma^{-1/2}, but a point with mass in Sigma's null directions gets
+        T_max * e_0: finite, and beyond the prune radius T_max / sqrt(2)."""
+        pts = _points(self.basis, points)
+        if self.coords != "whitened":
+            table = _hermite_table if self.coords == "hermite" else _power_table
+            yield from _tiles(self.basis, pts, table, self.basis.plan, out)
+            return
         isqrt, null_vectors = self.whitener()
-        z = (isqrt.T @ phi.T).T
-        if null_vectors.shape[1] > 0:
-            null_part = np.abs(phi @ null_vectors).max(axis=1)
-            scale = np.linalg.norm(phi, axis=1) + 1e-300
-            off = ~(null_part <= 1e-8 * scale)  # overflowed (NaN) rows too
-            z[off] = 0.0
-            z[off, 0] = self.t_max
-        return z
+        buf = np.empty((self.ell, min(len(pts), TILE_ROWS))) if out is None else None
+        for cols, phi in _tiles(self.basis, pts, _power_table, self.basis.plan):
+            block = np.matmul(isqrt.T, phi,
+                              out=out[:, cols] if buf is None else buf[:, :phi.shape[1]])
+            if null_vectors.shape[1] > 0:
+                null_part = np.abs(null_vectors.T @ phi).max(axis=0)
+                off = ~(null_part <= 1e-8 * (np.linalg.norm(phi, axis=0) + 1e-300))  # NaN too
+                block[:, off] = 0.0
+                block[0, off] = self.t_max
+            yield cols, block
+
+    def featurize(self, points) -> np.ndarray:
+        """`feature_tiles` stored: the rows h(x) of an (m, n) array of points,
+        (m, ell), the transpose view of one C-contiguous (ell, m) array."""
+        out = np.empty((self.ell, len(points)))
+        for _ in self.feature_tiles(points, out):
+            pass
+        return out.T
 
     def monomial_map(self) -> np.ndarray:
         """C with m(x) = C h(x) for the rows h of `featurize`, cached.

@@ -165,12 +165,11 @@ def _tiles(basis: MonomialBasis, pts, fill_table, runs, out=None):
     which holds x itself), copies x into the degree-1 rows and then does
     one multiply per run (see MonomialBasis.plan): the run's parent rows
     times one table row. With an (ell, m) out, block is out[:, cols].
-    Without one, every tile reuses one zeroed (ell, TILE_ROWS) buffer, so
-    the rows no run writes read 0.
+    Without one, every tile reuses one zeroed (ell, TILE_ROWS) buffer: rows
+    no run writes read 0, and the constant row is rewritten for every tile.
     """
     m, n = pts.shape
     buf = np.zeros((basis.ell, min(m, TILE_ROWS))) if out is None else out
-    buf[0] = 1.0
     max_exp = int(basis.exponents.max())
     table = np.empty((max_exp * n, min(m, TILE_ROWS)), dtype=np.float64)
     for c0 in range(0, m, TILE_ROWS):
@@ -178,6 +177,7 @@ def _tiles(basis: MonomialBasis, pts, fill_table, runs, out=None):
         width = cols.stop - c0
         block = buf[:, :width] if out is None else buf[:, cols]
         tab = table[:, :width]
+        block[0] = 1.0
         tab[:n] = pts[cols].T
         block[1:n + 1] = tab[:n]   # x^1 = He_1(x) = x
         fill_table(tab, n, max_exp)
@@ -186,31 +186,15 @@ def _tiles(basis: MonomialBasis, pts, fill_table, runs, out=None):
         yield cols, block
 
 
-def _featurize(basis: MonomialBasis, points, fill_table) -> np.ndarray:
-    """Evaluate the products of per-variable factors that the basis plan
-    names on an (m, n) array of points, returning (m, ell).
-
-    The result is stored feature-major: it is the transpose view of one
-    C-contiguous (ell, m) array, so each feature is a contiguous row there.
-    `_tiles` writes it tile by tile with every run of the plan.
-    """
+def eval_monomials_batch(basis: MonomialBasis, points) -> np.ndarray:
+    """The monomials m(x) on an (m, n) array of points, (m, ell), stored
+    feature-major: the transpose view of one C-contiguous (ell, m) array,
+    which `_tiles` writes tile by tile with every run of the plan."""
     pts = _points(basis, points)
     out = np.empty((basis.ell, len(pts)), dtype=np.float64)
-    for _ in _tiles(basis, pts, fill_table, basis.plan, out):
+    for _ in _tiles(basis, pts, _power_table, basis.plan, out):
         pass
     return out.T
-
-
-def eval_monomials_batch(basis: MonomialBasis, points) -> np.ndarray:
-    """The monomials m(x) on an (m, n) array of points, (m, ell)."""
-    return _featurize(basis, points, _power_table)
-
-
-def eval_hermite_batch(basis: MonomialBasis, points) -> np.ndarray:
-    """The normalized Hermite products h_a(x) = prod_j He_{a_j}(x_j) /
-    sqrt(a_j!), one per multi-index of the basis, on an (m, n) array of
-    points, (m, ell). They are orthonormal under N(0, I)."""
-    return _featurize(basis, points, _hermite_table)
 
 
 def monomial_sum(basis: MonomialBasis, points, weights) -> np.ndarray:
@@ -243,13 +227,13 @@ class Polynomial:
         the (m, ell) monomial matrix is never stored. Only the plan runs the
         nonzero coefficients need are built: walking the plan back, a run is
         kept when one of its elements is needed, and then its parents are.
-        Where the monomial matrix is finite, the values are bit for bit its
-        product with coeffs per TILE_ROWS slice (one product over all m rows
-        may round a few rows differently, as BLAS splits them among
-        threads); a zero coefficient adds 0 even where its monomial overflows.
+        Each value is one per-row einsum loop up to the last nonzero
+        coefficient, bit for bit that loop over the whole monomial matrix
+        where it is finite (a zero coefficient adds exactly 0 there, and 0
+        even where its monomial overflows), whatever the BLAS thread count.
         """
         need = self.coeffs != 0.0
-        runs = []
+        top, runs = need.nonzero()[0].max(initial=-1) + 1, []
         for lo, hi, parent, factor in reversed(self.basis.plan):
             if need[lo:hi].any():
                 runs.append((lo, hi, parent, factor))
@@ -257,5 +241,5 @@ class Polynomial:
         pts = _points(self.basis, points)
         out = np.empty(len(pts), dtype=np.float64)
         for cols, block in _tiles(self.basis, pts, _power_table, runs[::-1]):
-            out[cols] = block.T @ self.coeffs
+            np.einsum("ij,i->j", block[:top], self.coeffs[:top], out=out[cols])
         return out

@@ -159,19 +159,20 @@ def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
                          seed) -> ChowOracle:
     """Chow oracle on one clean pool, corrupted anew per call, self-labeled.
 
-    Building the oracle draws, validates, featurizes and prunes m_per_call
-    points once, keeping the pool's prune mask and survivor Gram matrix;
-    uniform convergence over clipped degree-d polynomials covers every
-    query on that one pool, adaptive queries included. Each call labels the
-    pool by the queried hypothesis, lets the adversary move an eps-fraction
-    of its points (`corrupted_rows`) and labels those too, so only placement
-    is corrupted. A copy of the pool's sums is corrected by the moved rows:
-    their old rows leave if they survived the prune, their new rows enter if
-    they pass it. One gemv sums the survivors' labels and the filter loop
-    runs as in `robust_chow`, which gives the same estimate on the moved
-    sample up to summation order. The moved rows' features replace the
-    pool's, as columns of the feature-major h.T, for the filter and are
-    swapped back afterwards, also when the filter raises.
+    Building the oracle draws, validates and featurizes m_per_call points
+    once, keeping their features (the package's one stored feature matrix:
+    a learn call queries it several times), prune mask and survivor Gram
+    matrix; uniform convergence over clipped degree-d polynomials covers
+    every query on that one pool, adaptive ones included. Each call
+    labels the pool by the queried hypothesis, lets the adversary move an
+    eps-fraction of its points (`corrupted_rows`) and labels those too, so
+    only placement is corrupted. A copy of the pool's sums is corrected by
+    the moved rows: old rows leave if they survived the prune, new rows
+    enter if they pass it. One gemv sums the survivors' labels and the
+    filter loop of `robust_chow` runs on the matrix as its one tile, which
+    gives the same estimate on the moved sample up to summation order. The
+    moved points and rows replace the pool's for the filter and are swapped
+    back afterwards, also when the filter raises.
     """
     floor = sample_floor(dist.ell)
     if m_per_call < floor:
@@ -179,37 +180,42 @@ def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
     stream = np.random.default_rng(seed)
     pool = LabeledSampleSet(dist.sample(m_per_call, stream.integers(0, 2 ** 63)),
                             np.zeros(m_per_call))
-    h = dist.featurize(pool.points)
-    h_t = h.T
-    pool_alive, pool_gram, _ = _survivor_sums(h, dist)
+    h_t = dist.featurize(pool.points).T
+
+    def tiles():   # the stored matrix is one tile, so its products run as one
+        return [(slice(None), h_t)]
+
+    pool_alive, pool_gram, _ = _survivor_sums(tiles(), dist)
 
     def oracle(pbf: PBF) -> ChowEstimate:
         adv_seed = stream.integers(0, 2 ** 63)
-        # q(x) = q . m(x) = (C^T q) . h(x) with m(x) = C h(x)
+        # q(x) = (C^T q) . h(x) by the scores' per-row loop, up to the last
+        # nonzero weight (the rows past it add exactly 0)
         weights = dist.monomial_map().T @ pbf.q.coeffs
-        pool.labels = labels = np.clip(h @ weights, -1.0, 1.0)
+        hi = weights.nonzero()[0].max(initial=-1) + 1
+        pool.labels = labels = np.clip(np.einsum("ij,i->j", h_t[:hi], weights[:hi]), -1.0, 1.0)
         idx, points, _ = corrupted_rows(pool, pbf, eps, strategy, dist, adv_seed)
         if not np.isfinite(points).all():
             raise ValueError("sample points must be finite")
         rows = dist.featurize(points)
         # the learner labels whatever points it is handed
-        labels[idx] = np.clip(rows @ weights, -1.0, 1.0)
+        labels[idx] = np.clip(np.einsum("ij,i->j", rows.T[:hi], weights[:hi]), -1.0, 1.0)
         alive, gram = pool_alive.copy(), pool_gram.copy()
         old = h_t.take(idx[alive[idx]], axis=1)
         gram -= old @ old.T
         keep = alive[idx] = prune_mask(rows, dist)
         new = rows.T.compress(keep, axis=1)
         gram += new @ new.T
-        saved = h_t.take(idx, axis=1)
+        saved = h_t.take(idx, axis=1), pool.points[idx]
         try:
-            h_t[:, idx] = rows.T
+            h_t[:, idx], pool.points[idx] = rows.T, points
             if alive.all():
                 label_sum = h_t @ labels
             else:   # pruned rows may have overflowed
                 label_sum = h_t.compress(alive, axis=1) @ labels[alive]
-            return _filter(h, labels, alive, gram, label_sum, dist, eps)
+            return _filter(tiles, pool.points, labels, alive, gram, label_sum, dist, eps)
         finally:
-            h_t[:, idx] = saved
+            h_t[:, idx], pool.points[idx] = saved
 
     return oracle
 

@@ -1,5 +1,6 @@
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -48,17 +49,20 @@ def two_cluster_attack(n=6, m=10_000, seed=0):
 
 def dense_filter(s, dist, params):
     """The filter without one-pass sums, downdates or orthonormal featurizers:
-    whiten the whole monomial matrix, prune rows that are extreme or have
-    mass in Sigma's null directions, rebuild the survivors' Gram matrix
-    every pass, average a survivor copy of the monomial rows."""
-    phi = eval_monomials_batch(dist.basis, s.points)
-    isqrt, null_vectors = dist.whitener()
-    z = phi @ isqrt
-    alive = prune_mask(z, dist)
-    if null_vectors.shape[1] > 0:
-        alive &= np.abs(phi @ null_vectors).max(axis=1) <= 1e-8 * np.linalg.norm(phi, axis=1)
+    whiten the whole stored monomial matrix, prune rows that are extreme,
+    overflowed or have mass in Sigma's null directions, rebuild the
+    survivors' Gram matrix every pass, average a survivor copy of the
+    monomial rows."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi = eval_monomials_batch(dist.basis, s.points)
+        isqrt, null_vectors = dist.whitener()
+        z = phi @ isqrt
+        alive = prune_mask(z, dist)
+        if null_vectors.shape[1] > 0:
+            alive &= (np.abs(phi @ null_vectors).max(axis=1)
+                      <= 1e-8 * np.linalg.norm(phi, axis=1))
     break_level = chowfilter.C_BREAK * (dist.gamma + dist.delta + params.eps)
-    while True:
+    for _ in range(chowfilter.MAX_ITERATIONS):
         z_alive = z[alive]
         vals, vecs = np.linalg.eigh(z_alive.T @ z_alive / len(z_alive))
         lam, v = vals[-1], vecs[:, -1]
@@ -69,13 +73,14 @@ def dense_filter(s, dist, params):
     return alive, s.labels[alive] @ phi[alive] / alive.sum()
 
 
-def assert_matches_dense(s, dist, params):
+def assert_matches_dense(s, dist, params, atol=1e-12):
     """Same survivors as the dense whitened-monomial reference, and chi
-    within 1e-12 of its monomial mean."""
-    est = robust_chow(s, dist, params)
+    within atol of its monomial mean."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        est = robust_chow(s, dist, params)
     alive, chi = dense_filter(s, dist, params)
     assert np.array_equal(est.keep_mask, alive)
-    assert np.allclose(est.chi, chi, rtol=0, atol=1e-12)
+    assert np.allclose(est.chi, chi, rtol=0, atol=atol)
     return est
 
 
@@ -328,6 +333,84 @@ def test_hypercube_blocks_match_dense_filter():
     bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack"), dist, 4)
     est = assert_matches_dense(bad, dist, FilterParams(eps=0.1))
     assert est.provenance["pruned"] == 0
+
+
+def null_direction_family(eps=0.1):
+    """Gaussian degree-2 moments with every x_2 monomial zeroed: the law of
+    (x_1, 0, x_3), whose whitened rows have null directions."""
+    gauss = gaussian_descriptor(3, 2, eps)
+    table = gauss.sigma.copy()
+    on_x2 = gauss.basis.exponents[:, 1] > 0
+    table[on_x2] = 0.0
+    table[:, on_x2] = 0.0
+    return log_concave_descriptor(3, 2, table, 0.0, eps)
+
+
+def attacked_sample(family, m, seed):
+    """A chow_attack sample of m rows in one family at degree 2 and, off the
+    hypercube (which never prunes), far and overflowed rows in several
+    tiles. Returns (dist, sample, rows the prune must drop)."""
+    dist = {"gaussian": lambda: gaussian_descriptor(5, 2, 0.1),
+            "hypercube": lambda: hypercube_descriptor(6, 2, 0.1),
+            "log-concave": null_direction_family}[family]()
+    # the log-concave law lives on x_2 = 0, the attack cluster too
+    on_law = np.r_[1.0, 0.0, 1.0] if family == "log-concave" else 1.0
+    pts = gaussian_descriptor(dist.n, 2, 0.1).sample(m, seed) * on_law \
+        if family != "hypercube" else dist.sample(m, seed)
+    f = LTF(np.eye(dist.n)[0], 0.3)
+    clean = LabeledSampleSet(pts, f.evaluate(pts).astype(np.float64))
+    bad = corrupt(clean, f, 0.1, AdversaryStrategy("chow_attack", rho=0.9), dist, seed + 1)
+    if family == "hypercube":
+        return dist, bad, np.zeros(0, dtype=np.int64)
+    pts = bad.points * on_law
+    rows = np.unique([r % m for r in (0, TILE_ROWS - 1, TILE_ROWS + 3,
+                                      2 * TILE_ROWS + 5, 3 * TILE_ROWS, m - 1)])
+    pts[rows[0::2]] = 1e6     # beyond the prune radius
+    pts[rows[1::2], 0] = 1e200   # squares overflow: inf, and NaN once whitened
+    if family == "log-concave":   # one more row, with mass in a null direction
+        pts[TILE_ROWS // 2, 1] = 0.01
+        rows = np.union1d(rows, TILE_ROWS // 2)
+    return dist, LabeledSampleSet(pts, bad.labels), rows
+
+
+@pytest.mark.parametrize("m", [TILE_ROWS - 1, TILE_ROWS, TILE_ROWS + 1, 3 * TILE_ROWS + 1])
+@pytest.mark.parametrize("family", ["gaussian", "hypercube", "log-concave"])
+def test_streamed_tiles_match_dense_filter(family, m):
+    # m one below, at and one above a tile, and a one-row last tile; pruned
+    # and overflowed rows in several tiles
+    dist, bad, dropped = attacked_sample(family, m, m)
+    # the downdate subtracts the cut rows from the sums, and the log-concave
+    # cluster sits at whitened norm 9439 (T_max = 14833): chi keeps about
+    # 1e-15 T_max of that cancellation (4.9e-12 at m = 6145, the same
+    # before the rows were streamed)
+    atol = 1e-15 * dist.t_max if family == "log-concave" else 1e-12
+    est = assert_matches_dense(bad, dist, FilterParams(eps=0.1), atol)
+    assert est.provenance["pruned"] == dropped.size
+    # the hypercube keeps its chow_attack cluster (see the README)
+    assert (est.provenance["filtered"] > 0) == (family != "hypercube")
+    assert not est.keep_mask[dropped].any()
+
+
+@pytest.mark.parametrize("cap", [1, chowfilter.MAX_ITERATIONS])
+def test_two_clusters_match_dense_filter_capped_and_uncapped(monkeypatch, cap):
+    monkeypatch.setattr(chowfilter, "MAX_ITERATIONS", cap)
+    dist, bad = two_cluster_attack(m=3 * TILE_ROWS + 1, seed=3)
+    est = assert_matches_dense(bad, dist, FilterParams(eps=0.1))
+    assert est.provenance["cap_reached"] == (cap == 1)
+    assert est.provenance["iterations"] >= (1 if cap == 1 else 3)
+
+
+@pytest.mark.parametrize("family", ["gaussian", "hypercube", "log-concave"])
+def test_a_changed_tile_leaves_the_next_tiles_whole(family):
+    # a consumer may change a block it is handed, say zero a pruned row's
+    # column, constant entry included; the tiles after it must still hold
+    # their rows, constant row and all, though they reuse one buffer
+    dist, bad, _ = attacked_sample(family, 3 * TILE_ROWS + 1, 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        want = dist.featurize(bad.points).T
+        for cols, block in dist.feature_tiles(bad.points):
+            assert np.array_equal(block, want[:, cols], equal_nan=True)
+            block[:, 0] = 0.0
 
 
 @settings(max_examples=25, deadline=None)
@@ -674,17 +757,19 @@ def test_survivor_sums_then_filter_is_robust_chow():
     dist, f, s = ltf_instance(n=6, m=2 * BLOCK_ROWS + 77, seed=2)
     bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack"), dist, 3)
     bad.points[[5, BLOCK_ROWS + 9]] = 1e6   # two pruned rows
+    tiles = functools.partial(dist.feature_tiles, bad.points)
+    alive, gram, label_sum = _survivor_sums(tiles(), dist, bad.labels)
     h = dist.featurize(bad.points)
-    alive, gram, label_sum = _survivor_sums(h, dist, bad.labels)
     assert np.array_equal(alive, prune_mask(h, dist)) and (~alive).sum() == 2
     live = h[alive]
     assert np.allclose(gram, live.T @ live, rtol=1e-12, atol=0)
     assert np.allclose(label_sum, bad.labels[alive] @ live, rtol=0, atol=1e-9)
     # without labels: the same mask and Gram matrix, no label sum
-    bare_alive, bare_gram, bare_sum = _survivor_sums(h, dist)
+    bare_alive, bare_gram, bare_sum = _survivor_sums(tiles(), dist)
     assert np.array_equal(bare_alive, alive) and np.array_equal(bare_gram, gram)
     assert bare_sum is None
-    est = _filter(h, bad.labels, alive, gram, label_sum, dist, 0.1)
+    # the same tile source as robust_chow: the same estimate, bit for bit
+    est = _filter(tiles, bad.points, bad.labels, alive, gram, label_sum, dist, 0.1)
     ref = robust_chow(bad, dist, FilterParams(eps=0.1))
     assert est.provenance == ref.provenance and ref.provenance["filtered"] > 0
     assert np.array_equal(est.keep_mask, ref.keep_mask)
@@ -706,9 +791,12 @@ def test_hypercube_degree1_filter_is_the_plain_mean(monkeypatch, n):
     assert np.allclose(est.chi, empirical_chow(bad, dist).chi, rtol=0, atol=1e-12)
 
 
-def test_robust_chow_featurizes_once(monkeypatch):
-    dist, f, s = ltf_instance(n=6, m=8000, seed=5)
-    bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack"), dist, 6)
+def test_robust_chow_stores_no_feature_matrix(monkeypatch):
+    # the rows stream through one (ell, TILE_ROWS) buffer: the (m, ell)
+    # matrix would take m * ell * 8 = 72.8 MB here, and the call peaks
+    # below a quarter of it; only the rows a pass cuts are featurized
+    dist, f, s = ltf_instance(n=12, m=20_000, eps=0.05, seed=5, d=3)
+    bad = corrupt(s, f, 0.05, AdversaryStrategy("chow_attack", rho=0.9), dist, 6)
     rows = []
     real = dist.featurize
 
@@ -718,9 +806,15 @@ def test_robust_chow_featurizes_once(monkeypatch):
         return out
 
     monkeypatch.setattr(dist, "featurize", counted)
-    est = robust_chow(bad, dist, FilterParams(eps=0.1))
-    assert est.provenance["iterations"] >= 2  # pruning and several passes, one featurization
-    assert rows == [8000]
+    tracemalloc.start()
+    try:
+        est = robust_chow(bad, dist, FilterParams(eps=0.05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < len(bad) * dist.ell * 8 / 4
+    assert est.provenance["iterations"] >= 2 and est.provenance["filtered"] > 0
+    assert sum(rows) == est.provenance["filtered"] and len(rows) == est.provenance["iterations"] - 1
 
 
 def test_robust_chow_never_prunes_nan_rows():

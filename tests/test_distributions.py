@@ -17,8 +17,7 @@ from robustchow.distributions import (EPS_FLOOR, compute_delta, compute_tmax,
                                       log_concave_descriptor, make_tail_bound)
 from robustchow.errors import ConfigError, NonMultilinearBasis, UnknownFamily
 from robustchow.ltf_learner import LTF
-from robustchow.polybasis import (enumerate_basis, eval_hermite_batch,
-                                  eval_monomials_batch)
+from robustchow.polybasis import enumerate_basis, eval_monomials_batch
 
 
 # --- tail bounds ---------------------------------------------------------
@@ -246,7 +245,7 @@ def test_hermite_rows_map_to_monomial_rows(n, d):
     b = enumerate_basis(n, d)
     pts = np.random.default_rng(n + d).standard_normal((300, n)) * 1.5
     mono = eval_monomials_batch(b, pts)
-    mapped = eval_hermite_batch(b, pts) @ gaussian_monomial_map(b).T
+    mapped = gaussian_descriptor(n, d, 0.1).featurize(pts) @ gaussian_monomial_map(b).T
     assert np.allclose(mapped, mono, rtol=1e-12, atol=1e-12 * np.abs(mono).max())
 
 
@@ -254,7 +253,13 @@ def test_descriptor_featurizers_and_maps():
     g = gaussian_descriptor(3, 2, 0.05)
     pts = g.sample(5, 0)
     assert g.coords == "hermite"
-    assert np.array_equal(g.featurize(pts), eval_hermite_batch(g.basis, pts))
+    # the stored rows are the streamed tiles, and the degree-2 Hermite rows
+    # of x are (x_i^2 - 1) / sqrt(2) and x_i x_j
+    rows = g.featurize(pts)
+    streamed = np.concatenate([block.copy() for _, block in g.feature_tiles(pts)], axis=1)
+    assert np.array_equal(rows, streamed.T)
+    assert np.allclose(rows[:, g.basis.index_of((2, 0, 0))], (pts[:, 0] ** 2 - 1) / math.sqrt(2))
+    assert np.allclose(rows[:, g.basis.index_of((0, 1, 1))], pts[:, 1] * pts[:, 2])
     assert g.monomial_map() is g.monomial_map()
     h = hypercube_descriptor(4, 2, 0.05)
     cube = h.sample(5, 0)

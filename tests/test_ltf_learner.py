@@ -354,12 +354,16 @@ def test_learn_ltf_negative_threshold(small_config):
     assert score(out, f, dist, 100_000, 54) <= 0.05
 
 
-def test_learn_ltf_constant_branch(small_config):
+def test_learn_ltf_holdout_picks_the_constant(small_config):
+    # random_flip at eps 0.05 leaves 1 - |mean| near 2 eps = 0.1, above
+    # CONST_MARGIN * eps, so learn_ltf does not return the constant at once:
+    # holdout selection picks it among the candidates
     n = 5
     dist = gaussian_descriptor(n, 1, 0.05)
     f = constant_ltf(n, -1)
     source = make_corrupted_source(f, dist, 0.05, AdversaryStrategy("random_flip"))
     s = source(30_000, 61)
+    assert 1.0 - abs(float(np.mean(s.labels))) > ltf_learner.CONST_MARGIN * 0.05
     out = learn_ltf(s, dist, 0.05, source=source, seed=62, config=small_config)
     pts = dist.sample(5000, 63)
     assert float(np.mean(out.evaluate(pts) == -1.0)) > 0.95

@@ -3,11 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from robustchow.distributions import gaussian_descriptor
 from robustchow.errors import DimensionMismatch, SizeCapExceeded
 from robustchow.polybasis import (TILE_ROWS, MonomialBasis, Polynomial,
-                                  basis_size, enumerate_basis, eval_hermite_batch,
-                                  eval_monomials_batch, monomial_sum)
+                                  basis_size, enumerate_basis, eval_monomials_batch,
+                                  monomial_sum)
 from robustchow.ptf_learner import PTF
+
+
+def hermite_rows(basis, points):
+    """The normalized Hermite products h_a(x) = prod_j He_{a_j}(x_j) /
+    sqrt(a_j!) on a dense basis: the rows of the Gaussian descriptor."""
+    return gaussian_descriptor(basis.n, basis.d, 0.1).featurize(points)
 
 
 def test_enumerate_n2_d1_exact_order():
@@ -83,14 +90,12 @@ def coefficient_cases(basis, rng):
     return [rng.standard_normal(basis.ell), one, two, sparse, np.zeros(basis.ell)]
 
 
-def tilewise_product(feats, coeffs):
-    """feats @ coeffs, one product per TILE_ROWS rows, as a Polynomial takes
-    it. Up to m = TILE_ROWS that is the one product over all rows. Beyond
-    it, one product may round a few rows differently in the last bits:
-    BLAS splits the rows among its threads and rounds the leftover rows of
-    each share by another path, so which rows take it depends on m."""
-    tiles = [feats[c0:c0 + TILE_ROWS] @ coeffs for c0 in range(0, len(feats), TILE_ROWS)]
-    return np.concatenate(tiles) if tiles else feats @ coeffs
+def rowwise_product(feats, coeffs):
+    """feats @ coeffs by one per-row einsum loop, as a Polynomial takes it:
+    a row's value depends on that row alone, not on m or on how many
+    threads BLAS runs (a BLAS product rounds the leftover rows of each
+    thread's share by another path, so which rows differ depends on both)."""
+    return np.einsum("ij,j->i", feats, coeffs)
 
 
 @pytest.mark.parametrize("multilinear", [False, True])
@@ -118,7 +123,7 @@ def test_eval_batch_bit_identical_to_per_column_loop(multilinear):
                     got = eval_monomials_batch(b, pts)
                 for coeffs in coefficient_cases(b, rng):
                     value = Polynomial(b, coeffs)(pts)
-                    assert value.tobytes() == tilewise_product(got, coeffs).tobytes(), (n, d, m)
+                    assert value.tobytes() == rowwise_product(got, coeffs).tobytes(), (n, d, m)
 
 
 @pytest.mark.parametrize("m", [1, TILE_ROWS, 2 * TILE_ROWS + 7])
@@ -172,7 +177,7 @@ def test_eval_hermite_example():
     # He_2 = x^2 - 1, He_3 = x^3 - 3x, normalized by sqrt(p!)
     b = enumerate_basis(2, 3)
     x, y = 2.0, -1.5
-    got = eval_hermite_batch(b, np.array([[x, y]]))[0]
+    got = hermite_rows(b, np.array([[x, y]]))[0]
     h = {0: lambda t: 1.0, 1: lambda t: t, 2: lambda t: (t * t - 1.0) / math.sqrt(2.0),
          3: lambda t: (t ** 3 - 3.0 * t) / math.sqrt(6.0)}
     want = [h[a](x) * h[c](y) for a, c in b.exponents]
@@ -182,7 +187,7 @@ def test_eval_hermite_example():
 def test_hermite_equals_monomials_at_degree_one():
     b = enumerate_basis(4, 1)
     pts = np.random.default_rng(3).standard_normal((50, 4))
-    assert np.array_equal(eval_hermite_batch(b, pts), eval_monomials_batch(b, pts))
+    assert np.array_equal(hermite_rows(b, pts), eval_monomials_batch(b, pts))
 
 
 @pytest.mark.parametrize("m", [1, 7, 3000])
@@ -191,7 +196,7 @@ def test_hermite_equals_monomials_at_degree_one():
 def test_degree_one_rows_are_the_leading_columns_of_degree_two(kind, n, m):
     # the first n + 1 columns are [1, x] at every degree, so d = 1 and d = 2
     # must agree on them bit for bit
-    featurize = eval_hermite_batch if kind == "hermite" else eval_monomials_batch
+    featurize = hermite_rows if kind == "hermite" else eval_monomials_batch
     multilinear = kind == "multilinear"
     pts = np.random.default_rng(n * m).standard_normal((m, n)) * 3.0
     pts[0, 0] = -0.0
@@ -207,7 +212,7 @@ def test_degree_one_rows_are_the_leading_columns_of_degree_two(kind, n, m):
 def test_hermite_rows_orthonormal_under_gaussian():
     b = enumerate_basis(2, 4)
     pts = np.random.default_rng(4).standard_normal((400_000, 2))
-    h = eval_hermite_batch(b, pts)
+    h = hermite_rows(b, pts)
     assert np.abs(h.T @ h / len(pts) - np.eye(b.ell)).max() < 0.1
 
 

@@ -315,9 +315,9 @@ def test_sampling_oracle_matches_robust_chow_on_each_moved_sample(monkeypatch):
     real_filter = ptf_learner._filter
     sums = []
 
-    def spy(h, labels, alive, gram, label_sum, *args):
+    def spy(tiles, points, labels, alive, gram, label_sum, *args):
         sums.append((alive.copy(), gram.copy(), label_sum.copy(), labels.copy()))
-        return real_filter(h, labels, alive, gram, label_sum, *args)
+        return real_filter(tiles, points, labels, alive, gram, label_sum, *args)
 
     monkeypatch.setattr(dist, "sample", far_pool)
     monkeypatch.setattr(dist, "featurize", remember)
@@ -335,7 +335,7 @@ def test_sampling_oracle_matches_robust_chow_on_each_moved_sample(monkeypatch):
             sample.labels = labels   # the oracle's; a pruned row's may be NaN
             ref = robust_chow(sample, dist, ptf_learner.FilterParams(eps=eps))
             # the corrected sums are the moved sample's survivor sums
-            fresh = _survivor_sums(real_featurize(sample.points), dist, labels)
+            fresh = _survivor_sums(dist.feature_tiles(sample.points), dist, labels)
             assert np.array_equal(alive, fresh[0])
             for got, want in ((gram, fresh[1]), (label_sum, fresh[2])):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -438,11 +438,16 @@ def test_sampling_oracle_featurizes_each_draw_once(monkeypatch):
     coeffs[dist.basis.index_of((2, 0, 0, 0))] = 0.25
     oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), m, seed=3)
     pbf = PBF(Polynomial(dist.basis, coeffs), 0.5)
-    ests = [oracle(pbf), oracle(pbf)]
-    # the pool once and each call's moved rows once; the labels and the
-    # filter both reuse the oracle's features
-    assert rows == [m, budget, budget]
-    assert [est.provenance["samples_in"] for est in ests] == [m, m]
+    # the pool once, at build; then per call the moved rows once (the labels
+    # and the filter's scores reuse the oracle's features) and, for each
+    # pass that cuts, its cut rows
+    assert rows == [m]
+    for _ in range(2):
+        rows.clear()
+        est = oracle(pbf)
+        assert est.provenance["samples_in"] == m
+        assert rows[0] == budget and sum(rows[1:]) == est.provenance["filtered"] > 0
+        assert len(rows) == est.provenance["iterations"]
 
 
 def test_sampling_oracle_labels_and_features_match_its_points(monkeypatch):
@@ -457,15 +462,17 @@ def test_sampling_oracle_labels_and_features_match_its_points(monkeypatch):
     spy_on_moved_rows(monkeypatch, moved)
     real = ptf_learner._filter
 
-    def spy(h, labels, *args):
-        # the oracle swaps the pool's clean rows back after the call
-        seen.append((labels.copy(), h.copy()))
-        return real(h, labels, *args)
+    def spy(tiles, sample, labels, *args):
+        # the oracle swaps the pool's clean points and rows back after the call
+        h = np.concatenate([block.copy() for _, block in tiles()], axis=1).T
+        seen.append((sample.copy(), labels.copy(), h))
+        return real(tiles, sample, labels, *args)
 
     monkeypatch.setattr(ptf_learner, "_filter", spy)
     make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), 5000, seed=2)(pbf)
-    ((idx, points),), ((labels, h),) = moved, seen
+    ((idx, points),), ((sample, labels, h),) = moved, seen
     assert idx.size == 250
+    assert np.array_equal(sample, points)
     assert np.allclose(labels, pbf.evaluate(points), rtol=0, atol=1e-12)
     assert np.allclose(h, dist.featurize(points), rtol=0, atol=1e-12)
 
