@@ -85,39 +85,48 @@ class ChowEstimate:
                    dict(data.get("provenance", {})))
 
 
-def prune_mask(h: np.ndarray, dist: ReasonableDistribution) -> np.ndarray:
+def prune_mask(h: np.ndarray, dist: ReasonableDistribution,
+               norm2: Optional[np.ndarray] = None) -> np.ndarray:
     """Boolean keep mask for the prune rule |h(x)|^2 < T_max^2 / 2.
 
     h holds rows in the descriptor's orthonormal coordinates, where the
-    squared row norm is m(x)^T Sigma^+ m(x). All-True for distributions
-    that disable pruning (the hypercube). The mask may be all False: the
-    PTF oracle applies the rule to the moved rows alone, and they may be
-    nothing but outliers.
+    squared row norm is m(x)^T Sigma^+ m(x); a caller that has computed
+    those squared norms passes them as norm2. All-True for distributions
+    that disable pruning (the hypercube). The mask may be all False: a
+    block may be nothing but outliers.
     """
     if not dist.prune_enabled:
         return np.ones(h.shape[0], dtype=bool)
-    return np.einsum("ij,ij->i", h, h) < dist.t_max ** 2 / 2.0
+    return (np.einsum("ij,ij->i", h, h) if norm2 is None else norm2) < dist.t_max ** 2 / 2.0
 
 
-def _threshold_cut(scores: np.ndarray, dist: ReasonableDistribution, eps: float):
+def _cut_floor(dist: ReasonableDistribution) -> float:
+    """The least score the cut can take. A fraction is at most 1, so only a
+    score where Q_d has fallen to 1/4 can qualify; the margin keeps a score
+    that sits at that crossing up to rounding."""
+    return dist.tail.crossing(0.25) * (1.0 - 1e-9)
+
+
+def _threshold_cut(scores: np.ndarray, dist: ReasonableDistribution, eps: float,
+                   m: Optional[int] = None):
     """Largest observed score T > 0 with frac{|p*| >= T} >= 4 Q_d(T) + 3 eps / T_max^2.
 
     Returns (T, keep_mask). Raises NoThresholdFound when no sample value
-    qualifies. A fraction is at most 1, so only a score where Q_d has fallen
-    to 1/4 can qualify. The tail is monotone, so those scores are the top
-    ones, and they alone are sorted: a score's count inside them is its
-    count over all scores.
+    qualifies. Only scores at or above `_cut_floor` can qualify. The tail
+    is monotone, so those scores are the top ones, and they alone are
+    sorted: a score's count inside them is its count over all scores. The
+    fractions are over m rows, len(scores) by default: a caller may pass
+    only the scores that can reach the floor, and the mask is over those.
     """
-    # the margin keeps a score that sits at the crossing up to rounding
-    top = np.sort(scores[scores >= dist.tail.crossing(0.25) * (1.0 - 1e-9)])
+    top = np.sort(scores[scores >= _cut_floor(dist)])
     # the first copy of each value; every score in top is positive
     first = np.flatnonzero(np.r_[top[:1] > 0.0, top[1:] != top[:-1]])
     candidates = top[first]
     required = 4.0 * dist.tail(candidates) + 3.0 * eps / dist.t_max ** 2
-    valid = np.flatnonzero((top.size - first) / scores.shape[0] >= required)
+    valid = np.flatnonzero((top.size - first) / (scores.shape[0] if m is None else m)
+                           >= required)
     if not valid.size:
-        raise NoThresholdFound("no sample value satisfies the tail-excess test"
-                               if scores.any() else "all projections are zero")
+        raise NoThresholdFound("no sample value satisfies the tail-excess test")
     t_cut = float(candidates[valid[-1]])
     return t_cut, scores < t_cut
 
@@ -129,32 +138,54 @@ def sample_floor(ell: int) -> int:
 
 def _survivor_sums(tiles, dist: ReasonableDistribution,
                    labels: Optional[np.ndarray] = None):
-    """Prune mask, survivor Gram matrix and, given labels, survivor label
-    sum (else None) from (cols, block) feature tiles in row order, each
-    summed while in cache: prune norms, one syrk, one gemv. Pruned rows
-    and their labels may have overflowed, so a tile that has any enters
-    the products as a copy without them; no tile is written to.
+    """Prune mask, squared row norms, survivor Gram matrix and, given
+    labels, survivor label sum (else None) from (cols, block) feature tiles
+    in row order, each summed while in cache: norms, one syrk, one gemv.
+    Pruned rows and their labels may have overflowed, so a tile that has
+    any enters the products as a copy without them; no tile is written to.
     """
-    keep_parts, gram = [], np.zeros((dist.ell, dist.ell))
+    keep_parts, norm_parts = [np.zeros(0, dtype=bool)], [np.zeros(0)]   # tiles may be none
+    gram = np.zeros((dist.ell, dist.ell))
     label_sum = None if labels is None else np.zeros(dist.ell)
     for cols, block in tiles:
-        keep_parts.append(keep := prune_mask(block.T, dist))
+        norm_parts.append(norm2 := np.einsum("ij,ij->i", block.T, block.T))
+        keep_parts.append(keep := prune_mask(block.T, dist, norm2))
         live = block if keep.all() else block.compress(keep, axis=1)
         gram += live @ live.T
         if labels is not None:
             label_sum += live @ labels[cols][keep]
-    return np.concatenate(keep_parts), gram, label_sum
+    return np.concatenate(keep_parts), np.concatenate(norm_parts), gram, label_sum
+
+
+def _pass_scores(tiles, alive: np.ndarray, norm2: np.ndarray, v: np.ndarray,
+                 dist: ReasonableDistribution):
+    """The alive rows that can reach the cut, as indices, and their scores
+    |h(x) . v|. For the unit v, |h . v| <= |h|, so a row whose norm is
+    below `_cut_floor` (less the cut's margin once more, for a product that
+    rounds above its row's norm) cannot reach the cut and is not scored.
+    tiles(rows) gathers the others; when every row can reach it (at d = 1,
+    say), tiles() streams them in place. einsum scores every row by the same
+    loop, so identical points tie exactly; BLAS gemv may round its last
+    rows differently and split a cluster of identical outliers at the cut.
+    """
+    rows = np.flatnonzero(alive & (norm2 >= (_cut_floor(dist) * (1.0 - 1e-9)) ** 2))
+    scores = np.empty(rows.size)
+    for cols, block in tiles(None if rows.size == alive.size else rows):
+        np.einsum("ij,j->i", block.T, v, out=scores[cols])
+    return rows, np.abs(scores, out=scores)
 
 
 def _filter(tiles, points: np.ndarray, labels: np.ndarray, alive: np.ndarray,
-            gram: np.ndarray, label_sum: np.ndarray, dist: ReasonableDistribution,
-            eps: float) -> ChowEstimate:
+            norm2: np.ndarray, gram: np.ndarray, label_sum: np.ndarray,
+            dist: ReasonableDistribution, eps: float) -> ChowEstimate:
     """Filter to fixpoint from the survivor sums of `_survivor_sums`.
 
     Each pass takes the top eigenvector of the survivors' Gram matrix,
-    scores the rows on the tiles that tiles() yields anew, and subtracts
-    the cut rows, featurized again from points, from both sums, which it
-    updates in place along with `alive`.
+    scores only the survivors that can reach the cut (`_pass_scores`), on
+    the tiles that tiles(rows) yields anew, and subtracts the cut rows,
+    featurized again from points, from both sums, which it updates in
+    place along with `alive`. The provenance lists each pass: lambda*, the
+    cut T (None when it made none), the rows it removed and scored.
     """
     m_in = alive.size
     m_cur = int(alive.sum())
@@ -168,7 +199,7 @@ def _filter(tiles, points: np.ndarray, labels: np.ndarray, alive: np.ndarray,
     degraded = False
     cap_reached = False
     last_lambda = math.nan
-    scores = np.empty(m_in)
+    passes = []
     while True:
         if iterations >= MAX_ITERATIONS:
             cap_reached = True
@@ -177,23 +208,21 @@ def _filter(tiles, points: np.ndarray, labels: np.ndarray, alive: np.ndarray,
         # |h . v| ignores v's sign; a contiguous v takes einsum's faster loop
         vals, vecs = np.linalg.eigh(gram / m_cur)
         lambda_star, v_star = float(vals[-1]) - 1.0, np.ascontiguousarray(vecs[:, -1])
+        passes.append(record := {"lambda": lambda_star, "cut": None, "removed": 0,
+                                 "scored": 0})
         if lambda_star <= break_level:
             last_lambda = lambda_star
             break
-        # einsum scores every row by the same loop, so identical points tie
-        # exactly; BLAS gemv may round its last rows differently and split
-        # a cluster of identical outliers at the cut.
-        for cols, block in tiles():
-            np.einsum("ij,j->i", block.T, v_star, out=scores[cols])
-        del block   # the tile buffer, before the cut rows are featurized
-        idx = np.nonzero(alive)[0]
+        rows, scores = _pass_scores(tiles, alive, norm2, v_star, dist)
+        record["scored"] = rows.size
         try:
-            _, keep = _threshold_cut(np.abs(scores[idx]), dist, eps)
+            record["cut"], keep = _threshold_cut(scores, dist, eps, m_cur)
         except NoThresholdFound:
             degraded = True
             break
         last_lambda = lambda_star
-        gone = idx[~keep]
+        gone = rows[~keep]
+        record["removed"] = int(gone.size)
         alive[gone] = False
         m_cur -= gone.size
         if m_cur == 0:
@@ -212,6 +241,7 @@ def _filter(tiles, points: np.ndarray, labels: np.ndarray, alive: np.ndarray,
         "final_lambda": None if math.isnan(last_lambda) else float(last_lambda),
         "degraded": degraded,
         "cap_reached": cap_reached,
+        "passes": passes,
     }
     return ChowEstimate(chi, dist.basis, dist, provenance, keep_mask=alive)
 
@@ -222,15 +252,16 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
 
     The rows h(x) in the descriptor's orthonormal coordinates stream
     through one reused tile buffer (`dist.feature_tiles`); no (m, ell)
-    matrix is stored. One stream prunes and sums (`_survivor_sums`); the
-    filter loop (`_filter`) streams again per scoring pass and featurizes
-    only the rows it cuts. The label-weighted mean maps back to monomial
-    coordinates through `dist.monomial_map()`.
+    matrix is stored. One stream prunes and sums and keeps each row's
+    squared norm (`_survivor_sums`); the filter loop (`_filter`) then
+    streams, per scoring pass, only the survivors whose norm can reach the
+    cut, and featurizes only the rows it cuts. The label-weighted mean maps
+    back to monomial coordinates through `dist.monomial_map()`.
 
-    On the hypercube at degree 1 every row has norm sqrt(n + 1), so every
-    score is at most sqrt(n + 1). For n <= 9 that is below 3.30, the point
-    where the tail bound Q_1 drops under 1, so no cut can fire and the
-    estimate is the plain label-weighted mean.
+    On the hypercube at degree 1 every row has norm sqrt(n + 1). For n <= 9
+    that is below 3.30, the point where the tail bound Q_1 drops under 1,
+    so no row can reach the cut: no pass scores a row, and the estimate is
+    the plain label-weighted mean.
     """
     floor = sample_floor(dist.ell)
     if len(corrupted) < floor:
@@ -239,8 +270,8 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
     if not np.isfinite(pts).all():
         raise ValueError("sample points must be finite")
     tiles = functools.partial(dist.feature_tiles, pts)
-    alive, gram, label_sum = _survivor_sums(tiles(), dist, labels)
-    return _filter(tiles, pts, labels, alive, gram, label_sum, dist, params.eps)
+    alive, norm2, gram, label_sum = _survivor_sums(tiles(), dist, labels)
+    return _filter(tiles, pts, labels, alive, norm2, gram, label_sum, dist, params.eps)
 
 
 def empirical_chow(s: LabeledSampleSet, dist: ReasonableDistribution) -> ChowEstimate:

@@ -26,7 +26,7 @@ from .errors import (
     NotPSD,
     UnknownFamily,
 )
-from .polybasis import (TILE_ROWS, MonomialBasis, _hermite_table, _points, _power_table,
+from .polybasis import (MonomialBasis, _hermite_table, _points, _power_table, _tile_width,
                         _tiles, enumerate_basis)
 
 EPS_FLOOR = 1e-4
@@ -230,21 +230,24 @@ class ReasonableDistribution:
             self._whitener = _whiten(self.sigma)
         return self._whitener
 
-    def feature_tiles(self, points, out=None):
-        """Yield (cols, block) per TILE_ROWS points of an (m, n) array: the
-        rows h(x) of points[cols] as (ell, width) columns, in one buffer the
-        next tile reuses (its consumer may change it) or, given an (ell, m)
-        out, in out[:, cols]. Whitened rows are the monomials times
-        Sigma^{-1/2}, but a point with mass in Sigma's null directions gets
-        T_max * e_0: finite, and beyond the prune radius T_max / sqrt(2)."""
+    def feature_tiles(self, points, rows=None, out=None):
+        """Yield (cols, block) per TILE_ROWS points of an (m, n) array, or of
+        its rows picked by an index array rows: the rows h(x) of the points
+        points[cols] (points[rows[cols]]) as (ell, width) columns, in one
+        buffer the next tile reuses (its consumer may change it) or, given
+        an (ell, count) out, in out[:, cols]. Whitened rows are the
+        monomials times Sigma^{-1/2}, but a point with mass in Sigma's null
+        directions gets T_max * e_0: finite, and beyond the prune radius
+        T_max / sqrt(2)."""
         pts = _points(self.basis, points)
         if self.coords != "whitened":
             table = _hermite_table if self.coords == "hermite" else _power_table
-            yield from _tiles(self.basis, pts, table, self.basis.plan, out)
+            yield from _tiles(self.basis, pts, table, self.basis.plan, out, rows)
             return
         isqrt, null_vectors = self.whitener()
-        buf = np.empty((self.ell, min(len(pts), TILE_ROWS))) if out is None else None
-        for cols, phi in _tiles(self.basis, pts, _power_table, self.basis.plan):
+        count = len(pts) if rows is None else len(rows)
+        buf = np.empty((self.ell, _tile_width(count))) if out is None else None
+        for cols, phi in _tiles(self.basis, pts, _power_table, self.basis.plan, rows=rows):
             block = np.matmul(isqrt.T, phi,
                               out=out[:, cols] if buf is None else buf[:, :phi.shape[1]])
             if null_vectors.shape[1] > 0:
@@ -258,7 +261,7 @@ class ReasonableDistribution:
         """`feature_tiles` stored: the rows h(x) of an (m, n) array of points,
         (m, ell), the transpose view of one C-contiguous (ell, m) array."""
         out = np.empty((self.ell, len(points)))
-        for _ in self.feature_tiles(points, out):
+        for _ in self.feature_tiles(points, out=out):
             pass
         return out.T
 

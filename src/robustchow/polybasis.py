@@ -131,21 +131,28 @@ def enumerate_basis(n: int, d: int, multilinear: bool = False) -> MonomialBasis:
     return MonomialBasis(n=n, d=d, exponents=exps, multilinear=multilinear)
 
 
-def _power_table(pw, n, max_exp):
-    """pw[(p - 1) * n + j] = x_j ** p, by repeated multiplication."""
-    for p in range(1, max_exp):
-        np.multiply(pw[(p - 1) * n:p * n], pw[:n], out=pw[p * n:(p + 1) * n])
+def _power_table(pw, n, p, js):
+    """pw[p * n + j] = x_j ** (p + 1) for the variables j in the slice js,
+    by one multiplication of the power below."""
+    np.multiply(pw[(p - 1) * n:p * n][js], pw[:n][js], out=pw[p * n:(p + 1) * n][js])
 
 
-def _hermite_table(pw, n, max_exp):
-    """pw[(p - 1) * n + j] = He_p(x_j) / sqrt(p!), by the three-term
-    recurrence h_{p+1} = (x h_p - sqrt(p) h_{p-1}) / sqrt(p + 1)."""
-    x = pw[:n]
-    for p in range(1, max_exp):
-        nxt = pw[p * n:(p + 1) * n]
-        np.multiply(x, pw[(p - 1) * n:p * n], out=nxt)
-        nxt -= 1.0 if p == 1 else math.sqrt(p) * pw[(p - 2) * n:(p - 1) * n]
-        nxt /= math.sqrt(p + 1)
+def _hermite_table(pw, n, p, js):
+    """pw[p * n + j] = He_{p+1}(x_j) / sqrt((p + 1)!) for the variables j in
+    the slice js, by the three-term recurrence
+    h_{p+1} = (x h_p - sqrt(p) h_{p-1}) / sqrt(p + 1)."""
+    nxt = pw[p * n:(p + 1) * n][js]
+    np.multiply(pw[:n][js], pw[(p - 1) * n:p * n][js], out=nxt)
+    nxt -= 1.0 if p == 1 else math.sqrt(p) * pw[(p - 2) * n:(p - 1) * n][js]
+    nxt /= math.sqrt(p + 1)
+
+
+def _tile_width(m: int) -> int:
+    """Columns of a tile buffer for m points: at least two, so that a
+    one-row block is a strided view, which einsum sums by its per-row loop
+    (a contiguous column takes its reduction kernel, which adds in another
+    order and would score a point alone unlike its clones in a full tile)."""
+    return min(max(m, 2), TILE_ROWS)
 
 
 def _points(basis: MonomialBasis, points) -> np.ndarray:
@@ -156,31 +163,49 @@ def _points(basis: MonomialBasis, points) -> np.ndarray:
     return pts
 
 
-def _tiles(basis: MonomialBasis, pts, fill_table, runs, out=None):
+def _tiles(basis: MonomialBasis, pts, fill_table, runs, out=None, rows=None):
     """Yield (cols, block) for each tile of TILE_ROWS points, block being the
-    (ell, tile) features of pts[cols] that the given plan runs build.
+    (ell, tile) features of pts[cols] (of pts[rows[cols]] given row indices)
+    that the given plan runs build.
 
     Each tile gets a table of per-variable factors (row (p - 1) * n + j
-    holds the degree-p factor of x_j, filled by fill_table from row p = 1,
-    which holds x itself), copies x into the degree-1 rows and then does
-    one multiply per run (see MonomialBasis.plan): the run's parent rows
-    times one table row. With an (ell, m) out, block is out[:, cols].
-    Without one, every tile reuses one zeroed (ell, TILE_ROWS) buffer: rows
-    no run writes read 0, and the constant row is rewritten for every tile.
+    holds the degree-p factor of x_j; row p = 1 holds x itself, and
+    fill_table fills a power of x_j only up to the highest one a run reads),
+    copies x into the degree-1 rows and then does one multiply per run (see
+    MonomialBasis.plan): the run's parent rows times one table row. With an
+    (ell, m) out, block is out[:, cols]. Without one, every tile reuses one
+    zeroed buffer of `_tile_width` columns: rows no run writes read 0, and
+    the constant row is rewritten for every tile. Given rows, each tile's
+    points are gathered into one reused (tile, n) buffer.
     """
-    m, n = pts.shape
-    buf = np.zeros((basis.ell, min(m, TILE_ROWS))) if out is None else out
-    max_exp = int(basis.exponents.max())
-    table = np.empty((max_exp * n, min(m, TILE_ROWS)), dtype=np.float64)
+    n = pts.shape[1]
+    m = len(pts) if rows is None else len(rows)
+    width = _tile_width(m)
+    buf = np.zeros((basis.ell, width)) if out is None else out
+    table = np.empty((int(basis.exponents.max()) * n, width), dtype=np.float64)
+    gathered = None if rows is None else np.empty((width, n))
+    # the highest power of each variable a run reads, and for each power
+    # p + 1 >= 2 the runs of consecutive variables that need it
+    top = np.ones(n, dtype=np.int64)
+    for *_, factor in runs:
+        top[factor % n] = max(top[factor % n], factor // n + 1)
+    fills = []
+    for p in range(1, int(top.max())):
+        on = np.flatnonzero(top > p)
+        fills += [(p, slice(js[0], js[-1] + 1))
+                  for js in np.split(on, np.flatnonzero(np.diff(on) > 1) + 1)]
     for c0 in range(0, m, TILE_ROWS):
         cols = slice(c0, min(c0 + TILE_ROWS, m))
-        width = cols.stop - c0
-        block = buf[:, :width] if out is None else buf[:, cols]
-        tab = table[:, :width]
+        w = cols.stop - c0
+        block = buf[:, :w] if out is None else buf[:, cols]
+        tab = table[:, :w]
         block[0] = 1.0
-        tab[:n] = pts[cols].T
+        # take's default mode="raise" would copy into a new array before out
+        tab[:n] = (pts[cols] if rows is None else
+                   np.take(pts, rows[cols], axis=0, out=gathered[:w], mode="clip")).T
         block[1:n + 1] = tab[:n]   # x^1 = He_1(x) = x
-        fill_table(tab, n, max_exp)
+        for p, js in fills:
+            fill_table(tab, n, p, js)
         for lo, hi, parent, factor in runs:
             np.multiply(block[parent:parent + hi - lo], tab[factor], out=block[lo:hi])
         yield cols, block

@@ -10,6 +10,7 @@ bounded, the grid the iterate count O(1/xi^2); the sign gives the PTF.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -17,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .adversary import AdversaryStrategy, LabeledSampleSet, corrupted_rows
-from .chowfilter import (ChowEstimate, FilterParams, _filter, _survivor_sums,
-                         prune_mask, robust_chow, sample_floor)
+from .chowfilter import (ChowEstimate, FilterParams, _filter, _survivor_sums, robust_chow,
+                         sample_floor)
 from .distributions import EPS_FLOOR, ReasonableDistribution
 from .errors import ConfigError
 from .polybasis import Polynomial
@@ -159,20 +160,23 @@ def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
                          seed) -> ChowOracle:
     """Chow oracle on one clean pool, corrupted anew per call, self-labeled.
 
-    Building the oracle draws, validates and featurizes m_per_call points
-    once, keeping their features (the package's one stored feature matrix:
-    a learn call queries it several times), prune mask and survivor Gram
-    matrix; uniform convergence over clipped degree-d polynomials covers
-    every query on that one pool, adaptive ones included. Each call
-    labels the pool by the queried hypothesis, lets the adversary move an
-    eps-fraction of its points (`corrupted_rows`) and labels those too, so
-    only placement is corrupted. A copy of the pool's sums is corrected by
-    the moved rows: old rows leave if they survived the prune, new rows
-    enter if they pass it. One gemv sums the survivors' labels and the
-    filter loop of `robust_chow` runs on the matrix as its one tile, which
-    gives the same estimate on the moved sample up to summation order. The
-    moved points and rows replace the pool's for the filter and are swapped
-    back afterwards, also when the filter raises.
+    Building the oracle draws and validates m_per_call points once and
+    streams their features once (`_survivor_sums`), keeping the points,
+    their prune mask, squared norms and survivor Gram matrix; no feature
+    matrix is stored. Uniform convergence over clipped degree-d
+    polynomials covers every query on that one pool, adaptive ones
+    included. Each call labels the pool by the queried hypothesis,
+    clip(q(x)), lets the adversary move an eps-fraction of its points
+    (`corrupted_rows`) and labels those too, so only placement is
+    corrupted. A copy of the pool's sums is corrected by the moved rows:
+    old rows, featurized again from the pool points, leave if they survived
+    the prune, new rows enter if they pass it. With w = C^T q, so that
+    q(x) = w . h(x), the survivors' label sum is gram w less the sum of
+    h(x) (q(x) - clip(q(x))) over the clipped survivors, the only rows
+    featurized for it. The filter loop of `robust_chow` then runs on the
+    pool points with the moved points, and their squared norms, in place
+    of the pool's; the pool's are swapped back afterwards, also when the
+    filter raises.
     """
     floor = sample_floor(dist.ell)
     if m_per_call < floor:
@@ -180,42 +184,35 @@ def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
     stream = np.random.default_rng(seed)
     pool = LabeledSampleSet(dist.sample(m_per_call, stream.integers(0, 2 ** 63)),
                             np.zeros(m_per_call))
-    h_t = dist.featurize(pool.points).T
-
-    def tiles():   # the stored matrix is one tile, so its products run as one
-        return [(slice(None), h_t)]
-
-    pool_alive, pool_gram, _ = _survivor_sums(tiles(), dist)
+    tiles = functools.partial(dist.feature_tiles, pool.points)
+    pool_alive, pool_norm2, pool_gram, _ = _survivor_sums(tiles(), dist)
 
     def oracle(pbf: PBF) -> ChowEstimate:
         adv_seed = stream.integers(0, 2 ** 63)
-        # q(x) = (C^T q) . h(x) by the scores' per-row loop, up to the last
-        # nonzero weight (the rows past it add exactly 0)
-        weights = dist.monomial_map().T @ pbf.q.coeffs
-        hi = weights.nonzero()[0].max(initial=-1) + 1
-        pool.labels = labels = np.clip(np.einsum("ij,i->j", h_t[:hi], weights[:hi]), -1.0, 1.0)
+        margins = pbf.q(pool.points)
+        pool.labels = labels = np.clip(margins, -1.0, 1.0)
         idx, points, _ = corrupted_rows(pool, pbf, eps, strategy, dist, adv_seed)
         if not np.isfinite(points).all():
             raise ValueError("sample points must be finite")
-        rows = dist.featurize(points)
         # the learner labels whatever points it is handed
-        labels[idx] = np.clip(np.einsum("ij,i->j", rows.T[:hi], weights[:hi]), -1.0, 1.0)
+        margins[idx] = pbf.q(points)
+        labels[idx] = np.clip(margins[idx], -1.0, 1.0)
         alive, gram = pool_alive.copy(), pool_gram.copy()
-        old = h_t.take(idx[alive[idx]], axis=1)
-        gram -= old @ old.T
-        keep = alive[idx] = prune_mask(rows, dist)
-        new = rows.T.compress(keep, axis=1)
-        gram += new @ new.T
-        saved = h_t.take(idx, axis=1), pool.points[idx]
+        gram -= sum(block @ block.T for _, block in tiles(idx[alive[idx]]))
+        saved = pool.points[idx], pool_norm2[idx]
         try:
-            h_t[:, idx], pool.points[idx] = rows.T, points
-            if alive.all():
-                label_sum = h_t @ labels
-            else:   # pruned rows may have overflowed
-                label_sum = h_t.compress(alive, axis=1) @ labels[alive]
-            return _filter(tiles, pool.points, labels, alive, gram, label_sum, dist, eps)
+            pool.points[idx] = points
+            alive[idx], pool_norm2[idx], new_gram, _ = _survivor_sums(tiles(idx), dist)
+            gram += new_gram
+            clipped = np.flatnonzero(alive & (margins != labels))
+            excess = margins[clipped] - labels[clipped]
+            del margins   # the filter reads the clipped labels alone
+            label_sum = gram @ (dist.monomial_map().T @ pbf.q.coeffs) \
+                - sum(block @ excess[cols] for cols, block in tiles(clipped))
+            return _filter(tiles, pool.points, labels, alive, pool_norm2, gram, label_sum,
+                           dist, eps)
         finally:
-            h_t[:, idx], pool.points[idx] = saved
+            pool.points[idx], pool_norm2[idx] = saved
 
     return oracle
 

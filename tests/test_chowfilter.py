@@ -1,4 +1,5 @@
 import functools
+import json
 import math
 import tracemalloc
 
@@ -9,9 +10,9 @@ from hypothesis import strategies as st
 
 from robustchow import chowfilter, ptf_learner
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
-from robustchow.chowfilter import (ChowEstimate, FilterParams, _filter,
-                                   _survivor_sums, _threshold_cut, chow_distance,
-                                   empirical_chow, prune_mask, robust_chow)
+from robustchow.chowfilter import (ChowEstimate, FilterParams, _cut_floor, _filter,
+                                   _pass_scores, _survivor_sums, _threshold_cut,
+                                   chow_distance, empirical_chow, prune_mask, robust_chow)
 from robustchow.distributions import (gaussian_descriptor, hypercube_descriptor,
                                       log_concave_descriptor)
 from robustchow.errors import (AllPointsPruned, BasisMismatch, ChowBoundViolated,
@@ -286,6 +287,157 @@ def test_identical_points_share_one_decision(monkeypatch):
             assert not est.keep_mask[moved[-1]].any(), (d, m)
 
 
+def tile_scores(tiles, rows, v):
+    """|h(x) . v| for the given rows, tile by tile, as a scoring pass takes
+    them, but for every row given."""
+    out = np.empty(len(rows))
+    for cols, block in tiles(rows):
+        np.einsum("ij,j->i", block.T, v, out=out[cols])
+    return np.abs(out)
+
+
+def test_a_clone_alone_in_its_tile_scores_as_in_a_full_tile():
+    # einsum takes a contiguous one-row block by its reduction kernel, which
+    # rounds unlike its per-row loop (at ell = 455 most one-row scores
+    # differ in the last bits). A clone that lands alone in the last
+    # candidate tile, or is the only candidate, must score as its clones in
+    # a full tile do, or the cut can split their cluster.
+    dist = gaussian_descriptor(12, 3, 0.05)
+    m = TILE_ROWS + 40
+    pts = dist.sample(m, 0)
+    clones = np.array([5, 17, TILE_ROWS + 30])
+    pts[clones] = 1.5 * pts[clones[0]]
+    tiles = functools.partial(dist.feature_tiles, pts)
+    alive, norm2, _, _ = _survivor_sums(tiles(), dist)
+    v = np.random.default_rng(1).standard_normal(dist.ell)
+    v /= np.linalg.norm(v)
+    every = tile_scores(tiles, np.arange(m), v)
+    assert every[clones[0]] == every[clones[1]] == every[clones[2]]
+    # scores reach the cut only where these norms say: the first tile's
+    # rows and the last clone (TILE_ROWS + 1 candidates), then that clone alone
+    for chosen in (np.r_[np.arange(TILE_ROWS), clones[2]], clones[2:]):
+        reach = np.zeros(m)
+        reach[chosen] = np.inf
+        rows, scores = _pass_scores(tiles, alive, reach, v, dist)
+        assert np.array_equal(rows, chosen)
+        assert scores.tobytes() == every[chosen].tobytes()
+
+
+@functools.lru_cache(maxsize=None)
+def scoring_family(name):
+    """The descriptors the candidate test runs on."""
+    if name == "log-concave d2":
+        return null_direction_family()
+    family, d = name.split(" d")
+    make = gaussian_descriptor if family == "gaussian" else hypercube_descriptor
+    return make(6 if family == "hypercube" else 4, int(d), 0.1)
+
+
+def matrix_tiles(h):
+    """A tile source over a fixed (ell, m) feature matrix that gathers the
+    rows it is asked for into one reused buffer, as `feature_tiles` does."""
+    def tiles(rows=None):
+        rows = np.arange(h.shape[1]) if rows is None else rows
+        buf = np.empty((h.shape[0], max(2, min(len(rows), TILE_ROWS))))
+        for c0 in range(0, len(rows), TILE_ROWS):
+            cols = slice(c0, min(c0 + TILE_ROWS, len(rows)))
+            block = buf[:, :cols.stop - c0]
+            block[...] = h[:, rows[cols]]
+            yield cols, block
+    return tiles
+
+
+def cut_outcome(scores, rows, dist, eps, m=None):
+    """(T, rows removed) of the cut on the given rows' scores, or the
+    message of its NoThresholdFound."""
+    try:
+        t, keep = _threshold_cut(scores, dist, eps, m)
+    except NoThresholdFound as err:
+        return str(err)
+    return t, rows[~keep].tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(family=st.sampled_from(["gaussian d1", "gaussian d2", "gaussian d3",
+                               "hypercube d1", "hypercube d2", "log-concave d2"]),
+       m=st.integers(50, TILE_ROWS + 300), seed=st.integers(0, 2 ** 16),
+       near=st.integers(0, 40), share=st.sampled_from([0.0, 0.02, 0.1, 0.3]),
+       scale=st.floats(0.5, 6.0), aim=st.sampled_from(["eigen", "near", "cluster"]),
+       eps=st.sampled_from([0.0, 0.1]))
+def test_candidate_scoring_matches_scoring_every_row(family, m, seed, near, share, scale,
+                                                     aim, eps):
+    # |h . v| <= |h| for the unit v: scoring only the rows whose norm can
+    # reach the cut floor gives the cut of scoring every row, the same T
+    # and rows removed, or the same NoThresholdFound message. Rows are
+    # featurized samples, some rescaled to within an ulp or two of the
+    # candidate floor or of the cut floor, and a cluster of copies of one
+    # row at scale x the candidate floor; v is the top eigenvector or
+    # points at a near-floor row or the cluster.
+    dist = scoring_family(family)
+    rng = np.random.default_rng(seed)
+    if family.startswith("log-concave"):
+        pts = gaussian_descriptor(3, 2, 0.1).sample(m, seed) * np.r_[1.0, 0.0, 1.0]
+        pts[rng.choice(m, m // 50, replace=False), 1] = 0.01   # null-direction mass
+    else:
+        pts = dist.sample(m, seed)
+    h = dist.featurize(pts).T   # (ell, m), C-contiguous
+    floor = _cut_floor(dist) * (1.0 - 1e-9)
+    aims = {"eigen": None}
+    if share:
+        k = max(1, int(share * m))
+        base = h[:, rng.integers(m)]
+        base = base * (scale * floor / np.linalg.norm(base))
+        h[:, :k] = base[:, None]
+        aims["cluster"] = base
+    near_rows = rng.choice(m, min(near, m), replace=False)
+    for j, i in enumerate(near_rows):
+        # within a few ulps of the candidate floor or of the cut floor
+        target = floor if j % 2 else _cut_floor(dist)
+        h[:, i] *= target / np.linalg.norm(h[:, i]) * (1.0 + (j % 5 - 2) * 2.0 ** -53)
+        aims["near"] = h[:, i]
+    tiles = matrix_tiles(h)
+    alive, norm2, gram, _ = _survivor_sums(tiles(), dist)
+    if not alive.any():
+        return
+    v = aims.get(aim)
+    v = np.linalg.eigh(gram)[1][:, -1] if v is None else v / np.linalg.norm(v)
+    v = np.ascontiguousarray(v)
+    rows, scores = _pass_scores(tiles, alive, norm2, v, dist)
+    idx = np.flatnonzero(alive)
+    every = tile_scores(tiles, idx, v)
+    left_out = ~np.isin(idx, rows)
+    assert (every[left_out] < _cut_floor(dist)).all()
+    assert scores.tobytes() == every[~left_out].tobytes()
+    assert cut_outcome(scores, rows, dist, eps, idx.size) == cut_outcome(every, idx, dist, eps)
+
+
+def test_filter_records_each_pass(monkeypatch):
+    dist, bad = two_cluster_attack()
+    prov = robust_chow(bad, dist, FilterParams(eps=0.1)).provenance
+    passes = prov["passes"]
+    assert len(passes) == prov["iterations"] >= 3   # two cuts, then converged
+    break_level = chowfilter.C_BREAK * (dist.gamma + dist.delta + 0.1)
+    *cuts, last = passes
+    for p in cuts:
+        assert p["lambda"] > break_level and p["cut"] >= _cut_floor(dist)
+        assert 0 < p["removed"] <= p["scored"] <= len(bad)
+    assert last == {"lambda": prov["final_lambda"], "cut": None, "removed": 0, "scored": 0}
+    assert last["lambda"] <= break_level
+    assert sum(p["removed"] for p in passes) == prov["filtered"]
+    lambdas = [p["lambda"] for p in passes]
+    assert lambdas == sorted(lambdas, reverse=True)
+    assert json.loads(json.dumps(prov)) == prov
+    # the hypercube at n = 6, d = 1 scores no row at all: every norm is
+    # sqrt(7), below the cut floor, so a pass that must cut ends degraded
+    monkeypatch.setattr(chowfilter, "C_BREAK", 0.01)
+    cube = hypercube_descriptor(6, 1, 0.1)
+    pts = cube.sample(5000, 0)
+    prov = robust_chow(LabeledSampleSet(pts, np.sign(pts[:, 0])), cube,
+                       FilterParams(eps=0.1)).provenance
+    assert prov["degraded"] and len(prov["passes"]) == 1
+    assert prov["passes"][0]["scored"] == 0 and prov["passes"][0]["cut"] is None
+
+
 @pytest.mark.parametrize("d", [2, 3])
 def test_gaussian_hermite_filter_matches_dense_whitened_filter(d):
     # Hermite rows are a rotation of the whitened monomial rows: same
@@ -452,12 +604,15 @@ def test_threshold_cut_rejects_clean_gaussian_scores():
 
 def unique_searchsorted_cut(scores, dist, eps):
     """The cut rule with a full sort, np.unique candidates and searchsorted
-    counts, as a reference for the cut, which sorts only the top scores."""
+    counts, as a reference for the cut, which sorts only the top scores.
+    All-zero scores take the same message as any other sample without a
+    cut: the filter scores 0 for every row that cannot reach the cut, so
+    zero scores need not be zero projections."""
     order = np.sort(scores)
     candidates = np.unique(order)
     candidates = candidates[candidates > 0.0]
     if candidates.size == 0:
-        raise NoThresholdFound("all projections are zero")
+        raise NoThresholdFound("no sample value satisfies the tail-excess test")
     frac = (scores.size - np.searchsorted(order, candidates, side="left")) / scores.size
     valid = frac >= 4.0 * dist.tail(candidates) + 3.0 * eps / dist.t_max ** 2
     if not valid.any():
@@ -758,18 +913,20 @@ def test_survivor_sums_then_filter_is_robust_chow():
     bad = corrupt(s, f, 0.1, AdversaryStrategy("chow_attack"), dist, 3)
     bad.points[[5, BLOCK_ROWS + 9]] = 1e6   # two pruned rows
     tiles = functools.partial(dist.feature_tiles, bad.points)
-    alive, gram, label_sum = _survivor_sums(tiles(), dist, bad.labels)
+    alive, norm2, gram, label_sum = _survivor_sums(tiles(), dist, bad.labels)
     h = dist.featurize(bad.points)
     assert np.array_equal(alive, prune_mask(h, dist)) and (~alive).sum() == 2
+    # the squared norms the prune reads, pruned rows included
+    assert np.array_equal(norm2, np.einsum("ij,ij->i", h, h))
     live = h[alive]
     assert np.allclose(gram, live.T @ live, rtol=1e-12, atol=0)
     assert np.allclose(label_sum, bad.labels[alive] @ live, rtol=0, atol=1e-9)
-    # without labels: the same mask and Gram matrix, no label sum
-    bare_alive, bare_gram, bare_sum = _survivor_sums(tiles(), dist)
+    # without labels: the same mask, norms and Gram matrix, no label sum
+    bare_alive, bare_norm2, bare_gram, bare_sum = _survivor_sums(tiles(), dist)
     assert np.array_equal(bare_alive, alive) and np.array_equal(bare_gram, gram)
-    assert bare_sum is None
+    assert np.array_equal(bare_norm2, norm2) and bare_sum is None
     # the same tile source as robust_chow: the same estimate, bit for bit
-    est = _filter(tiles, bad.points, bad.labels, alive, gram, label_sum, dist, 0.1)
+    est = _filter(tiles, bad.points, bad.labels, alive, norm2, gram, label_sum, dist, 0.1)
     ref = robust_chow(bad, dist, FilterParams(eps=0.1))
     assert est.provenance == ref.provenance and ref.provenance["filtered"] > 0
     assert np.array_equal(est.keep_mask, ref.keep_mask)

@@ -94,8 +94,13 @@ def rowwise_product(feats, coeffs):
     """feats @ coeffs by one per-row einsum loop, as a Polynomial takes it:
     a row's value depends on that row alone, not on m or on how many
     threads BLAS runs (a BLAS product rounds the leftover rows of each
-    thread's share by another path, so which rows differ depends on both)."""
-    return np.einsum("ij,j->i", feats, coeffs)
+    thread's share by another path, so which rows differ depends on both).
+    feats is feature-major and at least two rows long: einsum takes the
+    one contiguous row of a single point by its reduction kernel, which
+    adds in another order."""
+    wide = np.zeros((feats.shape[1], max(len(feats), 2)))
+    wide[:, :len(feats)] = feats.T
+    return np.einsum("ij,j->i", wide.T, coeffs)[:len(feats)]
 
 
 @pytest.mark.parametrize("multilinear", [False, True])
@@ -139,16 +144,54 @@ def test_monomial_sum_is_the_weighted_column_sum(m):
 def test_zero_coefficients_cannot_make_a_value_nan():
     # sign(x1^2 - 1) at a finite point whose x2 squares to infinity: the
     # full monomial matrix holds x2^2 = inf, and 0 * inf made the margin NaN
-    # and the label -1
+    # and the label -1. The factor table squares only x1, which a run
+    # reads, so no overflow warning is raised either (warnings are errors
+    # in this suite).
     b = enumerate_basis(2, 2)
     coeffs = np.zeros(b.ell)
     coeffs[0] = -1.0
     coeffs[b.index_of((2, 0))] = 1.0
     pts = np.array([[2.0, 1e200]])
     poly = Polynomial(b, coeffs)
-    with np.errstate(over="ignore"):   # the factor table still squares x2
-        margin, label = poly(pts), PTF(poly).evaluate(pts)
+    margin, label = poly(pts), PTF(poly).evaluate(pts)
     assert margin.tolist() == [3.0] and label.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("n, d", [(4, 3), (6, 4), (12, 3)])
+def test_polynomial_fills_only_the_factors_its_runs_read(n, d):
+    # powers of x1 and x3 only (the variables between them get none), a
+    # cube of x_n, and a dense polynomial: each takes the values of the
+    # full monomial matrix, bit for bit, on finite points; and a huge
+    # coordinate that no kept run powers raises no overflow
+    b = enumerate_basis(n, d)
+    rng = np.random.default_rng(n + d)
+    pts = rng.standard_normal((2 * TILE_ROWS + 5, n))
+    full = eval_monomials_batch(b, pts)
+    gapped = np.zeros(b.ell)
+    for exps in ((2,) + (0,) * (n - 1), (0, 0, 2) + (0,) * (n - 3), (1, 0, 1) + (0,) * (n - 3)):
+        gapped[b.index_of(exps)] = rng.standard_normal()
+    cube = np.zeros(b.ell)
+    cube[b.index_of((0,) * (n - 1) + (3,))] = 1.0
+    for coeffs in (gapped, cube, rng.standard_normal(b.ell)):
+        value = Polynomial(b, coeffs)(pts)
+        assert value.tobytes() == rowwise_product(full, coeffs).tobytes()
+    far = pts[:3].copy()
+    far[:, 1] = 1e200
+    expect = Polynomial(b, gapped)(np.where(np.arange(n) == 1, 0.0, far))
+    assert Polynomial(b, gapped)(far).tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("n, d", [(3, 2), (8, 2), (12, 3)])
+def test_polynomial_of_one_point_is_its_value_in_a_batch(n, d):
+    # a single point is a one-row tile: it must take einsum's per-row loop,
+    # like a point inside a full tile, not the reduction kernel of one
+    # contiguous column, which adds in another order
+    b = enumerate_basis(n, d)
+    rng = np.random.default_rng(d)
+    poly = Polynomial(b, rng.standard_normal(b.ell))
+    pts = rng.standard_normal((200, n))
+    batch = poly(pts)
+    assert np.concatenate([poly(pts[i:i + 1]) for i in range(200)]).tobytes() == batch.tobytes()
 
 
 def test_basis_must_be_graded():

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,8 @@ import pytest
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import (ChowEstimate, _survivor_sums, chow_distance,
                                    empirical_chow, robust_chow, sample_floor)
-from robustchow.distributions import gaussian_descriptor, log_concave_descriptor
+from robustchow.distributions import (gaussian_descriptor, hypercube_descriptor,
+                                      log_concave_descriptor)
 from robustchow.errors import AllPointsPruned, ConfigError
 from robustchow.harness import score
 from robustchow.ltf_learner import LTF
@@ -237,15 +239,13 @@ def test_sampling_oracle_keeps_one_clean_pool(monkeypatch):
     coeffs[1] = 0.5
     pbf = PBF(Polynomial(dist.basis, coeffs), 0.5)
     pools = []
-    real_featurize = dist.featurize
+    real_sample = dist.sample
 
-    def remember(points):
-        out = real_featurize(points)
-        if not pools:
-            pools.append((points, out))
-        return out
+    def remember(count, seed):
+        pools.append(real_sample(count, seed))
+        return pools[-1]
 
-    monkeypatch.setattr(dist, "featurize", remember)
+    monkeypatch.setattr(dist, "sample", remember)
     oracle = make_sampling_oracle(dist, 0.0, AdversaryStrategy("none"), 20_000, seed=9)
     a = oracle(pbf)
     c = oracle(pbf)
@@ -253,14 +253,13 @@ def test_sampling_oracle_keeps_one_clean_pool(monkeypatch):
 
     moved = []
     spy_on_moved_rows(monkeypatch, moved)
-    pools.clear()
     oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), 5000, seed=2)
+    pts = pools[-1]
+    clean = pts.copy()
     oracle(pbf)
-    (pts, h), = pools
-    clean = real_featurize(pts)
-    assert h.tobytes() == clean.tobytes()
+    assert pts.tobytes() == clean.tobytes()
     oracle(pbf)
-    assert h.tobytes() == clean.tobytes()
+    assert pts.tobytes() == clean.tobytes()
     first, second = (idx for idx, _ in moved)
     assert first.size == second.size == 250
     assert not np.array_equal(first, second)
@@ -271,8 +270,8 @@ def test_sampling_oracle_keeps_one_clean_pool(monkeypatch):
     monkeypatch.setattr(ptf_learner, "_filter", fails)
     with pytest.raises(RuntimeError):
         oracle(pbf)
-    # the moved rows are swapped back even when the filter raises
-    assert h.tobytes() == clean.tobytes()
+    # the moved points are swapped back even when the filter raises
+    assert pts.tobytes() == clean.tobytes()
 
 
 def test_sampling_oracle_matches_robust_chow_on_each_moved_sample(monkeypatch):
@@ -281,18 +280,13 @@ def test_sampling_oracle_matches_robust_chow_on_each_moved_sample(monkeypatch):
     dist = gaussian_descriptor(3, 2, 0.05)
     m, eps = 3000, 0.05
     pools = []
-    real_sample, real_featurize = dist.sample, dist.featurize
+    real_sample = dist.sample
 
     def far_pool(count, seed):
         pts = real_sample(count, seed)
         pts[:3] = 1e4   # pool rows 0, 1 and 2 are pruned
+        pools.append(pts.copy())
         return pts
-
-    def remember(points):
-        out = real_featurize(points)
-        if not pools:
-            pools.append((points.copy(), out))
-        return out
 
     real_rows = ptf_learner.corrupted_rows
     moved = []
@@ -315,12 +309,12 @@ def test_sampling_oracle_matches_robust_chow_on_each_moved_sample(monkeypatch):
     real_filter = ptf_learner._filter
     sums = []
 
-    def spy(tiles, points, labels, alive, gram, label_sum, *args):
-        sums.append((alive.copy(), gram.copy(), label_sum.copy(), labels.copy()))
-        return real_filter(tiles, points, labels, alive, gram, label_sum, *args)
+    def spy(tiles, points, labels, alive, norm2, gram, label_sum, *args):
+        sums.append((points, alive.copy(), norm2.copy(), gram.copy(), label_sum.copy(),
+                     labels.copy()))
+        return real_filter(tiles, points, labels, alive, norm2, gram, label_sum, *args)
 
     monkeypatch.setattr(dist, "sample", far_pool)
-    monkeypatch.setattr(dist, "featurize", remember)
     monkeypatch.setattr(ptf_learner, "corrupted_rows", adversary)
     monkeypatch.setattr(ptf_learner, "_filter", spy)
     oracle = make_sampling_oracle(dist, eps, AdversaryStrategy("chow_attack"), m, seed=5)
@@ -330,14 +324,16 @@ def test_sampling_oracle_matches_robust_chow_on_each_moved_sample(monkeypatch):
     with np.errstate(over="ignore", invalid="ignore"):
         for q in queries:
             est = oracle(PBF(Polynomial(dist.basis, q), 0.5))
-            alive, gram, label_sum, labels = sums[-1]
+            pool, alive, norm2, gram, label_sum, labels = sums[-1]
             sample = LabeledSampleSet(moved[-1], np.zeros(m))
             sample.labels = labels   # the oracle's; a pruned row's may be NaN
             ref = robust_chow(sample, dist, ptf_learner.FilterParams(eps=eps))
-            # the corrected sums are the moved sample's survivor sums
+            # the corrected sums are the moved sample's survivor sums; the
+            # label sum comes from the Gram matrix, so it agrees to rounding
             fresh = _survivor_sums(dist.feature_tiles(sample.points), dist, labels)
             assert np.array_equal(alive, fresh[0])
-            for got, want in ((gram, fresh[1]), (label_sum, fresh[2])):
+            assert np.array_equal(norm2, fresh[1], equal_nan=True)
+            for got, want in ((gram, fresh[2]), (label_sum, fresh[3])):
                 assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
             assert np.array_equal(est.keep_mask, ref.keep_mask)
             for key in ("iterations", "pruned", "filtered", "degraded", "cap_reached"):
@@ -345,9 +341,8 @@ def test_sampling_oracle_matches_robust_chow_on_each_moved_sample(monkeypatch):
             assert np.allclose(est.chi, ref.chi, rtol=0, atol=1e-12)
             assert est.keep_mask[0] and not est.keep_mask[1:3].any()
             assert est.provenance["pruned"] == 4 and est.provenance["filtered"] > 0
-    (pts, h), = pools
-    clean = real_featurize(pts)
-    assert h.tobytes() == clean.tobytes()
+            # the pool's clean points are back in place after each call
+            assert pool.tobytes() == pools[0].tobytes()
 
     def fails(*args, **kwargs):
         raise RuntimeError("filter failed")
@@ -355,7 +350,7 @@ def test_sampling_oracle_matches_robust_chow_on_each_moved_sample(monkeypatch):
     monkeypatch.setattr(ptf_learner, "_filter", fails)
     with pytest.raises(RuntimeError), np.errstate(over="ignore", invalid="ignore"):
         oracle(PBF(Polynomial(dist.basis, coeffs), 0.5))
-    assert h.tobytes() == clean.tobytes()
+    assert pool.tobytes() == pools[0].tobytes()
 
 
 def test_sampling_oracle_draws_its_pool_once_at_build(monkeypatch):
@@ -420,39 +415,52 @@ def test_learn_ptf_takes_a_zero_oracle_pool_literally():
         learn_ptf(s, dist, 1, 0.0, m_oracle=0)
 
 
-def test_sampling_oracle_featurizes_each_draw_once(monkeypatch):
+def test_sampling_oracle_featurizes_the_pool_once_then_only_the_rows_it_reads(monkeypatch):
     dist = gaussian_descriptor(4, 2, 0.05)
     m = 20_000
     budget = int(0.05 * m)
-    rows = []
-    real = dist.featurize
+    stored, streamed = [], []
+    real_featurize, real_tiles = dist.featurize, dist.feature_tiles
 
-    def counted(points):
-        out = real(points)
-        rows.append(out.shape[0])
-        return out
+    def featurize(points):
+        stored.append(len(points))
+        return real_featurize(points)
 
-    monkeypatch.setattr(dist, "featurize", counted)
+    def feature_tiles(points, rows=None, out=None):
+        if out is None:   # featurize fills an out through the same tiles
+            streamed.append(len(points) if rows is None else len(rows))
+        return real_tiles(points, rows, out)
+
+    monkeypatch.setattr(dist, "featurize", featurize)
+    monkeypatch.setattr(dist, "feature_tiles", feature_tiles)
     coeffs = np.zeros(dist.ell)
     coeffs[1] = 0.5
     coeffs[dist.basis.index_of((2, 0, 0, 0))] = 0.25
     oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), m, seed=3)
     pbf = PBF(Polynomial(dist.basis, coeffs), 0.5)
-    # the pool once, at build; then per call the moved rows once (the labels
-    # and the filter's scores reuse the oracle's features) and, for each
-    # pass that cuts, its cut rows
-    assert rows == [m]
+    # the pool streams once, at build, and nothing is stored
+    assert streamed == [m] and stored == []
     for _ in range(2):
-        rows.clear()
+        stored.clear()
+        streamed.clear()
         est = oracle(pbf)
-        assert est.provenance["samples_in"] == m
-        assert rows[0] == budget and sum(rows[1:]) == est.provenance["filtered"] > 0
-        assert len(rows) == est.provenance["iterations"]
+        prov = est.provenance
+        assert prov["samples_in"] == m
+        # stored: each cutting pass's cut rows, to take them out of the sums
+        assert sum(stored) == prov["filtered"] > 0
+        assert len(stored) == prov["iterations"] - 1
+        # streamed: the moved rows' old points, which leave the sums, and
+        # their new ones; the clipped survivors (|q| > 1 for about 10% of
+        # the pool here, and at the attack point); each scoring pass's
+        # candidates
+        assert streamed[:2] == [budget, budget] and budget < streamed[2] < m // 5
+        assert streamed[3:] == [p["scored"] for p in prov["passes"] if p["scored"]]
+        assert 0 < max(streamed[3:]) < m // 4
 
 
 def test_sampling_oracle_labels_and_features_match_its_points(monkeypatch):
-    # the oracle labels in the descriptor's Hermite coordinates through
-    # C^T q; labels and rows must still be those of the points it hands on
+    # the oracle labels by q itself, clip(q(x)); labels and rows must be
+    # those of the points it hands on, bit for bit, gathered rows included
     dist = gaussian_descriptor(3, 2, 0.05)
     coeffs = np.zeros(dist.ell)
     coeffs[0], coeffs[1] = -0.25, 0.5
@@ -463,18 +471,101 @@ def test_sampling_oracle_labels_and_features_match_its_points(monkeypatch):
     real = ptf_learner._filter
 
     def spy(tiles, sample, labels, *args):
-        # the oracle swaps the pool's clean points and rows back after the call
+        # the oracle swaps the pool's clean points back after the call
         h = np.concatenate([block.copy() for _, block in tiles()], axis=1).T
-        seen.append((sample.copy(), labels.copy(), h))
+        odd = np.arange(1, len(sample), 2)
+        h_odd = np.concatenate([block.copy() for _, block in tiles(odd)], axis=1).T
+        seen.append((sample.copy(), labels.copy(), h, h_odd))
         return real(tiles, sample, labels, *args)
 
     monkeypatch.setattr(ptf_learner, "_filter", spy)
     make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), 5000, seed=2)(pbf)
-    ((idx, points),), ((sample, labels, h),) = moved, seen
+    ((idx, points),), ((sample, labels, h, h_odd),) = moved, seen
     assert idx.size == 250
     assert np.array_equal(sample, points)
-    assert np.allclose(labels, pbf.evaluate(points), rtol=0, atol=1e-12)
-    assert np.allclose(h, dist.featurize(points), rtol=0, atol=1e-12)
+    assert np.array_equal(labels, pbf.evaluate(points))
+    assert np.array_equal(h, dist.featurize(points))
+    assert np.array_equal(h_odd, h[1::2])
+
+
+@pytest.mark.parametrize("family", ["gaussian", "hypercube", "uniform cube"])
+def test_sampling_oracle_label_sum_is_the_direct_sum(monkeypatch, family):
+    # The oracle sums the survivors' labels as gram w less the clipped
+    # survivors' h(x) (q(x) - clip(q(x))), with w = C^T q. Against the
+    # direct sum of clip(q(x)) h(x) over the survivors, entry i agrees to
+    # 1e-13 of sum_x |h_i(x)| (|h(x)| . |w|), the size of the terms gram w
+    # adds up: a moved cluster far out in whitened coordinates (the uniform
+    # cube's sits at norm ~22,000) cancels most of its q(x) against its
+    # clip, and the sum keeps that rounding (1.7e-11 of its largest entry
+    # there, 1e-14 on the Gaussian). Queries are a sparse and a dense q,
+    # moved rows are clipped and, off the hypercube, dropped by the prune.
+    dist = {"gaussian": lambda: gaussian_descriptor(3, 2, 0.05),
+            "hypercube": lambda: hypercube_descriptor(4, 2, 0.05),
+            "uniform cube": lambda: uniform_cube_descriptor(3, 2, 0.05)}[family]()
+    real_rows, real_filter = ptf_learner.corrupted_rows, ptf_learner._filter
+    moved, sums = [], []
+
+    def adversary(clean, f, eps, strategy, dist_, seed):
+        idx, points, labels = real_rows(clean, f, eps, strategy, dist_, seed)
+        if family != "hypercube":
+            points = points.copy()
+            points[:5] = 1e4   # pruned where they land
+        moved.append(idx)
+        return idx, points, labels
+
+    def spy(tiles, points, labels, alive, norm2, gram, label_sum, *args):
+        sums.append((points.copy(), labels.copy(), alive.copy(), label_sum.copy()))
+        return real_filter(tiles, points, labels, alive, norm2, gram, label_sum, *args)
+
+    monkeypatch.setattr(ptf_learner, "corrupted_rows", adversary)
+    monkeypatch.setattr(ptf_learner, "_filter", spy)
+    oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack", rho=0.9),
+                                  5000, seed=3)
+    sparse = np.zeros(dist.ell)
+    sparse[0], sparse[1] = -0.25, 1.5
+    dense = np.round(np.random.default_rng(4).standard_normal(dist.ell) * 2.0) * 0.25
+    dense[dense == 0.0] = 0.25
+    moved_clipped = []
+    for coeffs in (sparse, dense):
+        pbf = PBF(Polynomial(dist.basis, coeffs), 0.5)
+        oracle(pbf)
+        points, labels, alive, label_sum = sums[-1]
+        is_moved = np.isin(np.arange(len(points)), moved[-1])
+        clipped = alive & (np.abs(pbf.margin(points)) > 1.0)
+        moved_clipped.append(clipped[is_moved].any())
+        assert clipped[~is_moved].any()
+        assert (family == "hypercube") == alive[is_moved].all()
+        h = dist.featurize(points[alive])
+        direct = labels[alive] @ h
+        scale = np.abs(h).T @ (np.abs(h) @ np.abs(dist.monomial_map().T @ coeffs))
+        assert (np.abs(label_sum - direct) <= 1e-13 * scale).all()
+    assert any(moved_clipped)
+
+
+def test_sampling_oracle_stores_no_feature_matrix(monkeypatch):
+    # building the oracle and one call stream the pool's features and keep
+    # none: the (m, ell) matrix would take m * ell * 8 = 14.4 MB here, and
+    # both peak below a quarter of it. The pool points (m * n * 8 bytes) are
+    # the oracle's input and are drawn before tracing. At m = 2e4 the peak
+    # reads about 0.28 of the matrix: one tile buffer with its factor table
+    # and gather buffer is 1.1 MB whatever m is.
+    dist = gaussian_descriptor(8, 2, 0.05)
+    dist.monomial_map()
+    m = 40_000
+    pool = dist.sample(m, 3)
+    monkeypatch.setattr(dist, "sample", lambda count, seed: pool)
+    coeffs = np.zeros(dist.ell)
+    coeffs[0] = -0.5
+    coeffs[dist.basis.index_of((2,) + (0,) * 7)] = 0.5
+    tracemalloc.start()
+    try:
+        oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), m, seed=3)
+        est = oracle(PBF(Polynomial(dist.basis, coeffs), 0.5))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < m * dist.ell * 8 / 4
+    assert est.provenance["filtered"] > 0 and est.provenance["passes"][0]["scored"] < m // 4
 
 
 # --- default_xi --------------------------------------------------------------------
