@@ -175,15 +175,15 @@ def _pass_scores(tiles, alive: np.ndarray, norm2: np.ndarray, v: np.ndarray,
     return rows, np.abs(scores, out=scores)
 
 
-def _filter(tiles, points: np.ndarray, labels: np.ndarray, alive: np.ndarray,
-            norm2: np.ndarray, gram: np.ndarray, label_sum: np.ndarray,
-            dist: ReasonableDistribution, eps: float) -> ChowEstimate:
+def _filter(tiles, labels: np.ndarray, alive: np.ndarray, norm2: np.ndarray,
+            gram: np.ndarray, label_sum: np.ndarray, dist: ReasonableDistribution,
+            eps: float) -> ChowEstimate:
     """Filter to fixpoint from the survivor sums of `_survivor_sums`.
 
     Each pass takes the top eigenvector of the survivors' Gram matrix,
     scores only the survivors that can reach the cut (`_pass_scores`), on
     the tiles that tiles(rows) yields anew, and subtracts the cut rows,
-    featurized again from points, from both sums, which it updates in
+    streamed again tile by tile, from both sums, which it updates in
     place along with `alive`. The provenance lists each pass: lambda*, the
     cut T (None when it made none), the rows it removed and scored.
     """
@@ -227,9 +227,9 @@ def _filter(tiles, points: np.ndarray, labels: np.ndarray, alive: np.ndarray,
         m_cur -= gone.size
         if m_cur == 0:
             raise AllPointsPruned("filter removed every sample")
-        h_gone = dist.featurize(points[gone]).T
-        gram -= h_gone @ h_gone.T
-        label_sum -= h_gone @ labels[gone]
+        for cols, block in tiles(gone):
+            gram -= block @ block.T
+            label_sum -= block @ labels[gone[cols]]
 
     chi = dist.monomial_map() @ (label_sum / m_cur)
     provenance = {
@@ -255,7 +255,7 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
     matrix is stored. One stream prunes and sums and keeps each row's
     squared norm (`_survivor_sums`); the filter loop (`_filter`) then
     streams, per scoring pass, only the survivors whose norm can reach the
-    cut, and featurizes only the rows it cuts. The label-weighted mean maps
+    cut, and then only the rows it cuts. The label-weighted mean maps
     back to monomial coordinates through `dist.monomial_map()`.
 
     On the hypercube at degree 1 every row has norm sqrt(n + 1). For n <= 9
@@ -271,7 +271,7 @@ def robust_chow(corrupted: LabeledSampleSet, dist: ReasonableDistribution,
         raise ValueError("sample points must be finite")
     tiles = functools.partial(dist.feature_tiles, pts)
     alive, norm2, gram, label_sum = _survivor_sums(tiles(), dist, labels)
-    return _filter(tiles, pts, labels, alive, norm2, gram, label_sum, dist, params.eps)
+    return _filter(tiles, labels, alive, norm2, gram, label_sum, dist, params.eps)
 
 
 def empirical_chow(s: LabeledSampleSet, dist: ReasonableDistribution) -> ChowEstimate:

@@ -20,8 +20,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 from numpy.polynomial import hermite_e
-from scipy.special import factorial
-from scipy.stats import norm as _norm
+from scipy.special import factorial, ndtr
 
 from .adversary import STRATEGIES, AdversaryStrategy, LabeledSampleSet, corrupted_rows
 from .chowfilter import (ChowEstimate, FilterParams, chow_distance, robust_chow,
@@ -197,7 +196,7 @@ def analytic_ltf_chow(v: np.ndarray, theta: float,
     d = dist.basis.d
     g = math.exp(-theta * theta / 2.0) / math.sqrt(2.0 * math.pi)
     he = hermite_e.hermevander(-theta, d - 1)[0]
-    herm = np.r_[2.0 * float(_norm.cdf(theta)) - 1.0,
+    herm = np.r_[2.0 * float(ndtr(theta)) - 1.0,
                  2.0 * g * he / factorial(np.arange(1, d + 1))]
     power = hermite_e.herme2poly(herm)
     power = np.pad(power, (0, d + 1 - power.size))  # herme2poly drops zero top terms

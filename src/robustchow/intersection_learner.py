@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtri
 
 from .adversary import LabeledSampleSet
 from .chowfilter import ChowEstimate, FilterParams, robust_chow
@@ -219,7 +219,7 @@ def make_cover(k: int, dim: int, delta: float) -> Cover:
     if not DELTA_FLOOR <= delta <= 4 * k:   # NaN fails too
         raise ValueError(f"delta {delta} outside [{DELTA_FLOOR}, 4k = {4 * k}]")
     resolution = delta / (4.0 * k)
-    theta_max = float(_norm.ppf(1.0 - delta / (8.0 * k)))
+    theta_max = float(ndtri(1.0 - delta / (8.0 * k)))
     steps = int(math.ceil(2.0 * theta_max / resolution)) + 1
     grid_t = np.linspace(-theta_max, theta_max, steps)
     net = _sphere_net(dim, resolution)

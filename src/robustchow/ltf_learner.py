@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.stats import norm as _norm
+from scipy.special import ndtri
 
 from .adversary import LabeledSampleSet
 from .chowfilter import FilterParams, robust_chow, sample_floor
@@ -132,7 +132,7 @@ class LTFConfig:
 def estimate_threshold(s: LabeledSampleSet) -> float:
     """Invert E[sign(v.X + theta)] = 2 Phi(theta) - 1 on the empirical mean."""
     mean = float(np.clip(np.mean(s.labels), -1.0 + 1e-9, 1.0 - 1e-9))
-    return float(_norm.ppf((mean + 1.0) / 2.0))
+    return float(ndtri((mean + 1.0) / 2.0))
 
 
 def gaussian_pdf(theta: float) -> float:

@@ -209,8 +209,7 @@ def make_sampling_oracle(dist: ReasonableDistribution, eps: float,
             del margins   # the filter reads the clipped labels alone
             label_sum = gram @ (dist.monomial_map().T @ pbf.q.coeffs) \
                 - sum(block @ excess[cols] for cols, block in tiles(clipped))
-            return _filter(tiles, pool.points, labels, alive, pool_norm2, gram, label_sum,
-                           dist, eps)
+            return _filter(tiles, labels, alive, pool_norm2, gram, label_sum, dist, eps)
         finally:
             pool.points[idx], pool_norm2[idx] = saved
 

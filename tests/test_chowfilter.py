@@ -926,7 +926,7 @@ def test_survivor_sums_then_filter_is_robust_chow():
     assert np.array_equal(bare_alive, alive) and np.array_equal(bare_gram, gram)
     assert np.array_equal(bare_norm2, norm2) and bare_sum is None
     # the same tile source as robust_chow: the same estimate, bit for bit
-    est = _filter(tiles, bad.points, bad.labels, alive, norm2, gram, label_sum, dist, 0.1)
+    est = _filter(tiles, bad.labels, alive, norm2, gram, label_sum, dist, 0.1)
     ref = robust_chow(bad, dist, FilterParams(eps=0.1))
     assert est.provenance == ref.provenance and ref.provenance["filtered"] > 0
     assert np.array_equal(est.keep_mask, ref.keep_mask)
@@ -951,18 +951,19 @@ def test_hypercube_degree1_filter_is_the_plain_mean(monkeypatch, n):
 def test_robust_chow_stores_no_feature_matrix(monkeypatch):
     # the rows stream through one (ell, TILE_ROWS) buffer: the (m, ell)
     # matrix would take m * ell * 8 = 72.8 MB here, and the call peaks
-    # below a quarter of it; only the rows a pass cuts are featurized
+    # below a quarter of it; after the sums, each pass streams only the rows
+    # it scores and then the rows it cuts, and nothing is featurized whole
     dist, f, s = ltf_instance(n=12, m=20_000, eps=0.05, seed=5, d=3)
     bad = corrupt(s, f, 0.05, AdversaryStrategy("chow_attack", rho=0.9), dist, 6)
-    rows = []
-    real = dist.featurize
+    streamed, stored = [], []
+    real = dist.feature_tiles
 
-    def counted(points):
-        out = real(points)
-        rows.append(out.shape[0])
-        return out
+    def counted(points, rows=None, out=None):
+        streamed.append(len(points) if rows is None else len(rows))
+        return real(points, rows, out)
 
-    monkeypatch.setattr(dist, "featurize", counted)
+    monkeypatch.setattr(dist, "feature_tiles", counted)
+    monkeypatch.setattr(dist, "featurize", stored.append)
     tracemalloc.start()
     try:
         est = robust_chow(bad, dist, FilterParams(eps=0.05))
@@ -971,7 +972,11 @@ def test_robust_chow_stores_no_feature_matrix(monkeypatch):
         tracemalloc.stop()
     assert peak < len(bad) * dist.ell * 8 / 4
     assert est.provenance["iterations"] >= 2 and est.provenance["filtered"] > 0
-    assert sum(rows) == est.provenance["filtered"] and len(rows) == est.provenance["iterations"] - 1
+    passes = est.provenance["passes"]
+    assert stored == [] and streamed[0] == len(bad)
+    assert [r for r in streamed[1:] if r] == [r for p in passes
+                                              for r in (p["scored"], p["removed"]) if r]
+    assert sum(p["removed"] for p in passes) == est.provenance["filtered"]
 
 
 def test_robust_chow_never_prunes_nan_rows():

@@ -2,7 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import gamma as gamma_fn
+from scipy.special import gammaincc
 from scipy.stats import norm
 
 from robustchow import distributions
@@ -15,8 +19,9 @@ from robustchow.distributions import (EPS_FLOOR, compute_delta, compute_tmax,
                                       hypercube_descriptor,
                                       hypercube_moment_matrix,
                                       log_concave_descriptor, make_tail_bound)
-from robustchow.errors import ConfigError, NonMultilinearBasis, UnknownFamily
-from robustchow.ltf_learner import LTF
+from robustchow.errors import ConfigError, IntegralDiverges, NonMultilinearBasis, UnknownFamily
+from robustchow.intersection_learner import make_cover
+from robustchow.ltf_learner import LTF, estimate_threshold
 from robustchow.polybasis import enumerate_basis, eval_monomials_batch
 
 
@@ -75,6 +80,54 @@ def test_delta_increasing_in_eps():
     q = make_tail_bound("gaussian-chaos", 2)
     vals = [compute_delta(q, e) for e in (0.01, 0.02, 0.05, 0.1)]
     assert vals == sorted(vals)
+
+
+@pytest.mark.parametrize("family", ["gaussian-chaos", "hypercube-chaos", "log-concave-chaos"])
+def test_delta_closed_form_is_checked_by_quadrature(monkeypatch, family):
+    # the quadrature agrees with the closed form to far better than the
+    # 5e-5 it allows, so a closed form 1e-3 off raises and 1e-6 off passes
+    tail = make_tail_bound(family, 2)
+    for scale, raises in ((1.0 + 1e-3, True), (1.0 + 1e-6, False)):
+        monkeypatch.setattr(distributions, "gammaincc",
+                            lambda a, u, scale=scale: scale * gammaincc(a, u))
+        if raises:
+            with pytest.raises(IntegralDiverges, match="disagrees with quadrature"):
+                compute_delta(tail, 0.05)
+        else:
+            compute_delta(tail, 0.05)
+
+
+def test_delta_quadrature_error_estimate_is_checked(monkeypatch):
+    # a 2-node rule against a 1-node one misses the tolerance by far
+    monkeypatch.setattr(distributions, "_GAUSS_LEGENDRE",
+                        tuple(np.polynomial.legendre.leggauss(k) for k in (2, 1)))
+    with pytest.raises(IntegralDiverges, match="did not converge"):
+        compute_delta(make_tail_bound("gaussian-chaos", 2), 0.05)
+
+
+@settings(max_examples=80, deadline=None)
+@given(family=st.sampled_from(["gaussian-chaos", "hypercube-chaos", "log-concave-chaos"]),
+       d=st.integers(1, 4), c=st.one_of(st.none(), st.floats(0.05, 3.0)),
+       eps=st.floats(1e-4, 0.5))
+def test_delta_is_the_closed_form(family, d, c, eps):
+    tail = make_tail_bound(family, d, c)
+    p, c, off = tail.power, tail.c, tail.offset
+    t0 = ((off + math.log(1.0 / eps)) / c) ** (1.0 / p)
+    closed = (eps * t0 * t0 / 2.0 + math.exp(off) * c ** (-2.0 / p) / p * gamma_fn(2.0 / p)
+              * gammaincc(2.0 / p, off + math.log(1.0 / eps)))
+    assert compute_delta(tail, eps) == pytest.approx(closed, rel=1e-12)
+
+
+def test_normal_quantiles_are_scipy_norm_ppf():
+    # the learners invert Phi with scipy.special.ndtri, bit for bit norm.ppf
+    rng = np.random.default_rng(0)
+    for labels in [rng.uniform(-1.0, 1.0, 7) for _ in range(50)] + [np.ones(3), -np.ones(3)]:
+        mean = np.clip(np.mean(labels), -1.0 + 1e-9, 1.0 - 1e-9)
+        sample = LabeledSampleSet(np.zeros((labels.size, 1)), labels)
+        assert estimate_threshold(sample) == norm.ppf((mean + 1.0) / 2.0)
+    for k, dim, delta in ((1, 1, 0.25), (1, 1, 0.9), (2, 1, 0.75), (2, 2, 0.75)):
+        cover = make_cover(k, dim, delta)
+        assert cover.thresholds.max() == norm.ppf(1.0 - delta / (8.0 * k))
 
 
 # --- T_max ---------------------------------------------------------------

@@ -2,6 +2,10 @@
 below it in LAYERS, function-level imports included."""
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import robustchow
@@ -48,6 +52,22 @@ def test_imports_run_upward_only():
                 upward.append(f"{name} imports {target}")
     assert upward == []
 
+
+# The scipy subpackages `import robustchow` may load: scipy.special and the
+# private modules scipy's own __init__ loads. scipy.stats and scipy.integrate
+# pull in optimize, sparse, linalg and more, about 46 MB of resident memory.
+SCIPY_ALLOWED = {"special", "_lib", "_cyutility", "_distributor_init", "__config__",
+                 "version"}
+
+
+def test_import_loads_only_scipy_special():
+    code = ("import json, sys, robustchow; print(json.dumps(sorted("
+            "{m.split('.')[1] for m in sys.modules if m.startswith('scipy.')})))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(SRC.parent)), timeout=120,
+                          check=True)
+    loaded = set(json.loads(proc.stdout.strip().splitlines()[-1]))
+    assert "special" in loaded and sorted(loaded - SCIPY_ALLOWED) == []
 
 
 REPO = SRC.parents[1]

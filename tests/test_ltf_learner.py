@@ -434,7 +434,7 @@ def test_learn_ltf_deterministic_given_seed(small_config):
 
 def test_learn_ltf_is_odd_in_the_labels(small_config):
     # one path serves both signs: negating every label (training set and
-    # source alike) must negate the output, up to rounding in norm.ppf
+    # source alike) must negate the output, up to rounding in ndtri
     n, eps = 8, 0.05
     dist = gaussian_descriptor(n, 1, eps)
     f = plant(n, -0.8, 91)

@@ -309,10 +309,10 @@ def test_sampling_oracle_matches_robust_chow_on_each_moved_sample(monkeypatch):
     real_filter = ptf_learner._filter
     sums = []
 
-    def spy(tiles, points, labels, alive, norm2, gram, label_sum, *args):
-        sums.append((points, alive.copy(), norm2.copy(), gram.copy(), label_sum.copy(),
-                     labels.copy()))
-        return real_filter(tiles, points, labels, alive, norm2, gram, label_sum, *args)
+    def spy(tiles, labels, alive, norm2, gram, label_sum, *args):
+        sums.append((tiles.args[0], alive.copy(), norm2.copy(), gram.copy(),
+                     label_sum.copy(), labels.copy()))
+        return real_filter(tiles, labels, alive, norm2, gram, label_sum, *args)
 
     monkeypatch.setattr(dist, "sample", far_pool)
     monkeypatch.setattr(ptf_learner, "corrupted_rows", adversary)
@@ -446,15 +446,15 @@ def test_sampling_oracle_featurizes_the_pool_once_then_only_the_rows_it_reads(mo
         est = oracle(pbf)
         prov = est.provenance
         assert prov["samples_in"] == m
-        # stored: each cutting pass's cut rows, to take them out of the sums
-        assert sum(stored) == prov["filtered"] > 0
-        assert len(stored) == prov["iterations"] - 1
         # streamed: the moved rows' old points, which leave the sums, and
         # their new ones; the clipped survivors (|q| > 1 for about 10% of
         # the pool here, and at the attack point); each scoring pass's
-        # candidates
+        # candidates, then its cut rows, which leave the sums; none stored
+        assert stored == []
         assert streamed[:2] == [budget, budget] and budget < streamed[2] < m // 5
-        assert streamed[3:] == [p["scored"] for p in prov["passes"] if p["scored"]]
+        assert streamed[3:] == [r for p in prov["passes"] for r in (p["scored"], p["removed"])
+                                if r]
+        assert sum(p["removed"] for p in prov["passes"]) == prov["filtered"] > 0
         assert 0 < max(streamed[3:]) < m // 4
 
 
@@ -470,13 +470,14 @@ def test_sampling_oracle_labels_and_features_match_its_points(monkeypatch):
     spy_on_moved_rows(monkeypatch, moved)
     real = ptf_learner._filter
 
-    def spy(tiles, sample, labels, *args):
+    def spy(tiles, labels, *args):
         # the oracle swaps the pool's clean points back after the call
+        sample = tiles.args[0]
         h = np.concatenate([block.copy() for _, block in tiles()], axis=1).T
         odd = np.arange(1, len(sample), 2)
         h_odd = np.concatenate([block.copy() for _, block in tiles(odd)], axis=1).T
         seen.append((sample.copy(), labels.copy(), h, h_odd))
-        return real(tiles, sample, labels, *args)
+        return real(tiles, labels, *args)
 
     monkeypatch.setattr(ptf_learner, "_filter", spy)
     make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), 5000, seed=2)(pbf)
@@ -513,9 +514,9 @@ def test_sampling_oracle_label_sum_is_the_direct_sum(monkeypatch, family):
         moved.append(idx)
         return idx, points, labels
 
-    def spy(tiles, points, labels, alive, norm2, gram, label_sum, *args):
-        sums.append((points.copy(), labels.copy(), alive.copy(), label_sum.copy()))
-        return real_filter(tiles, points, labels, alive, norm2, gram, label_sum, *args)
+    def spy(tiles, labels, alive, norm2, gram, label_sum, *args):
+        sums.append((tiles.args[0].copy(), labels.copy(), alive.copy(), label_sum.copy()))
+        return real_filter(tiles, labels, alive, norm2, gram, label_sum, *args)
 
     monkeypatch.setattr(ptf_learner, "corrupted_rows", adversary)
     monkeypatch.setattr(ptf_learner, "_filter", spy)
