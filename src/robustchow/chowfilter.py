@@ -107,24 +107,22 @@ def _cut_floor(dist: ReasonableDistribution) -> float:
     return dist.tail.crossing(0.25) * (1.0 - 1e-9)
 
 
-def _threshold_cut(scores: np.ndarray, dist: ReasonableDistribution, eps: float,
-                   m: Optional[int] = None):
+def _threshold_cut(scores: np.ndarray, dist: ReasonableDistribution, eps: float, m: int):
     """Largest observed score T > 0 with frac{|p*| >= T} >= 4 Q_d(T) + 3 eps / T_max^2.
 
     Returns (T, keep_mask). Raises NoThresholdFound when no sample value
     qualifies. Only scores at or above `_cut_floor` can qualify. The tail
     is monotone, so those scores are the top ones, and they alone are
     sorted: a score's count inside them is its count over all scores. The
-    fractions are over m rows, len(scores) by default: a caller may pass
-    only the scores that can reach the floor, and the mask is over those.
+    fractions are over m rows: a caller may pass only the scores that can
+    reach the floor, and the mask is over those.
     """
     top = np.sort(scores[scores >= _cut_floor(dist)])
     # the first copy of each value; every score in top is positive
     first = np.flatnonzero(np.r_[top[:1] > 0.0, top[1:] != top[:-1]])
     candidates = top[first]
     required = 4.0 * dist.tail(candidates) + 3.0 * eps / dist.t_max ** 2
-    valid = np.flatnonzero((top.size - first) / (scores.shape[0] if m is None else m)
-                           >= required)
+    valid = np.flatnonzero((top.size - first) / m >= required)
     if not valid.size:
         raise NoThresholdFound("no sample value satisfies the tail-excess test")
     t_cut = float(candidates[valid[-1]])
@@ -195,16 +193,11 @@ def _filter(tiles, labels: np.ndarray, alive: np.ndarray, norm2: np.ndarray,
     n_pruned = m_in - m_cur
     break_level = C_BREAK * (dist.gamma + dist.delta + eps)
 
-    iterations = 0
     degraded = False
     cap_reached = False
     last_lambda = math.nan
     passes = []
-    while True:
-        if iterations >= MAX_ITERATIONS:
-            cap_reached = True
-            break
-        iterations += 1
+    for _ in range(MAX_ITERATIONS):
         # |h . v| ignores v's sign; a contiguous v takes einsum's faster loop
         vals, vecs = np.linalg.eigh(gram / m_cur)
         lambda_star, v_star = float(vals[-1]) - 1.0, np.ascontiguousarray(vecs[:, -1])
@@ -230,6 +223,8 @@ def _filter(tiles, labels: np.ndarray, alive: np.ndarray, norm2: np.ndarray,
         for cols, block in tiles(gone):
             gram -= block @ block.T
             label_sum -= block @ labels[gone[cols]]
+    else:
+        cap_reached = True
 
     chi = dist.monomial_map() @ (label_sum / m_cur)
     provenance = {
@@ -237,7 +232,7 @@ def _filter(tiles, labels: np.ndarray, alive: np.ndarray, norm2: np.ndarray,
         "pruned": n_pruned,
         "filtered": m_in - n_pruned - m_cur,
         "used": m_cur,
-        "iterations": iterations,
+        "iterations": len(passes),
         "final_lambda": None if math.isnan(last_lambda) else float(last_lambda),
         "degraded": degraded,
         "cap_reached": cap_reached,
@@ -279,10 +274,7 @@ def empirical_chow(s: LabeledSampleSet, dist: ReasonableDistribution) -> ChowEst
     chi = monomial_sum(dist.basis, s.points, s.labels) / len(s)
     # Corrupted inputs can push the raw mean past the clean Cauchy-Schwarz
     # box, so skip the dist validation here.
-    est = ChowEstimate(chi, dist.basis, None,
-                       {"samples_in": len(s), "used": len(s), "iterations": 0,
-                        "pruned": 0, "filtered": 0, "degraded": False,
-                        "cap_reached": False})
+    est = ChowEstimate(chi, dist.basis, None)
     est.dist = dist
     return est
 

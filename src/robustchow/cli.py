@@ -38,11 +38,11 @@ EXIT_LEARNER = 3
 
 def _load_json(path: str) -> dict:
     """The config file's JSON object; a file that cannot be read (missing, a
-    directory) or is not UTF-8 is a ConfigError."""
+    directory), is not UTF-8 or is not JSON is a ConfigError."""
     try:
         with open(path) as fh:
             cfg = json.load(fh)
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config: {exc}") from exc
     if type(cfg) is not dict:
         raise ConfigError(f"config: must be a JSON object, got {type(cfg).__name__}")

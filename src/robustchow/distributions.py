@@ -238,26 +238,23 @@ class ReasonableDistribution:
             self._whitener = _whiten(self.sigma)
         return self._whitener
 
-    def feature_tiles(self, points, rows=None, out=None):
+    def feature_tiles(self, points, rows=None):
         """Yield (cols, block) per TILE_ROWS points of an (m, n) array, or of
         its rows picked by an index array rows: the rows h(x) of the points
         points[cols] (points[rows[cols]]) as (ell, width) columns, in one
-        buffer the next tile reuses (its consumer may change it) or, given
-        an (ell, count) out, in out[:, cols]. Whitened rows are the
-        monomials times Sigma^{-1/2}, but a point with mass in Sigma's null
-        directions gets T_max * e_0: finite, and beyond the prune radius
-        T_max / sqrt(2)."""
+        buffer the next tile reuses (its consumer may change it). Whitened
+        rows are the monomials times Sigma^{-1/2}, but a point with mass in
+        Sigma's null directions gets T_max * e_0: finite, and beyond the
+        prune radius T_max / sqrt(2)."""
         pts = _points(self.basis, points)
         if self.coords != "whitened":
             table = _hermite_table if self.coords == "hermite" else _power_table
-            yield from _tiles(self.basis, pts, table, self.basis.plan, out, rows)
+            yield from _tiles(self.basis, pts, table, self.basis.plan, rows)
             return
         isqrt, null_vectors = self.whitener()
-        count = len(pts) if rows is None else len(rows)
-        buf = np.empty((self.ell, _tile_width(count))) if out is None else None
-        for cols, phi in _tiles(self.basis, pts, _power_table, self.basis.plan, rows=rows):
-            block = np.matmul(isqrt.T, phi,
-                              out=out[:, cols] if buf is None else buf[:, :phi.shape[1]])
+        buf = np.empty((self.ell, _tile_width(len(pts) if rows is None else len(rows))))
+        for cols, phi in _tiles(self.basis, pts, _power_table, self.basis.plan, rows):
+            block = np.matmul(isqrt.T, phi, out=buf[:, :phi.shape[1]])
             if null_vectors.shape[1] > 0:
                 null_part = np.abs(null_vectors.T @ phi).max(axis=0)
                 off = ~(null_part <= 1e-8 * (np.linalg.norm(phi, axis=0) + 1e-300))  # NaN too
@@ -269,8 +266,8 @@ class ReasonableDistribution:
         """`feature_tiles` stored: the rows h(x) of an (m, n) array of points,
         (m, ell), the transpose view of one C-contiguous (ell, m) array."""
         out = np.empty((self.ell, len(points)))
-        for _ in self.feature_tiles(points, out=out):
-            pass
+        for cols, block in self.feature_tiles(points):
+            out[:, cols] = block
         return out.T
 
     def monomial_map(self) -> np.ndarray:

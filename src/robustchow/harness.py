@@ -10,8 +10,6 @@ of config.plant and `validate` runs it, so every accepted plant builds.
 
 from __future__ import annotations
 
-import json
-import math
 import os
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -28,7 +26,7 @@ from .chowfilter import (ChowEstimate, FilterParams, chow_distance, robust_chow,
 from .distributions import ReasonableDistribution, gaussian_descriptor, hypercube_descriptor
 from .errors import ConfigError, InvalidHypothesis, RobustChowError
 from .intersection_learner import K_CAP, Intersection, learn_intersection
-from .ltf_learner import LTF, LTFConfig, learn_ltf
+from .ltf_learner import LTF, LTFConfig, _seed_seq, gaussian_pdf, learn_ltf
 from .polybasis import (DEFAULT_SIZE_CAP, MonomialBasis, Polynomial, basis_size,
                         enumerate_basis)
 from .ptf_learner import PTF, learn_ptf
@@ -124,12 +122,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, data) -> "ExperimentConfig":
-        if isinstance(data, (str, os.PathLike)):
-            try:
-                with open(data) as fh:
-                    data = json.load(fh)
-            except OSError as exc:
-                raise ConfigError(f"config: {exc}") from exc
+        """The validated config of a parsed JSON object (`cli._load_json`
+        reads config files)."""
         if type(data) is not dict:
             raise ConfigError(f"config: must be a JSON object, got {type(data).__name__}")
         fields = cls.__dataclass_fields__
@@ -194,10 +188,9 @@ def analytic_ltf_chow(v: np.ndarray, theta: float,
     """
     v = np.asarray(v, dtype=np.float64)
     d = dist.basis.d
-    g = math.exp(-theta * theta / 2.0) / math.sqrt(2.0 * math.pi)
     he = hermite_e.hermevander(-theta, d - 1)[0]
     herm = np.r_[2.0 * float(ndtr(theta)) - 1.0,
-                 2.0 * g * he / factorial(np.arange(1, d + 1))]
+                 2.0 * gaussian_pdf(theta) * he / factorial(np.arange(1, d + 1))]
     power = hermite_e.herme2poly(herm)
     power = np.pad(power, (0, d + 1 - power.size))  # herme2poly drops zero top terms
     exps = dist.basis.exponents
@@ -222,8 +215,7 @@ def make_corrupted_source(f, dist: ReasonableDistribution, eps: float,
                           strategy: AdversaryStrategy):
     """Fresh-batch oracle: draw clean points, label by the plant, corrupt."""
     def draw(m: int, seed) -> LabeledSampleSet:
-        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-        s_draw, s_adv = ss.spawn(2)
+        s_draw, s_adv = _seed_seq(seed).spawn(2)
         return _corrupted_batch(f, dist, eps, strategy, dist.sample(m, s_draw), s_adv)
     return draw
 
@@ -350,12 +342,12 @@ def run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,
             hyp = learn_ptf(corrupted, dist, config.d, eps, xi=config.xi,
                             oracle_strategy=strategy,
                             seed=int(s_learn.generate_state(1)[0]))
-            counts = hyp.provenance["target"]
         else:
             hyp = learn_intersection(corrupted, config.k, eps, source=source,
                                      m_tournament=config.m_holdout,
                                      seed=int(s_learn.generate_state(1)[0]))
-            counts = hyp.provenance
+        if config.learner != "ltf":
+            counts = hyp.provenance["target"]
         disagreement = score(hyp, plant, dist, config.m_score, s_score)
         output = hyp
 

@@ -22,7 +22,7 @@ from .chowfilter import ChowEstimate, FilterParams, robust_chow
 from .distributions import EPS_FLOOR, gaussian_descriptor
 from .errors import BasisMismatch, CoverTooLarge
 from .hypothesis_select import K_CAP, select_intersection_cover
-from .ltf_learner import LTF, SampleSource, constant_ltf
+from .ltf_learner import LTF, SampleSource, _seed_seq, constant_ltf
 
 COMBO_CAP = 300_000_000   # flat cover candidates the tournament will scan
 DELTA_FLOOR = 0.05
@@ -98,10 +98,6 @@ class Subspace:
             gram = self.basis.T @ self.basis
             if np.abs(gram - np.eye(self.dim)).max() > 1e-10:
                 raise ValueError("basis columns are not orthonormal")
-
-    @property
-    def n(self) -> int:
-        return self.basis.shape[0]
 
     @property
     def dim(self) -> int:
@@ -261,26 +257,23 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
     """Subspace from robust degree-2 Chow parameters, then a tournament over the
     cover at default_cover_delta(k, eps) on a fresh holdout drawn by source(m,
     seed) and projected, lifted back to ambient coordinates. Its provenance
-    records the target filter's iterations, pruned and filtered counts and
-    degraded and cap_reached flags, the subspace dimension, the cover
-    searched, the winner, and how many of the cover's unordered direction
-    k-tuples (pairs at k = 2) the tournament histogrammed out of all of them."""
+    keeps the target filter's record under "target", the subspace dimension,
+    the cover searched, the winner, and how many of the cover's unordered
+    direction k-tuples (pairs at k = 2) the tournament histogrammed out of
+    all of them."""
     n = corrupted.n
     dist = gaussian_descriptor(n, 2, eps)
     est = robust_chow(corrupted, dist, FilterParams(eps=eps))
     d2 = build_degree2(est)
     floor = 3.0 * (math.sqrt(dist.basis.ell / len(corrupted)) + eps)
     sub = extract_subspace(d2, k, noise_floor=floor)
-    counts = {key: est.provenance[key]
-              for key in ("iterations", "pruned", "filtered", "degraded", "cap_reached")}
 
-    mean = float(np.mean(corrupted.labels))
     if sub.dim == 0:
-        return Intersection([constant_ltf(n, 1.0 if mean >= 0 else -1.0)],
+        return Intersection([constant_ltf(n, float(np.mean(corrupted.labels)))],
                             subspace=np.zeros((n, 0)),
-                            provenance={"subspace_dim": 0, **counts})
+                            provenance={"subspace_dim": 0, "target": est.provenance})
 
-    holdout = source(m_tournament, np.random.SeedSequence(seed).spawn(1)[0])
+    holdout = source(m_tournament, _seed_seq(seed).spawn(1)[0])
     projected = LabeledSampleSet(sub.project(holdout.points), holdout.labels)
 
     cover = make_cover(k, sub.dim, default_cover_delta(k, eps))
@@ -304,5 +297,5 @@ def learn_intersection(corrupted: LabeledSampleSet, k: int, eps: float,
         "holdout_error": holdout_error,
         "pairs_scored": pairs_scored,
         "pairs_total": math.comb(directions + k - 1, k),
-        **counts,
+        "target": est.provenance,
     })

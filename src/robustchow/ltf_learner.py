@@ -44,6 +44,7 @@ SampleSource = Callable[[int, int], LabeledSampleSet]
 
 
 def _seed_seq(seed) -> np.random.SeedSequence:
+    """A learner's seed, an int or a SeedSequence, as a SeedSequence."""
     if isinstance(seed, np.random.SeedSequence):
         return seed
     return np.random.SeedSequence(seed)
@@ -62,10 +63,6 @@ class LTF:
             raise ValueError("defining vector must be unit length")
         self.theta = float(self.theta)
 
-    @property
-    def n(self) -> int:
-        return self.v.shape[0]
-
     def margin(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(points, dtype=np.float64) @ self.v + self.theta
 
@@ -80,11 +77,11 @@ class LTF:
         return cls(np.asarray(data["v"], dtype=np.float64), float(data["theta"]))
 
 
-def constant_ltf(n: int, sign: float) -> LTF:
-    """The constant sign as (s e_1, s CONSTANT_THETA), so the two constants
-    are negatives of each other."""
+def constant_ltf(n: int, value: float) -> LTF:
+    """The constant s = sign(value), with sign(0) = +1, as (s e_1,
+    s CONSTANT_THETA), so the two constants are negatives of each other."""
     v = np.zeros(n)
-    v[0] = 1.0 if sign >= 0 else -1.0
+    v[0] = 1.0 if value >= 0 else -1.0
     return LTF(v, CONSTANT_THETA * v[0])
 
 
@@ -301,7 +298,7 @@ def learn_ltf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, eps: fl
     n = corrupted.n
     mean = float(np.mean(corrupted.labels))
     theta0 = estimate_threshold(corrupted)
-    constant = constant_ltf(n, 1.0 if mean >= 0 else -1.0)
+    constant = constant_ltf(n, mean)
 
     if 1.0 - abs(mean) <= CONST_MARGIN * eps:
         return constant

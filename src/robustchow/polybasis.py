@@ -85,9 +85,6 @@ class MonomialBasis:
     def ell(self) -> int:
         return self.exponents.shape[0]
 
-    def __len__(self):
-        return self.ell
-
     def index_of(self, multi_index) -> int:
         """Position of an exponent tuple in the graded lex ordering."""
         key = tuple(int(e) for e in multi_index)
@@ -163,7 +160,7 @@ def _points(basis: MonomialBasis, points) -> np.ndarray:
     return pts
 
 
-def _tiles(basis: MonomialBasis, pts, fill_table, runs, out=None, rows=None):
+def _tiles(basis: MonomialBasis, pts, fill_table, runs, rows=None):
     """Yield (cols, block) for each tile of TILE_ROWS points, block being the
     (ell, tile) features of pts[cols] (of pts[rows[cols]] given row indices)
     that the given plan runs build.
@@ -172,16 +169,15 @@ def _tiles(basis: MonomialBasis, pts, fill_table, runs, out=None, rows=None):
     holds the degree-p factor of x_j; row p = 1 holds x itself, and
     fill_table fills a power of x_j only up to the highest one a run reads),
     copies x into the degree-1 rows and then does one multiply per run (see
-    MonomialBasis.plan): the run's parent rows times one table row. With an
-    (ell, m) out, block is out[:, cols]. Without one, every tile reuses one
-    zeroed buffer of `_tile_width` columns: rows no run writes read 0, and
-    the constant row is rewritten for every tile. Given rows, each tile's
-    points are gathered into one reused (tile, n) buffer.
+    MonomialBasis.plan): the run's parent rows times one table row. Every
+    tile reuses one zeroed buffer of `_tile_width` columns: rows no run
+    writes read 0, and the constant row is rewritten for every tile. Given
+    rows, each tile's points are gathered into one reused (tile, n) buffer.
     """
     n = pts.shape[1]
     m = len(pts) if rows is None else len(rows)
     width = _tile_width(m)
-    buf = np.zeros((basis.ell, width)) if out is None else out
+    buf = np.zeros((basis.ell, width))
     table = np.empty((int(basis.exponents.max()) * n, width), dtype=np.float64)
     gathered = None if rows is None else np.empty((width, n))
     # the highest power of each variable a run reads, and for each power
@@ -197,7 +193,7 @@ def _tiles(basis: MonomialBasis, pts, fill_table, runs, out=None, rows=None):
     for c0 in range(0, m, TILE_ROWS):
         cols = slice(c0, min(c0 + TILE_ROWS, m))
         w = cols.stop - c0
-        block = buf[:, :w] if out is None else buf[:, cols]
+        block = buf[:, :w]
         tab = table[:, :w]
         block[0] = 1.0
         # take's default mode="raise" would copy into a new array before out
@@ -214,11 +210,11 @@ def _tiles(basis: MonomialBasis, pts, fill_table, runs, out=None, rows=None):
 def eval_monomials_batch(basis: MonomialBasis, points) -> np.ndarray:
     """The monomials m(x) on an (m, n) array of points, (m, ell), stored
     feature-major: the transpose view of one C-contiguous (ell, m) array,
-    which `_tiles` writes tile by tile with every run of the plan."""
+    into which each tile of `_tiles` is copied."""
     pts = _points(basis, points)
     out = np.empty((basis.ell, len(pts)), dtype=np.float64)
-    for _ in _tiles(basis, pts, _power_table, basis.plan, out):
-        pass
+    for cols, block in _tiles(basis, pts, _power_table, basis.plan):
+        out[:, cols] = block
     return out.T
 
 

@@ -25,8 +25,6 @@ from .errors import ConfigError
 from .polybasis import Polynomial
 
 C_STOP_DEFAULT = 4.0
-# Filter provenance kept from each oracle estimate, in call order.
-ORACLE_FILTER_KEYS = ("iterations", "pruned", "filtered", "degraded", "cap_reached")
 
 
 @dataclass
@@ -97,6 +95,7 @@ def chow_reconstruct(target: ChowEstimate, dist: ReasonableDistribution, xi: flo
     along the largest residual coordinate instead; it breaks out once even
     that single-cell move stops paying for itself. The iterate cap 4/xi^2 + 16 comes from the
     quadratic potential dropping by a fixed amount per non-stalled step.
+    `oracle_filters` keeps each oracle estimate's filter record, in call order.
     """
     if not (0.0 < xi < 1.0):
         raise ValueError(f"xi must lie in (0, 1), got {xi}")
@@ -116,7 +115,7 @@ def chow_reconstruct(target: ChowEstimate, dist: ReasonableDistribution, xi: flo
     oracle_filters = []
     while True:
         est = chow_oracle(PBF(Polynomial(dist.basis, coeffs), xi))
-        oracle_filters.append({k: est.provenance[k] for k in ORACLE_FILTER_KEYS})
+        oracle_filters.append(est.provenance)
         chi_t = est.chi
         rho = isqrt @ (chi_target - chi_t)
         residual_norm = float(np.linalg.norm(rho))
@@ -253,7 +252,7 @@ def learn_ptf(corrupted: LabeledSampleSet, dist: ReasonableDistribution, d: int,
     oracle = make_sampling_oracle(dist, eps, strategy, m_call, seed)
     pbf = chow_reconstruct(target, dist, xi, oracle)
     coeffs = pbf.q.coeffs
-    provenance = {"target": dict(target.provenance), **pbf.provenance}
+    provenance = {"target": target.provenance, **pbf.provenance}
     if not np.any(coeffs != 0.0):
         # reconstruction stopped at the zero polynomial: emit the constant
         # hypothesis matching the empirical label sign

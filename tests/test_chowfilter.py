@@ -69,7 +69,8 @@ def dense_filter(s, dist, params):
         lam, v = vals[-1], vecs[:, -1]
         if lam - 1.0 <= break_level:
             break
-        _, keep = _threshold_cut(np.abs(np.einsum("ij,j->i", z_alive, v)), dist, params.eps)
+        scores = np.abs(np.einsum("ij,j->i", z_alive, v))
+        _, keep = _threshold_cut(scores, dist, params.eps, scores.size)
         alive[np.nonzero(alive)[0][~keep]] = False
     return alive, s.labels[alive] @ phi[alive] / alive.sum()
 
@@ -347,9 +348,9 @@ def matrix_tiles(h):
     return tiles
 
 
-def cut_outcome(scores, rows, dist, eps, m=None):
-    """(T, rows removed) of the cut on the given rows' scores, or the
-    message of its NoThresholdFound."""
+def cut_outcome(scores, rows, dist, eps, m):
+    """(T, rows removed) of the cut on the given rows' scores, fractions
+    over m rows, or the message of its NoThresholdFound."""
     try:
         t, keep = _threshold_cut(scores, dist, eps, m)
     except NoThresholdFound as err:
@@ -408,7 +409,8 @@ def test_candidate_scoring_matches_scoring_every_row(family, m, seed, near, shar
     left_out = ~np.isin(idx, rows)
     assert (every[left_out] < _cut_floor(dist)).all()
     assert scores.tobytes() == every[~left_out].tobytes()
-    assert cut_outcome(scores, rows, dist, eps, idx.size) == cut_outcome(every, idx, dist, eps)
+    assert cut_outcome(scores, rows, dist, eps, idx.size) == \
+        cut_outcome(every, idx, dist, eps, idx.size)
 
 
 def test_filter_records_each_pass(monkeypatch):
@@ -587,7 +589,7 @@ def test_threshold_cut_finds_outlier_band():
     rng = np.random.default_rng(0)
     scores = np.abs(rng.standard_normal(5000))
     scores[:500] = 9.0  # 10% far outliers, Q1(9) ~ 2.6e-18
-    t, keep = _threshold_cut(scores, dist, 0.1)
+    t, keep = _threshold_cut(scores, dist, 0.1, scores.size)
     assert t is not None and 1.0 < t <= 9.0
     assert keep.sum() <= 4500  # outlier block removed
     assert not keep[:500].any()
@@ -599,7 +601,7 @@ def test_threshold_cut_rejects_clean_gaussian_scores():
     scores = np.abs(rng.standard_normal(5000))
     # clean scores never beat 4 Q_1(T) + 3 eps / T_max^2
     with pytest.raises(NoThresholdFound):
-        _threshold_cut(scores, dist, 0.1)
+        _threshold_cut(scores, dist, 0.1, scores.size)
 
 
 def unique_searchsorted_cut(scores, dist, eps):
@@ -628,9 +630,9 @@ def assert_cut_matches_full_sort(scores, dist, eps):
         want_t, want_keep = unique_searchsorted_cut(scores, dist, eps)
     except NoThresholdFound as err:
         with pytest.raises(NoThresholdFound, match=str(err)):
-            _threshold_cut(scores, dist, eps)
+            _threshold_cut(scores, dist, eps, scores.size)
         return None
-    t, keep = _threshold_cut(scores, dist, eps)
+    t, keep = _threshold_cut(scores, dist, eps, scores.size)
     assert t == want_t and np.array_equal(keep, want_keep)
     return t
 
@@ -719,7 +721,7 @@ def test_threshold_cut_sorts_only_the_tail_it_needs(monkeypatch, eps, scores, cu
 
     monkeypatch.setattr(chowfilter.np, "sort", counted)
     try:
-        _threshold_cut(scores, dist, eps)
+        _threshold_cut(scores, dist, eps, scores.size)
     except NoThresholdFound:
         pass
     monkeypatch.undo()
@@ -738,7 +740,7 @@ def test_threshold_prefers_largest_valid():
     scores = np.abs(rng.standard_normal(4000))
     scores[:400] = 7.0
     scores[400:800] = 5.0
-    t, _ = _threshold_cut(scores, dist, 0.1)
+    t, _ = _threshold_cut(scores, dist, 0.1, scores.size)
     assert t is not None
     assert t > 5.0  # cuts only the 7-band, the largest threshold that works
 
@@ -799,6 +801,22 @@ def test_filtered_error_is_dimension_independent():
     assert max(abs(e) for e in excess) <= 0.35 * floor, excess
     assert raw[1] > 1.8 * raw[0] and raw[2] > 1.8 * raw[1], raw
     assert max(raw_per_tmax) <= 1.1 * min(raw_per_tmax), raw_per_tmax
+
+
+def test_filtered_error_is_dimension_independent_at_degree_2():
+    # The same claim at d = 2, at a fixed m = 1e5: against the clean
+    # sample's own Chow vector the filtered error stays at about a quarter
+    # of the sqrt(ell / m) sampling term for every n, while the raw mean of
+    # the corrupted sample is off by thousands of times that.
+    m, eps = 100_000, 0.05
+    for n in (4, 8, 16, 24):
+        dist, f, s = ltf_instance(n=n, m=m, eps=eps, seed=0, d=2)
+        bad = corrupt(s, f, eps, AdversaryStrategy("chow_attack", rho=0.9), dist, 100)
+        clean = empirical_chow(s, dist)
+        err = chow_distance(robust_chow(bad, dist, FilterParams(eps=eps)), clean)
+        raw = chow_distance(empirical_chow(bad, dist), clean)
+        assert err <= 0.5 * math.sqrt(dist.ell / m), (n, err)
+        assert raw >= 100.0 * err, (n, raw, err)
 
 
 @pytest.mark.parametrize("n,d,eps", [(6, 2, 0.05), (12, 3, 0.05), (10, 1, 0.1)])
@@ -958,9 +976,9 @@ def test_robust_chow_stores_no_feature_matrix(monkeypatch):
     streamed, stored = [], []
     real = dist.feature_tiles
 
-    def counted(points, rows=None, out=None):
+    def counted(points, rows=None):
         streamed.append(len(points) if rows is None else len(rows))
-        return real(points, rows, out)
+        return real(points, rows)
 
     monkeypatch.setattr(dist, "feature_tiles", counted)
     monkeypatch.setattr(dist, "featurize", stored.append)

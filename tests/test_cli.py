@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from robustchow.adversary import LabeledSampleSet
-from robustchow.cli import main
+from robustchow.cli import _load_json, main
 from robustchow.distributions import gaussian_descriptor, gaussian_moment_matrix
 from robustchow.errors import ConfigError
 from robustchow.harness import ExperimentConfig, run_experiment
@@ -56,7 +56,7 @@ def test_directory_as_a_path_exits_2(tmp_path, capsys, argv):
 
 def test_experiment_config_from_a_directory_is_a_config_error(tmp_path):
     with pytest.raises(ConfigError, match="config: .*Is a directory"):
-        ExperimentConfig.from_json(tmp_path)
+        ExperimentConfig.from_json(_load_json(tmp_path))
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):
@@ -171,6 +171,7 @@ def test_chow_bad_moment_table_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("text,message", [
     (b"[]", "must be a JSON object"), (b"null", "must be a JSON object"),
     (b"5", "must be a JSON object"), (b"\xff\xfe{}", "'utf-8' codec can't decode"),
+    (b"\xff\xfe{", "'utf-8' codec can't decode"), (b'{"learner": ', "Expecting value"),
 ])
 def test_config_that_is_not_an_object_exits_2(tmp_path, capsys, command, text, message):
     cfg = tmp_path / "cfg.json"

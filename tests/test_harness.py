@@ -12,6 +12,7 @@ from robustchow import chowfilter, distributions
 from robustchow.adversary import (STRATEGIES, AdversaryStrategy, LabeledSampleSet, corrupt,
                                   corrupted_rows)
 from robustchow.chowfilter import ChowEstimate, chow_distance, empirical_chow
+from robustchow.cli import _load_json
 from robustchow.distributions import gaussian_descriptor
 from robustchow.errors import ConfigError, ZeroChowVector
 from robustchow.harness import (
@@ -64,10 +65,11 @@ def test_config_from_json_rejects_unknown_keys():
 
 @pytest.mark.parametrize("data", [[], None, 5, "[]"])
 def test_config_from_json_rejects_a_config_that_is_not_an_object(tmp_path, data):
-    if data == "[]":   # the same list, read from a file
-        data = tmp_path / "cfg.json"
-        data.write_text("[]")
     with pytest.raises(ConfigError, match="^config: must be a JSON object"):
+        if data == "[]":   # the same list, read from a file by the CLI's loader
+            path = tmp_path / "cfg.json"
+            path.write_text("[]")
+            data = _load_json(path)
         ExperimentConfig.from_json(data)
 
 
@@ -91,7 +93,7 @@ def test_config_from_json_file(tmp_path):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"learner": "ltf", "n": 4, "eps_grid": [0.05],
                                 "strategies": ["random_flip"], "m_train": 5000}))
-    cfg = ExperimentConfig.from_json(path)
+    cfg = ExperimentConfig.from_json(_load_json(path))
     assert cfg.learner == "ltf"
     assert cfg.trials == 3  # default preserved
 
@@ -442,7 +444,7 @@ def test_run_cell_counters_come_from_the_target_filter(learner):
                       m_holdout=5_000, m_score=10_000)
     cfg.validate()
     row, hyp = run_cell(cfg, "chow_attack", 0.05, 0, 0)
-    prov = hyp.provenance["target"] if learner == "ptf" else hyp.provenance
+    prov = hyp.provenance["target"]
     assert row.iterations == prov["iterations"] >= 1
     assert row.points_removed == prov["pruned"] + prov["filtered"] > 0
 
@@ -456,7 +458,7 @@ def test_run_cell_flags_a_target_filter_that_hit_its_cap(learner, monkeypatch):
                       m_holdout=5_000, m_score=10_000)
     cfg.validate()
     row, hyp = run_cell(cfg, "chow_attack", 0.05, 0, 0)
-    prov = hyp.provenance["target"] if learner == "ptf" else hyp.provenance
+    prov = hyp.provenance["target"]
     assert prov["cap_reached"] and not prov["degraded"]
     assert row.iterations == 1 and row.flags == "cap_reached"
 

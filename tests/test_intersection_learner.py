@@ -7,7 +7,7 @@ from scipy.stats import norm
 
 from robustchow import intersection_learner
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
-from robustchow.chowfilter import ChowEstimate, empirical_chow
+from robustchow.chowfilter import ChowEstimate, FilterParams, empirical_chow, robust_chow
 from robustchow.distributions import gaussian_descriptor
 from robustchow.cli import main
 from robustchow.errors import BasisMismatch, ConfigError, CoverTooLarge
@@ -541,18 +541,26 @@ def test_learn_intersection_k2_plant_grid(index):
     assert float(np.mean(out.evaluate(fresh) != f.evaluate(fresh))) <= 0.1
 
 
+def target_record(corrupted, eps):
+    """The record of the target filter learn_intersection runs."""
+    dist = gaussian_descriptor(corrupted.n, 2, eps)
+    return robust_chow(corrupted, dist, FilterParams(eps)).provenance
+
+
 def test_learn_intersection_provenance_records_the_cover():
     n = 4
     dist = gaussian_descriptor(n, 2, 0.0)
     pts = dist.sample(20_000, 500)
     f = Intersection([LTF(unit(n, 0), 0.3)])
-    out = learn_intersection(LabeledSampleSet(pts, f.evaluate(pts)), 1, 0.0,
-                             source=clean_source(f, dist), m_tournament=5_000, seed=5)
+    train = LabeledSampleSet(pts, f.evaluate(pts))
+    out = learn_intersection(train, 1, 0.0, source=clean_source(f, dist),
+                             m_tournament=5_000, seed=5)
     prov = out.provenance
     assert set(prov) == {"subspace_dim", "delta", "grid_size",
                          "directions", "thresholds_per_direction", "winner_index",
-                         "holdout_error", "pairs_scored", "pairs_total",
-                         "iterations", "pruned", "filtered", "degraded", "cap_reached"}
+                         "holdout_error", "pairs_scored", "pairs_total", "target"}
+    # the target filter's whole record, as learn_ptf keeps it
+    assert prov["target"] == target_record(train, 0.0)
     # one cover, at the default delta: a 62-member grid on the dim-1 subspace
     assert prov["delta"] == default_cover_delta(1, 0.0)
     assert prov["subspace_dim"] == out.subspace.shape[1] == 1
@@ -565,16 +573,30 @@ def test_learn_intersection_provenance_records_the_cover():
     assert "provenance" not in out.to_json()
 
 
+def test_learn_intersection_takes_an_int_or_a_seed_sequence():
+    # the holdout draws from SeedSequence(seed) either way, as in learn_ltf
+    n = 4
+    dist = gaussian_descriptor(n, 2, 0.0)
+    pts = dist.sample(20_000, 500)
+    f = Intersection([LTF(unit(n, 0), 0.3)])
+    train = LabeledSampleSet(pts, f.evaluate(pts))
+    a, b = (learn_intersection(train, 1, 0.0, source=clean_source(f, dist),
+                               m_tournament=5_000, seed=seed)
+            for seed in (5, np.random.SeedSequence(5)))
+    assert [(h.v.tolist(), h.theta) for h in a.halfspaces] == \
+        [(h.v.tolist(), h.theta) for h in b.halfspaces]
+
+
 def test_learn_intersection_constant_target():
     n = 4
     dist = gaussian_descriptor(n, 2, 0.0)
     pts = dist.sample(20_000, 400)
     const = Intersection([LTF(unit(n, 0), 1e9)])  # labels every point +1
-    out = learn_intersection(LabeledSampleSet(pts, np.ones(20_000)), 1, 0.0,
-                             source=clean_source(const, dist), seed=4)
+    train = LabeledSampleSet(pts, np.ones(20_000))
+    out = learn_intersection(train, 1, 0.0, source=clean_source(const, dist), seed=4)
     assert out.subspace.shape == (n, 0)
-    assert set(out.provenance) == {"subspace_dim", "iterations", "pruned", "filtered",
-                                   "degraded", "cap_reached"}
+    assert set(out.provenance) == {"subspace_dim", "target"}
+    assert out.provenance["target"] == target_record(train, 0.0)
     assert out.provenance["subspace_dim"] == 0
     fresh = dist.sample(5_000, 401)
     assert np.array_equal(out.evaluate(fresh), np.ones(5_000))
