@@ -120,12 +120,12 @@ def _attack_point(dist: ReasonableDistribution, direction: np.ndarray,
         return np.where(direction >= 0, 1.0, -1.0)
     isqrt, _ = dist.whitener()
     phi = eval_monomials_batch(dist.basis, direction[None, :])[0]
-    degree = dist.basis.exponents.sum(axis=1)
-    z = np.stack([np.where(degree == j, phi, 0.0) for j in range(dist.d + 1)]) @ isqrt
+    degree, d = dist.basis.exponents.sum(axis=1), dist.basis.d
+    z = np.stack([np.where(degree == j, phi, 0.0) for j in range(d + 1)]) @ isqrt
     gram = z @ z.T
-    quad = np.zeros(2 * dist.d + 1)
-    for j in range(dist.d + 1):
-        quad[j:j + dist.d + 1] += gram[j]
+    quad = np.zeros(2 * d + 1)
+    for j in range(d + 1):
+        quad[j:j + d + 1] += gram[j]
     quad[0] -= (rho * dist.t_max / math.sqrt(2.0)) ** 2
     roots = np.polynomial.polynomial.polyroots(quad)
     positive = roots.real[(roots.imag == 0.0) & (roots.real > 0.0)]

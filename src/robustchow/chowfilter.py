@@ -85,19 +85,17 @@ class ChowEstimate:
                    dict(data.get("provenance", {})))
 
 
-def prune_mask(h: np.ndarray, dist: ReasonableDistribution,
-               norm2: Optional[np.ndarray] = None) -> np.ndarray:
+def prune_mask(norm2: np.ndarray, dist: ReasonableDistribution) -> np.ndarray:
     """Boolean keep mask for the prune rule |h(x)|^2 < T_max^2 / 2.
 
-    h holds rows in the descriptor's orthonormal coordinates, where the
-    squared row norm is m(x)^T Sigma^+ m(x); a caller that has computed
-    those squared norms passes them as norm2. All-True for distributions
+    norm2 holds the squared norms of rows h(x) in the descriptor's
+    orthonormal coordinates, m(x)^T Sigma^+ m(x). All-True for distributions
     that disable pruning (the hypercube). The mask may be all False: a
     block may be nothing but outliers.
     """
     if not dist.prune_enabled:
-        return np.ones(h.shape[0], dtype=bool)
-    return (np.einsum("ij,ij->i", h, h) if norm2 is None else norm2) < dist.t_max ** 2 / 2.0
+        return np.ones(norm2.shape[0], dtype=bool)
+    return norm2 < dist.t_max ** 2 / 2.0
 
 
 def _cut_floor(dist: ReasonableDistribution) -> float:
@@ -147,7 +145,7 @@ def _survivor_sums(tiles, dist: ReasonableDistribution,
     label_sum = None if labels is None else np.zeros(dist.ell)
     for cols, block in tiles:
         norm_parts.append(norm2 := np.einsum("ij,ij->i", block.T, block.T))
-        keep_parts.append(keep := prune_mask(block.T, dist, norm2))
+        keep_parts.append(keep := prune_mask(norm2, dist))
         live = block if keep.all() else block.compress(keep, axis=1)
         gram += live @ live.T
         if labels is not None:

@@ -76,8 +76,8 @@ def _cmd_chow(args) -> int:
         s = LabeledSampleSet.from_csv(samples_path)
     except ValueError as exc:
         raise ConfigError(f"samples: {exc}") from exc
-    if s.n != dist.n:
-        raise ConfigError(f"chow: sample dimension {s.n} != config n {dist.n}")
+    if s.n != dist.basis.n:
+        raise ConfigError(f"chow: sample dimension {s.n} != config n {dist.basis.n}")
     if len(s) < sample_floor(dist.ell):
         raise ConfigError(f"samples: {len(s)} rows, but the filter needs at least "
                           f"{sample_floor(dist.ell)} for {dist.ell} monomials")
@@ -93,7 +93,10 @@ def _cmd_learn(args) -> int:
     elif args.learner == "intersection":
         plant = {"thetas": [args.theta_plant] * args.k}
     else:
-        plant = {} if args.plant_coeffs is None else {"coeffs": json.loads(args.plant_coeffs)}
+        try:
+            plant = {} if args.plant_coeffs is None else {"coeffs": json.loads(args.plant_coeffs)}
+        except json.JSONDecodeError as exc:
+            raise ConfigError(f"plant.coeffs: {exc}") from exc
     extra = {f: getattr(args, f) for f in ("d", "k", "xi") if hasattr(args, f)}
     cfg = ExperimentConfig(learner=args.learner, n=args.n, eps_grid=[args.eps],
                            strategies=[args.strategy], m_train=args.m, trials=1,
@@ -169,7 +172,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, FileNotFoundError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except RobustChowError as exc:

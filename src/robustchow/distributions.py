@@ -44,11 +44,9 @@ class TailBound:
     Every family has the form min{1, exp(offset - c * T^power)}.
     """
 
-    family: str
-    d: int
-    c: float = 0.0
-    offset: float = 0.0
-    power: float = 1.0
+    c: float
+    offset: float
+    power: float
 
     def __call__(self, t):
         t = np.asarray(t, dtype=np.float64)
@@ -78,13 +76,11 @@ def make_tail_bound(family: str, d: int, c: Optional[float] = None) -> TailBound
     if c is not None and not (math.isfinite(c) and c > 0.0):
         raise ConfigError(f"tail_constants.c: must be finite and > 0, got {c}")
     if family == "gaussian-chaos" and d == 1:
-        return TailBound(family, d, c=0.5 if c is None else c, power=2.0)
+        return TailBound(c=0.5 if c is None else c, offset=0.0, power=2.0)
     if family in ("gaussian-chaos", "hypercube-chaos"):
-        return TailBound(family, d, c=(d / (2 * math.e)) if c is None else c,
-                         offset=2.0, power=2.0 / d)
+        return TailBound(c=(d / (2 * math.e)) if c is None else c, offset=2.0, power=2.0 / d)
     if family == "log-concave-chaos":
-        return TailBound(family, d, c=(1 / (2 * math.e)) if c is None else c,
-                         offset=2.0, power=1.0 / d)
+        return TailBound(c=(1 / (2 * math.e)) if c is None else c, offset=2.0, power=1.0 / d)
     raise UnknownFamily(f"unknown tail family {family!r}; expected one of {_FAMILIES}")
 
 
@@ -168,7 +164,7 @@ def gaussian_moment_matrix(basis: MonomialBasis) -> np.ndarray:
 
 def gaussian_monomial_map(basis: MonomialBasis) -> np.ndarray:
     """C = E[m(X) h(X)^T] for X ~ N(0, I), so that m(x) = C h(x) with h the
-    normalized Hermite products of a Gaussian descriptor's `featurize`.
+    normalized Hermite products of a Gaussian descriptor's `feature_tiles`.
 
     Per coordinate x^a = sum_k a! / (k! 2^k (a - 2k)!) He_{a-2k}(x), so
     E[x^a He_b(x) / sqrt(b!)] = a! / (k! 2^k sqrt(b!)) when a - b = 2k >= 0
@@ -200,23 +196,19 @@ class ReasonableDistribution:
     for the working rate.
 
     The filter works in orthonormal coordinates h(x), with m(x) = C h(x)
-    for the monomial vector m(x) and E[h h^T] = I. `coords` names them:
-    "hermite" (normalized Hermite products, the Gaussian), "monomial" (the
-    basis itself, already orthonormal on the hypercube) or "whitened"
-    (m(x) Sigma^{-1/2}, for a moment table).
+    for the monomial vector m(x) and E[h h^T] = I. The family fixes them:
+    normalized Hermite products for "gaussian", the basis itself (already
+    orthonormal) for "hypercube", and m(x) Sigma^{-1/2} for "log-concave",
+    a moment table.
     """
 
-    name: str
-    n: int
-    d: int
+    family: str
     basis: MonomialBasis
     sigma: np.ndarray
     gamma: float
     tail: TailBound
     delta: float
     t_max: float
-    prune_enabled: bool
-    coords: str
     sampler: Optional[Callable] = None  # (count, Generator) -> (count, n) array
     _whitener: Optional[tuple] = field(default=None, repr=False, compare=False)
     _monomial_map: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
@@ -224,6 +216,11 @@ class ReasonableDistribution:
     @property
     def ell(self) -> int:
         return self.basis.ell
+
+    @property
+    def prune_enabled(self) -> bool:
+        """Off on the hypercube, where every row has norm sqrt(ell) = T_max."""
+        return self.family != "hypercube"
 
     def sample(self, count: int, seed) -> np.ndarray:
         return sample(self, count, seed)
@@ -247,8 +244,8 @@ class ReasonableDistribution:
         Sigma's null directions gets T_max * e_0: finite, and beyond the
         prune radius T_max / sqrt(2)."""
         pts = _points(self.basis, points)
-        if self.coords != "whitened":
-            table = _hermite_table if self.coords == "hermite" else _power_table
+        if self.family != "log-concave":
+            table = _hermite_table if self.family == "gaussian" else _power_table
             yield from _tiles(self.basis, pts, table, self.basis.plan, rows)
             return
         isqrt, null_vectors = self.whitener()
@@ -262,36 +259,18 @@ class ReasonableDistribution:
                 block[0, off] = self.t_max
             yield cols, block
 
-    def featurize(self, points) -> np.ndarray:
-        """`feature_tiles` stored: the rows h(x) of an (m, n) array of points,
-        (m, ell), the transpose view of one C-contiguous (ell, m) array."""
-        out = np.empty((self.ell, len(points)))
-        for cols, block in self.feature_tiles(points):
-            out[:, cols] = block
-        return out.T
-
     def monomial_map(self) -> np.ndarray:
-        """C with m(x) = C h(x) for the rows h of `featurize`, cached.
+        """C with m(x) = C h(x) for the rows h of `feature_tiles`, cached.
 
-        A Gaussian ("hermite") descriptor is built with its closed-form C
-        (`gaussian_descriptor`). Otherwise C is built on first use: the
+        A Gaussian descriptor is built with its closed-form C (see
+        `gaussian_descriptor`). Otherwise C is built on first use: the
         identity on the hypercube and Sigma^{1/2} = Sigma Sigma^{-1/2} for
         a moment table (on Sigma's range, where every unpruned row lies).
         """
         if self._monomial_map is None:
-            self._monomial_map = (np.eye(self.ell) if self.coords == "monomial"
+            self._monomial_map = (np.eye(self.ell) if self.family == "hypercube"
                                   else self.sigma @ self.whitener()[0])
         return self._monomial_map
-
-
-def _check_reasonable(dist: ReasonableDistribution, eps_eff: float):
-    ell = dist.ell
-    if dist.t_max < math.sqrt(ell) - 1e-9:
-        raise ValueError("T_max below sqrt(ell) floor")
-    if dist.tail(dist.t_max / (2 * math.sqrt(ell))) > eps_eff / (10 * ell) + 1e-12:
-        raise ValueError("T_max fails the tail condition")
-    if dist.delta <= 0:
-        raise ValueError("delta must be positive")
 
 
 def _whiten(sigma: np.ndarray) -> tuple:
@@ -305,6 +284,30 @@ def _whiten(sigma: np.ndarray) -> tuple:
     live = ~null
     isqrt = (v[:, live] / np.sqrt(w[live])) @ v[:, live].T
     return isqrt, v[:, null]
+
+
+def _descriptor(family: str, basis: MonomialBasis, sigma: np.ndarray, gamma: float,
+                eps: float, tail_c: Optional[float], sampler: Optional[Callable],
+                **cached) -> ReasonableDistribution:
+    """The family's descriptor on basis at working rate eps, floored at
+    EPS_FLOOR: its tail, delta and T_max (sqrt(ell) on the hypercube, the
+    norm of every row there), checked."""
+    eps_eff = max(eps, EPS_FLOOR)
+    root_ell = math.sqrt(basis.ell)
+    tail = make_tail_bound(f"{family}-chaos", basis.d, c=tail_c)
+    delta = compute_delta(tail, eps_eff)
+    if family == "hypercube":
+        t_max = root_ell
+    else:
+        t_max = compute_tmax(tail, eps_eff, basis.ell)
+        if t_max < root_ell - 1e-9:
+            raise ValueError("T_max below sqrt(ell) floor")
+        if tail(t_max / (2 * root_ell)) > eps_eff / (10 * basis.ell) + 1e-12:
+            raise ValueError("T_max fails the tail condition")
+    if delta <= 0:
+        raise ValueError("delta must be positive")
+    return ReasonableDistribution(family, basis, sigma, gamma, tail, delta, t_max, sampler,
+                                  **cached)
 
 
 @lru_cache(maxsize=8)
@@ -329,39 +332,18 @@ def gaussian_descriptor(n: int, d: int, eps: float,
     process and shared read-only (`_gaussian_constants`); the tail, delta
     and T_max are built per call.
     """
-    eps_eff = max(eps, EPS_FLOOR)
     basis, sigma, whitener, monomial_map = _gaussian_constants(n, d)
-    tail = make_tail_bound("gaussian-chaos", d, c=tail_c)
-    dist = ReasonableDistribution(
-        name="gaussian", n=n, d=d, basis=basis,
-        sigma=sigma, gamma=0.0, tail=tail,
-        delta=compute_delta(tail, eps_eff),
-        t_max=compute_tmax(tail, eps_eff, basis.ell),
-        prune_enabled=True, coords="hermite",
-        sampler=lambda count, rng: rng.standard_normal((count, n)),
-        _whitener=whitener, _monomial_map=monomial_map,
-    )
-    _check_reasonable(dist, eps_eff)
-    return dist
+    return _descriptor("gaussian", basis, sigma, 0.0, eps, tail_c,
+                       lambda count, rng: rng.standard_normal((count, n)),
+                       _whitener=whitener, _monomial_map=monomial_map)
 
 
 def hypercube_descriptor(n: int, d: int, eps: float,
                          tail_c: Optional[float] = None) -> ReasonableDistribution:
     """Uniform on {-1,+1}^n with the multilinear basis; Sigma = I, pruning off."""
-    eps_eff = max(eps, EPS_FLOOR)
     basis = enumerate_basis(n, d, multilinear=True)
-    tail = make_tail_bound("hypercube-chaos", d, c=tail_c)
-    dist = ReasonableDistribution(
-        name="hypercube", n=n, d=d, basis=basis,
-        sigma=hypercube_moment_matrix(basis), gamma=0.0, tail=tail,
-        delta=compute_delta(tail, eps_eff),
-        t_max=math.sqrt(basis.ell),
-        prune_enabled=False, coords="monomial",
-        sampler=lambda count, rng: (2.0 * rng.integers(0, 2, size=(count, n)) - 1.0),
-    )
-    if dist.delta <= 0:
-        raise ValueError("delta must be positive")
-    return dist
+    return _descriptor("hypercube", basis, hypercube_moment_matrix(basis), 0.0, eps, tail_c,
+                       lambda count, rng: 2.0 * rng.integers(0, 2, size=(count, n)) - 1.0)
 
 
 def log_concave_descriptor(n: int, d: int, moment_table: np.ndarray, gamma: float,
@@ -372,7 +354,6 @@ def log_concave_descriptor(n: int, d: int, moment_table: np.ndarray, gamma: floa
     Sampling is only available if the caller registers a sampler; moment-only
     descriptors still support every estimator that consumes existing samples.
     """
-    eps_eff = max(eps, EPS_FLOOR)
     basis = enumerate_basis(n, d)
     M = np.asarray(moment_table, dtype=np.float64)
     if M.shape != (basis.ell, basis.ell):
@@ -384,16 +365,8 @@ def log_concave_descriptor(n: int, d: int, moment_table: np.ndarray, gamma: floa
         raise NotPSD(f"moment table has negative eigenvalue {w.min()}")
     if w.max() <= 0.0:
         raise NotPSD("moment table has no positive eigenvalue")
-    tail = make_tail_bound("log-concave-chaos", d, c=tail_c)
-    dist = ReasonableDistribution(
-        name="log-concave", n=n, d=d, basis=basis,
-        sigma=0.5 * (M + M.T), gamma=float(gamma), tail=tail,
-        delta=compute_delta(tail, eps_eff),
-        t_max=compute_tmax(tail, eps_eff, basis.ell),
-        prune_enabled=True, coords="whitened", sampler=sampler,
-    )
-    _check_reasonable(dist, eps_eff)
-    return dist
+    return _descriptor("log-concave", basis, 0.5 * (M + M.T), float(gamma), eps, tail_c,
+                       sampler)
 
 
 def sample(dist: ReasonableDistribution, count: int, seed) -> np.ndarray:
@@ -401,7 +374,7 @@ def sample(dist: ReasonableDistribution, count: int, seed) -> np.ndarray:
     if count < 1:
         raise ValueError("count must be >= 1")
     if dist.sampler is None:
-        raise UnknownFamily(f"distribution {dist.name!r} has no registered sampler")
+        raise UnknownFamily(f"distribution {dist.family!r} has no registered sampler")
     rng = np.random.default_rng(seed)
     return dist.sampler(count, rng)
 

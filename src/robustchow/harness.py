@@ -289,7 +289,7 @@ def plant_instance(kind: str, params, dist: ReasonableDistribution, m: int, seed
         hyp = LTF(v, float(theta))
     elif kind == "ptf":
         hyp = params
-        if hyp.poly.basis.n != dist.n:
+        if hyp.poly.basis.n != dist.basis.n:
             raise InvalidHypothesis("polynomial dimension does not match distribution")
     else:
         raise InvalidHypothesis(f"unknown plant kind {kind!r}")
@@ -305,13 +305,18 @@ def _build_dist(config: ExperimentConfig, eps: float) -> ReasonableDistribution:
     return gaussian_descriptor(config.n, config.degree, eps)
 
 
+def _cell_seed(seed: int, cell_index: int) -> tuple:
+    """Cell cell_index's SeedSequence and the seed its row reports."""
+    ss = np.random.SeedSequence(seed, spawn_key=(cell_index,))
+    return ss, int(ss.generate_state(1)[0])
+
+
 def run_cell(config: ExperimentConfig, strategy_tag: str, eps: float,
              trial: int, cell_index: int):
     """Plant, draw, corrupt, learn and score one grid cell of a validated
     config. Returns (ResultRow, output), the output being the ChowEstimate
     for the chow learner and the learned hypothesis otherwise."""
-    ss = np.random.SeedSequence(config.seed, spawn_key=(cell_index,))
-    cell_seed = int(ss.generate_state(1)[0])
+    ss, cell_seed = _cell_seed(config.seed, cell_index)
     s_plant, s_corrupt, s_learn, s_score, s_extra = ss.spawn(5)
 
     dist = _build_dist(config, eps)
@@ -387,9 +392,8 @@ def run_experiment(config: ExperimentConfig, out: Optional[str] = None):
         try:
             return run_cell(config, strategy, eps, trial, cell_index)[0]
         except (RobustChowError, ValueError) as exc:  # record it, keep the sweep alive
-            ss = np.random.SeedSequence(config.seed, spawn_key=(cell_index,))
             return ResultRow(config.learner, strategy, eps, trial,
-                             int(ss.generate_state(1)[0]), 1.0, None, 0, 0, 0,
+                             _cell_seed(config.seed, cell_index)[1], 1.0, None, 0, 0, 0,
                              f"error:{type(exc).__name__}")
 
     with ThreadPoolExecutor(max_workers=_pool_size(len(cells))) as pool:

@@ -44,9 +44,12 @@ SampleSource = Callable[[int, int], LabeledSampleSet]
 
 
 def _seed_seq(seed) -> np.random.SeedSequence:
-    """A learner's seed, an int or a SeedSequence, as a SeedSequence."""
+    """A learner's seed, an int or a SeedSequence, as a fresh SeedSequence:
+    spawning advances a SeedSequence, so the caller's own object, passed
+    twice, would give different draws."""
     if isinstance(seed, np.random.SeedSequence):
-        return seed
+        return np.random.SeedSequence(seed.entropy, spawn_key=seed.spawn_key,
+                                      pool_size=seed.pool_size)
     return np.random.SeedSequence(seed)
 
 

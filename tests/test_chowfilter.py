@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from feature_rows import feature_rows
+
 from robustchow import chowfilter, ptf_learner
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import (ChowEstimate, FilterParams, _cut_floor, _filter,
@@ -38,7 +40,8 @@ def ltf_instance(n=10, m=20_000, theta=0.0, eps=0.1, seed=0, d=1):
 
 def prune_keep(s, dist):
     """The prune rule's keep mask on a sample set, featurized by the descriptor."""
-    return prune_mask(dist.featurize(s.points), dist)
+    h = feature_rows(dist, s.points)
+    return prune_mask(np.einsum("ij,ij->i", h, h), dist)
 
 
 def two_cluster_attack(n=6, m=10_000, seed=0):
@@ -58,7 +61,7 @@ def dense_filter(s, dist, params):
         phi = eval_monomials_batch(dist.basis, s.points)
         isqrt, null_vectors = dist.whitener()
         z = phi @ isqrt
-        alive = prune_mask(z, dist)
+        alive = prune_mask(np.einsum("ij,ij->i", z, z), dist)
         if null_vectors.shape[1] > 0:
             alive &= (np.abs(phi @ null_vectors).max(axis=1)
                       <= 1e-8 * np.linalg.norm(phi, axis=1))
@@ -216,7 +219,7 @@ def test_downdated_gram_matches_rebuilt(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", spy)
     est = robust_chow(bad, dist, FilterParams(eps=0.1))
     assert est.provenance["iterations"] == len(seen) >= 3  # two cuts, then converged
-    h = dist.featurize(bad.points[est.keep_mask])
+    h = feature_rows(dist, bad.points[est.keep_mask])
     rebuilt = h.T @ h
     downdated = seen[-1] * est.provenance["used"]
     assert np.abs(downdated - rebuilt).max() <= 1e-12 * np.abs(rebuilt).max()
@@ -381,7 +384,7 @@ def test_candidate_scoring_matches_scoring_every_row(family, m, seed, near, shar
         pts[rng.choice(m, m // 50, replace=False), 1] = 0.01   # null-direction mass
     else:
         pts = dist.sample(m, seed)
-    h = dist.featurize(pts).T   # (ell, m), C-contiguous
+    h = feature_rows(dist, pts).T   # (ell, m), C-contiguous
     floor = _cut_floor(dist) * (1.0 - 1e-9)
     aims = {"eigen": None}
     if share:
@@ -470,7 +473,7 @@ def test_null_direction_rows_are_pruned():
     stray = np.arange(0, 3000, 100)
     pts[stray, 1] = 0.01
     s = LabeledSampleSet(pts, np.where(pts[:, 0] >= 0.2, 1.0, -1.0))
-    h = dist.featurize(pts)
+    h = feature_rows(dist, pts)
     assert np.all(np.isfinite(h))
     assert np.allclose(np.linalg.norm(h[stray], axis=1), dist.t_max)
     assert not prune_keep(s, dist)[stray].any()
@@ -509,9 +512,9 @@ def attacked_sample(family, m, seed):
             "log-concave": null_direction_family}[family]()
     # the log-concave law lives on x_2 = 0, the attack cluster too
     on_law = np.r_[1.0, 0.0, 1.0] if family == "log-concave" else 1.0
-    pts = gaussian_descriptor(dist.n, 2, 0.1).sample(m, seed) * on_law \
+    pts = gaussian_descriptor(dist.basis.n, 2, 0.1).sample(m, seed) * on_law \
         if family != "hypercube" else dist.sample(m, seed)
-    f = LTF(np.eye(dist.n)[0], 0.3)
+    f = LTF(np.eye(dist.basis.n)[0], 0.3)
     clean = LabeledSampleSet(pts, f.evaluate(pts).astype(np.float64))
     bad = corrupt(clean, f, 0.1, AdversaryStrategy("chow_attack", rho=0.9), dist, seed + 1)
     if family == "hypercube":
@@ -561,7 +564,7 @@ def test_a_changed_tile_leaves_the_next_tiles_whole(family):
     # their rows, constant row and all, though they reuse one buffer
     dist, bad, _ = attacked_sample(family, 3 * TILE_ROWS + 1, 4)
     with np.errstate(over="ignore", invalid="ignore"):
-        want = dist.featurize(bad.points).T
+        want = feature_rows(dist, bad.points).T
         for cols, block in dist.feature_tiles(bad.points):
             assert np.array_equal(block, want[:, cols], equal_nan=True)
             block[:, 0] = 0.0
@@ -932,10 +935,10 @@ def test_survivor_sums_then_filter_is_robust_chow():
     bad.points[[5, BLOCK_ROWS + 9]] = 1e6   # two pruned rows
     tiles = functools.partial(dist.feature_tiles, bad.points)
     alive, norm2, gram, label_sum = _survivor_sums(tiles(), dist, bad.labels)
-    h = dist.featurize(bad.points)
-    assert np.array_equal(alive, prune_mask(h, dist)) and (~alive).sum() == 2
+    h = feature_rows(dist, bad.points)
     # the squared norms the prune reads, pruned rows included
     assert np.array_equal(norm2, np.einsum("ij,ij->i", h, h))
+    assert np.array_equal(alive, prune_mask(norm2, dist)) and (~alive).sum() == 2
     live = h[alive]
     assert np.allclose(gram, live.T @ live, rtol=1e-12, atol=0)
     assert np.allclose(label_sum, bad.labels[alive] @ live, rtol=0, atol=1e-9)
@@ -970,10 +973,10 @@ def test_robust_chow_stores_no_feature_matrix(monkeypatch):
     # the rows stream through one (ell, TILE_ROWS) buffer: the (m, ell)
     # matrix would take m * ell * 8 = 72.8 MB here, and the call peaks
     # below a quarter of it; after the sums, each pass streams only the rows
-    # it scores and then the rows it cuts, and nothing is featurized whole
+    # it scores and then the rows it cuts
     dist, f, s = ltf_instance(n=12, m=20_000, eps=0.05, seed=5, d=3)
     bad = corrupt(s, f, 0.05, AdversaryStrategy("chow_attack", rho=0.9), dist, 6)
-    streamed, stored = [], []
+    streamed = []
     real = dist.feature_tiles
 
     def counted(points, rows=None):
@@ -981,7 +984,6 @@ def test_robust_chow_stores_no_feature_matrix(monkeypatch):
         return real(points, rows)
 
     monkeypatch.setattr(dist, "feature_tiles", counted)
-    monkeypatch.setattr(dist, "featurize", stored.append)
     tracemalloc.start()
     try:
         est = robust_chow(bad, dist, FilterParams(eps=0.05))
@@ -991,7 +993,7 @@ def test_robust_chow_stores_no_feature_matrix(monkeypatch):
     assert peak < len(bad) * dist.ell * 8 / 4
     assert est.provenance["iterations"] >= 2 and est.provenance["filtered"] > 0
     passes = est.provenance["passes"]
-    assert stored == [] and streamed[0] == len(bad)
+    assert streamed[0] == len(bad)
     assert [r for r in streamed[1:] if r] == [r for p in passes
                                               for r in (p["scored"], p["removed"]) if r]
     assert sum(p["removed"] for p in passes) == est.provenance["filtered"]
@@ -1052,7 +1054,7 @@ def test_chow_distance_reuses_the_descriptor_whitener(monkeypatch):
                            gaussian_descriptor(4, 1, 0.1))
     assert chow_distance(ests[0], other) == pytest.approx(dists[2], rel=1e-12)
     # a moment-table descriptor builds its whitener once, on first use
-    lc = log_concave_descriptor(dist.n, dist.d, dist.sigma, 0.0, 0.1)
+    lc = log_concave_descriptor(dist.basis.n, dist.basis.d, dist.sigma, 0.0, 0.1)
     lc_ests = [empirical_chow(LabeledSampleSet(s.points[k:], s.labels[k:]), lc)
                for k in (0, 500, 1000)]
     lc_dists = [chow_distance(lc_ests[i], lc_ests[j]) for i, j in ((0, 1), (1, 2), (0, 2))]

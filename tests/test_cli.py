@@ -383,6 +383,7 @@ def test_learn_matches_one_cell_experiment(tmp_path, capsys, argv, config, keys)
     (["learn-ptf", "--n", "60", "--d", "5"], "8259888 monomials"),
     (["learn-intersection", "--n", "700"], "degree-2 basis"),
     (["learn-ltf", "--seed", "-1"], "seed: must be >= 0"),
+    (["learn-ptf", "--plant-coeffs", "[1,"], "plant.coeffs: Expecting value"),
 ])
 def test_learn_malformed_input_exits_2(capsys, argv, message):
     assert main(argv) == 2

@@ -9,6 +9,8 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc
 from scipy.stats import norm
 
+from feature_rows import feature_rows
+
 from robustchow import distributions
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import FilterParams, robust_chow
@@ -22,7 +24,7 @@ from robustchow.distributions import (EPS_FLOOR, compute_delta, compute_tmax,
 from robustchow.errors import ConfigError, IntegralDiverges, NonMultilinearBasis, UnknownFamily
 from robustchow.intersection_learner import make_cover
 from robustchow.ltf_learner import LTF, estimate_threshold
-from robustchow.polybasis import enumerate_basis, eval_monomials_batch
+from robustchow.polybasis import TILE_ROWS, enumerate_basis, eval_monomials_batch
 
 
 # --- tail bounds ---------------------------------------------------------
@@ -240,7 +242,7 @@ def test_hypercube_moments_reject_powers():
 
 def test_gaussian_descriptor_fields():
     d = gaussian_descriptor(5, 2, 0.05)
-    assert d.n == 5 and d.basis.d == 2 and d.ell == 21
+    assert d.basis.n == 5 and d.basis.d == 2 and d.ell == 21
     assert d.gamma == 0.0
     assert d.prune_enabled
     assert d.delta > 0 and d.t_max > math.sqrt(d.ell)
@@ -298,28 +300,26 @@ def test_hermite_rows_map_to_monomial_rows(n, d):
     b = enumerate_basis(n, d)
     pts = np.random.default_rng(n + d).standard_normal((300, n)) * 1.5
     mono = eval_monomials_batch(b, pts)
-    mapped = gaussian_descriptor(n, d, 0.1).featurize(pts) @ gaussian_monomial_map(b).T
+    mapped = feature_rows(gaussian_descriptor(n, d, 0.1), pts) @ gaussian_monomial_map(b).T
     assert np.allclose(mapped, mono, rtol=1e-12, atol=1e-12 * np.abs(mono).max())
 
 
 def test_descriptor_featurizers_and_maps():
     g = gaussian_descriptor(3, 2, 0.05)
     pts = g.sample(5, 0)
-    assert g.coords == "hermite"
-    # the stored rows are the streamed tiles, and the degree-2 Hermite rows
-    # of x are (x_i^2 - 1) / sqrt(2) and x_i x_j
-    rows = g.featurize(pts)
-    streamed = np.concatenate([block.copy() for _, block in g.feature_tiles(pts)], axis=1)
-    assert np.array_equal(rows, streamed.T)
+    assert g.family == "gaussian"
+    # the degree-2 Hermite rows of x are (x_i^2 - 1) / sqrt(2) and x_i x_j
+    rows = feature_rows(g, pts)
     assert np.allclose(rows[:, g.basis.index_of((2, 0, 0))], (pts[:, 0] ** 2 - 1) / math.sqrt(2))
     assert np.allclose(rows[:, g.basis.index_of((0, 1, 1))], pts[:, 1] * pts[:, 2])
     assert g.monomial_map() is g.monomial_map()
     h = hypercube_descriptor(4, 2, 0.05)
     cube = h.sample(5, 0)
-    assert np.array_equal(h.featurize(cube), eval_monomials_batch(h.basis, cube))
+    assert np.array_equal(feature_rows(h, cube), eval_monomials_batch(h.basis, cube))
     assert np.array_equal(h.monomial_map(), np.eye(h.ell))
     lc = log_concave_descriptor(3, 2, g.sigma, 0.0, 0.05)
-    assert np.allclose(lc.featurize(pts), eval_monomials_batch(g.basis, pts) @ lc.whitener()[0])
+    assert np.allclose(feature_rows(lc, pts),
+                       eval_monomials_batch(g.basis, pts) @ lc.whitener()[0])
     assert np.allclose(lc.monomial_map() @ lc.monomial_map().T, g.sigma, atol=1e-12)
 
 
@@ -356,8 +356,9 @@ def test_robust_chow_is_bit_identical_on_a_cold_and_a_warm_cache():
 
 @pytest.mark.parametrize("coords", ["hermite", "monomial", "whitened", "whitened-null"])
 def test_featurize_is_feature_major(coords):
-    # every descriptor returns (m, ell) rows stored as one C-contiguous
-    # (ell, m) array, which the filter's syrk and column gathers rely on
+    # every descriptor streams the rows h(x) of consecutive points as
+    # (ell, width) blocks, each feature's values contiguous across the
+    # tile's points: the layout the filter's syrks and gemvs read
     g = gaussian_descriptor(3, 2, 0.05)
     pts = g.sample(2049, 0)
     if coords == "hermite":
@@ -372,8 +373,12 @@ def test_featurize_is_feature_major(coords):
             table[on_x2] = table[:, on_x2] = 0.0
         dist = log_concave_descriptor(3, 2, table, 0.0, 0.05)
     for m in (1, 7, 2049):
-        got = dist.featurize(pts[:m])
-        assert got.shape == (m, dist.ell) and got.T.flags.c_contiguous
+        tiles = list(dist.feature_tiles(pts[:m]))
+        assert [cols.start for cols, _ in tiles] == list(range(0, m, TILE_ROWS))
+        assert tiles[-1][0].stop == m
+        for cols, block in tiles:
+            width = cols.stop - cols.start
+            assert block.shape == (dist.ell, width) and block.strides[1] == 8
 
 
 def test_log_concave_descriptor_builds():
@@ -384,7 +389,7 @@ def test_log_concave_descriptor_builds():
         return rng.standard_normal((count, 3))
 
     d = log_concave_descriptor(3, 1, table, 0.05, 0.05, sampler=sampler)
-    assert d.tail.family == "log-concave-chaos"
+    assert d.family == "log-concave" and d.tail == make_tail_bound("log-concave-chaos", 1)
     assert d.gamma == pytest.approx(0.05)
     pts = d.sample(1000, 0)
     assert pts.shape == (1000, 3)
@@ -392,7 +397,7 @@ def test_log_concave_descriptor_builds():
 
 def test_from_config_roundtrip_and_errors():
     d = from_config({"family": "gaussian", "n": 4, "d": 1}, 0.05)
-    assert d.n == 4
+    assert d.basis.n == 4
     h = from_config({"family": "hypercube", "n": 3, "d": 1}, 0.05)
     assert h.basis.multilinear
     with pytest.raises(ConfigError, match="family"):

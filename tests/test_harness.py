@@ -306,6 +306,18 @@ def test_make_corrupted_source_determinism_and_budget():
     assert np.array_equal(a.labels[untouched], plant.evaluate(a.points)[untouched])
 
 
+def test_make_corrupted_source_reads_a_seed_sequence_without_spending_it():
+    # one SeedSequence object passed twice draws the batch of its int seed both times
+    dist = gaussian_descriptor(4, 1, 0.1)
+    plant = LTF(np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
+    draw = make_corrupted_source(plant, dist, 0.1, AdversaryStrategy("random_flip"))
+    seed = np.random.SeedSequence(5)
+    a, b, c = draw(2_000, seed), draw(2_000, seed), draw(2_000, 5)
+    for other in (b, c):
+        assert np.array_equal(a.points, other.points)
+        assert np.array_equal(a.labels, other.labels)
+
+
 @pytest.mark.parametrize("seed", [3, 2024])
 @pytest.mark.parametrize("tag", STRATEGIES)
 def test_make_corrupted_source_equals_corrupt_of_the_clean_draw(tag, seed):
@@ -397,6 +409,8 @@ def test_run_experiment_captures_cell_failure(tmp_path, monkeypatch):
     assert len(rows) == 1
     assert rows[0].flags == "error:ZeroChowVector"
     assert rows[0].disagreement == 1.0
+    # the cell's seed, as a row that ran would report it
+    assert rows[0].seed == np.random.SeedSequence(cfg.seed, spawn_key=(0,)).generate_state(1)[0]
     assert (tmp_path / "fail.csv").exists()
 
 

@@ -587,6 +587,21 @@ def test_learn_intersection_takes_an_int_or_a_seed_sequence():
         [(h.v.tolist(), h.theta) for h in b.halfspaces]
 
 
+def test_learn_intersection_reads_a_seed_sequence_without_spending_it():
+    # one SeedSequence object passed twice draws the same holdout both times
+    n = 4
+    dist = gaussian_descriptor(n, 2, 0.0)
+    pts = dist.sample(20_000, 500)
+    f = Intersection([LTF(unit(n, 0), 0.3)])
+    train = LabeledSampleSet(pts, f.evaluate(pts))
+    seed = np.random.SeedSequence(5)
+    a, b = (learn_intersection(train, 1, 0.0, source=clean_source(f, dist),
+                               m_tournament=5_000, seed=seed) for _ in range(2))
+    assert a.provenance == b.provenance
+    assert [(h.v.tolist(), h.theta) for h in a.halfspaces] == \
+        [(h.v.tolist(), h.theta) for h in b.halfspaces]
+
+
 def test_learn_intersection_constant_target():
     n = 4
     dist = gaussian_descriptor(n, 2, 0.0)

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from feature_rows import feature_rows
+
 from robustchow.distributions import gaussian_descriptor
 from robustchow.errors import DimensionMismatch, SizeCapExceeded
 from robustchow.polybasis import (TILE_ROWS, MonomialBasis, Polynomial,
@@ -14,7 +16,7 @@ from robustchow.ptf_learner import PTF
 def hermite_rows(basis, points):
     """The normalized Hermite products h_a(x) = prod_j He_{a_j}(x_j) /
     sqrt(a_j!) on a dense basis: the rows of the Gaussian descriptor."""
-    return gaussian_descriptor(basis.n, basis.d, 0.1).featurize(points)
+    return feature_rows(gaussian_descriptor(basis.n, basis.d, 0.1), points)
 
 
 def test_enumerate_n2_d1_exact_order():

@@ -4,6 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from feature_rows import feature_rows
+
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import (ChowEstimate, _survivor_sums, chow_distance,
                                    empirical_chow, robust_chow, sample_floor)
@@ -419,28 +421,22 @@ def test_sampling_oracle_featurizes_the_pool_once_then_only_the_rows_it_reads(mo
     dist = gaussian_descriptor(4, 2, 0.05)
     m = 20_000
     budget = int(0.05 * m)
-    stored, streamed = [], []
-    real_featurize, real_tiles = dist.featurize, dist.feature_tiles
-
-    def featurize(points):
-        stored.append(len(points))
-        return real_featurize(points)
+    streamed = []
+    real_tiles = dist.feature_tiles
 
     def feature_tiles(points, rows=None):
         streamed.append(len(points) if rows is None else len(rows))
         return real_tiles(points, rows)
 
-    monkeypatch.setattr(dist, "featurize", featurize)
     monkeypatch.setattr(dist, "feature_tiles", feature_tiles)
     coeffs = np.zeros(dist.ell)
     coeffs[1] = 0.5
     coeffs[dist.basis.index_of((2, 0, 0, 0))] = 0.25
     oracle = make_sampling_oracle(dist, 0.05, AdversaryStrategy("chow_attack"), m, seed=3)
     pbf = PBF(Polynomial(dist.basis, coeffs), 0.5)
-    # the pool streams once, at build, and nothing is stored
-    assert streamed == [m] and stored == []
+    # the pool streams once, at build
+    assert streamed == [m]
     for _ in range(2):
-        stored.clear()
         streamed.clear()
         est = oracle(pbf)
         prov = est.provenance
@@ -448,8 +444,7 @@ def test_sampling_oracle_featurizes_the_pool_once_then_only_the_rows_it_reads(mo
         # streamed: the moved rows' old points, which leave the sums, and
         # their new ones; the clipped survivors (|q| > 1 for about 10% of
         # the pool here, and at the attack point); each scoring pass's
-        # candidates, then its cut rows, which leave the sums; none stored
-        assert stored == []
+        # candidates, then its cut rows, which leave the sums
         assert streamed[:2] == [budget, budget] and budget < streamed[2] < m // 5
         assert streamed[3:] == [r for p in prov["passes"] for r in (p["scored"], p["removed"])
                                 if r]
@@ -484,7 +479,7 @@ def test_sampling_oracle_labels_and_features_match_its_points(monkeypatch):
     assert idx.size == 250
     assert np.array_equal(sample, points)
     assert np.array_equal(labels, pbf.evaluate(points))
-    assert np.array_equal(h, dist.featurize(points))
+    assert np.array_equal(h, feature_rows(dist, points))
     assert np.array_equal(h_odd, h[1::2])
 
 
@@ -535,7 +530,7 @@ def test_sampling_oracle_label_sum_is_the_direct_sum(monkeypatch, family):
         moved_clipped.append(clipped[is_moved].any())
         assert clipped[~is_moved].any()
         assert (family == "hypercube") == alive[is_moved].all()
-        h = dist.featurize(points[alive])
+        h = feature_rows(dist, points[alive])
         direct = labels[alive] @ h
         scale = np.abs(h).T @ (np.abs(h) @ np.abs(dist.monomial_map().T @ coeffs))
         assert (np.abs(label_sum - direct) <= 1e-13 * scale).all()
