@@ -27,6 +27,8 @@ from .polybasis import MonomialBasis, enumerate_basis, monomial_sum
 C_BREAK = 10.0
 # Filter passes before robust_chow stops and flags cap_reached.
 MAX_ITERATIONS = 200
+# Norm bins per e-fold that `_score_floor` counts rows in.
+_FLOOR_BINS = 64
 
 
 @dataclass
@@ -105,6 +107,43 @@ def _cut_floor(dist: ReasonableDistribution) -> float:
     return dist.tail.crossing(0.25) * (1.0 - 1e-9)
 
 
+def _required(t, dist: ReasonableDistribution, eps: float):
+    """The fraction of rows a cut at T must take: 4 Q_d(T) + 3 eps / T_max^2."""
+    return 4.0 * dist.tail(t) + 3.0 * eps / dist.t_max ** 2
+
+
+def _score_floor(norm2: np.ndarray, rows: np.ndarray, dist: ReasonableDistribution,
+                 eps: float, m: int) -> float:
+    """A floor under every cut `_threshold_cut` can make on m rows, from the
+    squared norms of the rows that reach `_cut_floor` (norm2[rows]).
+
+    A cut T needs a fraction `_required`(T) of the m rows to score at least
+    T, and a score is at most its row's norm (over 1 - 1e-9, for rounding),
+    so it needs that many such norm bounds too. The bounds are counted in
+    bins e^(1/_FLOOR_BINS) wide from `_cut_floor` up to T_max (the last bin
+    also takes any bound above it), each placed a hair high so that
+    rounding can only raise its bin: a T in bin i has at most the rows from
+    bin i up, and needs at least the fraction required at the top of bin
+    i. The floor is the bottom of the first bin where that can hold, or
+    the top of the last bin when none can. When the rows are too many to
+    rule out bin 0 (at d = 1 every row reaches the cut floor), the floor is
+    the cut floor and no norm is read.
+    """
+    low = _cut_floor(dist)
+    top = max(1, int(_FLOOR_BINS * math.log(dist.t_max / low)) + 1)
+    edges = low * np.exp(np.arange(top + 2) / _FLOOR_BINS)
+    need = _required(edges[1:] * (1.0 + 1e-9), dist, eps)   # need[i]: bin i's least
+    if rows.size / m >= need[0]:
+        return low
+    bins = np.log(norm2[rows])
+    bins *= 0.5 * _FLOOR_BINS
+    bins -= _FLOOR_BINS * math.log(low * (1.0 - 1e-9) ** 2)
+    np.clip(bins, 0, top, out=bins)
+    above = np.cumsum(np.bincount(bins.astype(np.intp), minlength=top + 1)[::-1])[::-1]
+    fits = np.flatnonzero(above / m >= need)
+    return float(edges[fits[0] if fits.size else top + 1] * (1.0 - 1e-9))
+
+
 def _threshold_cut(scores: np.ndarray, dist: ReasonableDistribution, eps: float, m: int):
     """Largest observed score T > 0 with frac{|p*| >= T} >= 4 Q_d(T) + 3 eps / T_max^2.
 
@@ -119,8 +158,7 @@ def _threshold_cut(scores: np.ndarray, dist: ReasonableDistribution, eps: float,
     # the first copy of each value; every score in top is positive
     first = np.flatnonzero(np.r_[top[:1] > 0.0, top[1:] != top[:-1]])
     candidates = top[first]
-    required = 4.0 * dist.tail(candidates) + 3.0 * eps / dist.t_max ** 2
-    valid = np.flatnonzero((top.size - first) / m >= required)
+    valid = np.flatnonzero((top.size - first) / m >= _required(candidates, dist, eps))
     if not valid.size:
         raise NoThresholdFound("no sample value satisfies the tail-excess test")
     t_cut = float(candidates[valid[-1]])
@@ -154,17 +192,22 @@ def _survivor_sums(tiles, dist: ReasonableDistribution,
 
 
 def _pass_scores(tiles, alive: np.ndarray, norm2: np.ndarray, v: np.ndarray,
-                 dist: ReasonableDistribution):
-    """The alive rows that can reach the cut, as indices, and their scores
-    |h(x) . v|. For the unit v, |h . v| <= |h|, so a row whose norm is
-    below `_cut_floor` (less the cut's margin once more, for a product that
-    rounds above its row's norm) cannot reach the cut and is not scored.
-    tiles(rows) gathers the others; when every row can reach it (at d = 1,
-    say), tiles() streams them in place. einsum scores every row by the same
-    loop, so identical points tie exactly; BLAS gemv may round its last
-    rows differently and split a cluster of identical outliers at the cut.
+                 dist: ReasonableDistribution, eps: float, m: int):
+    """The alive rows that can reach a cut on m rows, as indices, and their
+    scores |h(x) . v|. For the unit v, |h . v| <= |h|, so a row whose norm
+    is below `_score_floor` (less the cut's margin once more, for a product
+    that rounds above its row's norm) cannot reach the cut and is not
+    scored. tiles(rows) gathers the others; when every row can reach it
+    (at d = 1, say), tiles() streams them in place. einsum scores every row
+    by the same loop, so identical points tie exactly; BLAS gemv may round
+    its last rows differently and split a cluster of identical outliers at
+    the cut.
     """
-    rows = np.flatnonzero(alive & (norm2 >= (_cut_floor(dist) * (1.0 - 1e-9)) ** 2))
+    low = _cut_floor(dist)
+    rows = np.flatnonzero(alive & (norm2 >= (low * (1.0 - 1e-9)) ** 2))
+    floor = _score_floor(norm2, rows, dist, eps, m)
+    if floor > low:
+        rows = rows[norm2[rows] >= (floor * (1.0 - 1e-9)) ** 2]
     scores = np.empty(rows.size)
     for cols, block in tiles(None if rows.size == alive.size else rows):
         np.einsum("ij,j->i", block.T, v, out=scores[cols])
@@ -204,7 +247,7 @@ def _filter(tiles, labels: np.ndarray, alive: np.ndarray, norm2: np.ndarray,
         if lambda_star <= break_level:
             last_lambda = lambda_star
             break
-        rows, scores = _pass_scores(tiles, alive, norm2, v_star, dist)
+        rows, scores = _pass_scores(tiles, alive, norm2, v_star, dist, eps, m_cur)
         record["scored"] = rows.size
         try:
             record["cut"], keep = _threshold_cut(scores, dist, eps, m_cur)

@@ -17,6 +17,9 @@ from .errors import DimensionMismatch, EmptyHoldout
 # Largest k the cover tournament scores: a cover holds G^k candidates, and at
 # k = 3 no subspace of dim >= 2 fits the intersection learner's COMBO_CAP.
 K_CAP = 2
+# Cover directions the tournament projects and bins at a time, so each
+# block of projections and bins stays in cache.
+_BIN_CHUNK = 8
 
 
 def disagreement(hypothesis, s: LabeledSampleSet) -> float:
@@ -38,6 +41,47 @@ def select(candidates: Sequence, holdout: LabeledSampleSet):
         if err < best_err:
             best_idx, best_err = i, err
     return candidates[best_idx], best_err
+
+
+def _bin_keys(proj: np.ndarray, edges: Sequence[np.ndarray], width: int) -> np.ndarray:
+    """Each projection p in row r of proj binned among the sorted
+    thresholds edges[r]: its bin #{edges[r] < p}, as np.searchsorted(edges[r],
+    p) gives it, returned as the key r * width + bin (width must exceed
+    every len(edges[r]) + 1).
+
+    A bin is guessed from its row's first edge and mean spacing (exact on
+    evenly spaced edges up to rounding; with one edge, the sign of p - edge
+    is the bin) and checked against the edges either side of it, in a
+    table whose row r holds -inf, edges[r], then +inf up to width. Only
+    the projections whose guess fails are searched for.
+    """
+    rows = len(edges)
+    n_edges = np.array([len(e) for e in edges])[:, None]
+    first = np.array([e[0] for e in edges])[:, None]
+    table = np.full((rows, width), np.inf)
+    table[:, 0] = -np.inf
+    for row, e in zip(table, edges):
+        row[1:len(e) + 1] = e
+    # edges spanning the float range, or an ulp, may make an inf or NaN guess
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.array([(len(e) - 1) / (e[-1] - e[0]) if len(e) > 1 else 1.0
+                          for e in edges])[:, None]
+        guess = proj - first
+        guess *= scale
+    np.ceil(guess, out=guess)
+    np.fmax(guess, 0.0, out=guess)              # fmax and fmin also take a NaN to 0
+    np.fmin(guess, n_edges, out=guess)
+    keys = guess.astype(np.intp)
+    keys += np.arange(0, rows * width, width)[:, None]
+    # a key is also where its bin's lower edge sits in the table; every
+    # index is in range, and "clip" skips the check that "raise" makes
+    bounds = table.ravel()
+    found = np.take(bounds, keys, out=guess, mode="clip") < proj
+    found &= proj <= np.take(bounds[1:], keys, out=guess, mode="clip")
+    for r in np.flatnonzero(~found.all(axis=1)):
+        miss = np.flatnonzero(~found[r])
+        keys[r, miss] = r * width + np.searchsorted(edges[r], proj[r, miss])
+    return keys
 
 
 def select_intersection_cover(unit_matrix: np.ndarray,
@@ -74,9 +118,12 @@ def select_intersection_cover(unit_matrix: np.ndarray,
     out_g of the n_out outside ones, so the pair a, b mismatches at least
       max(n_in - in_a, n_in - in_b) + max(0, out_a + out_b - n_out)
     points: the inside points either member misses, plus the outside points
-    that both members fire on by inclusion-exclusion. One argsort of each
-    direction's projections per label side gives these counts and every
-    point's bin alike. A direction pair's bound is the least over its
+    that both members fire on by inclusion-exclusion. The points are
+    projected and binned by arithmetic (`_bin_keys`), with no sort,
+    _BIN_CHUNK directions at a time, so no (D, m) float matrix is held;
+    each side's keys, direction * width + bin, are kept in the narrowest
+    integer type that holds them, and a cumulative bincount of a chunk's
+    bins gives these counts. A direction pair's bound is the least over its
     member pairs. Lead directions go in ascending order of their best pair
     bound, and a lead's histogram takes only the last directions whose pair
     bound is at most the best count found so far. A pair is skipped only
@@ -96,6 +143,8 @@ def select_intersection_cover(unit_matrix: np.ndarray,
         raise DimensionMismatch(
             f"cover has unit_matrix {unit_matrix.shape} and thresholds "
             f"{thresholds.shape}; expected (G, {holdout.n}) and (G,)")
+    if unit_matrix.shape[0] == 0:
+        raise ValueError("cover is empty: it has no members to score")
     if not (np.isfinite(unit_matrix).all() and np.isfinite(thresholds).all()):
         raise ValueError("cover directions and thresholds must be finite")
     m = len(holdout)
@@ -108,7 +157,7 @@ def select_intersection_cover(unit_matrix: np.ndarray,
     start = np.searchsorted(dir_sorted, np.arange(d_count + 1))
     groups = [order[a:b] for a, b in zip(start[:-1], start[1:])]
     edges = [np.unique(thresholds[g]) for g in groups]
-    width = 1 + max(len(e) for e in edges)     # bins 0..len(edges), padded
+    width = 2 + max(len(e) for e in edges)     # bins 0..len(edges), padded past +inf
 
     # x falls in bin #{edges < v . x}, and the member with threshold
     # edges[r] fires on x iff that bin is <= r: the <= survives
@@ -122,22 +171,21 @@ def select_intersection_cover(unit_matrix: np.ndarray,
     inside = holdout.labels > 0
     n_in = int(np.count_nonzero(inside))
     n_out = m - n_in
-    proj = directions @ holdout.points[np.argsort(inside, kind="stable")].T
-    sides = (proj[:, :n_out], proj[:, n_out:])
-    # one argsort per direction and side orders its projections: in that
-    # order bin r + 1 starts after the cuts[r] points at or below edge r,
-    # which is also how many of them a member with that threshold fires on
-    keys, below = [], []
-    for side in sides:
-        side_keys, side_cuts = np.empty(side.shape, dtype=np.intp), []
-        for d, (row, e) in enumerate(zip(side, edges)):
-            perm = np.argsort(row)
-            cuts = np.searchsorted(row[perm], e, side="right")
-            side_keys[d][perm] = np.repeat(np.arange(d * width, d * width + len(e) + 1),
-                                           np.diff(cuts, prepend=0, append=row.size))
-            side_cuts.append(cuts)
-        keys.append(side_keys)
-        below.append(side_cuts)
+    points = np.concatenate((holdout.points[~inside], holdout.points[inside]))
+    sides = (slice(0, n_out), slice(n_out, m))
+    key_type = np.min_scalar_type(-d_count * width)   # every key is below D * width
+    keys = [np.empty((d_count, n), dtype=key_type) for n in (n_out, n_in)]
+    # below[side][d, r] counts the side's points at or below edge r of
+    # direction d: the points a member with that threshold fires on
+    below = [np.empty((d_count, width), dtype=np.intp) for _ in sides]
+    for lo in range(0, d_count, _BIN_CHUNK):
+        hi = min(lo + _BIN_CHUNK, d_count)
+        local = _bin_keys(directions[lo:hi] @ points.T, edges[lo:hi], width)
+        for side, side_keys, side_below in zip(sides, keys, below):
+            np.add(local[:, side], lo * width, out=side_keys[lo:hi], casting="unsafe")
+            if k == 2:
+                counts = np.bincount(local[:, side].ravel(), minlength=(hi - lo) * width)
+                np.cumsum(counts.reshape(hi - lo, width), axis=1, out=side_below[lo:hi])
 
     def prefix_counts(lead, lasts):
         """w-sums of every member tuple (lead member, member of a last
@@ -150,12 +198,12 @@ def select_intersection_cover(unit_matrix: np.ndarray,
         block = (hi - lo) * width
         rows = slice(lo, hi) if hi - lo == lasts.size else lasts   # no gather if none pruned
         hist = []
-        for side_keys in keys:
+        for side_keys in keys:                  # widened to intp here only
             shift = -lo * width
             if lead is not None:
-                shift = (side_keys[lead] - lead * width) * block + shift
-            hist.append(np.bincount((side_keys[rows] + shift).ravel(),
-                                    minlength=width ** (k - 1) * block))
+                shift = (side_keys[lead].astype(np.intp) - lead * width) * block + shift
+            pair_keys = np.add(side_keys[rows], shift, dtype=np.intp)
+            hist.append(np.bincount(pair_keys.ravel(), minlength=width ** (k - 1) * block))
         cum = (hist[0] - hist[1]).reshape(width ** (k - 1), hi - lo, width)
         np.cumsum(cum, axis=0, out=cum)
         np.cumsum(cum, axis=2, out=cum)
@@ -166,8 +214,8 @@ def select_intersection_cover(unit_matrix: np.ndarray,
         plan = [(None, np.zeros(d_count))]
     else:
         # members in direction order; int32 halves the traffic of the bound
-        out, fired_in = (np.concatenate([cuts[d][rank[g]] for d, g in enumerate(groups)])
-                         .astype(np.int32) for cuts in below)
+        out, fired_in = (side_below.ravel()[key_of].astype(np.int32)
+                         for side_below in below)
         over, miss = out - n_out, n_in - fired_in
         bound = np.full((d_count, d_count), np.inf)   # bound[a, b] for b >= a
         for a in range(d_count):

@@ -13,7 +13,8 @@ from feature_rows import feature_rows
 from robustchow import chowfilter, ptf_learner
 from robustchow.adversary import AdversaryStrategy, LabeledSampleSet, corrupt
 from robustchow.chowfilter import (ChowEstimate, FilterParams, _cut_floor, _filter,
-                                   _pass_scores, _survivor_sums, _threshold_cut,
+                                   _pass_scores, _required, _score_floor, _survivor_sums,
+                                   _threshold_cut,
                                    chow_distance, empirical_chow, prune_mask, robust_chow)
 from robustchow.distributions import (gaussian_descriptor, hypercube_descriptor,
                                       log_concave_descriptor)
@@ -322,7 +323,7 @@ def test_a_clone_alone_in_its_tile_scores_as_in_a_full_tile():
     for chosen in (np.r_[np.arange(TILE_ROWS), clones[2]], clones[2:]):
         reach = np.zeros(m)
         reach[chosen] = np.inf
-        rows, scores = _pass_scores(tiles, alive, reach, v, dist)
+        rows, scores = _pass_scores(tiles, alive, reach, v, dist, 0.05, int(alive.sum()))
         assert np.array_equal(rows, chosen)
         assert scores.tobytes() == every[chosen].tobytes()
 
@@ -371,7 +372,7 @@ def cut_outcome(scores, rows, dist, eps, m):
 def test_candidate_scoring_matches_scoring_every_row(family, m, seed, near, share, scale,
                                                      aim, eps):
     # |h . v| <= |h| for the unit v: scoring only the rows whose norm can
-    # reach the cut floor gives the cut of scoring every row, the same T
+    # reach the score floor gives the cut of scoring every row, the same T
     # and rows removed, or the same NoThresholdFound message. Rows are
     # featurized samples, some rescaled to within an ulp or two of the
     # candidate floor or of the cut floor, and a cluster of copies of one
@@ -406,14 +407,69 @@ def test_candidate_scoring_matches_scoring_every_row(family, m, seed, near, shar
     v = aims.get(aim)
     v = np.linalg.eigh(gram)[1][:, -1] if v is None else v / np.linalg.norm(v)
     v = np.ascontiguousarray(v)
-    rows, scores = _pass_scores(tiles, alive, norm2, v, dist)
     idx = np.flatnonzero(alive)
+    rows, scores = _pass_scores(tiles, alive, norm2, v, dist, eps, idx.size)
+    reach = idx[norm2[idx] >= (floor * (1.0 - 1e-9)) ** 2]
+    score_floor = _score_floor(norm2, reach, dist, eps, idx.size)
+    assert score_floor >= _cut_floor(dist)
     every = tile_scores(tiles, idx, v)
     left_out = ~np.isin(idx, rows)
-    assert (every[left_out] < _cut_floor(dist)).all()
+    assert (np.sqrt(norm2[idx[left_out]]) < score_floor).all()
+    assert (every[left_out] < score_floor).all()
     assert scores.tobytes() == every[~left_out].tobytes()
     assert cut_outcome(scores, rows, dist, eps, idx.size) == \
         cut_outcome(every, idx, dist, eps, idx.size)
+
+
+def test_score_floor_rises_above_the_cut_floor_on_a_far_cluster():
+    # A ptf-d2-like pass: at (n, d) = (8, 2) about one clean row in eight
+    # reaches the cut floor, but a cut there needs 4 Q(T) ~ all rows. The
+    # floor rises to where the cluster of 1% of the rows can hold a cut,
+    # leaves out most rows at or above the cut floor and keeps the cut of
+    # scoring every row, which removes the cluster.
+    dist = gaussian_descriptor(8, 2, 0.01)
+    m = 4 * TILE_ROWS + 77
+    pts = dist.sample(m, 3)
+    pts[: m // 100] = pts[0] * (6.0 / np.linalg.norm(pts[0]))
+    h = feature_rows(dist, pts).T
+    tiles = matrix_tiles(h)
+    alive, norm2, gram, _ = _survivor_sums(tiles(), dist)
+    v = np.ascontiguousarray(np.linalg.eigh(gram)[1][:, -1])
+    low = _cut_floor(dist) * (1.0 - 1e-9)
+    reach = np.flatnonzero(alive & (norm2 >= low ** 2))
+    floor = _score_floor(norm2, reach, dist, 0.01, m)
+    assert floor > 1.5 * _cut_floor(dist)
+    rows, scores = _pass_scores(tiles, alive, norm2, v, dist, 0.01, m)
+    assert m // 100 <= rows.size < reach.size / 4
+    every = tile_scores(tiles, np.arange(m), v)
+    outcome = cut_outcome(scores, rows, dist, 0.01, m)
+    assert outcome == cut_outcome(every, np.arange(m), dist, 0.01, m)
+    assert sorted(outcome[1]) == list(range(m // 100))
+
+
+@settings(max_examples=150, deadline=None)
+@given(family=st.sampled_from(["gaussian d1", "gaussian d2", "gaussian d3",
+                               "hypercube d2", "log-concave d2"]),
+       m=st.integers(1, 3000), below=st.integers(0, 30_000), seed=st.integers(0, 2 ** 16),
+       spread=st.floats(0.0, 3.0), cluster=st.floats(0.0, 0.3),
+       where=st.floats(1.0, 40.0), eps=st.sampled_from([0.0, 0.01, 0.1]))
+def test_score_floor_is_below_every_score_the_cut_accepts(family, m, below, seed, spread,
+                                                          cluster, where, eps):
+    # The worst case for the floor is a score equal to its row's norm:
+    # every such score that passes the tail test lies at or above it. m
+    # rows reach the cut floor, their norms spread log-normally above it,
+    # some of them clustered; `below` more rows count in the fractions only.
+    dist = scoring_family(family)
+    rng = np.random.default_rng(seed)
+    low = _cut_floor(dist)
+    norms = low * np.exp(spread * np.abs(rng.standard_normal(m)))
+    norms[: int(cluster * m)] = where * low
+    floor = _score_floor(norms ** 2, np.arange(m), dist, eps, m + below)
+    assert floor >= low
+    top = np.unique(norms)
+    counts = m - np.searchsorted(np.sort(norms), top)
+    valid = top[counts / (m + below) >= _required(top, dist, eps)]
+    assert (valid >= floor).all()
 
 
 def test_filter_records_each_pass(monkeypatch):

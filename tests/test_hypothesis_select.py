@@ -1,4 +1,6 @@
 import math
+import sys
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from robustchow.adversary import LabeledSampleSet
 from robustchow.errors import DimensionMismatch, EmptyHoldout
-from robustchow import intersection_learner
-from robustchow.hypothesis_select import (disagreement, select,
+from robustchow import hypothesis_select, intersection_learner
+from robustchow.hypothesis_select import (_bin_keys, disagreement, select,
                                           select_intersection_cover)
 from robustchow.intersection_learner import make_cover
 from robustchow.ltf_learner import LTF
@@ -247,12 +249,14 @@ def test_cover_tournament_winner_lists_members_ascending():
 def test_cover_tournament_scores_unordered_direction_tuples(k, monkeypatch):
     """The pair-histogram keys fed to bincount, m per direction tuple
     scored: all D at k = 1; at k = 2 at most the C(D+1, 2) unordered pairs,
-    and on these labels the bound prunes some of them."""
+    and on these labels the bound prunes some of them. The marginal counts
+    the bound reads are bincounts too, so only prefix_counts' are counted."""
     fed = []
     bincount = np.bincount
 
     def counting_bincount(x, *args, **kwargs):
-        fed.append(len(x))
+        if sys._getframe(1).f_code.co_name == "prefix_counts":
+            fed.append(len(x))
         return bincount(x, *args, **kwargs)
 
     monkeypatch.setattr(np, "bincount", counting_bincount)
@@ -340,7 +344,184 @@ def test_cover_tournament_rejects_missing_thresholds():
         select_intersection_cover(np.ones((3, 1)), np.zeros(2), 1, holdout)
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_cover_tournament_rejects_an_empty_cover(k):
+    holdout = holdout_from(np.ones((3, 2)), [1.0, -1.0, 1.0])
+    with pytest.raises(ValueError, match="cover is empty"):
+        select_intersection_cover(np.zeros((0, 2)), np.zeros(0), k, holdout)
+
+
 def test_cover_tournament_rejects_holdout_of_wrong_dimension():
     holdout = holdout_from(np.ones((3, 2)), [1.0, 1.0, 1.0])
     with pytest.raises(DimensionMismatch):
         select_intersection_cover(np.ones((2, 1)), np.zeros(2), 1, holdout)
+
+
+def searchsorted_keys(proj, edges, width):
+    """The keys `_bin_keys` must return: row * width + #{edges[row] < p}."""
+    return np.stack([np.searchsorted(e, p, side="left") + r * width
+                     for r, (e, p) in enumerate(zip(edges, proj))])
+
+
+EXTREME_EDGES = [np.array([-1e308, 1e308]),            # the span overflows
+                 np.array([-1e308, 0.0, 1e308]),
+                 np.array([0.0, 5e-324]),              # 1 / span overflows
+                 np.array([1.0, np.nextafter(1.0, 2.0)])]
+
+
+@st.composite
+def binning_cases(draw):
+    """Rows of sorted thresholds, evenly spaced, uneven, single or extreme,
+    and projections on every threshold, an ulp either side of one, far
+    outside the grid (to +-inf), between thresholds and at random."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 80))
+    edges, proj = [], []
+    for _ in range(rows):
+        kind = draw(st.sampled_from(["even", "uneven", "single", "extreme"]))
+        if kind == "even":
+            lo = draw(st.floats(-50.0, 50.0))
+            e = np.linspace(lo, lo + draw(st.floats(1e-9, 100.0)), draw(st.integers(2, 60)))
+        elif kind == "uneven":
+            e = np.array(draw(st.lists(st.floats(-50.0, 50.0), min_size=2, max_size=40)))
+        elif kind == "single":
+            e = np.array([draw(st.floats(-50.0, 50.0))])
+        else:
+            e = draw(st.sampled_from(EXTREME_EDGES))
+        e = np.unique(e)
+        pool = np.concatenate([e, np.nextafter(e, -np.inf), np.nextafter(e, np.inf),
+                               (e[:-1] + e[1:]) / 2,
+                               [-np.inf, -1e308, e[0] - 1e6, e[-1] + 1e6, 1e308, np.inf],
+                               rng.choice(e, 8) + rng.standard_normal(8)])
+        edges.append(e)
+        proj.append(rng.choice(pool, cols))
+    return edges, np.array(proj)
+
+
+@settings(max_examples=300, deadline=None)
+@given(binning_cases())
+def test_bin_keys_are_searchsorted(case):
+    edges, proj = case
+    width = 2 + max(len(e) for e in edges)
+    assert np.array_equal(_bin_keys(proj, edges, width), searchsorted_keys(proj, edges, width))
+
+
+@st.composite
+def random_cover_cases(draw):
+    """A cover over signed coordinate axes (projections are exact) and a few
+    random directions, enough of them to span several binning chunks. Each
+    direction's thresholds are evenly spaced, uneven or single, and some
+    thresholds repeat within a direction and across directions. Holdout
+    coordinates sit on the thresholds (of either sign), an ulp either side
+    of them, far outside the grid or at random."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    dim = draw(st.integers(1, 6))
+    k = draw(st.integers(1, 2))
+    axes = np.concatenate([np.eye(dim), -np.eye(dim)])
+    picked = draw(st.lists(st.integers(0, 2 * dim - 1), min_size=1, max_size=2 * dim,
+                           unique=True))
+    extra = rng.standard_normal((draw(st.integers(0, 4)), dim))
+    extra /= np.linalg.norm(extra, axis=1, keepdims=True)
+    shared = np.round(rng.uniform(-2.0, 2.0, 3), 2)
+    rows, thr = [], []
+    for v in np.concatenate([axes[picked], extra]):
+        kind = draw(st.sampled_from(["even", "uneven", "single"]))
+        if kind == "even":
+            ts = np.linspace(-draw(st.floats(0.1, 3.0)), draw(st.floats(0.1, 3.0)),
+                             draw(st.integers(2, 8)))
+        elif kind == "uneven":
+            ts = np.sort(rng.uniform(-3.0, 3.0, draw(st.integers(2, 6))))
+        else:
+            ts = rng.uniform(-2.0, 2.0, 1)
+        ts = np.concatenate([ts, rng.choice(ts, draw(st.integers(0, 2))),
+                             shared[:draw(st.integers(0, 3))]])
+        rows += [v] * len(ts)
+        thr += list(ts)
+    perm = rng.permutation(len(thr))
+    unit = np.array(rows)[perm]
+    thresholds = np.array(thr)[perm]
+    m = draw(st.integers(1, 60))
+    t = np.concatenate([thresholds, -thresholds])
+    pool = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf),
+                           [-1e6, 1e6], rng.standard_normal(len(t))])
+    labels = rng.choice([-1.0, 1.0], m) if draw(st.booleans()) else np.full(m, -1.0)
+    return unit, thresholds, k, holdout_from(rng.choice(pool, (m, dim)), labels)
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_cover_cases())
+def test_cover_tournament_property_random_covers(case):
+    unit, thr, k, holdout = case
+    binned = []
+
+    def checked_bin_keys(proj, edges, width):
+        keys = _bin_keys(proj, edges, width)
+        binned.append(len(edges))
+        assert np.array_equal(keys, searchsorted_keys(proj, edges, width))
+        return keys
+
+    with mock.patch.object(hypothesis_select, "_bin_keys", checked_bin_keys):
+        got = select_intersection_cover(unit, thr, k, holdout)[:2]
+    assert sum(binned) == len(np.unique(unit, axis=0))
+    assert got == _reference_cover_select(unit, thr, k, holdout)
+    assert got == _brute_force(unit, thr, k, holdout)
+
+
+def test_cover_tournament_sorts_no_projections(monkeypatch):
+    """Binning needs no sort: no argsort or sort in the tournament takes an
+    array as long as a label side, as one over a direction's projections
+    would."""
+    sizes = []
+    for name in ("argsort", "sort", "lexsort"):
+        def spy(a, *args, _real=getattr(np, name), **kwargs):
+            sizes.append(np.size(a))
+            return _real(a, *args, **kwargs)
+        monkeypatch.setattr(np, name, spy)
+    cover = make_cover(2, 2, 0.75)
+    rng = np.random.default_rng(4)
+    pts = rng.standard_normal((8000, 2))
+    labels = np.where((pts[:, 0] >= -0.5) & (pts[:, 1] >= -0.5), 1.0, -1.0)
+    holdout = holdout_from(pts, labels)
+    for k in (1, 2):
+        select_intersection_cover(cover.unit_matrix, cover.thresholds, k, holdout)
+    n_in = int(np.count_nonzero(labels > 0))
+    assert sizes and max(sizes) <= cover.unit_matrix.shape[0] < min(n_in, 8000 - n_in)
+
+
+def test_chunked_bins_equal_bins_of_the_whole_product(monkeypatch):
+    # 12 signed axes of R^6, so the binning takes two chunks; each axis has
+    # even or uneven thresholds, and every holdout coordinate sits on a
+    # threshold (of either sign) or an ulp from one. At k = 1 the one
+    # histogram takes every direction's keys, direction * width + bin, per
+    # label side; decoded, they are the bins of one whole product.
+    dim = 6
+    axes = np.concatenate([np.eye(dim), -np.eye(dim)])
+    rng = np.random.default_rng(8)
+    thr = [np.linspace(-1.5, 1.5, 7) if d % 2 else np.sort(rng.uniform(-2, 2, 5))
+           for d in range(2 * dim)]
+    unit = np.repeat(axes, [len(t) for t in thr], axis=0)
+    thresholds = np.concatenate(thr)
+    t = np.concatenate([thresholds, -thresholds])
+    pool = np.concatenate([t, np.nextafter(t, -np.inf), np.nextafter(t, np.inf)])
+    pts = rng.choice(pool, (500, dim))
+    labels = rng.choice([-1.0, 1.0], 500)
+    fed = []
+    bincount = np.bincount
+
+    def spy(x, *args, **kwargs):
+        if sys._getframe(1).f_code.co_name == "prefix_counts":
+            fed.append((np.array(x), kwargs["minlength"]))
+        return bincount(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", spy)
+    select_intersection_cover(unit, thresholds, 1, holdout_from(pts, labels))
+    directions, dir_of = np.unique(unit, axis=0, return_inverse=True)
+    assert len(directions) > hypothesis_select._BIN_CHUNK
+    edges = [np.unique(thresholds[dir_of == d]) for d in range(len(directions))]
+    whole = directions @ pts.T
+    for (keys, minlength), side in zip(fed, (labels < 0, labels > 0)):
+        width = minlength // len(directions)
+        bins = keys.reshape(len(directions), -1) - width * np.arange(len(directions))[:, None]
+        expected = np.stack([np.searchsorted(e, p) for e, p in zip(edges, whole[:, side])])
+        assert np.array_equal(bins, expected)
+    assert len(fed) == 2
